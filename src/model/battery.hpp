@@ -1,7 +1,7 @@
 // The standard litmus battery for `bcsim model` and tests/test_model.cpp.
 //
 // Ports the scenarios of tests/test_litmus.cpp (MP, SB, IRIW,
-// RESET-UPDATE) into the litmus IR and adds the classic LB/S/R shapes
+// RESET-UPDATE) into the program IR and adds the classic LB/S/R shapes
 // plus lock- and barrier-synchronized variants. Bystander threads issue
 // unobserved subscribing loads to lengthen a location's update-delivery
 // chain — the asymmetry that makes the weak outcomes reachable on the
@@ -15,10 +15,10 @@
 namespace bcsim::model {
 
 /// The full battery, in a stable order (the golden table follows it).
-[[nodiscard]] std::vector<LitmusTest> litmus_battery();
+[[nodiscard]] std::vector<ir::Program> litmus_battery();
 
 /// The battery entry named `name`, or nullptr.
-[[nodiscard]] const LitmusTest* find_litmus(const std::vector<LitmusTest>& battery,
-                                            const std::string& name);
+[[nodiscard]] const ir::Program* find_litmus(const std::vector<ir::Program>& battery,
+                                             const std::string& name);
 
 }  // namespace bcsim::model

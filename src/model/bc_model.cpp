@@ -9,6 +9,8 @@
 
 namespace bcsim::model {
 
+using ir::OpKind;
+
 namespace {
 
 /// One buffered (issued, not yet performed) store.
@@ -73,13 +75,13 @@ struct State {
 /// Exhaustive explorer over the abstract machine.
 class Enumerator {
  public:
-  explicit Enumerator(const LitmusTest& t) : t_(t), n_(t.threads.size()) {}
+  explicit Enumerator(const ir::Program& t) : t_(t), n_(t.threads.size()) {}
 
   std::vector<Outcome> run() {
     State init;
     init.pc.assign(n_, 0);
     init.arrived.assign(n_, 0);
-    init.lock_owner.assign(t_.n_locks, -1);
+    init.lock_owner.assign(t_.count(ir::ObjKind::kLock), -1);
     init.buf.resize(n_);
     init.co.resize(t_.n_locations);
     init.view.assign(n_, std::vector<std::uint32_t>(t_.n_locations, 0));
@@ -174,11 +176,11 @@ class Enumerator {
   }
 
   void step_op(const State& s, std::size_t t) {  // NOLINT(misc-no-recursion)
-    const Op& op = t_.threads[t][s.pc[t]];
+    const ir::Op& op = t_.threads[t][s.pc[t]];
     switch (op.kind) {
       case OpKind::kStore: {
         State next = s;
-        next.buf[t].push_back({op.loc, op.value});
+        next.buf[t].push_back({op.arg, op.value});
         ++next.pc[t];
         visit(std::move(next));
         break;
@@ -188,7 +190,7 @@ class Enumerator {
         // local (dirty) copy holds.
         const BufEntry* mine = nullptr;
         for (const auto& e : s.buf[t]) {
-          if (e.loc == op.loc) mine = &e;
+          if (e.loc == op.arg) mine = &e;
         }
         if (mine != nullptr) {
           State next = s;
@@ -199,12 +201,12 @@ class Enumerator {
         }
         // Otherwise any coherent value from the (monotone) view onward —
         // the update for a newer store may or may not have arrived yet.
-        const auto newest = static_cast<std::uint32_t>(s.co[op.loc].size());
-        for (std::uint32_t e = s.view[t][op.loc]; e <= newest; ++e) {
+        const auto newest = static_cast<std::uint32_t>(s.co[op.arg].size());
+        for (std::uint32_t e = s.view[t][op.arg]; e <= newest; ++e) {
           State next = s;
-          next.view[t][op.loc] = e;
+          next.view[t][op.arg] = e;
           if (op.observed) {
-            next.loads[t].push_back(e == 0 ? 0 : s.co[op.loc][e - 1]);
+            next.loads[t].push_back(e == 0 ? 0 : s.co[op.arg][e - 1]);
           }
           ++next.pc[t];
           visit(std::move(next));
@@ -216,10 +218,10 @@ class Enumerator {
         // the newest performed store right now. (validate() forbids a
         // thread from kLoadOnce-ing a location it stores to.)
         State next = s;
-        const auto newest = static_cast<std::uint32_t>(s.co[op.loc].size());
-        next.view[t][op.loc] = std::max(next.view[t][op.loc], newest);
+        const auto newest = static_cast<std::uint32_t>(s.co[op.arg].size());
+        next.view[t][op.arg] = std::max(next.view[t][op.arg], newest);
         if (op.observed) {
-          next.loads[t].push_back(newest == 0 ? 0 : s.co[op.loc][newest - 1]);
+          next.loads[t].push_back(newest == 0 ? 0 : s.co[op.arg][newest - 1]);
         }
         ++next.pc[t];
         visit(std::move(next));
@@ -234,9 +236,9 @@ class Enumerator {
         break;
       }
       case OpKind::kLock: {
-        if (s.lock_owner[op.loc] != -1) break;  // held; NP-Synch = pure mutex
+        if (s.lock_owner[op.arg] != -1) break;  // held; NP-Synch = pure mutex
         State next = s;
-        next.lock_owner[op.loc] = static_cast<int>(t);
+        next.lock_owner[op.arg] = static_cast<int>(t);
         ++next.pc[t];
         visit(std::move(next));
         break;
@@ -244,10 +246,10 @@ class Enumerator {
       case OpKind::kUnlock: {
         // CP-Synch: the release flushes first, so it is enabled only once
         // the buffer has drained, and it floors views like a fence.
-        if (s.lock_owner[op.loc] != static_cast<int>(t) || !s.buf[t].empty()) break;
+        if (s.lock_owner[op.arg] != static_cast<int>(t) || !s.buf[t].empty()) break;
         State next = s;
         apply_flush_floor(next, t);
-        next.lock_owner[op.loc] = -1;
+        next.lock_owner[op.arg] = -1;
         ++next.pc[t];
         visit(std::move(next));
         break;
@@ -276,18 +278,18 @@ class Enumerator {
         // the awaited value (validate() forbids awaiting an own store).
         // When no reachable view does yet, the transition is disabled —
         // the thread simply keeps spinning until a perform enables it.
-        const auto newest = static_cast<std::uint32_t>(s.co[op.loc].size());
-        for (std::uint32_t e = s.view[t][op.loc]; e <= newest; ++e) {
-          const Word v = e == 0 ? 0 : s.co[op.loc][e - 1];
+        const auto newest = static_cast<std::uint32_t>(s.co[op.arg].size());
+        for (std::uint32_t e = s.view[t][op.arg]; e <= newest; ++e) {
+          const Word v = e == 0 ? 0 : s.co[op.arg][e - 1];
           if (v != op.value) continue;
           State next = s;
-          next.view[t][op.loc] = e;
+          next.view[t][op.arg] = e;
           ++next.pc[t];
           visit(std::move(next));
         }
         break;
       }
-      case OpKind::kUnsubscribe:
+      case OpKind::kUnsub:
       case OpKind::kCompute: {
         // Model no-ops: RESET-UPDATE only changes *when* updates stop
         // arriving (the view may simply stop advancing until the next
@@ -298,41 +300,49 @@ class Enumerator {
         visit(std::move(next));
         break;
       }
+      case OpKind::kCsAdd:
+      case OpKind::kSemP:
+      case OpKind::kSemV:
+        break;  // rejected by validate()
     }
   }
 
   static constexpr std::size_t kStateCap = 4'000'000;
 
-  const LitmusTest& t_;
+  const ir::Program& t_;
   std::size_t n_;
   std::unordered_set<std::string> seen_;
   std::set<Outcome> outcomes_;
 };
 
-std::string op_to_string(const Op& op) {
+std::string op_to_string(const ir::Op& op) {
   switch (op.kind) {
     case OpKind::kStore:
-      return "St " + loc_name(op.loc) + "=" + std::to_string(op.value);
+      return "St " + loc_name(op.arg) + "=" + std::to_string(op.value);
     case OpKind::kLoad:
-      return std::string(op.observed ? "Ld " : "Ld* ") + loc_name(op.loc);
+      return std::string(op.observed ? "Ld " : "Ld* ") + loc_name(op.arg);
     case OpKind::kLoadOnce:
-      return std::string(op.observed ? "LdOnce " : "LdOnce* ") + loc_name(op.loc);
+      return std::string(op.observed ? "LdOnce " : "LdOnce* ") + loc_name(op.arg);
     case OpKind::kFence: return "Fence";
-    case OpKind::kLock: return std::string("Lock ") + static_cast<char>('a' + op.loc);
+    case OpKind::kLock: return std::string("Lock ") + static_cast<char>('a' + op.arg);
     case OpKind::kUnlock:
-      return std::string("Unlock ") + static_cast<char>('a' + op.loc);
+      return std::string("Unlock ") + static_cast<char>('a' + op.arg);
     case OpKind::kBarrier: return "Barrier";
-    case OpKind::kUnsubscribe: return "Unsub " + loc_name(op.loc);
-    case OpKind::kCompute: return "Compute " + std::to_string(op.loc);
+    case OpKind::kUnsub: return "Unsub " + loc_name(op.arg);
+    case OpKind::kCompute: return "Compute " + std::to_string(op.arg);
     case OpKind::kAwait:
-      return "Await " + loc_name(op.loc) + "==" + std::to_string(op.value);
+      return "Await " + loc_name(op.arg) + "==" + std::to_string(op.value);
+    case OpKind::kCsAdd:
+      return "CsAdd " + loc_name(op.arg) + "+=" + std::to_string(op.value);
+    case OpKind::kSemP: return "P " + std::to_string(op.arg);
+    case OpKind::kSemV: return "V " + std::to_string(op.arg);
   }
   return "?";
 }
 
 }  // namespace
 
-std::vector<Outcome> enumerate_allowed(const LitmusTest& t) {
+std::vector<Outcome> enumerate_allowed(const ir::Program& t) {
   const std::string err = validate(t);
   if (!err.empty()) throw std::invalid_argument(err);
   return Enumerator(t).run();
@@ -359,12 +369,12 @@ int first_divergence(const std::vector<Outcome>& allowed, const Outcome& got) {
   return static_cast<int>(got.loads.size());  // loads fine; finals diverge
 }
 
-std::string render_allowed(const LitmusTest& t, const std::vector<Outcome>& allowed) {
+std::string render_allowed(const ir::Program& t, const std::vector<Outcome>& allowed) {
   std::ostringstream os;
   os << "litmus " << t.name << ": " << t.description << '\n';
   for (std::size_t ti = 0; ti < t.threads.size(); ++ti) {
     os << "  t" << ti << ':';
-    for (const Op& op : t.threads[ti]) os << ' ' << op_to_string(op) << ';';
+    for (const ir::Op& op : t.threads[ti]) os << ' ' << op_to_string(op) << ';';
     os << '\n';
   }
   os << "  allowed " << allowed.size() << ":\n";

@@ -43,7 +43,7 @@ namespace bcsim::model {
 
 /// Enumerates the allowed outcome set, sorted and deduplicated. Throws
 /// std::invalid_argument when validate(t) rejects the test.
-[[nodiscard]] std::vector<Outcome> enumerate_allowed(const LitmusTest& t);
+[[nodiscard]] std::vector<Outcome> enumerate_allowed(const ir::Program& t);
 
 /// Membership test against a sorted allowed set.
 [[nodiscard]] bool outcome_allowed(const std::vector<Outcome>& allowed,
@@ -61,7 +61,7 @@ namespace bcsim::model {
 /// test and its threads, then one canonical line per outcome. Pinned in
 /// tests/model_allowed_golden.txt; regenerate with
 /// `bcsim model --print-allowed`.
-[[nodiscard]] std::string render_allowed(const LitmusTest& t,
+[[nodiscard]] std::string render_allowed(const ir::Program& t,
                                          const std::vector<Outcome>& allowed);
 
 }  // namespace bcsim::model

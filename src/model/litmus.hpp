@@ -1,13 +1,13 @@
-// Litmus-test IR for the axiomatic buffered-consistency checker.
+// Litmus tests for the axiomatic buffered-consistency checker.
 //
-// A litmus test is a handful of threads, each a straight-line sequence of
-// operations over a few shared locations (plus locks and barriers). The
-// same IR feeds two interpreters:
+// A litmus test is an ir::Program (ir/program.hpp): a handful of threads,
+// each a straight-line sequence of operations over a few shared locations
+// (plus locks and barriers). The same program feeds two interpreters:
 //
 //   * model/bc_model.hpp enumerates every outcome the paper's Buffered
 //     Consistency model allows (the axiomatic side), and
-//   * model/litmus_runner.hpp lowers the test onto a real core::Machine
-//     through the protocol-agnostic access helpers (the operational side),
+//   * ir/run.hpp lowers it onto a real core::Machine (the operational
+//     side), after with_warmup() prepends the subscription warm-up,
 //
 // so `bcsim model` can assert that everything the machine does is allowed
 // (soundness) and report how much of the allowed set the schedule sweep
@@ -19,57 +19,29 @@
 #include <string>
 #include <vector>
 
+#include "ir/program.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::model {
 
-enum class OpKind : std::uint8_t {
-  kStore,        ///< shared store (WRITE-GLOBAL under read-update; buffered under BC)
-  kLoad,         ///< shared load that subscribes (READ-UPDATE under read-update)
-  kLoadOnce,     ///< one-shot shared load (READ-GLOBAL: always the home's value)
-  kFence,        ///< FLUSH-BUFFER: prior stores globally performed before it completes
-  kLock,         ///< mutex acquire (NP-Synch: does not wait for pending writes)
-  kUnlock,       ///< mutex release (CP-Synch: flushes before the release is visible)
-  kBarrier,      ///< global barrier (CP-Synch: flushes before arrival)
-  kUnsubscribe,  ///< RESET-UPDATE (no-op on WBI and in the model)
-  kCompute,      ///< local delay, `loc` cycles (model no-op; machine timing jitter)
-  kAwait,        ///< spin (subscribing) until the location reads `value`
-};
+/// A litmus test: `n_locations` locations on a block each (distinct homes,
+/// genuinely unordered completions), `n_locks` locks, and a barrier when
+/// any thread uses one, allocated in that order.
+[[nodiscard]] ir::Program litmus(std::string name, std::string description,
+                                 std::uint32_t n_locations, std::uint32_t n_locks,
+                                 std::vector<std::vector<ir::Op>> threads);
 
-struct Op {
-  OpKind kind = OpKind::kCompute;
-  /// Location index for kStore/kLoad/kLoadOnce/kUnsubscribe, lock index
-  /// for kLock/kUnlock, delay cycles for kCompute; unused otherwise.
-  std::uint32_t loc = 0;
-  Word value = 0;        ///< kStore: stored value; kAwait: value spun for
-  bool observed = true;  ///< kLoad/kLoadOnce: record the value in the outcome
-};
-
-// Terse constructors so a litmus test reads like its paper notation.
-inline Op St(std::uint32_t loc, Word v) { return {OpKind::kStore, loc, v, false}; }
-inline Op Ld(std::uint32_t loc) { return {OpKind::kLoad, loc, 0, true}; }
-/// Unobserved load: subscribes (lengthening the location's delivery chain)
-/// without contributing to the outcome — bystander threads use it.
-inline Op LdQuiet(std::uint32_t loc) { return {OpKind::kLoad, loc, 0, false}; }
-inline Op LdOnce(std::uint32_t loc) { return {OpKind::kLoadOnce, loc, 0, true}; }
-inline Op Fence() { return {OpKind::kFence, 0, 0, false}; }
-inline Op Lock(std::uint32_t lock) { return {OpKind::kLock, lock, 0, false}; }
-inline Op Unlock(std::uint32_t lock) { return {OpKind::kUnlock, lock, 0, false}; }
-inline Op Bar() { return {OpKind::kBarrier, 0, 0, false}; }
-inline Op Unsub(std::uint32_t loc) { return {OpKind::kUnsubscribe, loc, 0, false}; }
-inline Op Compute(std::uint32_t cycles) { return {OpKind::kCompute, cycles, 0, false}; }
-/// Spin until `loc` reads `v` — how a litmus reader waits for a flag. Not
-/// itself observed; it pins the thread's view to a moment the value was
-/// visible, which is what makes the loads after it interesting.
-inline Op Await(std::uint32_t loc, Word v) { return {OpKind::kAwait, loc, v, false}; }
-
-struct LitmusTest {
-  std::string name;         ///< short id (`bcsim model --tests <name>`)
-  std::string description;  ///< one line for reports and the golden table
-  std::uint32_t n_locations = 0;
-  std::uint32_t n_locks = 0;
-  std::vector<std::vector<Op>> threads;  ///< thread t runs on processor t
-};
+/// The machine run of `t` under `schedule_seed`: each thread first waits
+/// a stagger of 256 cycles per thread index, then issues an unobserved
+/// subscribing load of every location it kLoads or kAwaits (under
+/// read-update this builds the update-delivery chains — thread order is
+/// subscription order, and the earliest subscriber ends up at the chain's
+/// tail, last to be delivered), meets the others at a start barrier so no
+/// store can race the subscriptions, and computes for a jitter derived
+/// from the schedule seed — so the seed sweep explores coarse race
+/// alignments, not just same-tick tie-breaks. The warm-up observes
+/// nothing; the model and the golden tables never see it.
+[[nodiscard]] ir::Program with_warmup(const ir::Program& t, std::uint64_t schedule_seed);
 
 /// One observable result of a litmus execution: the values every observed
 /// load returned (thread-major, program order within a thread) plus the
@@ -80,24 +52,29 @@ struct Outcome {
   auto operator<=>(const Outcome&) const = default;
 };
 
+/// The outcome of an interpreter run (ir::RunResult or ref::RefResult).
+[[nodiscard]] Outcome outcome_of(const std::vector<std::vector<ir::Observation>>& loads,
+                                 const std::vector<Word>& finals);
+
 /// Well-formedness check; returns "" when the test is usable and a
-/// diagnostic otherwise. Enforced rules: indices in range; lock/unlock
-/// properly paired per thread (no releasing a lock the thread does not
-/// hold, none held at thread exit); every thread has the same number of
-/// kBarrier ops (barriers are global episodes); a thread never kLoadOnce's
-/// or kAwaits a location it also stores to (READ-GLOBAL bypasses the
-/// write buffer, and awaiting an own store is vacuous); every kAwait'ed
-/// value is stored by some thread (otherwise the spin cannot terminate).
-[[nodiscard]] std::string validate(const LitmusTest& t);
+/// diagnostic otherwise. Enforced rules: only the ops the model knows (no
+/// kCsAdd or semaphores); indices in range; lock/unlock properly paired
+/// per thread (no releasing a lock the thread does not hold, none held at
+/// thread exit); every thread has the same number of kBarrier ops
+/// (barriers are global episodes); a thread never kLoadOnce's or kAwaits
+/// a location it also stores to (READ-GLOBAL bypasses the write buffer,
+/// and awaiting an own store is vacuous); every kAwait'ed value is stored
+/// by some thread (otherwise the spin cannot terminate).
+[[nodiscard]] std::string validate(const ir::Program& t);
 
 /// Human name for a location index: "x", "y", "z", "w", "v", "u", then "L<n>".
 [[nodiscard]] std::string loc_name(std::uint32_t loc);
 
 /// Renders one outcome against the test's load labels, e.g.
 /// "t1:Ld y=1 t1:Ld x=0 | x=42 y=1".
-[[nodiscard]] std::string render_outcome(const LitmusTest& t, const Outcome& o);
+[[nodiscard]] std::string render_outcome(const ir::Program& t, const Outcome& o);
 
 /// Label of the i-th observed load (thread-major): "t1:Ld y (op 2)".
-[[nodiscard]] std::string load_label(const LitmusTest& t, std::size_t i);
+[[nodiscard]] std::string load_label(const ir::Program& t, std::size_t i);
 
 }  // namespace bcsim::model

@@ -1,0 +1,162 @@
+// One grid cell of the correctness harnesses, its machine configuration,
+// its verdict against the SC reference, and the corpus line that pins it
+// (docs/TESTING.md, "One grid, three judges").
+//
+// `bcsim diff`, `bcsim model` and `bcsim chaos` sweep the same grid —
+// fault plans x programs x networks x flavors x schedule seeds — and build
+// every machine through cell_config(). A DRF cell (diff, chaos) is judged
+// against the golden SC reference:
+//
+//   * transparent — the run completed and is indistinguishable from the
+//     reference; retries/NACKs masked every injected fault. DRF
+//     observations are schedule-independent, so delay and retransmission
+//     noise cannot produce false alarms;
+//   * diagnosed — the run terminated with a liveness-watchdog or
+//     invariant diagnosis (e.g. retries disabled and a message lost);
+//   * wrong — the run completed but diverged from the reference;
+//   * hung — the run died without a diagnosis (bare budget exhaustion,
+//     unexpected exception): the watchdog missed it.
+//
+// diff accepts only transparent; chaos accepts transparent or diagnosed.
+// A litmus cell (model) is judged by BC allowed-set membership instead
+// (model/bc_model.hpp); its program seed and phases are unused.
+//
+// Each field has one name and one range (cell_keys()): a corpus line, a
+// harness flag, a config key and a replay line all spell it the same way.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
+
+#include "core/config.hpp"
+#include "ref/diff.hpp"
+
+namespace bcsim::ref {
+
+/// The three machine flavors the harnesses sweep.
+enum class Flavor : std::uint8_t {
+  kWbi,  ///< write-back invalidate + SC + TTS locks + central barrier
+  kRu,   ///< the paper machine: read-update + BC + CBL lock/barrier
+  kCbl,  ///< CBL synchronization on the WBI data protocol
+};
+
+[[nodiscard]] const char* to_string(Flavor f) noexcept;
+
+/// Parses "wbi" / "ru" / "cbl".
+[[nodiscard]] std::optional<Flavor> parse_flavor(std::string_view s) noexcept;
+
+/// Every field that builds the cell's run: its machine configuration, the
+/// DRF program it runs and the tick budget it runs under.
+struct Cell {
+  Flavor flavor = Flavor::kRu;
+  core::NetworkKind network = core::NetworkKind::kOmega;
+  std::uint32_t nodes = 8;
+  std::uint64_t program_seed = 0;
+  std::uint32_t phases = 3;
+  std::uint64_t schedule_seed = 0;
+  /// Fault plan: a registry name or inline spec (sim::resolve_fault_plan);
+  /// "" = none. `fault_seed` replaces the plan's lottery seed.
+  std::string plan;
+  std::uint64_t fault_seed = 0;
+  std::uint32_t buffer_depth = 0;  ///< 0 = infinite per-port buffers
+  std::uint32_t dir_limit = 0;     ///< 0 = full-map directory
+  core::DirOverflow dir_overflow = core::DirOverflow::kBroadcast;
+  std::uint32_t dir_region = 4;
+  Tick watchdog = 0;               ///< liveness watchdog interval; 0 = off
+  std::uint32_t stalls = 3;
+  std::uint64_t trace_dump = 64;   ///< trace-tail size in watchdog reports
+  Tick budget = 100'000'000;       ///< a run still going at this tick is hung
+};
+
+/// The harnesses that sweep cells (tools/bcsim_harness.hpp).
+enum class Harness : std::uint8_t { kDiff, kModel, kChaos };
+
+[[nodiscard]] const char* to_string(Harness h) noexcept;
+
+[[nodiscard]] constexpr unsigned bit(Harness h) noexcept {
+  return 1u << static_cast<unsigned>(h);
+}
+
+/// One Cell field under its one name: the corpus key `<name>=`, and for
+/// the harnesses in `harnesses` also the flag `--<name>` and the config
+/// key `<harness>.<name>` (with '_' for '-'). Every spelling shares the
+/// key's range.
+struct CellKey {
+  const char* name;
+  std::variant<std::uint64_t Cell::*, std::uint32_t Cell::*, std::string Cell::*,
+               Flavor Cell::*, core::NetworkKind Cell::*, core::DirOverflow Cell::*>
+      field;
+  unsigned harnesses = 0;  ///< 0: a swept axis, which only a corpus line names
+  bool always = false;     ///< required on a corpus line
+  std::uint32_t min = 0;   ///< numeric keys; the maximum is the field type's
+};
+
+/// Every cell key, in corpus-line order.
+[[nodiscard]] std::span<const CellKey> cell_keys() noexcept;
+
+/// Sets a key's field from its text. Throws conf::UsageError for a
+/// malformed or out-of-range value (or an unknown flavor, network, plan).
+void set_key(Cell& c, const CellKey& k, const std::string& text);
+
+/// A key's field as text, the value a corpus line or replay flag carries.
+[[nodiscard]] std::string key_text(const Cell& c, const CellKey& k);
+
+/// The cell's machine: the flavor's protocol, consistency, lock and
+/// barrier on the cell's network, fabric and directory, with its fault
+/// plan and watchdog, and quiescent-level invariants (the judge is the
+/// whole-execution check; the invariant sweep is a cheap backstop).
+/// Throws std::invalid_argument for an unresolvable plan.
+[[nodiscard]] core::MachineConfig cell_config(const Cell& c);
+
+enum class Verdict : std::uint8_t { kTransparent, kDiagnosed, kWrong, kHung };
+
+[[nodiscard]] const char* to_string(Verdict v) noexcept;
+
+struct CellOutcome {
+  Verdict verdict = Verdict::kHung;
+  std::string detail;  ///< divergence, diagnosis headline or error text
+};
+
+/// The SC-reference judge: classifies one machine run of a DRF program.
+[[nodiscard]] CellOutcome judge(const RefResult& ref, const ir::RunResult& run,
+                                std::uint32_t block_words);
+
+/// The cell's DRF program (ref/drf_program.hpp): program seed, nodes, phases.
+[[nodiscard]] ir::Program cell_program(const Cell& c);
+
+/// Runs `prog`, the cell's program, on the cell's machine within the
+/// cell's budget and judges it against `sc`, the program's SC reference
+/// run. Simulation failures never throw (they classify the cell).
+[[nodiscard]] CellOutcome run_cell(const Cell& c, const ir::Program& prog, const RefResult& sc);
+
+/// The same, generating the cell's program and its SC reference first.
+[[nodiscard]] CellOutcome run_cell(const Cell& c);
+
+/// One corpus line: a cell and the verdict it must reproduce.
+struct CorpusEntry {
+  Cell cell;
+  Verdict expected = Verdict::kTransparent;
+};
+
+/// Corpus line format (whitespace-separated, '#' comments):
+///   <verdict> key=value ...
+/// with the cell_keys() names. flavor, network, nodes, program, phases and
+/// schedule are required; an absent optional key keeps the Cell default,
+/// and format writes one only when it differs from the default. parse
+/// returns nullopt for comments/blank lines and throws
+/// std::invalid_argument on a malformed line (unknown, repeated or missing
+/// key, bad value, unknown plan).
+[[nodiscard]] std::optional<CorpusEntry> parse_corpus_line(const std::string& line);
+[[nodiscard]] std::string format_corpus_line(const CorpusEntry& e);
+
+/// Loads every entry of a corpus file; throws std::runtime_error when the
+/// file cannot be opened, std::invalid_argument on a malformed line (with
+/// its line number).
+[[nodiscard]] std::vector<CorpusEntry> load_corpus(const std::string& path);
+
+}  // namespace bcsim::ref

@@ -5,66 +5,19 @@
 
 namespace bcsim::ref {
 
-const char* to_string(Flavor f) noexcept {
-  switch (f) {
-    case Flavor::kWbi: return "wbi";
-    case Flavor::kRu: return "ru";
-    case Flavor::kCbl: return "cbl";
-  }
-  return "?";
-}
-
-std::optional<Flavor> parse_flavor(std::string_view s) noexcept {
-  if (s == "wbi") return Flavor::kWbi;
-  if (s == "ru") return Flavor::kRu;
-  if (s == "cbl") return Flavor::kCbl;
-  return std::nullopt;
-}
-
-core::MachineConfig flavor_config(Flavor f, std::uint32_t n_nodes,
-                                  std::uint64_t schedule_seed) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n_nodes;
-  cfg.network = core::NetworkKind::kOmega;
-  cfg.schedule_seed = schedule_seed;
-  cfg.invariants = sim::InvariantLevel::kQuiesce;
-  switch (f) {
-    case Flavor::kWbi:
-      cfg.data_protocol = core::DataProtocol::kWbi;
-      cfg.consistency = core::Consistency::kSequential;
-      cfg.lock_impl = core::LockImpl::kTts;
-      cfg.barrier_impl = core::BarrierImpl::kCentral;
-      break;
-    case Flavor::kRu:
-      cfg.data_protocol = core::DataProtocol::kReadUpdate;
-      cfg.consistency = core::Consistency::kBuffered;
-      cfg.lock_impl = core::LockImpl::kCbl;
-      cfg.barrier_impl = core::BarrierImpl::kCbl;
-      break;
-    case Flavor::kCbl:
-      cfg.data_protocol = core::DataProtocol::kWbi;
-      cfg.consistency = core::Consistency::kSequential;
-      cfg.lock_impl = core::LockImpl::kCbl;
-      cfg.barrier_impl = core::BarrierImpl::kCbl;
-      break;
-  }
-  cfg.validate();
-  return cfg;
-}
-
 namespace {
 
-void name_location(Divergence& d, const MachineRunResult& mach, std::uint32_t var,
+void name_location(Divergence& d, const ir::RunResult& mach, std::uint32_t var,
                    std::uint32_t block_words) {
   d.var = var;
-  d.addr = var < mach.var_addr.size() ? mach.var_addr[var] : 0;
+  d.addr = var < mach.loc_addr.size() ? mach.loc_addr[var] : 0;
   d.block = block_words != 0 ? d.addr / block_words : 0;
 }
 
 }  // namespace
 
-Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
-                        const MachineRunResult& mach, std::uint32_t block_words) {
+Divergence compare_runs(const RefResult& ref, const ir::RunResult& mach,
+                        std::uint32_t block_words) {
   Divergence d;
   std::ostringstream os;
 
@@ -85,12 +38,12 @@ Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
 
   // Observed reads: the earliest mismatch by machine tick across nodes.
   Tick best_tick = std::numeric_limits<Tick>::max();
-  for (std::uint32_t n = 0; n < prog.gen.n_nodes; ++n) {
-    const auto& rv = ref.obs[n];
-    const auto& mv = mach.obs[n];
+  for (std::uint32_t n = 0; n < ref.loads.size(); ++n) {
+    const auto& rv = ref.loads[n];
+    const auto& mv = mach.loads[n];
     const std::size_t common = rv.size() < mv.size() ? rv.size() : mv.size();
     for (std::size_t i = 0; i < common; ++i) {
-      if (rv[i].value == mv[i].value && rv[i].var == mv[i].var) continue;
+      if (rv[i].value == mv[i].value && rv[i].loc == mv[i].loc) continue;
       if (mv[i].tick >= best_tick) break;
       best_tick = mv[i].tick;
       d.kind = Divergence::Kind::kObsRead;
@@ -99,7 +52,7 @@ Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
       d.tick = mv[i].tick;
       d.machine_value = mv[i].value;
       d.ref_value = rv[i].value;
-      name_location(d, mach, mv[i].var, block_words);
+      name_location(d, mach, mv[i].loc, block_words);
       break;
     }
     if (rv.size() != mv.size() && d.kind == Divergence::Kind::kNone) {
@@ -121,12 +74,12 @@ Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
     return d;
   }
 
-  for (std::uint32_t v = 0; v < prog.n_vars; ++v) {
-    if (mach.final_vars[v] == ref.final_vars[v]) continue;
+  for (std::uint32_t v = 0; v < ref.final_locs.size(); ++v) {
+    if (mach.final_locs[v] == ref.final_locs[v]) continue;
     d.kind = Divergence::Kind::kFinalVar;
     d.tick = mach.completion;
-    d.machine_value = mach.final_vars[v];
-    d.ref_value = ref.final_vars[v];
+    d.machine_value = mach.final_locs[v];
+    d.ref_value = ref.final_locs[v];
     name_location(d, mach, v, block_words);
     os << "final memory: var " << v << " (addr " << d.addr << ", block " << d.block
        << ") at completion tick " << d.tick << ": machine holds " << d.machine_value
@@ -135,7 +88,7 @@ Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
     return d;
   }
 
-  for (std::uint32_t s = 0; s < prog.n_sems; ++s) {
+  for (std::uint32_t s = 0; s < ref.final_sems.size(); ++s) {
     if (mach.final_sems[s] == ref.final_sems[s]) continue;
     d.kind = Divergence::Kind::kFinalSem;
     d.tick = mach.completion;
@@ -152,17 +105,6 @@ Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
   }
 
   return d;
-}
-
-Divergence diff_one(const DrfProgram& prog, const RefResult& ref, Flavor flavor,
-                    std::uint64_t schedule_seed, const core::MachineConfig* base,
-                    Tick budget) {
-  core::MachineConfig cfg =
-      base != nullptr ? *base : flavor_config(flavor, prog.gen.n_nodes, schedule_seed);
-  cfg.n_nodes = prog.gen.n_nodes;
-  cfg.schedule_seed = schedule_seed;
-  const MachineRunResult mach = run_on_machine(prog, cfg, budget);
-  return compare_runs(prog, ref, mach, cfg.block_words);
 }
 
 }  // namespace bcsim::ref

@@ -1,44 +1,20 @@
-// Differential-oracle harness: machine flavors, result comparison, and
-// first-divergence reporting (docs/TESTING.md, "Differential testing").
+// The SC-reference comparison and first-divergence reporting (docs/TESTING.md, "Differential testing").
 //
 // One comparison = one DRF program (drf_program.hpp) executed on the
 // golden SC reference (ref_machine.hpp) and on a full machine flavor
-// (machine_runner.hpp) under one schedule seed. A clean comparison means
-// the machine's observable behavior is sequentially consistent for that
+// (ir/run.hpp, ref/cell.hpp) under one schedule seed. A clean comparison means the
+// machine's observable behavior is sequentially consistent for that
 // properly-synchronized program — the paper's section 3 claim, checked
-// end-to-end. `bcsim diff` sweeps a (program_seed x schedule_seed) grid
-// over all flavors; tests drive diff_one directly.
+// end-to-end. ref/cell.hpp turns a comparison into a cell verdict.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "core/config.hpp"
-#include "ref/drf_program.hpp"
-#include "ref/machine_runner.hpp"
+#include "ir/run.hpp"
 #include "ref/ref_machine.hpp"
 
 namespace bcsim::ref {
-
-/// The three machine flavors the oracle checks against the reference.
-enum class Flavor : std::uint8_t {
-  kWbi,  ///< write-back invalidate + SC + TTS locks + central barrier
-  kRu,   ///< the paper machine: read-update + BC + CBL lock/barrier
-  kCbl,  ///< CBL synchronization on the WBI data protocol
-};
-
-[[nodiscard]] const char* to_string(Flavor f) noexcept;
-
-/// Parses "wbi" / "ru" / "cbl".
-[[nodiscard]] std::optional<Flavor> parse_flavor(std::string_view s) noexcept;
-
-/// Machine configuration for a flavor (omega network, quiescent-level
-/// invariants; the oracle is the whole-execution check, the invariant
-/// sweep is a cheap backstop).
-[[nodiscard]] core::MachineConfig flavor_config(Flavor f, std::uint32_t n_nodes,
-                                                std::uint64_t schedule_seed);
 
 /// The first point where a machine execution departed from the reference.
 struct Divergence {
@@ -67,16 +43,7 @@ struct Divergence {
 
 /// Compares a machine run against the reference; returns the earliest
 /// divergence (observed reads are ordered by machine tick across nodes).
-[[nodiscard]] Divergence compare_runs(const DrfProgram& prog, const RefResult& ref,
-                                      const MachineRunResult& mach,
+[[nodiscard]] Divergence compare_runs(const RefResult& ref, const ir::RunResult& mach,
                                       std::uint32_t block_words);
-
-/// Generates nothing; runs `prog` on `flavor` under `schedule_seed` and
-/// compares against `ref`. `base` lets callers inject faults or tracing;
-/// when omitted, flavor_config defaults are used.
-[[nodiscard]] Divergence diff_one(const DrfProgram& prog, const RefResult& ref,
-                                  Flavor flavor, std::uint64_t schedule_seed,
-                                  const core::MachineConfig* base = nullptr,
-                                  Tick budget = 100'000'000);
 
 }  // namespace bcsim::ref

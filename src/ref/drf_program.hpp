@@ -1,23 +1,23 @@
-// Data-race-free program IR + generator for differential testing.
+// Data-race-free program generator for differential and chaos testing.
 //
 // The paper's correctness claim (section 3) is conditional: buffered
 // consistency with reader-initiated coherence behaves like sequential
 // consistency *for properly-synchronized programs*. The differential
 // oracle (docs/TESTING.md, "Differential testing") makes that claim
-// executable: a seeded generator emits randomized DRF programs in a small
-// symbolic IR, and the same program runs both on the full machine and on
+// executable: a seeded generator emits randomized DRF programs, and the same program runs both on the full machine and on
 // the golden SC reference interpreter (ref_machine.hpp). Because the
 // program is DRF *and* every observed read is schedule-independent by
 // construction, the two executions must agree on every observed value,
 // every final variable, and every final semaphore count — any mismatch is
 // a machine bug, never schedule noise.
 //
-// The IR is symbolic: operations name variables, locks, semaphores, and
-// the (single, global) barrier by id, not by address. Each executor maps
-// ids onto its own address layout (the machine places CBL counters inside
-// the lock block so the data rides the grant; the reference needs no
-// addresses at all). This keeps one program comparable across machines
-// whose lock implementations allocate memory differently.
+// The program is emitted in the shared IR (ir/program.hpp): writes are
+// kStore, observed reads kLoadOnce, counter updates kCsAdd under their
+// lock. Its layout is declared as data — each lock with its counters
+// (riding the lock block when the machine's lock delivers data with the
+// grant), then per node one packed word group for its region slots and
+// one for its handoff slots, the semaphores, and the global barrier — so
+// the lowering needs no knowledge of the generator's numbering.
 //
 // Generated program shape (per node, per phase, everything seeded):
 //   1. jittered compute
@@ -40,32 +40,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "ir/program.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::ref {
-
-enum class OpKind : std::uint8_t {
-  kCompute,  ///< id = cycles of local work
-  kWrite,    ///< id = var, value = word to store (single static writer)
-  kRead,     ///< id = var; `observed` reads enter the comparison stream
-  kLock,     ///< id = lock (exclusive; generator never nests locks)
-  kUnlock,   ///< id = lock
-  kCsAdd,    ///< id = counter var, value = delta; only under the owning lock
-  kBarrier,  ///< global barrier over all nodes (id unused)
-  kSemP,     ///< id = semaphore
-  kSemV,     ///< id = semaphore
-};
-
-[[nodiscard]] const char* to_string(OpKind k) noexcept;
-
-struct DrfOp {
-  OpKind kind = OpKind::kCompute;
-  std::uint32_t id = 0;
-  Word value = 0;
-  bool observed = false;
-};
 
 /// Generator knobs (docs/TESTING.md lists what each one stresses).
 struct DrfGenConfig {
@@ -80,35 +59,12 @@ struct DrfGenConfig {
   Word throttle_initial = 2;          ///< counting semaphore initial value
 };
 
-struct DrfProgram {
-  std::uint64_t program_seed = 0;
-  DrfGenConfig gen;
-
-  // Variable ids: counters occupy [0, n_counters); region and handoff
-  // words follow. counter_lock maps each counter to the lock that guards
-  // it (used by the machine layout to colocate data with a CBL lock).
-  std::uint32_t n_vars = 0;
-  std::uint32_t n_counters = 0;
-  std::vector<std::uint32_t> counter_lock;
-
-  std::uint32_t n_locks = 0;
-  /// Ring semaphores [0, n_nodes) (node i signals sem i, node (i+1)%n
-  /// waits on it), then the counting throttle semaphore.
-  std::uint32_t n_sems = 0;
-  std::vector<Word> sem_initial;
-
-  std::vector<std::vector<DrfOp>> code;  ///< per-node op list
-
-  [[nodiscard]] std::uint64_t ops_total() const noexcept {
-    std::uint64_t t = 0;
-    for (const auto& c : code) t += c.size();
-    return t;
-  }
-};
-
 /// Deterministically generates a DRF program from a seed. Identical
 /// (seed, gen) pairs produce identical programs on every platform.
-[[nodiscard]] DrfProgram generate_drf_program(std::uint64_t program_seed,
-                                              const DrfGenConfig& gen = {});
+/// Ring semaphores [0, n_nodes) (node i signals sem i, node (i+1)%n
+/// waits on it), then the counting throttle semaphore; counters are
+/// locations [0, n_locks * counters_per_lock).
+[[nodiscard]] ir::Program generate_drf_program(std::uint64_t program_seed,
+                                               const DrfGenConfig& gen = {});
 
 }  // namespace bcsim::ref

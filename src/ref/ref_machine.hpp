@@ -1,13 +1,16 @@
 // Golden sequentially-consistent reference machine.
 //
-// A cache-less, buffer-less interpreter of DRF programs: one atomic global
+// A cache-less, buffer-less interpreter of ir::Program: one atomic global
 // memory, blocking lock/barrier/semaphore semantics, and a seeded
-// scheduler that executes exactly one operation of one runnable node per
-// step. Every execution it can produce is sequentially consistent by
+// scheduler that executes exactly one operation of one runnable thread
+// per step. Every execution it can produce is sequentially consistent by
 // construction (operations are atomic and interleaved, never reordered or
-// buffered), so for a DRF program its observed reads, final variable
+// buffered), so for a DRF program its observed loads, final location
 // values, and final semaphore counts are the ground truth the full
 // machine must reproduce (docs/TESTING.md, "Differential testing").
+// kLoad and kLoadOnce both read memory; kAwait is runnable only once its
+// location holds the awaited value; kFence, kUnsub and kCompute are
+// no-ops (there is no buffer, subscription or time to model).
 //
 // The schedule seed exists for a self-check, not for coverage: a DRF
 // program's comparison stream must be identical under *every* reference
@@ -19,24 +22,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "ref/drf_program.hpp"
+#include "ir/program.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::ref {
 
-/// One observed read in the comparison stream.
-struct RefObs {
-  std::uint32_t op_index = 0;
-  std::uint32_t var = 0;
-  Word value = 0;
-};
-
 struct RefResult {
   bool deadlocked = false;    ///< generator bug if ever true for a DRF program
   std::uint64_t steps = 0;    ///< operations executed (reference "time")
-  std::vector<Word> final_vars;              ///< per variable id
-  std::vector<Word> final_sems;              ///< per semaphore id
-  std::vector<std::vector<RefObs>> obs;      ///< per node, program order
+  std::vector<Word> final_locs;  ///< per location
+  std::vector<Word> final_sems;  ///< per semaphore
+  std::vector<std::vector<ir::Observation>> loads;  ///< per thread, program order
   std::vector<std::uint64_t> lock_acquisitions;  ///< per lock
   std::vector<std::uint32_t> locks_held_at_end;  ///< must be empty for DRF programs
 };
@@ -46,13 +42,13 @@ struct RefResult {
 
 class RefMachine {
  public:
-  RefMachine(const DrfProgram& prog, std::uint64_t schedule_seed);
+  RefMachine(const ir::Program& prog, std::uint64_t schedule_seed);
 
   /// Interprets the whole program; safe to call once per instance.
   [[nodiscard]] RefResult run();
 
  private:
-  const DrfProgram& prog_;
+  const ir::Program& prog_;
   std::uint64_t schedule_seed_;
 };
 

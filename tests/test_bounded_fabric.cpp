@@ -8,8 +8,7 @@
 
 #include <vector>
 
-#include "ref/chaos.hpp"
-#include "ref/diff.hpp"
+#include "ref/cell.hpp"
 #include "sim/invariants.hpp"
 #include "test_util.hpp"
 
@@ -57,23 +56,21 @@ std::vector<FlavorCase> bounded_flavors(core::NetworkKind net) {
 // ---------------------------------------------------------------------------
 
 TEST(BoundedFabric, DiffGridMatchesScReferenceAtDepthOne) {
-  ref::DrfGenConfig gen;
-  gen.n_nodes = 8;
-  gen.phases = 2;
   for (std::uint64_t ps = 0; ps < 2; ++ps) {
-    const ref::DrfProgram prog = ref::generate_drf_program(ps, gen);
-    const ref::RefResult sc = ref::RefMachine(prog, 1).run();
-    ASSERT_FALSE(sc.deadlocked);
     for (const auto flavor : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
       for (const auto net : {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
-        MachineConfig cfg = ref::flavor_config(flavor, gen.n_nodes, /*schedule_seed=*/ps);
-        cfg.network = net;
-        cfg.net_buffer_depth = kDepth;
-        const ref::Divergence d =
-            ref::diff_one(prog, sc, flavor, ps, &cfg, 100'000'000);
-        EXPECT_FALSE(d.found())
+        ref::Cell cell;
+        cell.flavor = flavor;
+        cell.network = net;
+        cell.nodes = 8;
+        cell.phases = 2;
+        cell.program_seed = ps;
+        cell.schedule_seed = ps;
+        cell.buffer_depth = kDepth;
+        const ref::CellOutcome out = ref::run_cell(cell);
+        EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
             << ref::to_string(flavor) << "/" << core::to_string(net)
-            << " ps=ss=" << ps << ": " << d.detail;
+            << " ps=ss=" << ps << ": " << out.detail;
       }
     }
   }
@@ -201,16 +198,18 @@ TEST(BoundedFabric, FuzzProgramsQuiesceAtDepthOne) {
 // ---------------------------------------------------------------------------
 
 TEST(BoundedFabric, ChaosCellOnBoundedMeshIsTransparentOrDiagnosed) {
-  ref::ChaosCell cell;
+  ref::Cell cell;
   cell.plan = "drop";
   cell.flavor = ref::Flavor::kRu;
   cell.network = core::NetworkKind::kMesh;
   cell.nodes = 8;
   cell.phases = 2;
   cell.buffer_depth = kDepth;
-  const ref::ChaosOutcome r = ref::run_chaos_cell(cell);
-  EXPECT_TRUE(r.verdict == ref::ChaosVerdict::kTransparent ||
-              r.verdict == ref::ChaosVerdict::kDiagnosed)
+  cell.watchdog = 4096;
+  cell.budget = 50'000'000;
+  const ref::CellOutcome r = ref::run_cell(cell);
+  EXPECT_TRUE(r.verdict == ref::Verdict::kTransparent ||
+              r.verdict == ref::Verdict::kDiagnosed)
       << ref::to_string(r.verdict) << ": " << r.detail;
 }
 

@@ -10,7 +10,7 @@
 
 #include "core/watchdog.hpp"
 #include "net/transport.hpp"
-#include "ref/chaos.hpp"
+#include "ref/cell.hpp"
 #include "sim/fault_plan.hpp"
 #include "test_util.hpp"
 
@@ -278,29 +278,31 @@ TEST(Watchdog, OffByDefaultBudgetStaysARuntimeError) {
 
 // ---- chaos cells: the transparent-or-diagnosed contract ----
 
-TEST(Chaos, DropCellIsTransparent) {
-  ref::ChaosCell cell;
-  cell.plan = "drop";
-  cell.fault_seed = 4;
+/// A chaos cell: `plan` armed on a small RU machine, with `bcsim chaos`'s
+/// watchdog and budget.
+ref::Cell chaos_cell(const char* plan, std::uint64_t fault_seed) {
+  ref::Cell cell;
+  cell.plan = plan;
+  cell.fault_seed = fault_seed;
   cell.flavor = ref::Flavor::kRu;
   cell.nodes = 4;
   cell.phases = 2;
-  const auto out = ref::run_chaos_cell(cell);
-  EXPECT_EQ(out.verdict, ref::ChaosVerdict::kTransparent) << out.detail;
+  cell.watchdog = 4096;
+  cell.budget = 50'000'000;
+  return cell;
+}
+
+TEST(Chaos, DropCellIsTransparent) {
+  const auto out = ref::run_cell(chaos_cell("drop", 4));
+  EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << out.detail;
 }
 
 TEST(Chaos, NoRetryCellIsDiagnosedNeverHung) {
   // Heavy loss with recovery disabled on the paper machine: the run cannot
   // succeed, but it must end in a watchdog/invariant diagnosis — the
   // "never hung" half of the chaos contract.
-  ref::ChaosCell cell;
-  cell.plan = "drop:p=0.2;retry:off";
-  cell.fault_seed = 1;
-  cell.flavor = ref::Flavor::kRu;
-  cell.nodes = 4;
-  cell.phases = 2;
-  const auto out = ref::run_chaos_cell(cell);
-  EXPECT_EQ(out.verdict, ref::ChaosVerdict::kDiagnosed) << out.detail;
+  const auto out = ref::run_cell(chaos_cell("drop:p=0.2;retry:off", 1));
+  EXPECT_EQ(out.verdict, ref::Verdict::kDiagnosed) << out.detail;
 }
 
 TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
@@ -308,9 +310,7 @@ TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
   // classify the completed-but-divergent run as wrong. Same grid shape as
   // Diff.CatchesTheEagerFlushFault: the mesh's distance-dependent paths
   // are what let the un-flushed write lose the race.
-  ref::ChaosCell cell;
-  cell.plan = "eager-flush";
-  cell.flavor = ref::Flavor::kRu;
+  ref::Cell cell = chaos_cell("eager-flush", 0);
   cell.network = core::NetworkKind::kMesh;
   cell.nodes = 16;
   cell.phases = 3;
@@ -319,45 +319,12 @@ TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
     for (std::uint64_t ss = 0; ss < 2 && !caught; ++ss) {
       cell.program_seed = seed;
       cell.schedule_seed = ss;
-      const auto out = ref::run_chaos_cell(cell);
-      ASSERT_NE(out.verdict, ref::ChaosVerdict::kHung) << out.detail;
-      caught = out.verdict == ref::ChaosVerdict::kWrong;
+      const auto out = ref::run_cell(cell);
+      ASSERT_NE(out.verdict, ref::Verdict::kHung) << out.detail;
+      caught = out.verdict == ref::Verdict::kWrong;
     }
   }
   EXPECT_TRUE(caught) << "eager-flush leaked through every probe cell";
-}
-
-// ---- corpus ----
-
-TEST(ChaosCorpus, LineFormatRoundTrips) {
-  ref::ChaosCorpusEntry e;
-  e.cell.plan = "drop:p=0.1;seed=0";
-  e.cell.fault_seed = 12;
-  e.cell.flavor = ref::Flavor::kCbl;
-  e.cell.network = core::NetworkKind::kMesh;
-  e.cell.program_seed = 34;
-  e.cell.schedule_seed = 5;
-  e.cell.nodes = 8;
-  e.cell.phases = 2;
-  e.expected = ref::ChaosVerdict::kDiagnosed;
-  const auto line = ref::format_chaos_corpus_line(e);
-  const auto back = ref::parse_chaos_corpus_line(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(ref::format_chaos_corpus_line(*back), line);
-  EXPECT_FALSE(ref::parse_chaos_corpus_line("# comment").has_value());
-  EXPECT_FALSE(ref::parse_chaos_corpus_line("   ").has_value());
-  EXPECT_THROW((void)ref::parse_chaos_corpus_line("drop 1 2 3"), std::invalid_argument);
-}
-
-TEST(ChaosCorpus, ReplayMatchesRecordedVerdicts) {
-  const auto corpus = ref::load_chaos_corpus(BCSIM_CHAOS_CORPUS);
-  ASSERT_FALSE(corpus.empty());
-  for (const auto& e : corpus) {
-    const auto out = ref::run_chaos_cell(e.cell);
-    EXPECT_EQ(out.verdict, e.expected)
-        << ref::format_chaos_corpus_line(e) << " -> " << ref::to_string(out.verdict)
-        << ": " << out.detail;
-  }
 }
 
 }  // namespace

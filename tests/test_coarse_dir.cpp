@@ -11,9 +11,7 @@
 
 #include <vector>
 
-#include "ref/diff.hpp"
-#include "ref/drf_program.hpp"
-#include "ref/ref_machine.hpp"
+#include "ref/cell.hpp"
 #include "test_util.hpp"
 
 namespace bcsim {
@@ -253,21 +251,20 @@ TEST(CoarseDir, DiffGridMatchesScReferenceUnderCoarseOverflow) {
   // A small (program x schedule) grid on the WBI flavor with an
   // aggressively overflowing coarse directory: every observation must
   // still match the sequentially-consistent reference.
-  ref::DrfGenConfig gen;
-  gen.n_nodes = 8;
-  gen.phases = 2;
   for (std::uint64_t ps = 0; ps < 2; ++ps) {
-    const ref::DrfProgram prog = ref::generate_drf_program(ps, gen);
-    const ref::RefResult ref = ref::RefMachine(prog, 1).run();
-    ASSERT_FALSE(ref.deadlocked);
     for (std::uint64_t ss = 0; ss < 2; ++ss) {
-      core::MachineConfig cfg = ref::flavor_config(ref::Flavor::kWbi, gen.n_nodes, ss);
-      cfg.dir_pointer_limit = 1;
-      cfg.dir_overflow = core::DirOverflow::kCoarse;
-      cfg.dir_region_nodes = 2;
-      const ref::Divergence d =
-          ref::diff_one(prog, ref, ref::Flavor::kWbi, ss, &cfg, 100'000'000);
-      EXPECT_FALSE(d.found()) << "ps=" << ps << " ss=" << ss << ": " << d.detail;
+      ref::Cell cell;
+      cell.flavor = ref::Flavor::kWbi;
+      cell.nodes = 8;
+      cell.phases = 2;
+      cell.program_seed = ps;
+      cell.schedule_seed = ss;
+      cell.dir_limit = 1;
+      cell.dir_overflow = core::DirOverflow::kCoarse;
+      cell.dir_region = 2;
+      const ref::CellOutcome out = ref::run_cell(cell);
+      EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
+          << "ps=" << ps << " ss=" << ss << ": " << out.detail;
     }
   }
 }

@@ -2,27 +2,27 @@
 // the DRF generator's structural guarantees, the golden SC reference
 // machine's schedule-independence, clean diff cells on every flavor, the
 // oracle's ability to catch both a tampered result and a deliberately
-// injected write-buffer bug, and a replay of tests/diff_corpus.txt — every
-// divergence `bcsim diff` ever recorded stays fixed forever.
+// injected write-buffer bug, the corpus line parser, and a replay of
+// tests/cell_corpus.txt — every cell `bcsim diff` or `bcsim chaos` ever
+// recorded keeps its verdict forever.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "ref/diff.hpp"
+#include "ir/run.hpp"
+#include "ref/cell.hpp"
 #include "ref/drf_program.hpp"
-#include "ref/machine_runner.hpp"
 #include "ref/ref_machine.hpp"
 
 namespace bcsim {
 namespace {
 
+using ir::OpKind;
+using ir::Program;
 using ref::DrfGenConfig;
-using ref::DrfOp;
-using ref::DrfProgram;
-using ref::OpKind;
 
 DrfGenConfig small_gen() {
   DrfGenConfig g;
@@ -36,31 +36,31 @@ DrfGenConfig small_gen() {
 // ---------------------------------------------------------------------------
 
 TEST(DrfGenerator, IsDeterministic) {
-  const DrfProgram a = ref::generate_drf_program(7, small_gen());
-  const DrfProgram b = ref::generate_drf_program(7, small_gen());
-  ASSERT_EQ(a.n_vars, b.n_vars);
-  ASSERT_EQ(a.code.size(), b.code.size());
-  for (std::size_t n = 0; n < a.code.size(); ++n) {
-    ASSERT_EQ(a.code[n].size(), b.code[n].size()) << "node " << n;
-    for (std::size_t i = 0; i < a.code[n].size(); ++i) {
-      EXPECT_EQ(a.code[n][i].kind, b.code[n][i].kind);
-      EXPECT_EQ(a.code[n][i].id, b.code[n][i].id);
-      EXPECT_EQ(a.code[n][i].value, b.code[n][i].value);
-      EXPECT_EQ(a.code[n][i].observed, b.code[n][i].observed);
+  const Program a = ref::generate_drf_program(7, small_gen());
+  const Program b = ref::generate_drf_program(7, small_gen());
+  ASSERT_EQ(a.n_locations, b.n_locations);
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (std::size_t n = 0; n < a.threads.size(); ++n) {
+    ASSERT_EQ(a.threads[n].size(), b.threads[n].size()) << "node " << n;
+    for (std::size_t i = 0; i < a.threads[n].size(); ++i) {
+      EXPECT_EQ(a.threads[n][i].kind, b.threads[n][i].kind);
+      EXPECT_EQ(a.threads[n][i].arg, b.threads[n][i].arg);
+      EXPECT_EQ(a.threads[n][i].value, b.threads[n][i].value);
+      EXPECT_EQ(a.threads[n][i].observed, b.threads[n][i].observed);
     }
   }
 }
 
 TEST(DrfGenerator, DistinctSeedsDiffer) {
-  const DrfProgram a = ref::generate_drf_program(1, small_gen());
-  const DrfProgram b = ref::generate_drf_program(2, small_gen());
-  bool differ = a.ops_total() != b.ops_total();
-  for (std::size_t n = 0; !differ && n < a.code.size(); ++n) {
-    for (std::size_t i = 0; !differ && i < std::min(a.code[n].size(), b.code[n].size());
+  const Program a = ref::generate_drf_program(1, small_gen());
+  const Program b = ref::generate_drf_program(2, small_gen());
+  bool differ = a.threads.size() != b.threads.size();
+  for (std::size_t n = 0; !differ && n < a.threads.size(); ++n) {
+    for (std::size_t i = 0; !differ && i < std::min(a.threads[n].size(), b.threads[n].size());
          ++i) {
-      differ = a.code[n][i].kind != b.code[n][i].kind ||
-               a.code[n][i].id != b.code[n][i].id ||
-               a.code[n][i].value != b.code[n][i].value;
+      differ = a.threads[n][i].kind != b.threads[n][i].kind ||
+               a.threads[n][i].arg != b.threads[n][i].arg ||
+               a.threads[n][i].value != b.threads[n][i].value;
     }
   }
   EXPECT_TRUE(differ);
@@ -68,22 +68,23 @@ TEST(DrfGenerator, DistinctSeedsDiffer) {
 
 TEST(DrfGenerator, LocksBalanceAndGuardCounters) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const DrfProgram prog = ref::generate_drf_program(seed, small_gen());
-    for (std::uint32_t n = 0; n < prog.gen.n_nodes; ++n) {
+    const Program prog = ref::generate_drf_program(seed, small_gen());
+    const std::vector<std::uint32_t> guard = prog.guard_locks();
+    for (std::uint32_t n = 0; n < prog.threads.size(); ++n) {
       int held = -1;  // -1 = none (generator never nests locks)
-      for (const DrfOp& op : prog.code[n]) {
+      for (const ir::Op& op : prog.threads[n]) {
         switch (op.kind) {
           case OpKind::kLock:
             ASSERT_EQ(held, -1) << "seed " << seed << " node " << n << " nests locks";
-            held = static_cast<int>(op.id);
+            held = static_cast<int>(op.arg);
             break;
           case OpKind::kUnlock:
-            ASSERT_EQ(held, static_cast<int>(op.id));
+            ASSERT_EQ(held, static_cast<int>(op.arg));
             held = -1;
             break;
           case OpKind::kCsAdd:
             ASSERT_GE(held, 0) << "CsAdd outside a critical section";
-            ASSERT_EQ(static_cast<std::uint32_t>(held), prog.counter_lock[op.id])
+            ASSERT_EQ(static_cast<std::uint32_t>(held), guard[op.arg])
                 << "CsAdd under the wrong lock";
             break;
           default:
@@ -97,18 +98,19 @@ TEST(DrfGenerator, LocksBalanceAndGuardCounters) {
 
 TEST(DrfGenerator, SingleStaticWriterPerVariable) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const DrfProgram prog = ref::generate_drf_program(seed, small_gen());
-    // kWrite targets (region + handoff words) must have exactly one
+    const Program prog = ref::generate_drf_program(seed, small_gen());
+    // kStore targets (region + handoff words) must have exactly one
     // writing node; counters are only touched via lock-guarded kCsAdd.
-    std::vector<int> writer(prog.n_vars, -1);
-    for (std::uint32_t n = 0; n < prog.gen.n_nodes; ++n) {
-      for (const DrfOp& op : prog.code[n]) {
-        if (op.kind == OpKind::kWrite) {
-          ASSERT_TRUE(writer[op.id] == -1 || writer[op.id] == static_cast<int>(n))
-              << "var " << op.id << " written by nodes " << writer[op.id] << " and "
+    const std::vector<std::uint32_t> guard = prog.guard_locks();
+    std::vector<int> writer(prog.n_locations, -1);
+    for (std::uint32_t n = 0; n < prog.threads.size(); ++n) {
+      for (const ir::Op& op : prog.threads[n]) {
+        if (op.kind == OpKind::kStore) {
+          ASSERT_TRUE(writer[op.arg] == -1 || writer[op.arg] == static_cast<int>(n))
+              << "var " << op.arg << " written by nodes " << writer[op.arg] << " and "
               << n << " (seed " << seed << ")";
-          writer[op.id] = static_cast<int>(n);
-          ASSERT_GE(op.id, prog.n_counters) << "plain write to a lock-guarded counter";
+          writer[op.arg] = static_cast<int>(n);
+          ASSERT_EQ(guard[op.arg], ir::kNoLock) << "plain write to a lock-guarded counter";
         }
       }
     }
@@ -119,9 +121,9 @@ TEST(DrfGenerator, SingleStaticWriterPerVariable) {
 // The golden reference: SC interpretation, schedule-independent streams.
 // ---------------------------------------------------------------------------
 
-TEST(RefMachine, ScheduleSeedsAgreeOnDrfPrograms) {
+TEST(RefMachine, ScheduleSeedsAgreeOnPrograms) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const DrfProgram prog = ref::generate_drf_program(seed, small_gen());
+    const Program prog = ref::generate_drf_program(seed, small_gen());
     const ref::RefResult a = ref::RefMachine(prog, 11).run();
     const ref::RefResult b = ref::RefMachine(prog, 0xfeedfaceULL).run();
     EXPECT_FALSE(a.deadlocked) << "seed " << seed;
@@ -133,16 +135,18 @@ TEST(RefMachine, ScheduleSeedsAgreeOnDrfPrograms) {
 }
 
 TEST(RefMachine, CounterSumsMatchTheEmittedDeltas) {
-  const DrfProgram prog = ref::generate_drf_program(3, small_gen());
-  std::vector<Word> want(prog.n_counters, 0);
-  for (const auto& code : prog.code) {
-    for (const DrfOp& op : code) {
-      if (op.kind == OpKind::kCsAdd) want[op.id] += op.value;
+  const Program prog = ref::generate_drf_program(3, small_gen());
+  std::vector<Word> want(prog.n_locations, 0);
+  for (const auto& code : prog.threads) {
+    for (const ir::Op& op : code) {
+      if (op.kind == OpKind::kCsAdd) want[op.arg] += op.value;
     }
   }
   const ref::RefResult r = ref::RefMachine(prog, 5).run();
-  for (std::uint32_t c = 0; c < prog.n_counters; ++c) {
-    EXPECT_EQ(r.final_vars[c], want[c]) << "counter " << c;
+  const std::vector<std::uint32_t> guard = prog.guard_locks();
+  for (std::uint32_t c = 0; c < prog.n_locations; ++c) {
+    if (guard[c] == ir::kNoLock) continue;
+    EXPECT_EQ(r.final_locs[c], want[c]) << "counter " << c;
   }
 }
 
@@ -150,72 +154,87 @@ TEST(RefMachine, CounterSumsMatchTheEmittedDeltas) {
 // The oracle end to end: clean cells, tampering, injected faults.
 // ---------------------------------------------------------------------------
 
+/// A fault-free cell of small_gen()'s shape.
+ref::Cell small_cell(ref::Flavor f, std::uint64_t program_seed) {
+  ref::Cell c;
+  c.flavor = f;
+  c.nodes = 4;
+  c.phases = 2;
+  c.program_seed = program_seed;
+  return c;
+}
+
 TEST(Diff, AllFlavorsMatchTheReference) {
-  const DrfProgram prog = ref::generate_drf_program(1, small_gen());
-  const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
   for (const ref::Flavor f :
        {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
-    const ref::Divergence d = ref::diff_one(prog, ref_run, f, 0);
-    EXPECT_FALSE(d.found()) << ref::to_string(f) << ": " << d.detail;
+    const ref::CellOutcome out = ref::run_cell(small_cell(f, 1));
+    EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << ref::to_string(f) << ": " << out.detail;
   }
 }
 
 TEST(Diff, CatchesATamperedObservation) {
-  const DrfProgram prog = ref::generate_drf_program(2, small_gen());
+  const Program prog = ref::generate_drf_program(2, small_gen());
   const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-  const auto cfg = ref::flavor_config(ref::Flavor::kWbi, prog.gen.n_nodes, 0);
-  ref::MachineRunResult mach = ref::run_on_machine(prog, cfg);
+  const auto cfg = ref::cell_config(small_cell(ref::Flavor::kWbi, 2));
+  ir::RunResult mach = ir::run_program(prog, cfg);
   ASSERT_TRUE(mach.completed) << mach.error;
 
   // Find a node with at least one observation and corrupt it.
-  for (std::uint32_t n = 0; n < prog.gen.n_nodes; ++n) {
-    if (mach.obs[n].empty()) continue;
-    mach.obs[n].front().value ^= 0x1;
-    const ref::Divergence d = ref::compare_runs(prog, ref_run, mach, cfg.block_words);
+  for (std::uint32_t n = 0; n < prog.threads.size(); ++n) {
+    if (mach.loads[n].empty()) continue;
+    mach.loads[n].front().value ^= 0x1;
+    const ref::Divergence d = ref::compare_runs(ref_run, mach, cfg.block_words);
     ASSERT_TRUE(d.found());
     EXPECT_EQ(d.kind, ref::Divergence::Kind::kObsRead);
     EXPECT_EQ(d.node, n);
     EXPECT_NE(d.detail.find("block"), std::string::npos) << d.detail;
     EXPECT_NE(d.detail.find("tick"), std::string::npos) << d.detail;
+    EXPECT_EQ(ref::judge(ref_run, mach, cfg.block_words).verdict, ref::Verdict::kWrong);
     return;
   }
   FAIL() << "no observations to tamper with";
 }
 
 TEST(Diff, CatchesATamperedFinalVariable) {
-  const DrfProgram prog = ref::generate_drf_program(2, small_gen());
+  const Program prog = ref::generate_drf_program(2, small_gen());
   const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-  const auto cfg = ref::flavor_config(ref::Flavor::kCbl, prog.gen.n_nodes, 0);
-  ref::MachineRunResult mach = ref::run_on_machine(prog, cfg);
+  const auto cfg = ref::cell_config(small_cell(ref::Flavor::kCbl, 2));
+  ir::RunResult mach = ir::run_program(prog, cfg);
   ASSERT_TRUE(mach.completed) << mach.error;
-  mach.final_vars.back() += 1;
-  const ref::Divergence d = ref::compare_runs(prog, ref_run, mach, cfg.block_words);
+  mach.final_locs.back() += 1;
+  const ref::Divergence d = ref::compare_runs(ref_run, mach, cfg.block_words);
   ASSERT_TRUE(d.found());
   EXPECT_EQ(d.kind, ref::Divergence::Kind::kFinalVar);
 }
 
+/// The cells the eager-flush proof probes: RU on the 16-node mesh.
+ref::Cell mesh_cell(std::uint64_t program_seed, std::uint64_t schedule_seed) {
+  ref::Cell c;
+  c.flavor = ref::Flavor::kRu;
+  c.network = core::NetworkKind::kMesh;
+  c.nodes = 16;
+  c.program_seed = program_seed;
+  c.schedule_seed = schedule_seed;
+  return c;
+}
+
 // The acceptance demonstration, pinned as a unit test: removing the
-// CP-Synch flush gate (WbFault::kEagerFlush) on the buffered-consistency
-// machine must produce a divergence whose report names a block and tick.
+// CP-Synch flush gate (the eager-flush plan) on the buffered-consistency
+// machine must produce a wrong cell whose report names a block and tick.
 // The mesh's distance-dependent paths are what let the un-flushed write
 // lose the race (docs/TESTING.md).
 TEST(Diff, CatchesTheEagerFlushFault) {
-  DrfGenConfig gen;
-  gen.n_nodes = 16;
-  gen.phases = 3;
   bool caught = false;
   for (std::uint64_t seed = 0; seed < 4 && !caught; ++seed) {
-    const DrfProgram prog = ref::generate_drf_program(seed, gen);
-    const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
     for (std::uint64_t ss = 0; ss < 2 && !caught; ++ss) {
-      core::MachineConfig cfg = ref::flavor_config(ref::Flavor::kRu, gen.n_nodes, ss);
-      cfg.network = core::NetworkKind::kMesh;
-      cfg.wb_fault = core::WbFault::kEagerFlush;
-      const ref::Divergence d = ref::diff_one(prog, ref_run, ref::Flavor::kRu, ss, &cfg);
-      if (!d.found()) continue;
+      ref::Cell c = mesh_cell(seed, ss);
+      c.plan = "eager-flush";
+      const ref::CellOutcome out = ref::run_cell(c);
+      if (out.verdict == ref::Verdict::kTransparent) continue;
       caught = true;
-      EXPECT_NE(d.detail.find("block"), std::string::npos) << d.detail;
-      EXPECT_NE(d.detail.find("tick"), std::string::npos) << d.detail;
+      EXPECT_EQ(out.verdict, ref::Verdict::kWrong) << out.detail;
+      EXPECT_NE(out.detail.find("block"), std::string::npos) << out.detail;
+      EXPECT_NE(out.detail.find("tick"), std::string::npos) << out.detail;
     }
   }
   EXPECT_TRUE(caught)
@@ -225,134 +244,119 @@ TEST(Diff, CatchesTheEagerFlushFault) {
 // The same grid without the fault stays clean — the fault test above is
 // meaningful only if the healthy machine passes the identical cells.
 TEST(Diff, MeshGridIsCleanWithoutTheFault) {
-  DrfGenConfig gen;
-  gen.n_nodes = 16;
-  gen.phases = 3;
   for (std::uint64_t seed = 0; seed < 2; ++seed) {
-    const DrfProgram prog = ref::generate_drf_program(seed, gen);
-    const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-    core::MachineConfig cfg = ref::flavor_config(ref::Flavor::kRu, gen.n_nodes, 0);
-    cfg.network = core::NetworkKind::kMesh;
-    const ref::Divergence d = ref::diff_one(prog, ref_run, ref::Flavor::kRu, 0, &cfg);
-    EXPECT_FALSE(d.found()) << d.detail;
+    const ref::CellOutcome out = ref::run_cell(mesh_cell(seed, 0));
+    EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << out.detail;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Corpus replay: every cell `bcsim diff` ever flagged stays fixed.
+// The cell corpus: one line format for every harness, replayed forever.
 // ---------------------------------------------------------------------------
 
-struct CorpusCase {
-  ref::Flavor flavor = ref::Flavor::kWbi;
-  std::uint64_t program_seed = 0;
-  std::uint64_t schedule_seed = 0;
-  std::uint32_t nodes = 8;
-  std::uint32_t phases = 3;
-  core::NetworkKind network = core::NetworkKind::kOmega;
-  core::WbFault fault = core::WbFault::kNone;  ///< recorded, replayed fault-free
-  std::string line;
-};
+TEST(CellCorpus, LineFormatRoundTrips) {
+  ref::CorpusEntry e;
+  e.cell.flavor = ref::Flavor::kCbl;
+  e.cell.network = core::NetworkKind::kMesh;
+  e.cell.nodes = 12;
+  e.cell.program_seed = 34;
+  e.cell.phases = 2;
+  e.cell.schedule_seed = 5;
+  e.cell.plan = "drop:p=0.1;seed=0";
+  e.cell.fault_seed = 12;
+  e.cell.buffer_depth = 2;
+  e.cell.dir_limit = 3;
+  e.cell.dir_overflow = core::DirOverflow::kCoarse;
+  e.cell.dir_region = 2;
+  e.cell.watchdog = 4096;
+  e.cell.stalls = 5;
+  e.cell.trace_dump = 16;
+  e.cell.budget = 50'000'000;
+  e.expected = ref::Verdict::kDiagnosed;
+  const std::string line = ref::format_corpus_line(e);
+  for (const char* key : {"flavor=cbl", "network=mesh", "nodes=12", "program=34", "phases=2",
+                          "schedule=5", "plan=drop:p=0.1;seed=0", "fault-seed=12",
+                          "buffer-depth=2", "dir-limit=3", "dir-overflow=coarse",
+                          "dir-region=2", "watchdog=4096", "stalls=5", "trace-dump=16",
+                          "budget=50000000"}) {
+    EXPECT_NE(line.find(key), std::string::npos) << key << " missing from: " << line;
+  }
+  const auto back = ref::parse_corpus_line(line);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(ref::format_corpus_line(*back), line);
+  EXPECT_EQ(back->expected, ref::Verdict::kDiagnosed);
+  EXPECT_EQ(ref::cell_config(back->cell).dir_overflow, core::DirOverflow::kCoarse);
+  EXPECT_EQ(ref::cell_config(back->cell).fault_plan.seed, 12u);
+  EXPECT_EQ(back->cell.budget, 50'000'000u);
 
-/// Parses the corpus. A malformed line is a parse *error*, not a skip —
-/// a typo must fail the replay test loudly instead of silently dropping
-/// the pinned scenario. The optional trailing [fault] column records what
-/// was injected when the cell was caught; replays run fault-free (the
-/// corpus pins the scenario, not the misbehavior).
-std::vector<CorpusCase> load_corpus(const std::string& path,
-                                    std::vector<std::string>& errors) {
-  std::vector<CorpusCase> cases;
-  std::ifstream in(path);
-  if (!in.good()) {
-    errors.push_back("cannot open corpus " + path);
-    return cases;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string flavor, network;
-    CorpusCase c;
-    is >> flavor >> c.program_seed >> c.schedule_seed >> c.nodes >> c.phases >> network;
-    if (is.fail()) {
-      errors.push_back("malformed corpus line: " + line);
-      continue;
-    }
-    const auto f = ref::parse_flavor(flavor);
-    if (!f) {
-      errors.push_back("bad flavor '" + flavor + "' in corpus line: " + line);
-      continue;
-    }
-    c.flavor = *f;
-    if (network == "omega") c.network = core::NetworkKind::kOmega;
-    else if (network == "mesh") c.network = core::NetworkKind::kMesh;
-    else if (network == "crossbar") c.network = core::NetworkKind::kCrossbar;
-    else if (network == "ideal") c.network = core::NetworkKind::kIdeal;
-    else {
-      errors.push_back("bad network '" + network + "' in corpus line: " + line);
-      continue;
-    }
-    std::string fault;
-    if (is >> fault) {
-      if (fault == "eager-flush") c.fault = core::WbFault::kEagerFlush;
-      else if (fault == "empty-gate") c.fault = core::WbFault::kEmptyGate;
-      else {
-        errors.push_back("bad fault '" + fault + "' in corpus line: " + line);
-        continue;
-      }
-      std::string extra;
-      if (is >> extra) {
-        errors.push_back("trailing garbage '" + extra + "' in corpus line: " + line);
-        continue;
-      }
-    }
-    if (c.nodes == 0 || c.phases == 0) {
-      errors.push_back("zero nodes/phases in corpus line: " + line);
-      continue;
-    }
-    c.line = line;
-    cases.push_back(std::move(c));
-  }
-  return cases;
+  // Defaults stay off the line; comments and blank lines are not entries.
+  EXPECT_EQ(ref::format_corpus_line({}),
+            "transparent flavor=ru network=omega nodes=8 program=0 phases=3 schedule=0");
+  EXPECT_FALSE(ref::parse_corpus_line("# comment").has_value());
+  EXPECT_FALSE(ref::parse_corpus_line("   ").has_value());
 }
 
-TEST(DiffCorpus, ParserRejectsMalformedLines) {
-  const auto parse_one = [](const std::string& text) {
-    const std::string path = ::testing::TempDir() + "/corpus_case.txt";
-    std::ofstream(path) << text << '\n';
-    std::vector<std::string> errors;
-    (void)load_corpus(path, errors);
-    return errors;
+/// A malformed line is a parse *error*, not a skip — a typo must fail the
+/// replay loudly instead of silently dropping the pinned scenario.
+TEST(CellCorpus, ParserRejectsMalformedLines) {
+  const auto rejects = [](const std::string& line) {
+    try {
+      (void)ref::parse_corpus_line(line);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
   };
-  EXPECT_TRUE(parse_one("cbl 3 0 16 3 mesh").empty());
-  EXPECT_TRUE(parse_one("ru 1 2 8 3 omega eager-flush").empty());
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3").empty()) << "missing network";
-  EXPECT_FALSE(parse_one("sc 3 0 16 3 mesh").empty()) << "unknown flavor";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 toroid").empty()) << "unknown network";
-  EXPECT_FALSE(parse_one("cbl x 0 16 3 mesh").empty()) << "non-numeric seed";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 mesh lazy-flush").empty()) << "unknown fault";
-  EXPECT_FALSE(parse_one("cbl 3 0 16 3 mesh eager-flush junk").empty())
-      << "trailing garbage";
-  EXPECT_FALSE(parse_one("cbl 3 0 0 3 mesh").empty()) << "zero nodes";
+  // Each malformed case below breaks exactly one field of this line.
+  const std::string ok = "transparent flavor=cbl network=mesh nodes=16 program=3 phases=3 schedule=0";
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = ok;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  EXPECT_FALSE(rejects(ok));
+  EXPECT_FALSE(rejects("transparent schedule=2 program=1 phases=3 nodes=8 network=omega "
+                       "flavor=ru plan=eager-flush"));
+  EXPECT_FALSE(rejects(with("transparent", "diagnosed") + " plan=drop-noretry watchdog=4096"));
+  EXPECT_TRUE(rejects(with("transparent ", ""))) << "missing verdict";
+  EXPECT_TRUE(rejects(with("transparent", "fine"))) << "unknown verdict";
+  // A required field never falls back to its default (a line without its
+  // network would replay the cell on omega).
+  for (const std::string key : {"flavor", "network", "nodes", "program", "phases", "schedule"}) {
+    std::istringstream is(ok);
+    std::string line;
+    for (std::string tok; is >> tok;) {
+      if (tok.rfind(key + "=", 0) != 0) line += (line.empty() ? "" : " ") + tok;
+    }
+    EXPECT_TRUE(rejects(line)) << "missing " << key << ": " << line;
+  }
+  EXPECT_TRUE(rejects("diagnosed plan=drop-noretry watchdog=4096")) << "no scenario at all";
+  EXPECT_TRUE(rejects(with("flavor=cbl", "flavor=sc"))) << "unknown flavor";
+  EXPECT_TRUE(rejects(with("network=mesh", "network=toroid"))) << "unknown network";
+  EXPECT_TRUE(rejects(with("program=3", "program=x"))) << "non-numeric seed";
+  EXPECT_TRUE(rejects(with("schedule=0", "schedule=-1"))) << "negative seed";
+  EXPECT_TRUE(rejects(ok + " plan=lazy-flush")) << "unknown fault plan";
+  EXPECT_TRUE(rejects(ok + " junk")) << "trailing garbage";
+  EXPECT_TRUE(rejects(ok + " color=red")) << "unknown key";
+  EXPECT_TRUE(rejects(ok + " nodes=8")) << "repeated key";
+  EXPECT_TRUE(rejects(with("nodes=16", "nodes="))) << "empty value";
+  EXPECT_TRUE(rejects(with("nodes=16", "nodes=0"))) << "zero nodes";
+  EXPECT_TRUE(rejects(with("phases=3", "phases=0"))) << "zero phases";
+  EXPECT_TRUE(rejects(ok + " stalls=0")) << "zero stalls";
+  EXPECT_TRUE(rejects(ok + " budget=x")) << "non-numeric budget";
+  EXPECT_TRUE(rejects(ok + " dir-overflow=spill")) << "unknown overflow mode";
+  EXPECT_TRUE(rejects("drop 1 2 3")) << "positional (old chaos) format";
+  EXPECT_TRUE(rejects("cbl 3 0 16 3 mesh")) << "positional (old diff) format";
 }
 
-TEST(DiffCorpus, EveryRecordedDivergenceStaysFixed) {
-  std::vector<std::string> errors;
-  const auto cases = load_corpus(BCSIM_DIFF_CORPUS, errors);
-  for (const std::string& e : errors) ADD_FAILURE() << e;
-  ASSERT_TRUE(errors.empty()) << "corpus has malformed lines; fix them first";
-  ASSERT_FALSE(cases.empty());
-  for (const CorpusCase& c : cases) {
-    ref::DrfGenConfig gen;
-    gen.n_nodes = c.nodes;
-    gen.phases = c.phases;
-    const DrfProgram prog = ref::generate_drf_program(c.program_seed, gen);
-    const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-    core::MachineConfig cfg =
-        ref::flavor_config(c.flavor, c.nodes, c.schedule_seed);
-    cfg.network = c.network;
-    const ref::Divergence d =
-        ref::diff_one(prog, ref_run, c.flavor, c.schedule_seed, &cfg);
-    EXPECT_FALSE(d.found()) << "corpus regression [" << c.line << "]: " << d.detail;
+TEST(CellCorpus, EveryEntryReplaysItsVerdict) {
+  const auto corpus = ref::load_corpus(BCSIM_CELL_CORPUS);
+  ASSERT_GE(corpus.size(), 15u);
+  for (const ref::CorpusEntry& e : corpus) {
+    const ref::CellOutcome out = ref::run_cell(e.cell);
+    EXPECT_EQ(out.verdict, e.expected)
+        << ref::format_corpus_line(e) << " -> " << ref::to_string(out.verdict) << ": "
+        << out.detail;
   }
 }
 

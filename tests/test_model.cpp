@@ -1,19 +1,23 @@
 // Cross-validation of the axiomatic BC checker (src/model/) against the
 // simulator — docs/TESTING.md, "Model conformance".
 //
-// Three layers:
+// Four layers:
 //   1. the enumerator's axiomatic shape: specific outcomes each litmus
 //      test must allow or forbid (fences restore SC where the paper says
 //      they do, and only there);
 //   2. the pinned golden tables: every allowed set rendered and compared
 //      textually against tests/model_allowed_golden.txt, so any change to
 //      the model's semantics shows up as a diff;
-//   3. soundness in-process: the full battery run on all three machine
+//   3. the SC reference inside the model: every outcome the golden
+//      sequentially consistent interpreter produces for a battery test is
+//      BC-allowed (SC is one of BC's executions);
+//   4. soundness in-process: the full battery run on all three machine
 //      flavors over both networks, every observed outcome checked for
 //      membership in the allowed set — and the eager-flush fault shown to
 //      produce a detected violation.
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,22 +25,22 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/run.hpp"
 #include "model/battery.hpp"
 #include "model/bc_model.hpp"
 #include "model/litmus.hpp"
-#include "model/litmus_runner.hpp"
-#include "ref/diff.hpp"
+#include "ref/cell.hpp"
+#include "ref/ref_machine.hpp"
 
 namespace bcsim {
 namespace {
 
-using model::LitmusTest;
-using model::Op;
+using ir::Program;
 using model::Outcome;
 
-const LitmusTest& battery_test(const std::string& name) {
-  static const std::vector<LitmusTest> battery = model::litmus_battery();
-  const LitmusTest* t = model::find_litmus(battery, name);
+const Program& battery_test(const std::string& name) {
+  static const std::vector<Program> battery = model::litmus_battery();
+  const Program* t = model::find_litmus(battery, name);
   if (t == nullptr) throw std::runtime_error("no litmus named " + name);
   return *t;
 }
@@ -126,17 +130,19 @@ TEST(ModelAxioms, BarrierRestoresSc) {
 }
 
 TEST(ModelAxioms, ValidateRejectsMalformedTests) {
-  LitmusTest bad{"bad-unlock", "", 1, 1, {{model::Unlock(0)}}};
+  const Program bad = model::litmus("bad-unlock", "", 1, 1, {{ir::Unlock(0)}});
   EXPECT_NE(model::validate(bad), "");
   EXPECT_THROW((void)model::enumerate_allowed(bad), std::invalid_argument);
 
-  LitmusTest never{"bad-await", "", 1, 0,
-                   {{model::St(0, 1)}, {model::Await(0, 9)}}};
+  const Program never =
+      model::litmus("bad-await", "", 1, 0, {{ir::St(0, 1)}, {ir::Await(0, 9)}});
   EXPECT_NE(model::validate(never), "") << "awaited value is never stored";
 
-  LitmusTest uneven{"bad-barrier", "", 1, 0,
-                    {{model::Bar()}, {model::Ld(0)}}};
+  const Program uneven = model::litmus("bad-barrier", "", 1, 0, {{ir::Bar()}, {ir::Ld(0)}});
   EXPECT_NE(model::validate(uneven), "") << "threads disagree on barrier count";
+
+  const Program drf_only = model::litmus("bad-op", "", 1, 0, {{ir::CsAdd(0, 1)}});
+  EXPECT_NE(model::validate(drf_only), "") << "the model has no rule for CS-ADD";
 }
 
 TEST(ModelAxioms, FirstDivergenceFindsEarliestBadLoad) {
@@ -161,7 +167,7 @@ TEST(ModelGolden, AllowedSetsMatchPinnedTables) {
   want << in.rdbuf();
 
   std::string got;
-  for (const LitmusTest& t : model::litmus_battery()) {
+  for (const Program& t : model::litmus_battery()) {
     got += model::render_allowed(t, model::enumerate_allowed(t));
   }
   EXPECT_EQ(got, want.str())
@@ -170,41 +176,77 @@ TEST(ModelGolden, AllowedSetsMatchPinnedTables) {
          "tests/model_allowed_golden.txt";
 }
 
-// --- layer 3: soundness against the simulator --------------------------
+// --- layer 3: the SC reference inside the model ------------------------
+
+TEST(ModelScReference, EverySequentiallyConsistentOutcomeIsAllowed) {
+  // The golden SC interpreter runs the battery unchanged (loads read
+  // memory, fences and unsubscribes are no-ops, awaits block until the
+  // value appears); each schedule seed is one SC interleaving, and every
+  // one must land inside the BC allowed set. Tests whose allowed set is
+  // exactly the SC set are the ones BC does not weaken.
+  std::size_t sc_outcomes = 0;
+  std::size_t sc_complete = 0;
+  for (const Program& t : model::litmus_battery()) {
+    const auto allowed = model::enumerate_allowed(t);
+    std::set<Outcome> sc;
+    for (std::uint64_t seed = 0; seed < 256; ++seed) {
+      const ref::RefResult r = ref::RefMachine(t, seed).run();
+      ASSERT_FALSE(r.deadlocked) << t.name << " seed " << seed;
+      const Outcome o = model::outcome_of(r.loads, r.final_locs);
+      EXPECT_TRUE(model::outcome_allowed(allowed, o))
+          << t.name << " seed " << seed << ": SC outcome " << model::render_outcome(t, o)
+          << " is not BC-allowed";
+      sc.insert(o);
+    }
+    sc_outcomes += sc.size();
+    sc_complete += sc.size() == allowed.size() ? 1 : 0;
+  }
+  EXPECT_EQ(sc_outcomes, 46u) << "distinct SC outcomes over the battery";
+  EXPECT_EQ(sc_complete, 10u) << "tests whose BC allowed set is exactly their SC set";
+}
+
+// --- layer 4: soundness against the simulator --------------------------
 
 constexpr std::uint32_t kNodes = 16;
 
-core::MachineConfig sound_cfg(ref::Flavor f, core::NetworkKind net,
-                              std::uint64_t seed) {
-  core::MachineConfig cfg = ref::flavor_config(f, kNodes, seed);
-  cfg.network = net;
-  return cfg;
+/// One machine run of `t` the way `bcsim model` runs it.
+ir::RunResult run_battery_test(const Program& t, ref::Flavor f, core::NetworkKind net,
+                         std::uint64_t seed, const char* plan = "") {
+  ref::Cell c;
+  c.flavor = f;
+  c.network = net;
+  c.nodes = kNodes;
+  c.schedule_seed = seed;
+  c.plan = plan;
+  return ir::run_program(model::with_warmup(t, seed), ref::cell_config(c));
 }
+
+Outcome outcome(const ir::RunResult& r) { return model::outcome_of(r.loads, r.final_locs); }
 
 TEST(ModelSoundness, BatteryObservedSubsetOfAllowed) {
   // Every flavor x both networks x a few seeds, full battery: each run's
   // observed outcome must be in the model's allowed set. The deep seed
   // sweep is the cli_model_smoke / cli_model_sweep ctest entries; this is
   // the in-process version with a first-divergence diagnosis on failure.
-  for (const LitmusTest& t : model::litmus_battery()) {
+  for (const Program& t : model::litmus_battery()) {
     const auto allowed = model::enumerate_allowed(t);
     for (const ref::Flavor f : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
       for (const core::NetworkKind net :
            {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
         for (std::uint64_t seed = 0; seed < 3; ++seed) {
-          const auto cfg = sound_cfg(f, net, seed);
-          const auto r = model::run_litmus(t, cfg);
+          const auto r = run_battery_test(t, f, net, seed);
           ASSERT_TRUE(r.completed)
               << t.name << " " << ref::to_string(f) << " seed " << seed
               << ": " << r.error;
-          const int d = model::first_divergence(allowed, r.outcome);
-          EXPECT_TRUE(model::outcome_allowed(allowed, r.outcome))
+          const Outcome got = outcome(r);
+          const int d = model::first_divergence(allowed, got);
+          EXPECT_TRUE(model::outcome_allowed(allowed, got))
               << t.name << " " << ref::to_string(f)
               << (net == core::NetworkKind::kMesh ? " mesh" : " omega")
               << " seed " << seed << ": observed "
-              << model::render_outcome(t, r.outcome)
+              << model::render_outcome(t, got)
               << ", first divergence at "
-              << (d >= 0 && d < static_cast<int>(r.loads.size())
+              << (d >= 0 && d < static_cast<int>(got.loads.size())
                       ? model::load_label(t, static_cast<std::size_t>(d))
                       : std::string("finals"));
         }
@@ -217,7 +259,7 @@ TEST(ModelSoundness, RuReachesTheWeakOutcomes) {
   // Statistical completeness spot-check: under RU (the only BC flavor)
   // the seed sweep must actually reach the weak outcomes the model
   // allows — mp's stale read and sb's (0,0). The seed-derived compute
-  // jitter in the runner is what makes this converge; dozens of seeds
+  // jitter of the warm-up is what makes this converge; dozens of seeds
   // over both networks give a comfortable margin (each weak outcome
   // shows up in roughly 1 in 3 / 1 in 8 RU runs respectively).
   const auto& mp = battery_test("mp");
@@ -227,16 +269,15 @@ TEST(ModelSoundness, RuReachesTheWeakOutcomes) {
   for (std::uint64_t seed = 0; seed < 64 && !(mp_stale && sb_both_stale); ++seed) {
     for (const core::NetworkKind net :
          {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
-      const auto cfg = sound_cfg(ref::Flavor::kRu, net, seed);
       if (!mp_stale) {
-        const auto r = model::run_litmus(mp, cfg);
+        const auto r = run_battery_test(mp, ref::Flavor::kRu, net, seed);
         ASSERT_TRUE(r.completed) << r.error;
-        if (r.outcome.loads == std::vector<Word>{0}) mp_stale = true;
+        if (outcome(r).loads == std::vector<Word>{0}) mp_stale = true;
       }
       if (!sb_both_stale) {
-        const auto r = model::run_litmus(sb, cfg);
+        const auto r = run_battery_test(sb, ref::Flavor::kRu, net, seed);
         ASSERT_TRUE(r.completed) << r.error;
-        if (r.outcome.loads == std::vector<Word>{0, 0}) sb_both_stale = true;
+        if (outcome(r).loads == std::vector<Word>{0, 0}) sb_both_stale = true;
       }
     }
   }
@@ -252,17 +293,17 @@ TEST(ModelSoundness, EagerFlushFaultIsDetected) {
   const auto allowed = model::enumerate_allowed(t);
   bool caught = false;
   for (std::uint64_t seed = 0; seed < 8 && !caught; ++seed) {
-    auto cfg = sound_cfg(ref::Flavor::kRu, core::NetworkKind::kMesh, seed);
-    cfg.wb_fault = core::WbFault::kEagerFlush;
-    const auto r = model::run_litmus(t, cfg);
+    const auto r = run_battery_test(t, ref::Flavor::kRu, core::NetworkKind::kMesh, seed,
+                              "eager-flush");
     if (!r.completed) continue;  // a stuck run is also a detection, but
                                  // the outcome check is the point here
-    if (!model::outcome_allowed(allowed, r.outcome)) {
+    const Outcome got = outcome(r);
+    if (!model::outcome_allowed(allowed, got)) {
       caught = true;
-      const int d = model::first_divergence(allowed, r.outcome);
+      const int d = model::first_divergence(allowed, got);
       ASSERT_GE(d, 0);
-      ASSERT_LT(static_cast<std::size_t>(d), r.loads.size());
-      EXPECT_EQ(r.loads[static_cast<std::size_t>(d)].value, 0u)
+      ASSERT_LT(static_cast<std::size_t>(d), got.loads.size());
+      EXPECT_EQ(got.loads[static_cast<std::size_t>(d)], 0u)
           << "the divergent read is the stale data word";
     }
   }

@@ -85,33 +85,15 @@
 //
 //   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--schedules M]
 //              [--first-program S] [--first-schedule S] [--nodes N]
-//              [--phases P] [--corpus PATH] [--inject-fault F]
+//              [--phases P] [--network NET] [--corpus PATH] [--inject-fault F]
 //              [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
 //              [--dir-region R] [--budget T] [--config PATH]
-//
-// The differential oracle: sweeps randomized data-race-free programs over
-// a (program_seed x schedule_seed) grid, comparing each machine flavor
-// against the golden sequentially-consistent reference interpreter. The
-// first divergence is reported with node/op/var/addr/block/tick, replayed
-// with event tracing, and appended to --corpus. --inject-fault
-// {eager-flush, empty-gate} deliberately breaks the write-buffer flush
-// gate to prove the oracle catches it. Exit 1 on divergence. See
-// docs/TESTING.md, "Differential testing".
-//
 //   bcsim model [--tests a,b,...] [--flavors wbi,ru,cbl]
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--nodes N] [--inject-fault F] [--buffer-depth B]
 //               [--dir-limit K] [--dir-overflow O] [--dir-region R]
 //               [--print-allowed] [--require-complete] [--budget T]
 //               [--config PATH]
-//
-// The model-conformance harness: enumerates each litmus test's
-// axiomatically allowed outcome set (src/model/) and sweeps the machine
-// over (flavor x network x schedule seed), asserting every observed
-// outcome is allowed and reporting per-outcome hit counts.
-// --print-allowed dumps the golden allowed-set tables and exits. Exit 1
-// on a soundness violation. See docs/TESTING.md, "Model conformance".
-//
 //   bcsim chaos [--plans p1,p2,...] [--flavors wbi,ru,cbl]
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--programs N] [--first-program S] [--nodes N]
@@ -120,14 +102,28 @@
 //               [--dir-region R] [--corpus PATH] [--budget T]
 //               [--config PATH]
 //
-// The unreliable-fabric sweep: every (fault plan x flavor x network x
-// fault seed x program seed) cell runs a randomized DRF program with the
-// fault plan armed and the liveness watchdog on, then is classified
-// *transparent* (bit-identical to the SC reference — retries masked every
-// fault), *diagnosed* (terminated with a watchdog/invariant report), or
-// *wrong*/*hung* — which fail the sweep, print a replay line, and are
-// appended to --corpus. Exit 1 on any wrong/hung cell. See
-// docs/TESTING.md, "Chaos testing & liveness".
+// The correctness harnesses, one grid driver (bcsim_harness.hpp): each
+// sweeps fault plans x programs x networks x flavors x schedule seeds and
+// judges every cell. `diff` runs randomized data-race-free programs and
+// requires each run to match the golden sequentially-consistent
+// reference; `chaos` does the same with a fault plan armed and the
+// liveness watchdog on, and also accepts a watchdog/invariant diagnosis;
+// `model` runs the litmus battery and requires every observed outcome to
+// be in the axiomatically allowed set, reporting per-outcome hit counts
+// (--print-allowed dumps the golden tables and exits). --inject-fault F
+// arms a fault plan on every diff/model cell, e.g. eager-flush, which
+// breaks the write-buffer flush gate to prove the judges catch it. A
+// failing cell prints a report and a replay line naming every knob of
+// its machine, diff/chaos append it to --corpus (tests/cell_corpus.txt's
+// format), and diff/model replay it with event tracing. Exit 1 on a
+// failing cell. Defaults: diff 8 programs x 4 schedules, nodes 8,
+// phases 3, omega; model 16 seeds, nodes 16; chaos 8 seeds x 2 programs,
+// nodes 8, phases 3, watchdog 4096, stalls 3, trace dump 64, budget 5e7
+// (1e8 otherwise); model and chaos sweep omega + mesh. The same rows
+// parse these flags and the [diff]/[model]/[chaos] config keys with one
+// range per key: the sweep knobs below, the per-cell knobs in
+// ref::cell_keys(). See docs/TESTING.md, "One program IR, one grid, three
+// judges".
 //
 // The tool subcommands read their knobs from [bench]/[diff]/[model]/
 // [chaos] sections; a single preset file can carry a [machine]/[workload]
@@ -142,12 +138,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bcsim_bench.hpp"
-#include "bcsim_chaos.hpp"
-#include "bcsim_diff.hpp"
-#include "bcsim_model.hpp"
+#include "bcsim_harness.hpp"
 #include "conf/conf.hpp"
 #include "conf/scenario.hpp"
 #include "conf/strict_parse.hpp"
@@ -157,8 +152,6 @@
 using namespace bcsim;
 
 namespace {
-
-constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 /// Flag-level usage error: main() catches UsageError, prints, and exits 2
 /// (the strict-exit-2 contract the test suite pins).
@@ -224,16 +217,6 @@ std::optional<conf::Table> load_config(int first, int argc, char** argv) {
     std::exit(0);
   }
   return t;
-}
-
-/// Splits a comma-separated flavor list, translating names via
-/// ref::parse_flavor; unknown names are usage errors.
-void parse_flavor_list(const std::string& list, std::vector<ref::Flavor>& out) {
-  conf::split_list(list, [&](const std::string& name) {
-    const auto f = ref::parse_flavor(name);
-    if (!f) usage_error("unknown flavor '" + name + "' (wbi, ru, cbl)");
-    out.push_back(*f);
-  });
 }
 
 Options parse_args(int argc, char** argv) {
@@ -331,193 +314,224 @@ tool::BenchOptions parse_bench_args(int argc, char** argv) {
   return o;
 }
 
-tool::DiffOptions parse_diff_args(int argc, char** argv) {
-  tool::DiffOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("diff.flavors")) parse_flavor_list(t->get_string("diff.flavors", ""), o.flavors);
-    o.programs = t->get_u64("diff.programs", o.programs);
-    o.schedules = t->get_u64("diff.schedules", o.schedules);
-    o.first_program = t->get_u64("diff.first_program", o.first_program);
-    o.first_schedule = t->get_u64("diff.first_schedule", o.first_schedule);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("diff.nodes", o.nodes, 1, kU32Max));
-    o.phases = static_cast<std::uint32_t>(t->get_int("diff.phases", o.phases, 0, kU32Max));
-    o.network = t->get_string("diff.network", o.network);
-    o.corpus = t->get_string("diff.corpus", o.corpus);
-    o.inject_fault = t->get_string("diff.inject_fault", o.inject_fault);
-    o.buffer_depth =
-        static_cast<std::uint32_t>(t->get_int("diff.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("diff.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("diff.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("diff.dir_overflow", "broadcast", {"broadcast", "coarse"}));
+// ---------------------------------------------------------------------------
+// `diff` / `model` / `chaos` flags. A knob every cell shares (nodes, phases,
+// fabric, directory, watchdog, budget) is a ref::cell_keys() row: flag
+// `--<name>`, config key `<harness>.<name>` ('_' for '-'), one range. The
+// sweep knobs below follow the same spelling rule. The same rows parse
+// flags and config keys (so the two always agree on a range) and render
+// replay lines (so a replay line carries every knob of its cell).
+// ---------------------------------------------------------------------------
+
+using tool::Harness;
+using tool::HarnessOptions;
+
+template <typename T>
+using Field = T HarnessOptions::*;
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+constexpr unsigned kDiff = ref::bit(Harness::kDiff);
+constexpr unsigned kModel = ref::bit(Harness::kModel);
+constexpr unsigned kChaos = ref::bit(Harness::kChaos);
+constexpr unsigned kAll = kDiff | kModel | kChaos;
+
+struct Knob {
+  const char* name;
+  unsigned harnesses;
+  std::variant<Field<std::uint64_t>, Field<bool>, Field<std::string>,
+               Field<std::vector<std::string>>, Field<std::vector<ref::Flavor>>,
+               Field<std::vector<core::NetworkKind>>>
+      field;
+  std::uint64_t min = 0;  ///< numeric knobs
+  bool replayed = true;   ///< false: sweep-wide, never on a one-cell replay line
+  bool single = false;    ///< a list knob that takes one value, the last one given
+};
+
+const Knob kKnobs[] = {
+    {"tests", kModel, &HarnessOptions::tests},
+    {"plans", kChaos, &HarnessOptions::plans},
+    {"flavors", kAll, &HarnessOptions::flavors},
+    {"network", kDiff, &HarnessOptions::networks, 0, true, true},
+    {"networks", kModel | kChaos, &HarnessOptions::networks},
+    {"seeds", kModel | kChaos, &HarnessOptions::seeds, 1},
+    {"first-seed", kModel | kChaos, &HarnessOptions::first_seed},
+    {"programs", kDiff | kChaos, &HarnessOptions::programs, 1},
+    {"first-program", kDiff | kChaos, &HarnessOptions::first_program},
+    {"schedules", kDiff, &HarnessOptions::seeds, 1},
+    {"first-schedule", kDiff, &HarnessOptions::first_seed},
+    {"inject-fault", kDiff | kModel, &HarnessOptions::inject_fault},
+    {"corpus", kDiff | kChaos, &HarnessOptions::corpus, 0, false},
+    {"print-allowed", kModel, &HarnessOptions::print_allowed, 0, false},
+    {"require-complete", kModel, &HarnessOptions::require_complete, 0, false},
+};
+
+/// Sets one sweep knob from its text (a flag value or a config value). A
+/// list knob appends.
+void apply(HarnessOptions& o, const Knob& k, const std::string& text) {
+  const auto each = [&](auto& list, auto parse) {
+    if (k.single) {
+      list = {parse(text)};
+      return;
     }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("diff.dir_region", o.dir_region, 1, kU32Max));
-    o.budget = t->get_u64("diff.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "model", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
+    conf::split_list(text, [&](const std::string& s) { list.push_back(parse(s)); });
   };
+  std::visit(Overloaded{
+                 [&](Field<std::uint64_t> f) {
+                   o.*f = conf::parse_u64(k.name, text);
+                   if (o.*f < k.min) {
+                     usage_error(std::string(k.name) + " " + text + " is out of range [" +
+                                 std::to_string(k.min) + ", " +
+                                 std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]");
+                   }
+                 },
+                 [&](Field<bool> f) { o.*f = true; },
+                 [&](Field<std::string> f) { o.*f = text; },
+                 [&](Field<std::vector<std::string>> f) {
+                   each(o.*f, [](const std::string& s) { return s; });
+                 },
+                 [&](Field<std::vector<ref::Flavor>> f) {
+                   each(o.*f, [](const std::string& s) {
+                     const auto flavor = ref::parse_flavor(s);
+                     if (!flavor) usage_error("unknown flavor '" + s + "' (wbi, ru, cbl)");
+                     return *flavor;
+                   });
+                 },
+                 [&](Field<std::vector<core::NetworkKind>> f) { each(o.*f, conf::parse_network); },
+             },
+             k.field);
+}
+
+/// A sweep knob's value as flag text ("" when a replay line should omit it).
+std::string render(const HarnessOptions& o, const Knob& k) {
+  const auto join = [](const auto& list, auto name) {
+    std::string s;
+    for (const auto& item : list) s += (s.empty() ? "" : ",") + std::string(name(item));
+    return s;
+  };
+  return std::visit(
+      Overloaded{
+          [&](Field<std::uint64_t> f) { return std::to_string(o.*f); },
+          [&](Field<bool>) { return std::string(); },
+          [&](Field<std::string> f) { return o.*f; },
+          [&](Field<std::vector<std::string>> f) {
+            return join(o.*f, [](const std::string& s) { return s; });
+          },
+          [&](Field<std::vector<ref::Flavor>> f) {
+            return join(o.*f, [](ref::Flavor x) { return ref::to_string(x); });
+          },
+          [&](Field<std::vector<core::NetworkKind>> f) {
+            return join(o.*f, [](core::NetworkKind x) { return core::to_string(x); });
+          },
+      },
+      k.field);
+}
+
+/// A knob's config key: `<harness>.<name>` with '_' for '-'.
+std::string config_key(Harness h, std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return std::string(ref::to_string(h)) + "." + name;
+}
+
+/// A config value as flag text; a numeric knob's value must be an integer.
+std::string config_text(const conf::Table& t, const std::string& key, bool numeric) {
+  return numeric ? std::to_string(t.get_int(key, 0)) : t.get_string(key, "");
+}
+
+HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
+  HarnessOptions o = tool::harness_defaults(h);
+  const std::string section = ref::to_string(h);
+  if (const auto t = load_config(2, argc, argv)) {
+    // One pass per table; a value's error names its file:line.
+    const auto each_key = [&](const char* name, unsigned harnesses, auto set) {
+      const std::string key = config_key(h, name);
+      if ((harnesses & ref::bit(h)) == 0 || !t->has(key)) return;
+      try {
+        set(key);
+      } catch (const conf::UsageError& e) {
+        throw conf::ConfError(t->loc(key), e.what());
+      }
+    };
+    for (const Knob& k : kKnobs) {
+      each_key(k.name, k.harnesses, [&](const std::string& key) {
+        if (std::holds_alternative<Field<bool>>(k.field)) {
+          o.*std::get<Field<bool>>(k.field) = t->get_bool(key, false);
+        } else {
+          apply(o, k, config_text(*t, key, std::holds_alternative<Field<std::uint64_t>>(k.field)));
+        }
+      });
+    }
+    for (const ref::CellKey& k : ref::cell_keys()) {
+      each_key(k.name, k.harnesses, [&](const std::string& key) {
+        const bool numeric = std::holds_alternative<std::uint64_t ref::Cell::*>(k.field) ||
+                             std::holds_alternative<std::uint32_t ref::Cell::*>(k.field);
+        ref::set_key(o.cell, k, config_text(*t, key, numeric));
+      });
+    }
+    std::vector<std::string_view> others = {"machine", "workload", "bench"};
+    for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
+      if (x != h) others.push_back(ref::to_string(x));
+    }
+    t->expect_all_consumed(others);
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--programs") o.programs = conf::parse_u64(a, need(i));
-    else if (a == "--schedules") o.schedules = conf::parse_u64(a, need(i));
-    else if (a == "--first-program") o.first_program = conf::parse_u64(a, need(i));
-    else if (a == "--first-schedule") o.first_schedule = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--phases") o.phases = conf::parse_u32(a, need(i));
-    else if (a == "--network") o.network = need(i);
-    else if (a == "--corpus") o.corpus = need(i);
-    else if (a == "--inject-fault") o.inject_fault = need(i);
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown diff flag '" + a + "'");
+    if (a == "--config" || a == "-k") {
+      ++i;  // handled by load_config
+      continue;
+    }
+    if (a == "--dump-config") continue;
+    const auto named = [&](const char* name, unsigned harnesses) {
+      return a == std::string("--") + name && (harnesses & ref::bit(h)) != 0;
+    };
+    const auto value = [&] {
+      if (i + 1 >= argc) usage_error("missing value for " + a);
+      return std::string(argv[++i]);
+    };
+    const Knob* knob = nullptr;
+    for (const Knob& k : kKnobs) {
+      if (named(k.name, k.harnesses)) knob = &k;
+    }
+    const ref::CellKey* key = nullptr;
+    for (const ref::CellKey& k : ref::cell_keys()) {
+      if (named(k.name, k.harnesses)) key = &k;
+    }
+    if (knob != nullptr) {
+      apply(o, *knob, std::holds_alternative<Field<bool>>(knob->field) ? "" : value());
+    } else if (key != nullptr) {
+      ref::set_key(o.cell, *key, value());
+    } else {
+      usage_error("unknown " + section + " flag '" + a + "'");
+    }
   }
   return o;
 }
 
-tool::ModelOptions parse_model_args(int argc, char** argv) {
-  tool::ModelOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("model.tests")) {
-      conf::split_list(t->get_string("model.tests", ""),
-                       [&](const std::string& name) { o.tests.push_back(name); });
-    }
-    if (t->has("model.flavors")) parse_flavor_list(t->get_string("model.flavors", ""), o.flavors);
-    if (t->has("model.networks")) {
-      conf::split_list(t->get_string("model.networks", ""),
-                       [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    o.seeds = t->get_u64("model.seeds", o.seeds);
-    o.first_seed = t->get_u64("model.first_seed", o.first_seed);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("model.nodes", o.nodes, 1, kU32Max));
-    o.inject_fault = t->get_string("model.inject_fault", o.inject_fault);
-    o.buffer_depth = static_cast<std::uint32_t>(
-        t->get_int("model.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("model.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("model.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("model.dir_overflow", "broadcast", {"broadcast", "coarse"}));
-    }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("model.dir_region", o.dir_region, 1, kU32Max));
-    o.print_allowed = t->get_bool("model.print_allowed", o.print_allowed);
-    o.require_complete = t->get_bool("model.require_complete", o.require_complete);
-    o.budget = t->get_u64("model.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "diff", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
+}  // namespace
+
+std::string tool::command_line(const HarnessOptions& o) {
+  std::string s = std::string("bcsim ") + ref::to_string(o.harness);
+  const auto flag = [&](const char* name, const std::string& v) {
+    if (v.empty()) return;
+    // Quote values a shell would split or expand (inline fault specs).
+    const bool plain = v.find_first_not_of(
+                           "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+                           "_.,:=+-/") == std::string::npos;
+    s += std::string(" --") + name + " " + (plain ? v : "'" + v + "'");
   };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--tests") {
-      conf::split_list(need(i), [&](const std::string& name) { o.tests.push_back(name); });
-    }
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--networks") {
-      conf::split_list(need(i), [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--inject-fault") o.inject_fault = need(i);
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--print-allowed") o.print_allowed = true;
-    else if (a == "--require-complete") o.require_complete = true;
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown model flag '" + a + "'");
+  for (const Knob& k : kKnobs) {
+    if ((k.harnesses & ref::bit(o.harness)) != 0 && k.replayed) flag(k.name, render(o, k));
   }
-  return o;
+  for (const ref::CellKey& k : ref::cell_keys()) {
+    if ((k.harnesses & ref::bit(o.harness)) != 0) flag(k.name, ref::key_text(o.cell, k));
+  }
+  return s;
 }
 
-tool::ChaosOptions parse_chaos_args(int argc, char** argv) {
-  tool::ChaosOptions o;
-  if (const auto t = load_config(2, argc, argv)) {
-    if (t->has("chaos.plans")) {
-      conf::split_list(t->get_string("chaos.plans", ""),
-                       [&](const std::string& name) { o.plans.push_back(name); });
-    }
-    if (t->has("chaos.flavors")) parse_flavor_list(t->get_string("chaos.flavors", ""), o.flavors);
-    if (t->has("chaos.networks")) {
-      conf::split_list(t->get_string("chaos.networks", ""),
-                       [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    o.seeds = t->get_u64("chaos.seeds", o.seeds);
-    o.first_seed = t->get_u64("chaos.first_seed", o.first_seed);
-    o.programs = t->get_u64("chaos.programs", o.programs);
-    o.first_program = t->get_u64("chaos.first_program", o.first_program);
-    o.nodes = static_cast<std::uint32_t>(t->get_int("chaos.nodes", o.nodes, 1, kU32Max));
-    o.phases = static_cast<std::uint32_t>(t->get_int("chaos.phases", o.phases, 0, kU32Max));
-    o.watchdog_interval = t->get_u64("chaos.watchdog", o.watchdog_interval);
-    o.watchdog_stalls = static_cast<std::uint32_t>(
-        t->get_int("chaos.stalls", o.watchdog_stalls, 1, kU32Max));
-    o.trace_dump =
-        static_cast<std::size_t>(t->get_u64("chaos.trace_dump", o.trace_dump));
-    o.buffer_depth = static_cast<std::uint32_t>(
-        t->get_int("chaos.buffer_depth", o.buffer_depth, 0, kU32Max));
-    o.dir_limit =
-        static_cast<std::uint32_t>(t->get_int("chaos.dir_limit", o.dir_limit, 0, kU32Max));
-    if (t->has("chaos.dir_overflow")) {
-      o.dir_overflow = conf::parse_dir_overflow(
-          t->get_name("chaos.dir_overflow", "broadcast", {"broadcast", "coarse"}));
-    }
-    o.dir_region =
-        static_cast<std::uint32_t>(t->get_int("chaos.dir_region", o.dir_region, 1, kU32Max));
-    o.corpus = t->get_string("chaos.corpus", o.corpus);
-    o.budget = t->get_u64("chaos.budget", o.budget);
-    t->expect_all_consumed({"machine", "workload", "bench", "diff", "model"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--plans") {
-      conf::split_list(need(i), [&](const std::string& name) { o.plans.push_back(name); });
-    }
-    else if (a == "--flavors") parse_flavor_list(need(i), o.flavors);
-    else if (a == "--networks") {
-      conf::split_list(need(i), [&](const std::string& name) { o.networks.push_back(name); });
-    }
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
-    else if (a == "--programs") o.programs = conf::parse_u64(a, need(i));
-    else if (a == "--first-program") o.first_program = conf::parse_u64(a, need(i));
-    else if (a == "--nodes") o.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--phases") o.phases = conf::parse_u32(a, need(i));
-    else if (a == "--watchdog") o.watchdog_interval = conf::parse_u64(a, need(i));
-    else if (a == "--stalls") o.watchdog_stalls = conf::parse_u32(a, need(i));
-    else if (a == "--trace-dump") o.trace_dump = conf::parse_u64(a, need(i));
-    else if (a == "--buffer-depth") o.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.dir_overflow = conf::parse_dir_overflow(need(i));
-    else if (a == "--dir-region") o.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--corpus") o.corpus = need(i);
-    else if (a == "--budget") o.budget = conf::parse_u64(a, need(i));
-    else usage_error("unknown chaos flag '" + a + "'");
-  }
-  return o;
-}
+namespace {
 
 /// Resolves the run's WorkloadSpec: the config file's [workload] (or the
 /// defaults) overlaid with the legacy flag knobs. Flag-only runs apply
@@ -901,8 +915,20 @@ int run_check(const Options& o) {
                     static_cast<unsigned long long>(s));
         std::printf("  machine=%s program=%s\n  %s\n", e.machine, e.program,
                     r1.detail.c_str());
-        std::printf("  replay: bcsim check --nodes %u --first-seed %llu --seeds 1\n",
-                    o.machine.nodes, static_cast<unsigned long long>(s));
+        // Every MachineSpec knob the case's machine was built from.
+        const conf::MachineSpec& m = o.machine;
+        std::string knobs = " --consistency " + m.consistency;
+        if (!m.lock.empty()) knobs += " --lock " + m.lock;
+        if (!m.barrier.empty()) knobs += " --barrier " + m.barrier;
+        if (!m.fault_plan.empty()) knobs += " --fault-plan '" + m.fault_plan + "'";
+        std::printf(
+            "  replay: bcsim check --nodes %u%s --network %s --buffer-depth %u --dir-limit %u "
+            "--dir-overflow %s --dir-region %u --block-words %u --seed %llu --watchdog %llu "
+            "--trace-dump %zu --first-seed %llu --seeds 1\n",
+            m.nodes, knobs.c_str(), m.network.c_str(), m.buffer_depth, m.dir_limit,
+            m.dir_overflow.c_str(), m.dir_region, m.block_words,
+            static_cast<unsigned long long>(m.seed), static_cast<unsigned long long>(m.watchdog),
+            m.trace_dump, static_cast<unsigned long long>(s));
         // Replay the failing case with the event-trace recorder on: when
         // the failure is an invariant violation, the machine prints the
         // tail of the interleaving that led there next to the diagnostic
@@ -1035,14 +1061,10 @@ int main(int argc, char** argv) {
     if (argc > 1 && std::strcmp(argv[1], "bench") == 0) {
       return tool::run_bench(parse_bench_args(argc, argv));
     }
-    if (argc > 1 && std::strcmp(argv[1], "diff") == 0) {
-      return tool::run_diff(parse_diff_args(argc, argv));
-    }
-    if (argc > 1 && std::strcmp(argv[1], "model") == 0) {
-      return tool::run_model(parse_model_args(argc, argv));
-    }
-    if (argc > 1 && std::strcmp(argv[1], "chaos") == 0) {
-      return tool::run_chaos(parse_chaos_args(argc, argv));
+    for (const Harness h : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
+      if (argc > 1 && std::strcmp(argv[1], ref::to_string(h)) == 0) {
+        return tool::run_harness(parse_harness_args(h, argc, argv));
+      }
     }
     const Options o = parse_args(argc, argv);
     if (o.check) return run_check(o);
