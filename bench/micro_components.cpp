@@ -60,7 +60,7 @@ void BM_RngNextBelow(benchmark::State& state) {
 BENCHMARK(BM_RngNextBelow);
 
 void BM_CacheLookup(benchmark::State& state) {
-  cache::Cache c(1024, 4);
+  cache::Cache c(1024, 4, 4);
   for (BlockId b = 0; b < 512; ++b) {
     auto* v = c.pick_victim(b);
     v->block = b;

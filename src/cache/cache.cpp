@@ -4,12 +4,20 @@
 
 namespace bcsim::cache {
 
-Cache::Cache(std::uint32_t blocks, std::uint32_t assoc) : assoc_(assoc) {
+Cache::Cache(std::uint32_t blocks, std::uint32_t assoc, std::uint32_t block_words)
+    : assoc_(assoc) {
   if (assoc == 0 || blocks == 0 || blocks % assoc != 0) {
     throw std::invalid_argument("Cache: blocks must be a positive multiple of assoc");
   }
+  if (block_words == 0 || block_words > net::kMaxBlockWords) {
+    throw std::invalid_argument("Cache: block_words must be in [1, 32]");
+  }
   n_sets_ = blocks / assoc;
-  frames_.resize(blocks);
+  words_.assign(static_cast<std::size_t>(blocks) * block_words, 0);
+  frames_ = std::vector<CacheLine>(blocks);
+  for (std::size_t i = 0; i < frames_.size(); ++i) {
+    frames_[i].data.bind(&words_[i * block_words], block_words);
+  }
 }
 
 CacheLine* Cache::find(BlockId b) noexcept {

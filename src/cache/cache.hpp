@@ -1,6 +1,9 @@
 // Set-associative data cache with LRU replacement.
 //
-// The cache stores *frames*; protocol state lives in the CacheLine. Victim
+// The cache stores *frames*; protocol state lives in the CacheLine. Frame
+// words live in one blocks x block_words array owned by the cache, and
+// each line's `data` is a view of its frame's slice, so a frame costs
+// block_words words whatever the largest configurable block is. Victim
 // selection skips pinned frames (transaction in flight) and lock-active
 // frames (lock lines live in the separate LockCache anyway, but defense in
 // depth costs nothing). The caller owns what happens to the victim
@@ -18,9 +21,12 @@ namespace bcsim::cache {
 
 class Cache {
  public:
-  /// `blocks` total frames, `assoc`-way associative. `blocks` must be a
-  /// multiple of `assoc`.
-  Cache(std::uint32_t blocks, std::uint32_t assoc);
+  /// `blocks` total frames of `block_words` words each, `assoc`-way
+  /// associative. `blocks` must be a multiple of `assoc`; `block_words`
+  /// must lie in [1, net::kMaxBlockWords].
+  Cache(std::uint32_t blocks, std::uint32_t assoc, std::uint32_t block_words);
+  Cache(const Cache&) = delete;
+  Cache& operator=(const Cache&) = delete;
 
   /// Looks up the line caching `b`; nullptr on miss.
   [[nodiscard]] CacheLine* find(BlockId b) noexcept;
@@ -52,6 +58,7 @@ class Cache {
 
   std::uint32_t n_sets_;
   std::uint32_t assoc_;
+  std::vector<Word> words_;        // frame i: words [i * block_words, (i + 1) * block_words)
   std::vector<CacheLine> frames_;  // set-major layout
 };
 

@@ -8,12 +8,72 @@
 // exclusive per block; the central directory's usage bit says which).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 
 #include "net/message.hpp"
 #include "sim/types.hpp"
 
 namespace bcsim::cache {
+
+/// A frame's block payload: a view of the frame's `block_words` words in
+/// its cache's frame storage (Cache and LockCache each own one
+/// frames x block_words word array), plus the payload's valid-word count.
+/// A view cannot be copied — two frames never share words.
+class FrameData {
+ public:
+  FrameData() = default;
+  FrameData(const FrameData&) = delete;
+  FrameData& operator=(const FrameData&) = delete;
+
+  /// Points the view at `size` words of frame storage. Called once, by
+  /// the cache that owns the storage.
+  void bind(Word* words, std::uint32_t size) noexcept {
+    words_ = words;
+    size_ = size;
+  }
+
+  Word& operator[](std::size_t i) noexcept {
+    assert(i < size_);
+    return words_[i];
+  }
+  const Word& operator[](std::size_t i) const noexcept {
+    assert(i < size_);
+    return words_[i];
+  }
+  /// Valid words (0 = the frame holds no payload).
+  [[nodiscard]] std::uint8_t count() const noexcept { return count_; }
+
+  /// Stores a payload: copies its words and zero-fills the rest of the
+  /// frame.
+  FrameData& operator=(const net::BlockData& d) noexcept {
+    assert(d.count <= size_);
+    std::copy_n(d.words.begin(), d.count, words_);
+    std::fill(words_ + d.count, words_ + size_, Word{0});
+    count_ = d.count;
+    return *this;
+  }
+
+  /// The frame's payload as a message block (its first count() words).
+  operator net::BlockData() const noexcept {  // NOLINT(google-explicit-constructor)
+    net::BlockData d;
+    d.count = count_;
+    std::copy_n(words_, count_, d.words.begin());
+    return d;
+  }
+
+  /// Zeroes the frame's words; the frame then holds no payload.
+  void clear() noexcept {
+    std::fill_n(words_, size_, Word{0});
+    count_ = 0;
+  }
+
+ private:
+  Word* words_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint8_t count_ = 0;
+};
 
 /// Classic MSI stable states for the WBI baseline protocol. Lines used by
 /// the read-update protocol or as lock lines are kShared-like for reads and
@@ -45,14 +105,14 @@ struct CacheLine {
   LockState lock = LockState::kNone;
   std::uint32_t dirty_mask = 0;       ///< d1..dk of Figure 2a
   bool memory_stale = false;          ///< lock-carried data differs from memory
+  bool pinned = false;                ///< transaction in flight; not replaceable
 
   NodeId prev = kNoNode;              ///< queue pointer (Figure 2a)
   NodeId next = kNoNode;              ///< queue pointer (Figure 2a)
   net::LockMode next_mode = net::LockMode::kRead;  ///< successor's requested mode
 
-  net::BlockData data;
+  FrameData data;                     ///< view of this frame's words
   Tick last_use = 0;                  ///< LRU timestamp
-  bool pinned = false;                ///< transaction in flight; not replaceable
   std::uint64_t ru_version = 0;       ///< version of the last applied update
 
   [[nodiscard]] bool dirty() const noexcept { return dirty_mask != 0; }
@@ -61,7 +121,8 @@ struct CacheLine {
   }
   [[nodiscard]] bool lock_active() const noexcept { return lock != LockState::kNone; }
 
-  /// Resets everything except the frame itself.
+  /// Resets every field and zeroes the frame's words; the line stays
+  /// bound to its frame.
   void clear() noexcept {
     block = 0;
     valid = false;
@@ -70,11 +131,11 @@ struct CacheLine {
     lock = LockState::kNone;
     dirty_mask = 0;
     memory_stale = false;
+    pinned = false;
     prev = next = kNoNode;
     next_mode = net::LockMode::kRead;
-    data = net::BlockData{};
+    data.clear();
     last_use = 0;
-    pinned = false;
     ru_version = 0;
   }
 };

@@ -6,13 +6,18 @@
 // conservatively by the compiler; we expose the capacity as configuration,
 // block acquisitions when full (counting stalls so the ablation bench can
 // quantify the pressure), and free entries when a line leaves the queue.
+//
+// Storage is fixed at construction: `capacity` slots whose words live in
+// one capacity x block_words array, as in the data cache. A slot never
+// moves, so a line's address is stable for as long as it is allocated.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/cache_line.hpp"
 #include "sim/types.hpp"
@@ -21,7 +26,22 @@ namespace bcsim::cache {
 
 class LockCache {
  public:
-  explicit LockCache(std::uint32_t capacity) : capacity_(capacity) {}
+  /// `capacity` slots of `block_words` words each; `block_words` must lie
+  /// in [1, net::kMaxBlockWords].
+  LockCache(std::uint32_t capacity, std::uint32_t block_words) : capacity_(capacity) {
+    if (block_words == 0 || block_words > net::kMaxBlockWords) {
+      throw std::invalid_argument("LockCache: block_words must be in [1, 32]");
+    }
+    words_.assign(static_cast<std::size_t>(capacity) * block_words, 0);
+    slots_ = std::vector<CacheLine>(capacity);
+    free_.reserve(capacity);
+    for (std::size_t i = slots_.size(); i-- > 0;) {
+      slots_[i].data.bind(&words_[i * block_words], block_words);
+      free_.push_back(&slots_[i]);  // lowest slot on top
+    }
+  }
+  LockCache(const LockCache&) = delete;
+  LockCache& operator=(const LockCache&) = delete;
 
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
@@ -29,29 +49,31 @@ class LockCache {
 
   [[nodiscard]] CacheLine* find(BlockId b) noexcept {
     auto it = index_.find(b);
-    return it == index_.end() ? nullptr : &*it->second;
+    return it == index_.end() ? nullptr : it->second;
   }
   [[nodiscard]] const CacheLine* find(BlockId b) const noexcept {
     auto it = index_.find(b);
-    return it == index_.end() ? nullptr : &*it->second;
+    return it == index_.end() ? nullptr : it->second;
   }
 
   /// Allocates an entry for block `b`. Precondition: !full() && !find(b).
   CacheLine& allocate(BlockId b) {
-    lines_.emplace_back();
-    auto it = std::prev(lines_.end());
-    it->clear();
-    it->block = b;
-    it->valid = true;
-    index_.emplace(b, it);
-    return *it;
+    CacheLine* line = free_.back();
+    free_.pop_back();
+    line->clear();
+    line->block = b;
+    line->valid = true;
+    index_.emplace(b, line);
+    return *line;
   }
 
-  /// Releases the entry for `b` and wakes one capacity waiter, if any.
+  /// Releases the entry for `b` (its slot comes back zeroed) and wakes one
+  /// capacity waiter, if any.
   void release(BlockId b) {
     auto it = index_.find(b);
     if (it == index_.end()) return;
-    lines_.erase(it->second);
+    it->second->clear();
+    free_.push_back(it->second);
     index_.erase(it);
     if (!waiters_.empty() && !full()) {
       auto fn = std::move(waiters_.front());
@@ -80,15 +102,20 @@ class LockCache {
   /// at quiescence.
   [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
 
+  /// Visits every allocated line, in slot order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& line : lines_) fn(line);
+    for (const auto& line : slots_) {
+      if (line.valid) fn(line);
+    }
   }
 
  private:
   std::uint32_t capacity_;
-  std::list<CacheLine> lines_;  // stable addresses across insert/erase
-  std::unordered_map<BlockId, std::list<CacheLine>::iterator> index_;
+  std::vector<Word> words_;        // slot i: words [i * block_words, (i + 1) * block_words)
+  std::vector<CacheLine> slots_;   // fixed; never reallocated
+  std::vector<CacheLine*> free_;   // unallocated slots
+  std::unordered_map<BlockId, CacheLine*> index_;
   std::deque<std::function<void()>> waiters_;
   std::uint64_t stalls_served_ = 0;
 };

@@ -20,8 +20,8 @@ CacheController::CacheController(NodeId node, sim::Simulator& simulator, net::Ne
                                  const mem::AddressMap& amap, const MachineConfig& config,
                                  sim::StatsRegistry& stats)
     : node_(node), sim_(simulator), net_(network), amap_(amap), config_(config), stats_(stats),
-      cache_(config.cache_blocks, config.cache_assoc),
-      lock_cache_(config.lock_cache_entries),
+      cache_(config.cache_blocks, config.cache_assoc, config.block_words),
+      lock_cache_(config.lock_cache_entries, config.block_words),
       wbuf_(config.write_buffer_entries) {
   switch (config.wb_fault) {
     case WbFault::kNone:
@@ -114,7 +114,7 @@ void CacheController::complete_timed(Cb& cb, Word value, Tick issued_at,
   sim_.schedule(0, [cb = std::move(cb), value] { cb(Response{value}); });
 }
 
-void CacheController::send(net::Message m) { net_.send(std::move(m)); }
+void CacheController::send(net::Message&& m) { net_.send(std::move(m)); }
 
 net::Message CacheController::make(net::MsgType t, BlockId b) const {
   net::Message m;
@@ -153,9 +153,8 @@ void CacheController::evict(cache::CacheLine& victim) {
     // Only dirty words are written back (per-word dirty bits, Figure 2a).
     auto put = make(MsgType::kPutM, victim.block);
     put.data = victim.data;
-    put.dirty_mask = victim.dirty_mask != 0
-                         ? victim.dirty_mask
-                         : ((1u << config_.block_words) - 1u);
+    put.dirty_mask = victim.dirty_mask != 0 ? victim.dirty_mask
+                                            : net::full_block_mask(config_.block_words);
     send(std::move(put));
     stats_.counter("cache.writebacks").add();
   }
@@ -497,7 +496,8 @@ void CacheController::perform_recall(cache::CacheLine* line, std::uint8_t aux) {
   assert(line != nullptr && line->msi == MsiState::kModified);
   auto ack = make(MsgType::kRecallAck, line->block);
   ack.data = line->data;
-  ack.dirty_mask = line->dirty_mask != 0 ? line->dirty_mask : ((1u << config_.block_words) - 1u);
+  ack.dirty_mask =
+      line->dirty_mask != 0 ? line->dirty_mask : net::full_block_mask(config_.block_words);
   ack.aux = aux;
   send(std::move(ack));
   if (aux == 0) {

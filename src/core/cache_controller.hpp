@@ -151,7 +151,7 @@ class CacheController {
   /// Completes a request and records its issue-to-completion latency in
   /// the named histogram (misses/locks; hits are always one cycle).
   void complete_timed(Cb& cb, Word value, Tick issued_at, std::string_view histogram);
-  void send(net::Message m);
+  void send(net::Message&& m);
   [[nodiscard]] net::Message make(net::MsgType t, BlockId b) const;
   cache::CacheLine& install_line(BlockId b, const net::BlockData& data);
   void evict(cache::CacheLine& victim);

@@ -268,7 +268,7 @@ void CacheController::on_unlock_empty(const net::Message& m) {
     auto wb = make(MsgType::kLockWriteback, m.block);
     if (line->memory_stale) {
       wb.data = line->data;
-      wb.dirty_mask = (1u << config_.block_words) - 1u;
+      wb.dirty_mask = net::full_block_mask(config_.block_words);
     }
     wb.aux = line->memory_stale ? 1 : 0;
     send(std::move(wb));

@@ -103,10 +103,10 @@ void CacheController::on_ru_update(const net::Message& m) {
 
 void CacheController::forward_chain(const net::Message& m) {
   if (m.chain.empty()) return;
-  Message fwd = m;
+  Message fwd = m;  // shares m's chain snapshot: no allocation per hop
   fwd.src = node_;
   fwd.dst = fwd.chain.front();
-  fwd.chain.erase(fwd.chain.begin());
+  fwd.chain.pop_front();
   // One cache-directory lookup before the hop leaves this node.
   net_.send_at(sim_.now() + config_.t_directory, std::move(fwd));
   stats_.counter("cache.chain_forwards").add();

@@ -8,6 +8,7 @@
 // queue so the directory controller charges honest latencies.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -26,12 +27,15 @@ class MemoryModule {
   [[nodiscard]] Tick t_directory() const noexcept { return t_directory_; }
   [[nodiscard]] Tick t_memory() const noexcept { return t_memory_; }
 
-  /// Reads a whole block into a message payload.
+  /// Reads a whole block into a message payload (an untouched block reads
+  /// as zeros).
   [[nodiscard]] net::BlockData read_block(BlockId b) const {
     net::BlockData out;
     out.count = static_cast<std::uint8_t>(block_words_);
     if (auto it = blocks_.find(b); it != blocks_.end()) {
-      for (std::uint32_t i = 0; i < block_words_; ++i) out.words[i] = it->second[i];
+      std::copy_n(it->second.begin(), block_words_, out.words.begin());
+    } else {
+      std::fill_n(out.words.begin(), block_words_, Word{0});
     }
     return out;
   }

@@ -1,16 +1,18 @@
 // Network message format shared by all coherence/synchronization protocols.
 //
 // A single message struct (rather than a class hierarchy) keeps the network
-// layer trivially copyable and allocation-free on the hot path. The `type`
-// field selects which of the optional fields are meaningful; the protocol
-// layers document field usage per type. The network only looks at
-// src/dst/unit and the size class derived from `type`/payload.
+// layer allocation-free on the hot path. The `type` field selects which of
+// the optional fields are meaningful; the protocol layers document field
+// usage per type. The network only looks at src/dst/unit and the size class
+// derived from `type`/payload.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string_view>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -19,14 +21,71 @@ namespace bcsim::net {
 /// Upper bound on cache line length in words (config may use less).
 inline constexpr std::size_t kMaxBlockWords = 32;
 
-/// Fixed-capacity block payload; avoids heap traffic per message.
+/// Dirty mask with every word of a `block_words`-word block set. Valid over
+/// the whole configurable range [1, kMaxBlockWords]: the naive
+/// `(1u << block_words) - 1u` is undefined at 32 words (and yields 0 on
+/// x86, which makes a full-block write-back store nothing).
+[[nodiscard]] constexpr std::uint32_t full_block_mask(std::uint32_t block_words) noexcept {
+  return block_words >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << block_words) - 1u;
+}
+
+/// Block payload carried inline in a message; no heap traffic per message.
+///
+/// The buffer is sized for the largest configurable block, but a payload
+/// costs only its `count` words: construction leaves the words unset, and a
+/// copy or assignment moves exactly `count` words. Nothing reads a word at
+/// or past `count`.
 struct BlockData {
-  std::array<Word, kMaxBlockWords> words{};
+  std::array<Word, kMaxBlockWords> words;  ///< [0, count) valid, the rest unset
   std::uint8_t count = 0;  ///< number of valid words (0 = no payload)
+
+  BlockData() noexcept {}  // NOLINT(modernize-use-equals-default): leaves words unset
+  BlockData(const BlockData& o) noexcept : count(o.count) {
+    std::copy_n(o.words.begin(), count, words.begin());
+  }
+  BlockData& operator=(const BlockData& o) noexcept {
+    if (this != &o) {
+      count = o.count;
+      std::copy_n(o.words.begin(), count, words.begin());
+    }
+    return *this;
+  }
 
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
   Word& operator[](std::size_t i) noexcept { return words[i]; }
   const Word& operator[](std::size_t i) const noexcept { return words[i]; }
+};
+
+/// Remaining hops of a chain-propagated message (kRuUpdate, kBarRelease).
+///
+/// The directory snapshots its subscriber (or barrier waiter) list once,
+/// when propagation starts — exactly the paper's semantics ("when the main
+/// memory is updated, the updated block is transferred using this
+/// linked-list structure"). Every hop shares that immutable snapshot and
+/// advances only its own hop index, so one propagation costs one
+/// allocation and a hop costs none.
+class Chain {
+ public:
+  Chain() = default;
+  /// Snapshots the hops [first, last); an empty range allocates nothing.
+  template <typename It>
+  Chain(It first, It last) : size_(static_cast<std::uint32_t>(std::distance(first, last))) {
+    if (size_ == 0) return;
+    auto nodes = std::make_shared<NodeId[]>(size_);
+    std::copy(first, last, nodes.get());
+    nodes_ = std::move(nodes);
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return next_ == size_; }
+  /// The next hop. Precondition: !empty().
+  [[nodiscard]] NodeId front() const noexcept { return nodes_[next_]; }
+  /// Drops the next hop; the snapshot itself is never modified.
+  void pop_front() noexcept { ++next_; }
+
+ private:
+  std::shared_ptr<const NodeId[]> nodes_;
+  std::uint32_t size_ = 0;
+  std::uint32_t next_ = 0;
 };
 
 /// Which unit at the destination node consumes the message. Memory modules
@@ -163,12 +222,9 @@ struct Message {
   BlockData data;              ///< block payload where applicable
 
   /// Remaining hops for chain-propagated messages (kRuUpdate, kBarRelease):
-  /// the receiving cache pops the front and forwards to the new front. The
-  /// chain is snapshotted from the directory's list when propagation
-  /// starts, which is exactly the paper's semantics ("when the main memory
-  /// is updated, the updated block is transferred using this linked-list
-  /// structure").
-  std::vector<NodeId> chain;
+  /// the receiving cache forwards a copy to chain.front() with that hop
+  /// popped (see Chain).
+  Chain chain;
 };
 
 /// True for messages generated by synchronization (locks, barriers, RMW)

@@ -53,7 +53,15 @@ Tick Network::flits_of(const Message& m) const noexcept {
   return 1;
 }
 
-void Network::send(Message msg) {
+void Network::send(Message&& msg) { inject(pool_.acquire(std::move(msg))); }
+
+void Network::send_at(Tick at, Message&& msg) {
+  Message* pm = pool_.acquire(std::move(msg));
+  simulator_.schedule_at_channel(at, channel_of(*pm), [this, pm] { inject(pm); });
+}
+
+void Network::inject(Message* pm) {
+  const Message& msg = *pm;
   sent_.messages->add();
   (is_sync_message(msg.type) ? sent_.sync : sent_.data)->add();
   if (sim::Counter* c = sent_.by_type[static_cast<std::size_t>(msg.type)]) {
@@ -70,10 +78,10 @@ void Network::send(Message msg) {
     // permute deliveries racing on different links, but messages on one
     // point-to-point link stay FIFO — the hardware guarantee the protocols
     // are built on.
-    schedule_delivery(std::move(msg), now + kLocalLatency);
+    deliver_at(pm, now + kLocalLatency);
     return;
   }
-  route_and_deliver(std::move(msg), now);
+  route_and_deliver(pm, now);
 }
 
 void Network::enable_credit_counters() {
@@ -81,40 +89,34 @@ void Network::enable_credit_counters() {
   c_credit_stall_ = &stats_.counter("net.credit_stall_cycles");
 }
 
-void Network::route_and_deliver(Message msg, Tick send_tick) {
+void Network::route_and_deliver(Message* pm, Tick send_tick) {
   if (transport_) {
-    transport_->on_send(std::move(msg), send_tick);
+    transport_->on_send(std::move(*pm), send_tick);
+    pool_.release(pm);
     return;
   }
   c_remote_->add();
-  c_flits_->add(flits_of(msg));
-  const Tick arrive = route(msg, send_tick);
+  c_flits_->add(flits_of(*pm));
+  const Tick arrive = route(*pm, send_tick);
   // Backpressure and credit waits only ever push an arrival later, so
   // min_remote_latency() remains a lower bound on every remote delivery.
   assert(arrive >= send_tick + min_remote_latency() &&
          "route() undercut min_remote_latency()");
   h_latency_->record(arrive - send_tick);
-  schedule_delivery(std::move(msg), arrive);
+  deliver_at(pm, arrive);
 }
 
-void Network::schedule_delivery(Message msg, Tick arrive) {
-  // The in-flight message lives in the pool; the closure carries only a
-  // pointer, keeping it inside EventFn's inline storage.
-  const std::uint64_t channel = channel_of(msg);
-  Message* pm = pool_.acquire(std::move(msg));
-  simulator_.schedule_at_channel(arrive, channel, [this, pm] {
+void Network::deliver_at(Message* pm, Tick arrive) {
+  // The closure carries only the slot pointer, keeping it inside
+  // EventFn's inline storage.
+  simulator_.schedule_at_channel(arrive, channel_of(*pm), [this, pm] {
     deliver(*pm);
     pool_.release(pm);
   });
 }
 
-void Network::send_at(Tick at, Message msg) {
-  const std::uint64_t channel = channel_of(msg);
-  Message* pm = pool_.acquire(std::move(msg));
-  simulator_.schedule_at_channel(at, channel, [this, pm] {
-    send(std::move(*pm));
-    pool_.release(pm);
-  });
+void Network::schedule_delivery(Message&& msg, Tick arrive) {
+  deliver_at(pool_.acquire(std::move(msg)), arrive);
 }
 
 void Network::deliver(const Message& m) {

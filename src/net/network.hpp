@@ -31,12 +31,13 @@ class Transport;
 /// Handler invoked at the destination when a message arrives.
 using DeliverFn = std::function<void(const Message&)>;
 
-/// Free-list pool of in-flight Messages. A Message is ~350 bytes (block
-/// payload + chain vector), so carrying one inside every delivery closure
-/// used to mean a heap allocation per send and a free per delivery. The
-/// pool recycles the objects instead: the closure captures a bare pointer
-/// (which also keeps it inside EventFn's inline buffer) and the pool's
-/// steady state allocates nothing.
+/// Free-list pool of in-flight Messages. A Message reserves room for the
+/// largest block (kMaxBlockWords words), far more than an event closure
+/// holds inline, so each one in flight lives in a pool slot instead: the
+/// closure captures a bare pointer (which keeps it inside EventFn's inline
+/// buffer) and the pool's steady state allocates nothing. A message is
+/// moved into its slot once, by send() or send_at(); injection, routing
+/// and delivery all work on that slot (DESIGN.md, "A message's life").
 class MessagePool {
  public:
   /// Moves `m` into a pooled slot and returns its stable address.
@@ -54,8 +55,7 @@ class MessagePool {
 
   /// Returns a message to the pool. `p` must come from acquire().
   void release(Message* p) noexcept {
-    p->chain.clear();
-    p->data.count = 0;
+    p->chain = Chain{};  // drop this hop's share of the chain snapshot
     free_.push_back(p);  // cannot allocate: capacity covers every slot
   }
 
@@ -123,8 +123,10 @@ class Network {
   /// endpoint before the first send.
   void attach(NodeId node, Unit unit, DeliverFn fn);
 
-  /// Injects a message; delivery is scheduled on the simulator.
-  void send(Message msg);
+  /// Injects a message now; delivery is scheduled on the simulator. The
+  /// message is moved into an in-flight pool slot once, and routed and
+  /// delivered from there.
+  void send(Message&& msg);
 
   /// Injects `msg` at absolute tick `at` (>= now). The deferred injection
   /// event is tied to the message's ordering channel: two delayed sends on
@@ -132,8 +134,10 @@ class Network {
   /// they were scheduled, under every schedule seed. Controllers that model
   /// service time before a reply (e.g. a memory access) must use this
   /// rather than a bare simulator callback, or a schedule seed could
-  /// reorder their replies on the wire.
-  void send_at(Tick at, Message msg);
+  /// reorder their replies on the wire. The message is pooled here, once;
+  /// the injection event routes and delivers from that same slot, with the
+  /// counters and `msg-send` trace record send() would give at tick `at`.
+  void send_at(Tick at, Message&& msg);
 
   /// Ordering channel of a message: one FIFO per (src, dst, unit).
   [[nodiscard]] static std::uint64_t channel_of(const Message& m) noexcept {
@@ -231,15 +235,19 @@ class Network {
   /// type's first send, so the stats report lists exactly the types a run
   /// actually produced.
   sim::Counter& register_type_counter(MsgType t);
+  /// Injects the pooled message `pm` now: the send counters, the
+  /// `msg-send` trace record, then the local or the remote path.
+  void inject(Message* pm);
   /// Remote path: charges the remote counters, routes against the
   /// contention state, and schedules delivery. With a transport installed
   /// it hands the message over instead.
-  void route_and_deliver(Message msg, Tick send_tick);
-  /// Pools the message and schedules its delivery event at `arrive`, on
-  /// the message's ordering channel. Shared by the local path, the remote
-  /// path and the transport, whose deliveries may be held back by the
-  /// reorder buffer.
-  void schedule_delivery(Message msg, Tick arrive);
+  void route_and_deliver(Message* pm, Tick send_tick);
+  /// Schedules the delivery of pooled message `pm` at `arrive`, on its
+  /// ordering channel; the slot returns to the pool after delivery.
+  void deliver_at(Message* pm, Tick arrive);
+  /// Pools `msg` and schedules its delivery: the transport's entry point,
+  /// whose deliveries may be held back by the reorder buffer.
+  void schedule_delivery(Message&& msg, Tick arrive);
 
   std::uint32_t n_nodes_;
   std::unique_ptr<Transport> transport_;

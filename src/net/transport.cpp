@@ -98,7 +98,7 @@ void Transport::journal_push(Tick tick, sim::FaultKind kind, const Message& m,
   journal_.push_back(FaultEvent{tick, kind, m.type, m.src, m.dst, seq, attempt});
 }
 
-void Transport::on_send(Message msg, Tick send_tick) {
+void Transport::on_send(Message&& msg, Tick send_tick) {
   const std::uint64_t channel = Network::channel_of(msg);
   Link& link = links_[channel];
   const std::uint64_t seq = link.next_seq++;

@@ -56,7 +56,7 @@ class Transport {
 
   /// Serial-context entry point: takes over Network::route_and_deliver for
   /// every remote message once installed.
-  void on_send(Message msg, Tick send_tick);
+  void on_send(Message&& msg, Tick send_tick);
 
   // --- diagnosis (watchdog / chaos reports) -----------------------------
 

@@ -116,7 +116,7 @@ void DirectoryController::drain_blocked(BlockId b) {
   });
 }
 
-void DirectoryController::reply_after(Tick service, net::Message out) {
+void DirectoryController::reply_after(Tick service, net::Message&& out) {
   const Tick done = memory_.occupy(sim_.now(), service);
   net_.send_at(done, std::move(out));
 }

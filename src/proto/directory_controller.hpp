@@ -84,7 +84,7 @@ class DirectoryController {
   void drain_blocked(BlockId b);
 
   /// Charges module time (t_D [+ t_m]) and sends `out` when it elapses.
-  void reply_after(Tick service, net::Message out);
+  void reply_after(Tick service, net::Message&& out);
   /// Convenience: builds a reply skeleton to `m.src`'s cache unit.
   [[nodiscard]] net::Message reply_to(const net::Message& m, net::MsgType type) const;
 

@@ -50,7 +50,7 @@ void DirectoryController::on_write_global(const net::Message& m) {
     upd.block = m.block;
     upd.data = memory_.read_block(m.block);
     upd.dst = e.ru_list.front();
-    upd.chain.assign(e.ru_list.begin() + 1, e.ru_list.end());
+    upd.chain = net::Chain(e.ru_list.begin() + 1, e.ru_list.end());
     upd.txn = m.txn;
     upd.who = m.src;  // the last hop acks the writer
     upd.value = e.ru_version;
@@ -72,7 +72,7 @@ void DirectoryController::propagate_update(mem::DirectoryEntry& e, BlockId b, Ti
   upd.block = b;
   upd.data = memory_.read_block(b);
   upd.dst = e.ru_list.front();
-  upd.chain.assign(e.ru_list.begin() + 1, e.ru_list.end());
+  upd.chain = net::Chain(e.ru_list.begin() + 1, e.ru_list.end());
   upd.value = e.ru_version;
   net_.send_at(when, std::move(upd));
 }
@@ -177,7 +177,7 @@ void DirectoryController::on_bar_arrive(const net::Message& m) {
     rel.type = MsgType::kBarRelease;
     rel.block = m.block;
     rel.dst = e.barrier_waiters.front();
-    rel.chain.assign(e.barrier_waiters.begin() + 1, e.barrier_waiters.end());
+    rel.chain = net::Chain(e.barrier_waiters.begin() + 1, e.barrier_waiters.end());
     net_.send_at(done, std::move(rel));
   }
   e.barrier_count = 0;

@@ -223,7 +223,7 @@ void InvariantChecker::check_quiescent(const char* where) const {
   const std::uint32_t n = cfg.n_nodes;
   const Tick tick = m_.simulator().now();
   const std::uint32_t words = cfg.block_words;
-  const std::uint32_t word_mask = (words >= 32) ? ~0u : ((1u << words) - 1u);
+  const std::uint32_t word_mask = net::full_block_mask(words);
 
   // Per-node, per-block views of the distributed state.
   std::vector<std::unordered_map<BlockId, const CacheLine*>> data_lines(n);

@@ -454,6 +454,118 @@ TEST_F(NetFixture, BoundedFabricDeliversAllPairsUnderLoad) {
   }
 }
 
+// --- send_at: pooled once, injected later ---
+
+TEST(NetSendAt, DelayedSendsOnOneLinkArriveInOrderUnderEverySeed) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    sim::Simulator simulator;
+    simulator.set_schedule_seed(seed);
+    sim::StatsRegistry stats;
+    OmegaNetwork net(simulator, stats, 8, 1);
+    std::vector<std::uint64_t> order;
+    for (NodeId d = 0; d < 8; ++d) {
+      net.attach(d, Unit::kMemory, [&](const Message& m) {
+        if (m.src == 0) order.push_back(m.txn);
+      });
+    }
+    // Two delayed sends on link 0 -> 3, injected at the same tick as
+    // racing sends on other links, so a schedule seed has same-tick events
+    // to permute.
+    for (std::uint64_t txn = 1; txn <= 2; ++txn) {
+      for (NodeId src : {0u, 5u, 6u}) {
+        Message m;
+        m.src = src;
+        m.dst = 3;
+        m.unit = Unit::kMemory;
+        m.txn = txn;
+        net.send_at(5, std::move(m));
+      }
+    }
+    simulator.run();
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2})) << "schedule seed " << seed;
+  }
+}
+
+TEST_F(NetFixture, SendAtCountsAndTracesEachMessageOnceAtItsInjectionTick) {
+  IdealNetwork net(simulator, stats, 4, 3);
+  simulator.trace().enable(64);
+  std::vector<Tick> arrivals;
+  for (NodeId d = 0; d < 4; ++d) {
+    net.attach(d, Unit::kMemory, [&](const Message&) { arrivals.push_back(simulator.now()); });
+  }
+  net.send_at(10, make_msg(0, 2, MsgType::kGetX));  // remote
+  net.send_at(20, make_msg(1, 1, MsgType::kGetS));  // local
+  EXPECT_EQ(stats.counter_value("net.messages"), 0u) << "counted at injection, not before";
+  simulator.run();
+  EXPECT_EQ(arrivals, (std::vector<Tick>{13, 20 + Network::kLocalLatency}));
+  EXPECT_EQ(stats.counter_value("net.messages"), 2u);
+  EXPECT_EQ(stats.counter_value("net.data_messages"), 2u);
+  EXPECT_EQ(stats.counter_value("net.msg.GetX"), 1u);
+  EXPECT_EQ(stats.counter_value("net.msg.GetS"), 1u);
+  EXPECT_EQ(stats.counter_value("net.remote"), 1u);
+  EXPECT_EQ(stats.counter_value("net.local"), 1u);
+  std::vector<Tick> sent_at;
+  simulator.trace().for_each([&](const sim::TraceRecord& r) {
+    if (r.kind == sim::TraceKind::kMsgSend) sent_at.push_back(r.tick);
+  });
+  EXPECT_EQ(sent_at, (std::vector<Tick>{10, 20}));
+}
+
+TEST_F(NetFixture, SendAtDeliversThePayloadAndChainItWasGiven) {
+  IdealNetwork net(simulator, stats, 4, 2);
+  Message got;
+  net.attach(2, Unit::kCache, [&](const Message& m) { got = m; });
+  Message m = make_msg(0, 2, MsgType::kRuUpdate);
+  m.unit = Unit::kCache;
+  m.data.count = 3;
+  m.data.words[0] = 11;
+  m.data.words[1] = 22;
+  m.data.words[2] = 33;
+  const std::vector<NodeId> rest{3, 1};
+  m.chain = Chain(rest.begin(), rest.end());
+  net.send_at(4, std::move(m));
+  simulator.run();
+  ASSERT_EQ(got.data.count, 3u);
+  EXPECT_EQ(got.data[0], 11u);
+  EXPECT_EQ(got.data[1], 22u);
+  EXPECT_EQ(got.data[2], 33u);
+  ASSERT_FALSE(got.chain.empty());
+  EXPECT_EQ(got.chain.front(), 3u);
+  got.chain.pop_front();
+  EXPECT_EQ(got.chain.front(), 1u);
+}
+
+TEST(BlockData, CopiesCarryTheValidWords) {
+  BlockData a;
+  a.count = 3;
+  a.words[0] = 1;
+  a.words[1] = 2;
+  a.words[2] = 3;
+  const BlockData b = a;
+  BlockData c;
+  c = b;
+  for (const BlockData& d : {b, c}) {
+    ASSERT_EQ(d.count, 3u);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(d[i], a[i]);
+  }
+  EXPECT_TRUE(BlockData{}.empty());
+}
+
+TEST(Chain, HopsShareOneSnapshotAndAdvanceTheirOwnIndex) {
+  const std::vector<NodeId> list{4, 7, 9};
+  const Chain chain(list.begin(), list.end());
+  Chain hop = chain;  // what a forwarding cache does with its copy
+  hop.pop_front();
+  EXPECT_EQ(chain.front(), 4u) << "a hop must not advance the chain it copied";
+  EXPECT_EQ(hop.front(), 7u);
+  hop.pop_front();
+  EXPECT_EQ(hop.front(), 9u);
+  hop.pop_front();
+  EXPECT_TRUE(hop.empty());
+  EXPECT_TRUE(Chain(list.end(), list.end()).empty());
+  EXPECT_TRUE(Chain{}.empty());
+}
+
 TEST_F(NetFixture, FabricReportNamesTheBackpressuredPort) {
   OmegaNetwork bounded(simulator, stats, 4, 1, 1);
   std::vector<Tick> arrivals;

@@ -409,7 +409,10 @@ void apply(HarnessOptions& o, const Knob& k, const std::string& text) {
 std::string render(const HarnessOptions& o, const Knob& k) {
   const auto join = [](const auto& list, auto name) {
     std::string s;
-    for (const auto& item : list) s += (s.empty() ? "" : ",") + std::string(name(item));
+    for (const auto& item : list) {
+      if (!s.empty()) s += ',';
+      s += name(item);
+    }
     return s;
   };
   return std::visit(
