@@ -35,7 +35,7 @@ double barrier_phases(const core::MachineConfig& cfg, core::BarrierImpl impl, in
     }
   } prog{*bar, phases};
   for (NodeId i = 0; i < m.n_nodes(); ++i) m.spawn(prog(m.processor(i)));
-  return static_cast<double>(m.run(2'000'000'000ULL)) / phases;
+  return static_cast<double>(run_machine(m, 2'000'000'000ULL)) / phases;
 }
 
 }  // namespace

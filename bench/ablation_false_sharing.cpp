@@ -32,7 +32,7 @@ Run solver_run(const core::MachineConfig& cfg) {
   sc.separate_x_blocks = false;  // colocated: the false-sharing layout
   workload::LinearSolverWorkload w(m, sc);
   w.spawn_all(m);
-  const Tick t = m.run(1'000'000'000ULL);
+  const Tick t = run_machine(m, 1'000'000'000ULL);
   return {static_cast<double>(t), static_cast<double>(m.stats().counter_value("net.flits"))};
 }
 

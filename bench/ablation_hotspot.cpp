@@ -45,7 +45,7 @@ Result rmw_storm(std::uint32_t n, bool hot, int ops_per_proc) {
     }
   } prog{hot, ops_per_proc, n};
   for (NodeId i = 0; i < n; ++i) m.spawn(prog(m.processor(i)));
-  const Tick t = m.run(2'000'000'000ULL);
+  const Tick t = run_machine(m, 2'000'000'000ULL);
   return {static_cast<double>(t),
           static_cast<double>(m.stats().counter_value("net.contention_cycles"))};
 }

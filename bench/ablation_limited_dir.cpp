@@ -35,7 +35,7 @@ Result run_limit(std::uint32_t n, std::uint32_t limit) {
   sc.cells_per_proc = 8;
   workload::StencilWorkload w(m, sc);
   w.spawn_all(m);
-  const Tick t = m.run(2'000'000'000ULL);
+  const Tick t = run_machine(m, 2'000'000'000ULL);
   return {static_cast<double>(t),
           static_cast<double>(m.stats().counter_value("dir.invs")),
           static_cast<double>(m.stats().counter_value("dir.broadcast_invalidations"))};

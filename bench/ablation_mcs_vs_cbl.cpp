@@ -40,7 +40,7 @@ double contended_locks(const core::MachineConfig& cfg, int iters) {
     }
   } prog{*mtx, counter, iters};
   for (NodeId i = 0; i < m.n_nodes(); ++i) m.spawn(prog(m.processor(i)));
-  return static_cast<double>(m.run(2'000'000'000ULL));
+  return static_cast<double>(run_machine(m, 2'000'000'000ULL));
 }
 
 core::MachineConfig cfg_for(LockImpl impl, std::uint32_t n) {

@@ -39,7 +39,7 @@ double write_burst(std::size_t buffer_entries, bool sequential) {
     }
   } prog;
   for (NodeId i = 0; i < m.n_nodes(); ++i) m.spawn(prog(m.processor(i)));
-  return static_cast<double>(m.run(2'000'000'000ULL));
+  return static_cast<double>(run_machine(m, 2'000'000'000ULL));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,18 @@ inline core::MachineConfig paper_machine(std::uint32_t n, core::Consistency c) {
   return cfg;
 }
 
+/// Runs `m` to completion. With the watchdog off, Machine::run returns
+/// quietly when the event queue drains before every program finished, so
+/// a stuck run would print its deadlock tick as a completion time; it
+/// throws here instead and fails the binary.
+inline Tick run_machine(core::Machine& m, Tick budget) {
+  const Tick t = m.run(budget);
+  if (!m.all_done()) {
+    throw std::runtime_error("bench: programs stuck at tick " + std::to_string(t));
+  }
+  return t;
+}
+
 struct RunResult {
   Tick completion = 0;
   std::uint64_t messages = 0;
@@ -68,7 +81,7 @@ inline RunResult run_work_queue(const core::MachineConfig& cfg,
   workload::WorkQueueWorkload w(m, wq);
   w.spawn_all(m);
   RunResult r;
-  r.completion = m.run(budget);
+  r.completion = run_machine(m, budget);
   r.messages = m.stats().counter_value("net.messages");
   r.contention_cycles = m.stats().counter_value("net.contention_cycles");
   return r;
@@ -82,7 +95,7 @@ inline RunResult run_sync_model(const core::MachineConfig& cfg,
   workload::SyncModelWorkload w(m, sm);
   w.spawn_all(m);
   RunResult r;
-  r.completion = m.run(budget);
+  r.completion = run_machine(m, budget);
   r.messages = m.stats().counter_value("net.messages");
   r.contention_cycles = m.stats().counter_value("net.contention_cycles");
   return r;

@@ -38,7 +38,7 @@ SolverRun run_solver(const core::MachineConfig& cfg, bool separate_x) {
     sc.separate_x_blocks = separate_x;
     workload::LinearSolverWorkload w(m, sc);
     w.spawn_all(m);
-    const Tick t = m.run(1'000'000'000ULL);
+    const Tick t = run_machine(m, 1'000'000'000ULL);
     return std::tuple{m.stats().counter_value("net.messages"),
                       m.stats().counter_value("net.flits"),
                       m.stats().counter_value("cache.hits"),

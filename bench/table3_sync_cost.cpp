@@ -43,7 +43,7 @@ Measured parallel_lock(const core::MachineConfig& cfg, Tick t_cs) {
     }
   } prog{*mtx, t_cs};
   for (NodeId i = 0; i < m.n_nodes(); ++i) m.spawn(prog(m.processor(i)));
-  const Tick t = m.run(2'000'000'000ULL);
+  const Tick t = run_machine(m, 2'000'000'000ULL);
   return {static_cast<double>(m.stats().counter_value("net.messages")),
           static_cast<double>(t)};
 }
@@ -67,7 +67,7 @@ Measured serial_lock(const core::MachineConfig& cfg, Tick t_cs, int reps = 16) {
     }
   } prog{*mtx, t_cs, reps};
   m.spawn(prog(m.processor(0)));
-  const Tick t = m.run(2'000'000'000ULL);
+  const Tick t = run_machine(m, 2'000'000'000ULL);
   return {static_cast<double>(m.stats().counter_value("net.messages")) / reps,
           static_cast<double>(t) / reps};
 }
@@ -83,7 +83,7 @@ Measured barrier_once(const core::MachineConfig& cfg) {
     sim::Task operator()(Processor& p) const { co_await bar.wait(p); }
   } prog{*bar};
   for (NodeId i = 0; i < m.n_nodes(); ++i) m.spawn(prog(m.processor(i)));
-  const Tick t = m.run(2'000'000'000ULL);
+  const Tick t = run_machine(m, 2'000'000'000ULL);
   return {static_cast<double>(m.stats().counter_value("net.messages")),
           static_cast<double>(t)};
 }

@@ -4,6 +4,8 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/log.hpp"
 
@@ -36,8 +38,9 @@ CacheController::CacheController(NodeId node, sim::Simulator& simulator, net::Ne
 }
 
 bool CacheController::quiescent() const noexcept {
-  return !mshr_.active && wbuf_.empty() && write_acks_.empty() && lock_cbs_.empty() &&
-         barrier_cbs_.empty() && lock_release_inflight_ == 0;
+  const bool in_protocol = op_.wait == Wait::kMiss || op_.wait == Wait::kWriteAck ||
+                           op_.wait == Wait::kLockGrant || op_.wait == Wait::kBarrier;
+  return !in_protocol && wbuf_.empty() && lock_release_inflight_ == 0;
 }
 
 void CacheController::on_message(const net::Message& m) {
@@ -49,7 +52,7 @@ void CacheController::on_message(const net::Message& m) {
       on_data(m);
       break;
     case MsgType::kInvAck:
-      assert(mshr_.active && mshr_.block == m.block);
+      assert(op_.wait == Wait::kMiss && op_.block == m.block);
       ++mshr_.acks_got;
       finish_wbi_txn();
       break;
@@ -61,11 +64,8 @@ void CacheController::on_message(const net::Message& m) {
     case MsgType::kWriteGlobalAck: {
       sim_.trace().wb_event(sim::TraceKind::kWbRetire, sim_.now(), node_, m.txn);
       wbuf_.retire();
-      if (auto it = write_acks_.find(m.txn); it != write_acks_.end()) {
-        Cb cb = std::move(it->second);
-        write_acks_.erase(it);
-        cb(Response{});
-      }
+      // Under SC the processor waits on its one unretired write: this one.
+      if (op_.wait == Wait::kWriteAck) finish(0);
       break;
     }
     case MsgType::kReadUpdateData: on_ru_data(m); break;
@@ -104,14 +104,40 @@ void CacheController::on_message(const net::Message& m) {
 // helpers
 // ---------------------------------------------------------------------------
 
-void CacheController::complete(Cb& cb, Word value, Tick latency) {
-  sim_.schedule(latency, [cb = std::move(cb), value] { cb(Response{value}); });
+void CacheController::begin(PrimitiveOp op, Addr a) {
+  if (op_.wait != Wait::kNone) {
+    throw std::logic_error("node " + std::to_string(node_) + ": " +
+                           std::string(to_string(op)) + " issued while " +
+                           std::string(to_string(op_.op)) +
+                           " is outstanding (one program per processor)");
+  }
+  op_.op = op;
+  op_.block = amap_.block_of(a);
+  op_.addr = a;
+  op_.issued_at = sim_.now();
 }
 
-void CacheController::complete_timed(Cb& cb, Word value, Tick issued_at,
-                                     std::string_view histogram) {
-  stats_.histogram(histogram).record(sim_.now() - issued_at);
-  sim_.schedule(0, [cb = std::move(cb), value] { cb(Response{value}); });
+void CacheController::begin_miss(net::MsgType kind) {
+  mshr_ = Mshr{};
+  mshr_.kind = kind;
+  op_.wait = Wait::kMiss;
+}
+
+void CacheController::complete(Word value, Tick latency) {
+  op_.wait = Wait::kEvent;
+  sim_.schedule(latency, [this, value] { finish(value); });
+}
+
+void CacheController::complete_timed(Word value, std::string_view histogram) {
+  stats_.histogram(histogram).record(sim_.now() - op_.issued_at);
+  complete(value, 0);
+}
+
+void CacheController::finish(Word value) {
+  op_.wait = Wait::kNone;
+  op_.result = value;
+  ++retired_;
+  if (auto h = std::exchange(op_.waiter, nullptr)) h.resume();
 }
 
 void CacheController::send(net::Message&& m) { net_.send(std::move(m)); }
@@ -174,62 +200,53 @@ void CacheController::evict(cache::CacheLine& victim) {
 }
 
 void CacheController::fire_line_change(BlockId b) {
-  auto it = change_waiters_.find(b);
-  if (it == change_waiters_.end()) return;
-  auto waiters = std::move(it->second);
-  change_waiters_.erase(it);
-  for (auto& w : waiters) w();
+  if (op_.wait == Wait::kChange && op_.block == b) finish(0);
 }
 
-void CacheController::wait_line_change(Addr a, std::function<void()> cb) {
-  change_waiters_[amap_.block_of(a)].push_back(std::move(cb));
+void CacheController::wait_line_change(Addr a) {
+  begin(PrimitiveOp::kWaitLine, a);
+  op_.wait = Wait::kChange;
 }
 
-void CacheController::wait_word_change(Addr a, Word last_seen, std::function<void()> cb) {
-  const BlockId b = amap_.block_of(a);
-  const CacheLine* line = cache_.find(b);
+void CacheController::wait_word_change(Addr a, Word last_seen) {
+  begin(PrimitiveOp::kWaitWord, a);
+  const CacheLine* line = cache_.find(op_.block);
   if (line == nullptr || line->data[amap_.word_of(a)] != last_seen) {
     // Already changed (or invalidated) since the caller's last read: wake
     // immediately — waiting would risk missing the final wakeup.
-    sim_.schedule(0, std::move(cb));
+    complete(0, 0);
     return;
   }
-  change_waiters_[b].push_back(std::move(cb));
+  op_.wait = Wait::kChange;
 }
 
 // ---------------------------------------------------------------------------
 // READ / WRITE (semantics depend on the data protocol)
 // ---------------------------------------------------------------------------
 
-void CacheController::op_read(Addr a, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_read(Addr a) {
+  begin(PrimitiveOp::kRead, a);
+  const BlockId b = op_.block;
   const std::uint32_t w = amap_.word_of(a);
   // Lock-carried data: reads inside a critical section hit the lock line.
   if (CacheLine* ll = lock_cache_.find(b); ll && ll->holds_lock()) {
     stats_.counter("cache.hits").add();
-    complete(cb, ll->data[w], kHitLatency);
+    complete(ll->data[w], kHitLatency);
     return;
   }
   if (CacheLine* line = cache_.find(b)) {
     stats_.counter("cache.hits").add();
     cache_.touch(*line, sim_.now());
-    complete(cb, line->data[w], kHitLatency);
+    complete(line->data[w], kHitLatency);
     return;
   }
   stats_.counter("cache.misses").add();
-  assert(!mshr_.active && "one outstanding demand op per processor");
-  mshr_ = Mshr{};
-  mshr_.active = true;
-  mshr_.issued_at = sim_.now();
-  mshr_.block = b;
-  mshr_.addr = a;
-  mshr_.cb = std::move(cb);
   if (config_.data_protocol == DataProtocol::kWbi) {
-    mshr_.kind = MsgType::kGetS;
+    begin_miss(MsgType::kGetS);
     send(make(MsgType::kGetS, b));
   } else {
     // Uniprocessor-style fill: fetch the block with no coherence state.
-    mshr_.kind = MsgType::kReadGlobal;
+    begin_miss(MsgType::kReadGlobal);
     auto m = make(MsgType::kReadGlobal, b);
     m.addr = a;
     m.aux = 1;  // whole block
@@ -237,8 +254,10 @@ void CacheController::op_read(Addr a, Cb cb) {
   }
 }
 
-void CacheController::op_write(Addr a, Word v, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_write(Addr a, Word v) {
+  begin(PrimitiveOp::kWrite, a);
+  op_.value = v;
+  const BlockId b = op_.block;
   const std::uint32_t w = amap_.word_of(a);
   if (CacheLine* ll = lock_cache_.find(b); ll && ll->holds_lock()) {
     // Write under the lock: modify the lock-carried line; the final unlock
@@ -248,7 +267,7 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
     ll->dirty_mask |= 1u << w;
     ll->memory_stale = true;
     stats_.counter("cache.hits").add();
-    complete(cb, v, kHitLatency);
+    complete(v, kHitLatency);
     return;
   }
   CacheLine* line = cache_.find(b);
@@ -259,20 +278,11 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
       line->dirty_mask |= 1u << w;
       cache_.touch(*line, sim_.now());
       stats_.counter("cache.hits").add();
-      complete(cb, v, kHitLatency);
+      complete(v, kHitLatency);
       return;
     }
     stats_.counter("cache.misses").add();
-    assert(!mshr_.active);
-    mshr_ = Mshr{};
-    mshr_.active = true;
-    mshr_.issued_at = sim_.now();
-    mshr_.kind = MsgType::kReadGlobal;
-    mshr_.block = b;
-    mshr_.addr = a;
-    mshr_.wval = v;
-    mshr_.local_write = true;
-    mshr_.cb = std::move(cb);
+    begin_miss(MsgType::kReadGlobal);
     auto m = make(MsgType::kReadGlobal, b);
     m.addr = a;
     m.aux = 1;  // whole block (write-allocate fill)
@@ -285,88 +295,72 @@ void CacheController::op_write(Addr a, Word v, Cb cb) {
     line->dirty_mask |= 1u << w;
     cache_.touch(*line, sim_.now());
     stats_.counter("cache.hits").add();
-    complete(cb, v, kHitLatency);
+    complete(v, kHitLatency);
     return;
   }
   stats_.counter(line ? "cache.upgrades" : "cache.misses").add();
-  assert(!mshr_.active);
-  mshr_ = Mshr{};
-  mshr_.active = true;
-  mshr_.issued_at = sim_.now();
-  mshr_.kind = MsgType::kGetX;
-  mshr_.block = b;
-  mshr_.addr = a;
-  mshr_.wval = v;
-  mshr_.cb = std::move(cb);
+  begin_miss(MsgType::kGetX);
   send(make(MsgType::kGetX, b));
 }
 
-void CacheController::op_read_global(Addr a, Cb cb) {
-  const BlockId b = amap_.block_of(a);
-  assert(!mshr_.active);
-  mshr_ = Mshr{};
-  mshr_.active = true;
-  mshr_.issued_at = sim_.now();
-  mshr_.kind = MsgType::kReadGlobal;
-  mshr_.block = b;
-  mshr_.addr = a;
-  mshr_.cb = std::move(cb);
-  auto m = make(MsgType::kReadGlobal, b);
+void CacheController::op_read_global(Addr a) {
+  begin(PrimitiveOp::kReadGlobal, a);
+  begin_miss(MsgType::kReadGlobal);
+  auto m = make(MsgType::kReadGlobal, op_.block);
   m.addr = a;
   m.aux = 0;  // single word, bypass cache (paper Table 1)
   send(std::move(m));
   stats_.counter("cache.read_global").add();
 }
 
-void CacheController::op_write_global(Addr a, Word v, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_write_global(Addr a, Word v) {
+  begin(PrimitiveOp::kWriteGlobal, a);
+  op_.value = v;
   const std::uint32_t w = amap_.word_of(a);
   stats_.counter("cache.write_global").add();
   // Keep the local copy coherent with what memory will hold; the word is
   // not marked dirty (memory is receiving it).
-  if (CacheLine* line = cache_.find(b)) {
+  if (CacheLine* line = cache_.find(op_.block)) {
     line->data[w] = v;
     line->dirty_mask &= ~(1u << w);
   }
-  auto issue = [this, a, b, v, cb = std::move(cb)]() mutable {
-    const std::uint64_t txn = wbuf_.enter();
-    sim_.trace().wb_event(sim::TraceKind::kWbEnter, sim_.now(), node_, txn);
-    auto m = make(MsgType::kWriteGlobal, b);
-    m.addr = a;
-    m.value = v;
-    m.txn = txn;
-    send(std::move(m));
-    if (config_.consistency == Consistency::kSequential) {
-      // SC: the processor stalls until the write is globally performed.
-      write_acks_.emplace(txn, std::move(cb));
-    } else {
-      // BC: the write buffer absorbs it; the processor continues.
-      complete(cb, v, kHitLatency);
-    }
-  };
   // A bounded write buffer applies backpressure when full.
-  wbuf_.on_slot(std::move(issue));
+  op_.wait = Wait::kWriteSlot;
+  wbuf_.on_slot([this] { enter_global_write(); });
 }
 
-void CacheController::op_flush_buffer(Cb cb) {
+void CacheController::enter_global_write() {
+  const std::uint64_t txn = wbuf_.enter();
+  sim_.trace().wb_event(sim::TraceKind::kWbEnter, sim_.now(), node_, txn);
+  auto m = make(MsgType::kWriteGlobal, op_.block);
+  m.addr = op_.addr;
+  m.value = op_.value;
+  m.txn = txn;
+  send(std::move(m));
+  if (config_.consistency == Consistency::kSequential) {
+    // SC: the processor stalls until the write is globally performed.
+    op_.wait = Wait::kWriteAck;
+  } else {
+    // BC: the write buffer absorbs it; the processor continues.
+    complete(op_.value, kHitLatency);
+  }
+}
+
+void CacheController::op_flush_buffer() {
+  begin(PrimitiveOp::kFlushBuffer, 0);
   stats_.counter("cache.flush_buffer").add();
   sim_.trace().wb_event(sim::TraceKind::kWbFlushReq, sim_.now(), node_, wbuf_.pending());
-  wbuf_.on_drained([this, cb = std::move(cb)]() mutable {
+  op_.wait = Wait::kFlush;
+  wbuf_.on_drained([this] {
     sim_.trace().wb_event(sim::TraceKind::kWbFlushDone, sim_.now(), node_, wbuf_.pending());
-    complete(cb, 0, kHitLatency);
+    complete(0, kHitLatency);
   });
 }
 
-void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Cb cb, Word operand2) {
-  const BlockId b = amap_.block_of(a);
-  assert(!mshr_.active);
-  mshr_ = Mshr{};
-  mshr_.active = true;
-  mshr_.issued_at = sim_.now();
-  mshr_.kind = MsgType::kRmw;
-  mshr_.block = b;
-  mshr_.addr = a;
-  mshr_.cb = std::move(cb);
+void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Word operand2) {
+  begin(rmw_primitive(op), a);
+  const BlockId b = op_.block;
+  begin_miss(MsgType::kRmw);
   auto m = make(MsgType::kRmw, b);
   m.addr = a;
   m.value = operand;
@@ -382,61 +376,60 @@ void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Cb cb, Word op
 // ---------------------------------------------------------------------------
 
 void CacheController::on_data(const net::Message& m) {
-  assert(mshr_.active && mshr_.block == m.block);
+  assert(op_.wait == Wait::kMiss && op_.block == m.block);
   mshr_.data_ok = true;
   mshr_.data = m.data;
   if (m.type == MsgType::kDataX) {
     mshr_.acks_needed = static_cast<std::uint32_t>(m.value);
   } else if (m.type == MsgType::kRmwAck || m.type == MsgType::kReadGlobalAck) {
-    mshr_.result = m.value;
+    op_.result = m.value;
   }
   finish_wbi_txn();
 }
 
 void CacheController::finish_wbi_txn() {
-  if (!mshr_.active || !mshr_.data_ok || mshr_.acks_got < mshr_.acks_needed) return;
-  Mshr done = std::move(mshr_);
-  mshr_ = Mshr{};
-  const std::uint32_t w = amap_.word_of(done.addr);
+  if (op_.wait != Wait::kMiss || !mshr_.data_ok || mshr_.acks_got < mshr_.acks_needed) return;
+  const BlockId b = op_.block;
+  const std::uint32_t w = amap_.word_of(op_.addr);
   // Pre-install MSI state for the transition trace (upgrade vs fill).
-  const CacheLine* prior = cache_.find(done.block);
+  const CacheLine* prior = cache_.find(b);
   const auto old_msi = static_cast<std::uint8_t>(prior ? prior->msi : MsiState::kInvalid);
-  switch (done.kind) {
+  switch (mshr_.kind) {
     case MsgType::kGetS: {
-      CacheLine& line = install_line(done.block, done.data);
+      CacheLine& line = install_line(b, mshr_.data);
       line.msi = MsiState::kShared;
-      sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, done.block,
-                               old_msi, static_cast<std::uint8_t>(MsiState::kShared));
-      complete_timed(done.cb, line.data[w], done.issued_at, "lat.read_miss");
+      sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, b, old_msi,
+                               static_cast<std::uint8_t>(MsiState::kShared));
+      complete_timed(line.data[w], "lat.read_miss");
       break;
     }
     case MsgType::kGetX: {
-      CacheLine& line = install_line(done.block, done.data);
+      CacheLine& line = install_line(b, mshr_.data);
       line.msi = MsiState::kModified;
-      sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, done.block,
-                               old_msi, static_cast<std::uint8_t>(MsiState::kModified));
-      line.data[w] = done.wval;
+      sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, b, old_msi,
+                               static_cast<std::uint8_t>(MsiState::kModified));
+      line.data[w] = op_.value;
       line.dirty_mask |= 1u << w;
-      complete_timed(done.cb, done.wval, done.issued_at, "lat.write_miss");
+      complete_timed(op_.value, "lat.write_miss");
       break;
     }
     case MsgType::kRmw:
-      complete_timed(done.cb, done.result, done.issued_at, "lat.rmw");
+      complete_timed(op_.result, "lat.rmw");
       break;
     case MsgType::kReadGlobal: {
-      if (done.data.count > 0) {
+      if (mshr_.data.count > 0) {
         // Block fill for a local (uniprocessor-style) read or write miss.
-        CacheLine& line = install_line(done.block, done.data);
-        if (done.local_write) {
-          line.data[w] = done.wval;
+        CacheLine& line = install_line(b, mshr_.data);
+        if (op_.op == PrimitiveOp::kWrite) {
+          line.data[w] = op_.value;
           line.dirty_mask |= 1u << w;
-          complete_timed(done.cb, done.wval, done.issued_at, "lat.write_miss");
+          complete_timed(op_.value, "lat.write_miss");
         } else {
-          complete_timed(done.cb, line.data[w], done.issued_at, "lat.read_miss");
+          complete_timed(line.data[w], "lat.read_miss");
         }
       } else {
         // READ-GLOBAL proper: a single word, bypassing the cache.
-        complete_timed(done.cb, done.result, done.issued_at, "lat.read_global");
+        complete_timed(op_.result, "lat.read_global");
       }
       break;
     }
@@ -445,9 +438,7 @@ void CacheController::finish_wbi_txn() {
   }
   // A recall that arrived mid-transaction is serviced now, after the
   // pending store has been performed.
-  if (done.recall_pending) {
-    perform_recall(cache_.find(done.block), done.recall_aux);
-  }
+  if (mshr_.recall_pending) perform_recall(cache_.find(b), mshr_.recall_aux);
 }
 
 void CacheController::on_inv(const net::Message& m) {
@@ -473,7 +464,7 @@ void CacheController::on_inv(const net::Message& m) {
 
 void CacheController::on_recall(const net::Message& m) {
   CacheLine* line = cache_.find(m.block);
-  if (mshr_.active && mshr_.block == m.block && mshr_.kind == MsgType::kGetX) {
+  if (op_.wait == Wait::kMiss && op_.block == m.block && mshr_.kind == MsgType::kGetX) {
     // Ownership acquisition in flight for this very block (the directory
     // granted us exclusivity and then processed another request): defer
     // until the pending store completes. Only GetX defers — an

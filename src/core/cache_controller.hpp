@@ -1,9 +1,9 @@
 // Node-side protocol engine: implements the processor-cache interface of
 // paper Table 1 on top of the cache, write buffer, and lock cache.
 //
-// The controller exposes callback-style operations (the Processor wraps
-// them into coroutine awaitables). Semantics of READ/WRITE depend on the
-// configured data protocol:
+// The Processor issues each operation through an op_* call and awaits it
+// through OpAwaiter. Semantics of READ/WRITE depend on the configured data
+// protocol:
 //   * WBI: READ/WRITE are the coherent MSI operations (GetS/GetX,
 //     invalidation acks collected at the requester, recalls deferred while
 //     a transaction is in flight).
@@ -15,24 +15,28 @@
 // CBL lock lines live in the small fully-associative lock cache and carry
 // the distributed queue pointers.
 //
-// Concurrency discipline: each processor issues at most one outstanding
-// demand operation (enforced by its sequential coroutine), so a single
-// MSHR suffices; global writes ride the write buffer concurrently, and
-// lock-release protocols complete asynchronously after unlock() returns
-// (the paper: "the unlocking processor is allowed to continue its
-// computation immediately").
+// Concurrency discipline: a processor has at most one operation
+// outstanding. Every Table 1 primitive waits for its result; a BC
+// WRITE-GLOBAL waits only for a write-buffer slot, and UNLOCK returns at
+// once (paper 4.2, 4.3). The controller keeps that operation in one
+// record, OutstandingOp: what it waits on, the block, address, value and
+// lock mode it needs, its result, and the coroutine suspended on it. Each
+// op_* call fills the record; exactly one completion site empties it and
+// resumes the coroutine. Issuing while the record is busy (two programs on
+// one processor) throws std::logic_error. Buffered global writes and
+// lock-release protocols keep running after their operation completed;
+// neither holds the record.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/lock_cache.hpp"
 #include "cache/write_buffer.hpp"
 #include "core/config.hpp"
+#include "core/primitives.hpp"
 #include "mem/address.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -40,13 +44,56 @@
 
 namespace bcsim::core {
 
+/// The processor's one outstanding operation: the bookkeeping a hardware
+/// MSHR holds (DESIGN.md section 4, "A processor operation's life").
+struct OutstandingOp {
+  /// What the operation waits on; kNone when the processor has none.
+  enum class Wait : std::uint8_t {
+    kNone,
+    kEvent,      ///< its completion event is scheduled
+    kMiss,       ///< a demand miss or uncached request (CacheController's MSHR)
+    kWriteAck,   ///< SC WRITE-GLOBAL: the write's acknowledgment
+    kLockGrant,  ///< the lock grant, shared grant or handoff
+    kBarrier,    ///< the barrier release
+    kLockLine,   ///< the block's previous lock line leaving the lock cache
+    kChange,     ///< the cached line or word changing
+    kWriteSlot,  ///< a write-buffer slot
+    kLockSlot,   ///< a lock-cache slot
+    kFlush,      ///< the global writes entered before it retiring
+  };
+
+  Wait wait = Wait::kNone;
+  PrimitiveOp op = PrimitiveOp::kRead;  ///< what was issued (diagnostics)
+  net::LockMode mode = net::LockMode::kWrite;
+  BlockId block = 0;
+  Addr addr = 0;
+  Word value = 0;      ///< the word a store writes
+  Word result = 0;     ///< what co_await returns
+  Tick issued_at = 0;  ///< start tick of its latency histogram
+  std::coroutine_handle<> waiter{};
+};
+
+/// The primitive an RMW is issued, hooked and reported as.
+[[nodiscard]] constexpr PrimitiveOp rmw_primitive(net::RmwOp op) noexcept {
+  switch (op) {
+    case net::RmwOp::kTestAndSet: return PrimitiveOp::kTestAndSet;
+    case net::RmwOp::kFetchAdd: return PrimitiveOp::kFetchAdd;
+    case net::RmwOp::kSwap: return PrimitiveOp::kSwap;
+    case net::RmwOp::kCompareSwap: return PrimitiveOp::kCompareSwap;
+  }
+  return PrimitiveOp::kRmw;
+}
+
+/// What co_await on a Processor primitive suspends on: the record itself.
+struct OpAwaiter {
+  OutstandingOp* op;
+  bool await_ready() const noexcept { return op->wait == OutstandingOp::Wait::kNone; }
+  void await_suspend(std::coroutine_handle<> h) const noexcept { op->waiter = h; }
+  Word await_resume() const noexcept { return op->result; }
+};
+
 class CacheController {
  public:
-  struct Response {
-    Word value = 0;
-  };
-  using Cb = std::function<void(Response)>;
-
   CacheController(NodeId node, sim::Simulator& simulator, net::Network& network,
                   const mem::AddressMap& amap, const MachineConfig& config,
                   sim::StatsRegistry& stats);
@@ -55,32 +102,36 @@ class CacheController {
   void on_message(const net::Message& m);
 
   // ---- Table 1 primitives (plus RMW for the software-lock baselines) ----
-  void op_read(Addr a, Cb cb);
-  void op_write(Addr a, Word v, Cb cb);
-  void op_read_global(Addr a, Cb cb);
-  void op_write_global(Addr a, Word v, Cb cb);
-  void op_read_update(Addr a, Cb cb);
-  void op_reset_update(Addr a, Cb cb);
-  void op_flush_buffer(Cb cb);
-  void op_lock(Addr a, net::LockMode mode, Cb cb);
-  void op_unlock(Addr a, Cb cb);
-  void op_rmw(Addr a, net::RmwOp op, Word operand, Cb cb, Word operand2 = 0);
+  // Each fills the record (throwing if it is busy) and returns; awaiter()
+  // then suspends the processor until the record completes.
+  void op_read(Addr a);
+  void op_write(Addr a, Word v);
+  void op_read_global(Addr a);
+  void op_write_global(Addr a, Word v);
+  void op_read_update(Addr a);
+  void op_reset_update(Addr a);
+  void op_flush_buffer();
+  void op_lock(Addr a, net::LockMode mode);
+  void op_unlock(Addr a);
+  void op_rmw(Addr a, net::RmwOp op, Word operand, Word operand2 = 0);
   /// CBL barrier arrival: fetch-increment of the barrier word at its home
   /// memory; completes when the barrier releases.
-  void op_barrier(Addr a, std::uint32_t participants, Cb cb);
+  void op_barrier(Addr a, std::uint32_t participants);
 
-  /// Spin-wait assist: fires when the block's cached contents change or
+  /// Spin-wait assist: completes when the block's cached contents change or
   /// vanish (invalidation, read-update delivery, lock handoff). Spinning on
   /// a cache hit costs no simulated events, which is timing-accurate:
   /// cache-hit spins generate no network traffic.
-  void wait_line_change(Addr a, std::function<void()> cb);
+  void wait_line_change(Addr a);
 
-  /// Race-free spin building block: fires immediately if the cached word
+  /// Race-free spin building block: completes at once if the cached word
   /// at `a` already differs from `last_seen` (or the line is gone),
   /// otherwise when it next changes. Registration and the check happen in
   /// the same event, closing the lost-wakeup window between a spin read
   /// and the wait.
-  void wait_word_change(Addr a, Word last_seen, std::function<void()> cb);
+  void wait_word_change(Addr a, Word last_seen);
+
+  [[nodiscard]] OpAwaiter awaiter() noexcept { return OpAwaiter{&op_}; }
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] const cache::Cache& data_cache() const noexcept { return cache_; }
@@ -96,67 +147,63 @@ class CacheController {
   [[nodiscard]] cache::WriteBuffer& mutable_write_buffer() noexcept { return wbuf_; }
 
   /// True when no transaction, buffered write, or lock-protocol activity
-  /// is outstanding (used by tests to assert quiescence).
+  /// is outstanding (used by tests to assert quiescence). A processor
+  /// parked on a local condition (a line change, a free lock line or
+  /// lock-cache slot) does not count.
   [[nodiscard]] bool quiescent() const noexcept;
+
+  /// Completed operations (not compute delays); Processor::ops_retired.
+  [[nodiscard]] std::uint64_t ops_retired() const noexcept { return retired_; }
 
   // ---- liveness introspection (core/watchdog.hpp) ----
   // Read-only views of what this node is currently blocked on; the
   // watchdog's wait-for graph is assembled from these plus the directory
-  // entries. All are cheap.
-  [[nodiscard]] bool has_pending_miss() const noexcept { return mshr_.active; }
-  [[nodiscard]] BlockId pending_miss_block() const noexcept { return mshr_.block; }
+  // entries.
+  [[nodiscard]] const OutstandingOp& outstanding() const noexcept { return op_; }
+  /// Request type of the demand miss (meaningful while outstanding() waits
+  /// on kMiss).
   [[nodiscard]] net::MsgType pending_miss_kind() const noexcept { return mshr_.kind; }
-  [[nodiscard]] std::vector<BlockId> pending_lock_blocks() const {
-    std::vector<BlockId> out;
-    out.reserve(lock_cbs_.size());
-    for (const auto& [b, lp] : lock_cbs_) out.push_back(b);
-    return out;
-  }
-  [[nodiscard]] std::vector<BlockId> pending_barrier_blocks() const {
-    std::vector<BlockId> out;
-    out.reserve(barrier_cbs_.size());
-    for (const auto& [b, cb] : barrier_cbs_) out.push_back(b);
-    return out;
-  }
-  [[nodiscard]] std::size_t pending_write_acks() const noexcept { return write_acks_.size(); }
   [[nodiscard]] std::uint32_t lock_release_inflight() const noexcept {
     return lock_release_inflight_;
   }
 
  private:
+  using Wait = OutstandingOp::Wait;
   static constexpr Tick kHitLatency = 1;
 
-  /// Miss status holding register: the single outstanding demand
-  /// transaction.
+  /// Miss status holding register: the protocol state of the record's
+  /// demand miss, live while the record waits on kMiss.
   struct Mshr {
-    bool active = false;
     net::MsgType kind = net::MsgType::kGetS;  ///< request type sent
-    BlockId block = 0;
-    Addr addr = 0;
-    Word wval = 0;               ///< value for a pending store
-    Word result = 0;             ///< reply value for non-caching replies
-    bool local_write = false;    ///< read-update mode: fill then store locally
     std::uint32_t acks_needed = 0;
     std::uint32_t acks_got = 0;
     bool data_ok = false;
     net::BlockData data;
     bool recall_pending = false; ///< recall deferred until completion
     std::uint8_t recall_aux = 0;
-    Tick issued_at = 0;          ///< for the latency histograms
-    Cb cb;
   };
 
+  // -- the outstanding-operation record --
+  /// Claims the record for `op` on address `a`; throws std::logic_error
+  /// naming the node and both operations if it is already busy.
+  void begin(PrimitiveOp op, Addr a);
+  /// Starts the record's demand miss: a fresh MSHR for request `kind`.
+  void begin_miss(net::MsgType kind);
+  /// Completes the record `latency` cycles from now.
+  void complete(Word value, Tick latency);
+  /// Completes the record now and records its issue-to-completion latency
+  /// in the named histogram (misses/locks; hits are always one cycle).
+  void complete_timed(Word value, std::string_view histogram);
+  /// Empties the record and resumes the processor, in the calling event.
+  void finish(Word value);
+
   // -- common helpers --
-  void complete(Cb& cb, Word value, Tick latency);
-  /// Completes a request and records its issue-to-completion latency in
-  /// the named histogram (misses/locks; hits are always one cycle).
-  void complete_timed(Cb& cb, Word value, Tick issued_at, std::string_view histogram);
   void send(net::Message&& m);
   [[nodiscard]] net::Message make(net::MsgType t, BlockId b) const;
   cache::CacheLine& install_line(BlockId b, const net::BlockData& data);
   void evict(cache::CacheLine& victim);
   void fire_line_change(BlockId b);
-  void fire_lock_free(BlockId b);
+  void enter_global_write();
 
   // -- WBI handlers (cache_controller.cpp) --
   void finish_wbi_txn();
@@ -182,7 +229,8 @@ class CacheController {
   void became_holder(cache::CacheLine& line, bool chain_modified);
   void cascade_share(cache::CacheLine& line);
   void release_lock_line(BlockId b);
-  void start_lock_request(BlockId b, net::LockMode mode, Cb cb);
+  void issue_lock();
+  void start_lock_request();
 
   // -- barrier handlers --
   void on_bar_ack(const net::Message& m);
@@ -198,24 +246,9 @@ class CacheController {
   cache::Cache cache_;
   cache::LockCache lock_cache_;
   cache::WriteBuffer wbuf_;
+  OutstandingOp op_;
   Mshr mshr_;
-
-  /// SC mode: completion continuations for global writes, keyed by txn.
-  std::unordered_map<std::uint64_t, Cb> write_acks_;
-  /// Lock-acquire continuations keyed by block (with issue tick for the
-  /// acquisition-latency histogram).
-  struct LockPending {
-    Cb cb;
-    Tick issued_at = 0;
-  };
-  std::unordered_map<BlockId, LockPending> lock_cbs_;
-  /// Processors waiting for a lock line to fully leave the lock cache
-  /// (immediate re-lock of a lock whose release is still in flight).
-  std::unordered_map<BlockId, std::vector<std::function<void()>>> lock_free_waiters_;
-  /// Spin waiters per block.
-  std::unordered_map<BlockId, std::vector<std::function<void()>>> change_waiters_;
-  /// Barrier-release continuations keyed by barrier block.
-  std::unordered_map<BlockId, Cb> barrier_cbs_;
+  std::uint64_t retired_ = 0;
   /// Outstanding asynchronous lock-release protocols (for quiescent()).
   std::uint32_t lock_release_inflight_ = 0;
 };

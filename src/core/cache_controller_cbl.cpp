@@ -34,38 +34,47 @@ constexpr std::uint8_t kAuxDrop = 1;
 constexpr std::uint8_t kFwdShareBit = 2;
 }  // namespace
 
-void CacheController::op_lock(Addr a, net::LockMode mode, Cb cb) {
-  const BlockId b = amap_.block_of(a);
-  stats_.counter(mode == LockMode::kRead ? "cache.read_lock" : "cache.write_lock").add();
-  if (CacheLine* line = lock_cache_.find(b); line != nullptr) {
+void CacheController::op_lock(Addr a, net::LockMode mode) {
+  begin(mode == LockMode::kRead ? PrimitiveOp::kReadLock : PrimitiveOp::kWriteLock, a);
+  op_.mode = mode;
+  issue_lock();
+}
+
+void CacheController::issue_lock() {
+  stats_.counter(op_.mode == LockMode::kRead ? "cache.read_lock" : "cache.write_lock").add();
+  if (lock_cache_.find(op_.block) != nullptr) {
     // The previous acquisition/release of this lock is still winding down
-    // (e.g. an immediate re-lock while the unlock protocol is in flight).
-    lock_free_waiters_[b].push_back(
-        [this, a, mode, cb = std::move(cb)]() mutable { op_lock(a, mode, std::move(cb)); });
+    // (e.g. an immediate re-lock while the unlock protocol is in flight):
+    // release_lock_line issues the lock again.
+    op_.wait = Wait::kLockLine;
     stats_.counter("cache.lock_line_busy_waits").add();
     return;
   }
-  const bool stalled = lock_cache_.on_slot(
-      [this, b, mode, cb = std::move(cb)]() mutable { start_lock_request(b, mode, std::move(cb)); });
+  op_.wait = Wait::kLockSlot;
+  const bool stalled = lock_cache_.on_slot([this] { start_lock_request(); });
   if (stalled) stats_.counter("cache.lock_cache_stalls").add();
 }
 
-void CacheController::start_lock_request(BlockId b, net::LockMode mode, Cb cb) {
+void CacheController::start_lock_request() {
+  const BlockId b = op_.block;
   CacheLine& line = lock_cache_.allocate(b);
-  line.lock = (mode == LockMode::kRead) ? LockState::kWaitRead : LockState::kWaitWrite;
+  line.lock = (op_.mode == LockMode::kRead) ? LockState::kWaitRead : LockState::kWaitWrite;
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kLockReq, node_, b,
-                       static_cast<std::uint64_t>(mode));
+                       static_cast<std::uint64_t>(op_.mode));
   sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kLock, node_, b,
                            static_cast<std::uint8_t>(LockState::kNone),
                            static_cast<std::uint8_t>(line.lock));
-  lock_cbs_.emplace(b, LockPending{std::move(cb), sim_.now()});
+  // The acquisition latency runs from here, after any line or slot wait.
+  op_.wait = Wait::kLockGrant;
+  op_.issued_at = sim_.now();
   auto m = make(MsgType::kLockReq, b);
-  m.aux = static_cast<std::uint8_t>(mode);
+  m.aux = static_cast<std::uint8_t>(op_.mode);
   send(std::move(m));
 }
 
-void CacheController::op_unlock(Addr a, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_unlock(Addr a) {
+  begin(PrimitiveOp::kUnlock, a);
+  const BlockId b = op_.block;
   CacheLine* line = lock_cache_.find(b);
   if (line == nullptr || !line->holds_lock()) {
     throw std::logic_error("CacheController: unlock of a lock not held");
@@ -75,7 +84,7 @@ void CacheController::op_unlock(Addr a, Cb cb) {
   // "The unlocking processor is allowed to continue its computation
   // immediately, and does not have to wait for the unlock operation to be
   // performed globally."
-  complete(cb, 0, kHitLatency);
+  complete(0, kHitLatency);
   ++lock_release_inflight_;
 
   if (line->lock == LockState::kHeldWrite) {
@@ -234,12 +243,9 @@ void CacheController::became_holder(cache::CacheLine& line, bool chain_modified)
   sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kLock, node_, line.block, old_lock,
                            static_cast<std::uint8_t>(line.lock));
   cascade_share(line);
-  auto it = lock_cbs_.find(line.block);
-  assert(it != lock_cbs_.end());
-  LockPending pending = std::move(it->second);
-  lock_cbs_.erase(it);
+  assert(op_.wait == Wait::kLockGrant && op_.block == line.block);
   // The word the processor asked to lock rides along with the grant.
-  complete_timed(pending.cb, line.data[0], pending.issued_at, "lat.lock_acquire");
+  complete_timed(line.data[0], "lat.lock_acquire");
 }
 
 void CacheController::cascade_share(cache::CacheLine& line) {
@@ -305,15 +311,7 @@ void CacheController::release_lock_line(BlockId b) {
   lock_cache_.release(b);
   assert(lock_release_inflight_ > 0);
   --lock_release_inflight_;
-  fire_lock_free(b);
-}
-
-void CacheController::fire_lock_free(BlockId b) {
-  auto it = lock_free_waiters_.find(b);
-  if (it == lock_free_waiters_.end()) return;
-  auto waiters = std::move(it->second);
-  lock_free_waiters_.erase(it);
-  for (auto& w : waiters) w();
+  if (op_.wait == Wait::kLockLine && op_.block == b) issue_lock();
 }
 
 }  // namespace bcsim::core

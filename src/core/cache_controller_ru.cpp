@@ -11,33 +11,27 @@ using net::Message;
 using net::MsgType;
 using net::Unit;
 
-void CacheController::op_read_update(Addr a, Cb cb) {
-  const BlockId b = amap_.block_of(a);
-  const std::uint32_t w = amap_.word_of(a);
+void CacheController::op_read_update(Addr a) {
+  begin(PrimitiveOp::kReadUpdate, a);
+  const BlockId b = op_.block;
   // "A read-update request is serviced locally by the cache if the update
   // bit of the cache line is already set."
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
     stats_.counter("cache.hits").add();
     cache_.touch(*line, sim_.now());
-    complete(cb, line->data[w], kHitLatency);
+    complete(line->data[amap_.word_of(a)], kHitLatency);
     return;
   }
   stats_.counter("cache.read_update").add();
-  assert(!mshr_.active);
-  mshr_ = Mshr{};
-  mshr_.active = true;
-  mshr_.issued_at = sim_.now();
-  mshr_.kind = MsgType::kReadUpdate;
-  mshr_.block = b;
-  mshr_.addr = a;
-  mshr_.cb = std::move(cb);
+  begin_miss(MsgType::kReadUpdate);
   auto m = make(MsgType::kReadUpdate, b);
   m.addr = a;
   send(std::move(m));
 }
 
-void CacheController::op_reset_update(Addr a, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_reset_update(Addr a) {
+  begin(PrimitiveOp::kResetUpdate, a);
+  const BlockId b = op_.block;
   stats_.counter("cache.reset_update").add();
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
     line->update_bit = false;
@@ -46,13 +40,12 @@ void CacheController::op_reset_update(Addr a, Cb cb) {
     sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kUpdateBit, node_, b, 1, 0);
   }
   // Completes locally whether or not a subscription existed (idempotent).
-  complete(cb, 0, kHitLatency);
+  complete(0, kHitLatency);
 }
 
 void CacheController::on_ru_data(const net::Message& m) {
-  assert(mshr_.active && mshr_.block == m.block && mshr_.kind == MsgType::kReadUpdate);
-  Mshr done = std::move(mshr_);
-  mshr_ = Mshr{};
+  assert(op_.wait == Wait::kMiss && op_.block == m.block &&
+         mshr_.kind == MsgType::kReadUpdate);
   CacheLine& line = install_line(m.block, m.data);
   line.update_bit = true;
   line.ru_version = m.value;
@@ -62,8 +55,7 @@ void CacheController::on_ru_data(const net::Message& m) {
   // previous head (the directory sends kRuLinkPrev to that node).
   line.prev = kNoNode;
   line.next = m.who;
-  complete_timed(done.cb, line.data[amap_.word_of(done.addr)], done.issued_at,
-                 "lat.read_update");
+  complete_timed(line.data[amap_.word_of(op_.addr)], "lat.read_update");
 }
 
 void CacheController::on_ru_update(const net::Message& m) {
@@ -116,12 +108,12 @@ void CacheController::forward_chain(const net::Message& m) {
 // barrier (memory-side counter + chained release)
 // ---------------------------------------------------------------------------
 
-void CacheController::op_barrier(Addr a, std::uint32_t participants, Cb cb) {
-  const BlockId b = amap_.block_of(a);
+void CacheController::op_barrier(Addr a, std::uint32_t participants) {
+  begin(PrimitiveOp::kBarrier, a);
+  const BlockId b = op_.block;
   stats_.counter("cache.barrier_arrive").add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierArrive, node_, b, participants);
-  assert(!barrier_cbs_.contains(b));
-  barrier_cbs_.emplace(b, std::move(cb));
+  op_.wait = Wait::kBarrier;
   auto m = make(MsgType::kBarArrive, b);
   m.addr = a;
   m.value = participants;
@@ -132,23 +124,18 @@ void CacheController::on_bar_ack(const net::Message& m) {
   if (m.aux == 1) {
     // We were the last arriver: the barrier opened as we hit it.
     sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierRelease, node_, m.block, m.value);
-    auto it = barrier_cbs_.find(m.block);
-    assert(it != barrier_cbs_.end());
-    Cb cb = std::move(it->second);
-    barrier_cbs_.erase(it);
-    cb(Response{m.value});
+    assert(op_.wait == Wait::kBarrier && op_.block == m.block);
+    finish(m.value);
   }
   // Otherwise: arrival recorded; keep waiting for kBarRelease.
 }
 
 void CacheController::on_bar_release(const net::Message& m) {
   forward_chain(m);
-  auto it = barrier_cbs_.find(m.block);
-  if (it == barrier_cbs_.end()) return;  // release overtook a re-arrival race
+  // A release that overtook a re-arrival race finds no waiter.
+  if (op_.wait != Wait::kBarrier || op_.block != m.block) return;
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierRelease, node_, m.block, m.value);
-  Cb cb = std::move(it->second);
-  barrier_cbs_.erase(it);
-  cb(Response{m.value});
+  finish(m.value);
 }
 
 }  // namespace bcsim::core

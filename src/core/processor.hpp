@@ -73,99 +73,102 @@ class Processor {
   }
 
   // ---- Table 1 primitives ----
-  [[nodiscard]] sim::SimFuture<Word> read(Addr a) {
+  // Each issues its operation now and returns an awaiter on the node's one
+  // outstanding-operation record (CacheController). A processor runs one
+  // program: issuing while an operation is outstanding throws
+  // std::logic_error.
+  [[nodiscard]] OpAwaiter read(Addr a) {
     note(PrimitiveOp::kRead, a, 0);
-    return wrap([&](auto cb) { cc_.op_read(a, std::move(cb)); });
+    cc_.op_read(a);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> write(Addr a, Word v) {
+  [[nodiscard]] OpAwaiter write(Addr a, Word v) {
     note(PrimitiveOp::kWrite, a, v);
-    return wrap([&](auto cb) { cc_.op_write(a, v, std::move(cb)); });
+    cc_.op_write(a, v);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> read_global(Addr a) {
+  [[nodiscard]] OpAwaiter read_global(Addr a) {
     note(PrimitiveOp::kReadGlobal, a, 0);
-    return wrap([&](auto cb) { cc_.op_read_global(a, std::move(cb)); });
+    cc_.op_read_global(a);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> write_global(Addr a, Word v) {
+  [[nodiscard]] OpAwaiter write_global(Addr a, Word v) {
     note(PrimitiveOp::kWriteGlobal, a, v);
-    return wrap([&](auto cb) { cc_.op_write_global(a, v, std::move(cb)); });
+    cc_.op_write_global(a, v);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> read_update(Addr a) {
+  [[nodiscard]] OpAwaiter read_update(Addr a) {
     note(PrimitiveOp::kReadUpdate, a, 0);
-    return wrap([&](auto cb) { cc_.op_read_update(a, std::move(cb)); });
+    cc_.op_read_update(a);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> reset_update(Addr a) {
+  [[nodiscard]] OpAwaiter reset_update(Addr a) {
     note(PrimitiveOp::kResetUpdate, a, 0);
-    return wrap([&](auto cb) { cc_.op_reset_update(a, std::move(cb)); });
+    cc_.op_reset_update(a);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> flush_buffer() {
+  [[nodiscard]] OpAwaiter flush_buffer() {
     note(PrimitiveOp::kFlushBuffer, 0, 0);
-    return wrap([&](auto cb) { cc_.op_flush_buffer(std::move(cb)); });
+    cc_.op_flush_buffer();
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> read_lock(Addr a) {
+  [[nodiscard]] OpAwaiter read_lock(Addr a) {
     note(PrimitiveOp::kReadLock, a, 0);
-    return wrap([&](auto cb) { cc_.op_lock(a, net::LockMode::kRead, std::move(cb)); });
+    cc_.op_lock(a, net::LockMode::kRead);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> write_lock(Addr a) {
+  [[nodiscard]] OpAwaiter write_lock(Addr a) {
     note(PrimitiveOp::kWriteLock, a, 0);
-    return wrap([&](auto cb) { cc_.op_lock(a, net::LockMode::kWrite, std::move(cb)); });
+    cc_.op_lock(a, net::LockMode::kWrite);
+    return cc_.awaiter();
   }
-  [[nodiscard]] sim::SimFuture<Word> unlock(Addr a) {
+  [[nodiscard]] OpAwaiter unlock(Addr a) {
     note(PrimitiveOp::kUnlock, a, 0);
-    return wrap([&](auto cb) { cc_.op_unlock(a, std::move(cb)); });
+    cc_.op_unlock(a);
+    return cc_.awaiter();
   }
 
   // ---- extensions ----
-  [[nodiscard]] sim::SimFuture<Word> rmw(Addr a, net::RmwOp op, Word operand,
-                                         Word operand2 = 0) {
+  [[nodiscard]] OpAwaiter rmw(Addr a, net::RmwOp op, Word operand, Word operand2 = 0) {
     note(rmw_primitive(op), a, operand, operand2);
-    return wrap([&](auto cb) { cc_.op_rmw(a, op, operand, std::move(cb), operand2); });
+    cc_.op_rmw(a, op, operand, operand2);
+    return cc_.awaiter();
   }
   /// Atomic compare-and-swap: writes `desired` iff the word equals
   /// `expected`; returns the old word either way.
-  [[nodiscard]] sim::SimFuture<Word> compare_swap(Addr a, Word expected, Word desired) {
+  [[nodiscard]] OpAwaiter compare_swap(Addr a, Word expected, Word desired) {
     return rmw(a, net::RmwOp::kCompareSwap, expected, desired);
   }
-  [[nodiscard]] sim::SimFuture<Word> test_and_set(Addr a) {
-    note(PrimitiveOp::kTestAndSet, a, 1);
-    return wrap([&](auto cb) { cc_.op_rmw(a, net::RmwOp::kTestAndSet, 1, std::move(cb)); });
-  }
-  [[nodiscard]] sim::SimFuture<Word> fetch_add(Addr a, Word delta) {
-    note(PrimitiveOp::kFetchAdd, a, delta);
-    return wrap([&](auto cb) { cc_.op_rmw(a, net::RmwOp::kFetchAdd, delta, std::move(cb)); });
+  [[nodiscard]] OpAwaiter test_and_set(Addr a) { return rmw(a, net::RmwOp::kTestAndSet, 1); }
+  [[nodiscard]] OpAwaiter fetch_add(Addr a, Word delta) {
+    return rmw(a, net::RmwOp::kFetchAdd, delta);
   }
   /// Hardware barrier arrival (memory-side counter + chained release).
-  [[nodiscard]] sim::SimFuture<Word> barrier_arrive(Addr a, std::uint32_t participants) {
+  [[nodiscard]] OpAwaiter barrier_arrive(Addr a, std::uint32_t participants) {
     note(PrimitiveOp::kBarrier, a, participants);
-    return wrap([&](auto cb) { cc_.op_barrier(a, participants, std::move(cb)); });
+    cc_.op_barrier(a, participants);
+    return cc_.awaiter();
   }
   /// Suspends until the cached copy of a's block changes or is invalidated
   /// (spin-wait assist; a cache-hit spin generates no traffic).
-  [[nodiscard]] sim::SimFuture<sim::Unit> wait_line_change(Addr a) {
+  [[nodiscard]] OpAwaiter wait_line_change(Addr a) {
     note(PrimitiveOp::kWaitLine, a, 0);
-    sim::SimFuture<sim::Unit> f;
-    cc_.wait_line_change(a, [this, r = f.resolver()] {
-      ++retired_;
-      r(sim::Unit{});
-    });
-    return f;
+    cc_.wait_line_change(a);
+    return cc_.awaiter();
   }
   /// Race-free spin wait: resumes when the cached word at `a` differs from
   /// `last_seen` (immediately if it already does).
-  [[nodiscard]] sim::SimFuture<sim::Unit> wait_word_change(Addr a, Word last_seen) {
+  [[nodiscard]] OpAwaiter wait_word_change(Addr a, Word last_seen) {
     note(PrimitiveOp::kWaitWord, a, last_seen);
-    sim::SimFuture<sim::Unit> f;
-    cc_.wait_word_change(a, last_seen, [this, r = f.resolver()] {
-      ++retired_;
-      r(sim::Unit{});
-    });
-    return f;
+    cc_.wait_word_change(a, last_seen);
+    return cc_.awaiter();
   }
 
   /// Completed memory/synchronization primitives (not compute delays).
   /// The liveness watchdog reads this between run slices: a machine whose
   /// processors retire nothing for several watchdog intervals while
   /// programs remain unfinished is diagnosed as livelocked.
-  [[nodiscard]] std::uint64_t ops_retired() const noexcept { return retired_; }
+  [[nodiscard]] std::uint64_t ops_retired() const noexcept { return cc_.ops_retired(); }
 
   static constexpr double kPrivateHitRatio = 0.95;
 
@@ -174,33 +177,12 @@ class Processor {
     if (hook_) hook_(op, a, v, v2);
   }
 
-  [[nodiscard]] static PrimitiveOp rmw_primitive(net::RmwOp op) noexcept {
-    switch (op) {
-      case net::RmwOp::kTestAndSet: return PrimitiveOp::kTestAndSet;
-      case net::RmwOp::kFetchAdd: return PrimitiveOp::kFetchAdd;
-      case net::RmwOp::kSwap: return PrimitiveOp::kSwap;
-      case net::RmwOp::kCompareSwap: return PrimitiveOp::kCompareSwap;
-    }
-    return PrimitiveOp::kRmw;
-  }
-
-  template <typename Fn>
-  sim::SimFuture<Word> wrap(Fn&& fn) {
-    sim::SimFuture<Word> f;
-    fn([this, r = f.resolver()](CacheController::Response resp) {
-      ++retired_;
-      r(resp.value);
-    });
-    return f;
-  }
-
   NodeId node_;
   sim::Simulator& sim_;
   CacheController& cc_;
   const MachineConfig& config_;
   sim::Rng rng_;
   PrimitiveHook hook_;
-  std::uint64_t retired_ = 0;
 };
 
 }  // namespace bcsim::core

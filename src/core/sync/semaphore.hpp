@@ -65,12 +65,12 @@ class CountingSemaphore {
   [[nodiscard]] Addr count_addr() const noexcept { return count_; }
 
  private:
-  sim::SimFuture<Word> read(core::Processor& p) {
+  core::OpAwaiter read(core::Processor& p) {
     return p.config().data_protocol == core::DataProtocol::kReadUpdate
                ? p.read_global(count_)
                : p.read(count_);
   }
-  sim::SimFuture<Word> write(core::Processor& p, Word v) {
+  core::OpAwaiter write(core::Processor& p, Word v) {
     return p.config().data_protocol == core::DataProtocol::kReadUpdate
                ? p.write_global(count_, v)
                : p.write(count_, v);

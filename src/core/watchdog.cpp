@@ -31,27 +31,36 @@ namespace {
   return os.str();
 }
 
-}  // namespace
+/// What an operation parked on a node-local condition, or on its own
+/// completion event, waits for.
+[[nodiscard]] const char* waits_for(OutstandingOp::Wait w) noexcept {
+  switch (w) {
+    case OutstandingOp::Wait::kLockLine: return "its lock line to leave the lock cache";
+    case OutstandingOp::Wait::kChange: return "its cached copy to change";
+    case OutstandingOp::Wait::kWriteSlot: return "a write-buffer slot";
+    case OutstandingOp::Wait::kLockSlot: return "a lock-cache slot";
+    default: return "its completion event";
+  }
+}
 
-std::vector<WaitEdge> build_wait_for_graph(Machine& m) {
-  std::vector<WaitEdge> edges;
-  const mem::AddressMap& amap = m.address_map();
-
-  for (NodeId n = 0; n < m.n_nodes(); ++n) {
-    CacheController& cc = m.cache_controller(n);
-
-    if (cc.has_pending_miss()) {
-      const BlockId b = cc.pending_miss_block();
-      std::ostringstream os;
-      os << "awaiting " << to_string(cc.pending_miss_kind()) << " reply for block " << b;
-      edges.push_back({n, amap.home_of(b), os.str()});
-    }
-
-    for (BlockId b : cc.pending_lock_blocks()) {
-      const NodeId home = amap.home_of(b);
+/// The edge of node `n`'s outstanding operation (its record is busy).
+[[nodiscard]] WaitEdge operation_edge(Machine& m, NodeId n) {
+  const OutstandingOp& op = m.cache_controller(n).outstanding();
+  const BlockId b = op.block;
+  const NodeId home = m.address_map().home_of(b);
+  std::ostringstream os;
+  NodeId to = kNoNode;
+  switch (op.wait) {
+    case OutstandingOp::Wait::kNone:
+      break;
+    case OutstandingOp::Wait::kMiss:
+      os << "awaiting " << to_string(m.cache_controller(n).pending_miss_kind())
+         << " reply for block " << b;
+      to = home;
+      break;
+    case OutstandingOp::Wait::kLockGrant: {
       const mem::DirectoryEntry* e = m.directory(home).peek(b);
-      std::ostringstream os;
-      NodeId to = home;
+      to = home;
       os << "waiting for lock on block " << b;
       if (e != nullptr) {
         // Name the node actually ahead of us: our predecessor in the
@@ -66,23 +75,40 @@ std::vector<WaitEdge> build_wait_for_graph(Machine& m) {
         }
         os << "; " << render_chain(*e);
       }
-      edges.push_back({n, to, os.str()});
+      break;
     }
-
-    for (BlockId b : cc.pending_barrier_blocks()) {
-      const NodeId home = amap.home_of(b);
-      std::ostringstream os;
+    case OutstandingOp::Wait::kBarrier:
       os << "waiting at barrier block " << b;
       if (const mem::DirectoryEntry* e = m.directory(home).peek(b)) {
         os << " (" << e->barrier_count << " arrived)";
       }
-      edges.push_back({n, home, os.str()});
-    }
+      to = home;
+      break;
+    case OutstandingOp::Wait::kWriteAck:
+      os << "1 global write(s) awaiting acknowledgment";
+      break;
+    case OutstandingOp::Wait::kFlush:
+      os << to_string(op.op) << " waiting for the global writes before it to retire";
+      break;
+    case OutstandingOp::Wait::kEvent:
+    case OutstandingOp::Wait::kLockLine:
+    case OutstandingOp::Wait::kChange:
+    case OutstandingOp::Wait::kWriteSlot:
+    case OutstandingOp::Wait::kLockSlot:
+      os << to_string(op.op) << " on block " << b << " waiting for " << waits_for(op.wait);
+      break;
+  }
+  return {n, to, os.str()};
+}
 
-    if (cc.pending_write_acks() > 0) {
-      std::ostringstream os;
-      os << cc.pending_write_acks() << " global write(s) awaiting acknowledgment";
-      edges.push_back({n, kNoNode, os.str()});
+}  // namespace
+
+std::vector<WaitEdge> build_wait_for_graph(Machine& m) {
+  std::vector<WaitEdge> edges;
+  for (NodeId n = 0; n < m.n_nodes(); ++n) {
+    CacheController& cc = m.cache_controller(n);
+    if (cc.outstanding().wait != OutstandingOp::Wait::kNone) {
+      edges.push_back(operation_edge(m, n));
     }
     if (cc.write_buffer().pending() > 0) {
       std::ostringstream os;

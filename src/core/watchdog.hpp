@@ -14,8 +14,8 @@
 //     than reported as a bare exception).
 //
 // Either way the machine prints a report — a wait-for graph assembled from
-// the MSHRs, lock chains, barrier states, write buffers, and directory
-// blocked queues, plus the transport's fault journal and the trace-ring
+// each processor's outstanding operation, the lock chains, barrier states,
+// write buffers, and directory blocked queues, plus the transport's fault journal and the trace-ring
 // tail — and throws LivenessViolation carrying the same text, so harnesses
 // (bcsim chaos, the differential oracle) can classify the run as
 // *diagnosed* rather than silently hung.
@@ -59,10 +59,12 @@ struct WaitEdge {
 };
 
 /// Assembles the wait-for graph from the machine's current protocol state:
-/// active MSHRs (cache -> home), lock-acquire waits (waiter -> predecessor
-/// in the directory's lock chain, with the chain named), barrier waits,
-/// outstanding global-write acks, non-empty write buffers, and requests
-/// queued behind busy directory entries.
+/// every processor's outstanding operation (a demand miss: cache -> home;
+/// a lock acquire: waiter -> predecessor in the directory's lock chain,
+/// with the chain named; a barrier wait; a global-write ack; a spin on a
+/// line or word change; a busy lock line, full lock cache or full write
+/// buffer; a flush), non-empty write buffers, and requests queued behind
+/// busy directory entries.
 [[nodiscard]] std::vector<WaitEdge> build_wait_for_graph(Machine& m);
 
 /// Renders the full diagnosis: headline, the wait-for graph, and the

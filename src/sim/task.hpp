@@ -12,14 +12,13 @@
 // Tasks are lazily started (initial_suspend is suspend_always) so that a
 // Machine can construct all programs and then kick them off at tick 0.
 // Awaiting a sub-task uses symmetric transfer; completion of an asynchronous
-// hardware request resumes the coroutine through SimFuture, directly inside
-// the completing event (so resumption happens at exactly the right tick).
+// hardware request resumes the coroutine through its node's outstanding-
+// operation record (core::OpAwaiter), directly inside the completing event
+// (so resumption happens at exactly the right tick).
 #pragma once
 
 #include <coroutine>
 #include <exception>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "sim/simulator.hpp"
@@ -109,48 +108,6 @@ class Task {
   }
   Handle h_ = nullptr;
 };
-
-/// One-shot future bridging callback-style hardware completion to a
-/// coroutine await. The shared state outlives both sides regardless of
-/// which is destroyed first.
-template <typename T>
-class SimFuture {
-  struct State {
-    std::optional<T> value;
-    std::coroutine_handle<> waiter{};
-  };
-
- public:
-  SimFuture() : st_(std::make_shared<State>()) {}
-
-  /// Callable handed to the hardware side; invoking it fulfills the future
-  /// and resumes the awaiting coroutine immediately (same tick).
-  [[nodiscard]] auto resolver() const {
-    return [st = st_](T v) {
-      st->value.emplace(std::move(v));
-      if (auto w = std::exchange(st->waiter, nullptr)) w.resume();
-    };
-  }
-
-  [[nodiscard]] bool ready() const noexcept { return st_->value.has_value(); }
-
-  auto operator co_await() const noexcept {
-    struct Awaiter {
-      std::shared_ptr<State> st;
-      bool await_ready() const noexcept { return st->value.has_value(); }
-      void await_suspend(std::coroutine_handle<> h) const noexcept { st->waiter = h; }
-      T await_resume() const { return std::move(*st->value); }
-    };
-    return Awaiter{st_};
-  }
-
- private:
-  std::shared_ptr<State> st_;
-};
-
-/// Tag type for void-valued futures.
-struct Unit {};
-using SimSignal = SimFuture<Unit>;
 
 /// Awaitable that suspends the coroutine for `dt` simulated cycles.
 [[nodiscard]] inline auto delay(Simulator& sim, Tick dt) {

@@ -25,33 +25,33 @@ using core::DataProtocol;
 using core::Processor;
 
 /// Read shared data that will be read again (worth a subscription).
-inline sim::SimFuture<Word> shared_read(Processor& p, Addr a) {
+inline core::OpAwaiter shared_read(Processor& p, Addr a) {
   return p.config().data_protocol == DataProtocol::kReadUpdate ? p.read_update(a)
                                                                : p.read(a);
 }
 
 /// Read shared data once (no subscription; always-fresh value).
-inline sim::SimFuture<Word> shared_read_once(Processor& p, Addr a) {
+inline core::OpAwaiter shared_read_once(Processor& p, Addr a) {
   return p.config().data_protocol == DataProtocol::kReadUpdate ? p.read_global(a)
                                                                : p.read(a);
 }
 
 /// Write shared data (globally visible; buffered under BC).
-inline sim::SimFuture<Word> shared_write(Processor& p, Addr a, Word v) {
+inline core::OpAwaiter shared_write(Processor& p, Addr a, Word v) {
   return p.config().data_protocol == DataProtocol::kReadUpdate ? p.write_global(a, v)
                                                                : p.write(a, v);
 }
 
 /// Read inside a critical section. `rides_lock` says the word lives in the
 /// block of the held CBL lock (delivered by the grant).
-inline sim::SimFuture<Word> cs_read(Processor& p, Addr a, bool rides_lock) {
+inline core::OpAwaiter cs_read(Processor& p, Addr a, bool rides_lock) {
   if (p.config().data_protocol != DataProtocol::kReadUpdate) return p.read(a);
   return rides_lock ? p.read(a) : p.read_global(a);
 }
 
 /// Write inside a critical section. Writes to non-lock-resident data use
 /// WRITE-GLOBAL; the CP-Synch flush at unlock makes them visible in order.
-inline sim::SimFuture<Word> cs_write(Processor& p, Addr a, Word v, bool rides_lock) {
+inline core::OpAwaiter cs_write(Processor& p, Addr a, Word v, bool rides_lock) {
   if (p.config().data_protocol != DataProtocol::kReadUpdate) return p.write(a, v);
   return rides_lock ? p.write(a, v) : p.write_global(a, v);
 }

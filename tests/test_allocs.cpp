@@ -1,0 +1,94 @@
+// Node-local processor operations allocate nothing on the heap.
+//
+// This executable replaces the global operator new with a counting one (so
+// the counter affects no other test). Each case runs one program on
+// processor 0: a read that caches the probed block, a warm-up of kOps
+// operations, then kOps more operations between two counter snapshots.
+// Every operation here completes inside the node (a hit, a delay, an empty
+// flush, a no-op unsubscribe, an already-changed word), so anything above
+// zero is bookkeeping cost: a future's shared state, a type-erased
+// callback, a waiter list.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "test_util.hpp"
+
+namespace {
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a delete-expression, the free() trips g++'s
+// -Wmismatched-new-delete under -fsanitize=address (a false positive, as
+// this operator new is malloc).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace bcsim {
+namespace {
+
+using core::Machine;
+using core::Processor;
+
+constexpr int kOps = 1000;
+constexpr Addr kAddr = 64;
+
+/// Runs `op(p, i)` 2 x kOps times on processor 0 of a 2-node WBI machine
+/// and returns the heap allocations made by the second kOps.
+template <typename Op>
+sim::Task probe(Processor& p, Op op, std::uint64_t& allocs) {
+  co_await p.read(kAddr);
+  for (int i = 0; i < kOps; ++i) co_await op(p, i);
+  const std::uint64_t before = g_allocs;
+  for (int i = 0; i < kOps; ++i) co_await op(p, i);
+  allocs = g_allocs - before;
+}
+
+template <typename Op>
+std::uint64_t allocs_over_ops(Op op) {
+  Machine m(test::small_config(2));
+  std::uint64_t allocs = ~std::uint64_t{0};
+  m.spawn(probe(m.processor(0), op, allocs));
+  test::run_all(m);
+  return allocs;
+}
+
+TEST(OpAllocs, ReadHit) {
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.read(kAddr); }), 0u);
+}
+
+TEST(OpAllocs, WriteHitOnModifiedLine) {
+  // The first warm-up write upgrades the line to M; the rest hit.
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int i) {
+              return p.write(kAddr, static_cast<Word>(i));
+            }),
+            0u);
+}
+
+TEST(OpAllocs, Compute) {
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.compute(1); }), 0u);
+}
+
+TEST(OpAllocs, FlushOfAnEmptyBuffer) {
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.flush_buffer(); }), 0u);
+}
+
+TEST(OpAllocs, ResetUpdateWithoutSubscription) {
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.reset_update(kAddr); }), 0u);
+}
+
+TEST(OpAllocs, WaitForAWordThatAlreadyChanged) {
+  // The cached word is 0, so a wait for it to differ from 1 completes at once.
+  EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.wait_word_change(kAddr, 1); }),
+            0u);
+}
+
+}  // namespace
+}  // namespace bcsim

@@ -248,6 +248,35 @@ TEST(Watchdog, ExhaustedRetriesAreDiagnosedNotHung) {
   EXPECT_GT(m.stats().counter_value("net.gave_up"), 0u);
 }
 
+TEST(Watchdog, DeadlockedSpinnerIsNamed) {
+  // Node 1 spins on a flag nobody writes: the queue drains with the
+  // processor parked in wait_word_change, which holds no protocol state.
+  // The wait-for graph must still name the node and the flag's block.
+  auto cfg = small_config(2);
+  cfg.watchdog_interval = 1024;
+  Machine m(cfg);
+  auto alloc = m.make_allocator(/*start_block=*/5);
+  const Addr flag = alloc.alloc_blocks(1);
+  const BlockId flag_block = m.address_map().block_of(flag);
+  auto spinner = [](Processor& p, Addr a) -> sim::Task {
+    const Word f = co_await p.read(a);
+    co_await p.wait_word_change(a, f);
+  };
+  m.spawn(spinner(m.processor(1), flag));
+  try {
+    m.run(1'000'000);
+    FAIL() << "expected LivenessViolation";
+  } catch (const core::LivenessViolation& e) {
+    EXPECT_EQ(e.kind, core::LivenessKind::kDeadlock);
+    const std::string what = e.what();
+    const std::size_t edge = what.find("  node 1");
+    ASSERT_NE(edge, std::string::npos) << "report must name the spinning node:\n" << what;
+    const std::string line = what.substr(edge, what.find('\n', edge) - edge);
+    EXPECT_NE(line.find("block " + std::to_string(flag_block)), std::string::npos)
+        << "edge must name the flag's block:\n" << what;
+  }
+}
+
 sim::Task spin_forever(Processor& p) {
   for (;;) co_await p.compute(64);
 }

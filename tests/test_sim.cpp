@@ -276,29 +276,5 @@ TEST(Task, ExceptionIsCapturedAndRethrown) {
   EXPECT_THROW(t.rethrow_if_failed(), std::runtime_error);
 }
 
-Task awaits_future(SimFuture<int> f, int& out) {
-  out = co_await f;
-}
-
-TEST(SimFuture, ResolvesAcrossCallback) {
-  SimFuture<int> f;
-  int out = 0;
-  Task t = awaits_future(f, out);
-  t.start();
-  EXPECT_EQ(out, 0);
-  f.resolver()(7);
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(t.done());
-}
-
-TEST(SimFuture, ImmediateValueSkipsSuspension) {
-  SimFuture<int> f;
-  f.resolver()(3);
-  int out = 0;
-  Task t = awaits_future(f, out);
-  t.start();
-  EXPECT_EQ(out, 3);
-}
-
 }  // namespace
 }  // namespace bcsim::sim

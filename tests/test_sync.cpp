@@ -35,13 +35,13 @@ MachineConfig config_for(LockImpl impl, std::uint32_t n) {
 }
 
 // Critical-section data access helpers matching the machine mode.
-sim::SimFuture<Word> workload_read(Processor& p, Addr a, bool rides) {
+core::OpAwaiter workload_read(Processor& p, Addr a, bool rides) {
   if (p.config().data_protocol == core::DataProtocol::kReadUpdate && !rides) {
     return p.read_global(a);
   }
   return p.read(a);
 }
-sim::SimFuture<Word> workload_write(Processor& p, Addr a, Word v, bool rides) {
+core::OpAwaiter workload_write(Processor& p, Addr a, Word v, bool rides) {
   if (p.config().data_protocol == core::DataProtocol::kReadUpdate && !rides) {
     return p.write_global(a, v);
   }

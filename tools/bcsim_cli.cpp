@@ -62,7 +62,7 @@
 // determinism verification, and prints the smallest failing seed with a
 // replay line (then replays it with event tracing on, so the interleaving
 // that broke is printed alongside the diagnostic). Exit status 1 on any
-// failure. See docs/TESTING.md.
+// failure; --nodes below 2 is a usage error. See docs/TESTING.md.
 //
 //   bcsim trace [run flags] [--trace-out PATH] [--trace-csv PATH]
 //               [--trace-capacity N]
@@ -891,6 +891,11 @@ int run_check(const Options& o) {
     return conf::build_machine(spec);
   };
   if (o.seeds == 0) usage_error("check needs --seeds >= 1");
+  // message-passing and rw-lock put their writer and readers on different
+  // processors, and a processor runs one program.
+  if (o.machine.nodes < 2) {
+    usage_error("check needs --nodes >= 2, --nodes is " + std::to_string(o.machine.nodes));
+  }
   std::printf("check: %llu schedule seeds x %zu programs, nodes=%u, invariants=full\n",
               static_cast<unsigned long long>(o.seeds), std::size(battery),
               o.machine.nodes);
