@@ -44,8 +44,8 @@ struct MachineSpec {
   std::uint32_t nodes = 16;
   std::string flavor = "paper";  ///< paper | wbi | cbl-on-wbi
   std::string consistency = "bc";
-  std::string lock;     ///< empty: the flavor's default
-  std::string barrier;  ///< empty: the flavor's default
+  std::string lock{};     ///< empty: the flavor's default
+  std::string barrier{};  ///< empty: the flavor's default
   std::string network = "omega";
   std::uint32_t buffer_depth = 0;
   std::uint32_t dir_limit = 0;
@@ -55,7 +55,7 @@ struct MachineSpec {
   std::uint64_t seed = 1;
   std::uint64_t schedule_seed = 0;
   std::string invariants = "off";
-  std::string fault_plan;
+  std::string fault_plan{};
   std::uint64_t watchdog = 0;
   std::uint32_t watchdog_stalls = 3;
   std::size_t trace_dump = 64;

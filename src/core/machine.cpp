@@ -222,6 +222,25 @@ std::vector<std::pair<Addr, Word>> Machine::snapshot_memory() const {
   return out;
 }
 
+std::uint64_t Machine::data_digest() const {
+  std::vector<BlockId> blocks;
+  for (const auto& d : dirs_) {
+    d->memory().for_each_block([&](BlockId b) { blocks.push_back(b); });
+    d->for_each_entry([&](BlockId b, const mem::DirectoryEntry&) { blocks.push_back(b); });
+  }
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  sim::Fnv1a h;
+  for (const BlockId b : blocks) {
+    const Addr base = amap_.base_of(b);
+    for (Addr a = base; a < base + config_.block_words; ++a) {
+      h.u64(a);
+      h.u64(peek_coherent(a));
+    }
+  }
+  return h.h;
+}
+
 Word Machine::peek_coherent(Addr a) const {
   const BlockId b = amap_.block_of(a);
   const auto* e = dirs_.at(amap_.home_of(b))->peek(b);

@@ -109,11 +109,16 @@ class Machine {
   [[nodiscard]] bool quiescent() const;
 
   /// Fingerprint of every statistic (sim::StatsRegistry::digest). Two runs
-  /// of one configuration must agree bit-for-bit; the bench harness records
-  /// it per end-to-end run and CI compares it against the committed
-  /// baseline, so any change to simulation behavior — intended or not — is
-  /// caught (docs/BENCHMARKS.md).
+  /// of one configuration must agree bit-for-bit; every line of
+  /// tests/pins.txt records it, so any change to simulation behavior —
+  /// intended or not — is caught (docs/TESTING.md, "Pins").
   [[nodiscard]] std::uint64_t stats_digest() const noexcept { return stats_.digest(); }
+
+  /// Fingerprint of the final memory contents, which stats_digest() cannot
+  /// see: FNV-1a over (address, peek_coherent(address)) for every word of
+  /// every block that backing memory holds or any directory has an entry
+  /// for, in address order. It only reads and registers no statistic.
+  [[nodiscard]] std::uint64_t data_digest() const;
 
   /// Convenience: direct word access to backing memory (tests/debugging;
   /// bypasses all timing).

@@ -163,6 +163,13 @@ RunResult run_program(const Program& prog, const core::MachineConfig& cfg, Tick 
     threw = true;
   }
   r.digest = m.stats_digest();
+  sim::Fnv1a data;
+  for (const auto& thread : r.loads) {
+    data.u64(thread.size());
+    for (const Observation& o : thread) data.u64(o.value);
+  }
+  data.u64(m.data_digest());
+  r.data = data.h;
   if (trace_tail != nullptr && cfg.trace) m.dump_trace(*trace_tail);
   if (threw) return r;
 

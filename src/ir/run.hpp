@@ -27,6 +27,9 @@ struct RunResult {
   Tick completion = 0;
   std::string error;        ///< exception text (budget exhausted, invariant, watchdog)
   std::uint64_t digest = 0; ///< Machine::stats_digest() when the run ended
+  /// FNV-1a over `loads` (each thread's count, then its values in program
+  /// order) and then Machine::data_digest(); set even after an exception.
+  std::uint64_t data = 0;
   std::vector<std::vector<Observation>> loads;  ///< per thread, program order
   std::vector<Word> final_locs;  ///< per location via peek_coherent; empty after an exception
   std::vector<Word> final_sems;  ///< per semaphore count; empty after an exception

@@ -72,6 +72,12 @@ class MemoryModule {
   [[nodiscard]] Tick busy_until() const noexcept { return busy_until_; }
   [[nodiscard]] std::size_t resident_blocks() const noexcept { return blocks_.size(); }
 
+  /// Visits the id of every block this slice stores, in unspecified order.
+  template <typename Fn>
+  void for_each_block(Fn&& fn) const {
+    for (const auto& entry : blocks_) fn(entry.first);
+  }
+
   /// Visits every nonzero word as fn(block, word_index, value), in
   /// unspecified block order (the storage is a hash map — callers that
   /// need determinism sort what they collect). Trace capture uses this to

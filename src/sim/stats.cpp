@@ -122,34 +122,20 @@ void StatsRegistry::write_csv(std::ostream& os) const {
   }
 }
 
-namespace {
-
-inline void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;  // FNV-1a 64 prime
-  }
-}
-
-inline void fnv_u64(std::uint64_t& h, std::uint64_t v) noexcept { fnv_bytes(h, &v, sizeof v); }
-
-}  // namespace
-
 std::uint64_t StatsRegistry::digest() const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  Fnv1a h;
   for (const auto& [name, c] : counters_) {  // map iteration: sorted by name
-    fnv_bytes(h, name.data(), name.size());
-    fnv_u64(h, c->value());
+    h.bytes(name.data(), name.size());
+    h.u64(c->value());
   }
   for (const auto& [name, hist] : histograms_) {
-    fnv_bytes(h, name.data(), name.size());
-    fnv_u64(h, hist->count());
-    fnv_u64(h, hist->sum());
-    fnv_u64(h, hist->min());
-    fnv_u64(h, hist->max());
+    h.bytes(name.data(), name.size());
+    h.u64(hist->count());
+    h.u64(hist->sum());
+    h.u64(hist->min());
+    h.u64(hist->max());
   }
-  return h;
+  return h.h;
 }
 
 void StatsRegistry::reset_all() noexcept {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -18,6 +19,21 @@
 #include "sim/types.hpp"
 
 namespace bcsim::sim {
+
+/// FNV-1a 64 over a stream of bytes and words: the hash behind
+/// StatsRegistry::digest() and core::Machine::data_digest().
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+
+  void bytes(const void* data, std::size_t n) noexcept {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;  // FNV-1a 64 prime
+    }
+  }
+  void u64(std::uint64_t v) noexcept { bytes(&v, sizeof v); }
+};
 
 /// Monotonic event counter.
 class Counter {
@@ -88,8 +104,8 @@ class StatsRegistry {
   /// Order-independent FNV-1a fingerprint of every counter value and every
   /// histogram's exact moments (count/sum/min/max; derived doubles are
   /// excluded). Two runs of the same configuration must produce the same
-  /// digest on any host — the bench harness and the determinism tests gate
-  /// on it (docs/BENCHMARKS.md).
+  /// digest on any host — the pins (tests/pins.txt) and the determinism
+  /// tests gate on it (docs/TESTING.md, "Pins").
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   void reset_all() noexcept;

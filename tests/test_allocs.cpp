@@ -1,19 +1,21 @@
-// Node-local processor operations allocate nothing on the heap.
+// Heap allocations, counted exactly.
 //
 // This executable replaces the global operator new with a counting one (so
-// the counter affects no other test). Each case runs one program on
-// processor 0: a read that caches the probed block, a warm-up of kOps
+// the counter affects no other test). The OpAllocs cases run one program
+// on processor 0: a read that caches the probed block, a warm-up of kOps
 // operations, then kOps more operations between two counter snapshots.
-// Every operation here completes inside the node (a hit, a delay, an empty
+// Every operation there completes inside the node (a hit, a delay, an empty
 // flush, a no-op unsubscribe, an already-changed word), so anything above
 // zero is bookkeeping cost: a future's shared state, a type-erased
-// callback, a waiter list.
+// callback, a waiter list. RunAllocs bounds whole work-queue runs: a new
+// allocation per message or per event breaks every ceiling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "run_cells.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -88,6 +90,16 @@ TEST(OpAllocs, WaitForAWordThatAlreadyChanged) {
   // The cached word is 0, so a wait for it to differ from 1 completes at once.
   EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.wait_word_change(kAddr, 1); }),
             0u);
+}
+
+TEST(RunAllocs, WorkQueueRunsStayUnderTheirCeilings) {
+  for (const test::RunCell& c : test::kRunCells) {
+    Machine m(conf::build_machine(c.machine));
+    conf::WorkloadInstance w(m, test::work_queue(c.tasks));
+    const std::uint64_t before = g_allocs;
+    m.run(100'000'000);
+    EXPECT_LE(g_allocs - before, c.max_allocs) << c.name;
+  }
 }
 
 }  // namespace

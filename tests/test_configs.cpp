@@ -26,8 +26,7 @@ namespace {
 
 /// Sections owned by the tool subcommands; `bcsim run` ignores them so
 /// one preset file serves several entry points (tools/bcsim_cli.cpp).
-const std::vector<std::string_view> kToolSections = {"bench", "diff", "model",
-                                                     "chaos"};
+const std::vector<std::string_view> kToolSections = {"diff", "model", "chaos"};
 
 std::string config_path(const std::string& name) {
   return std::string(BCSIM_CONFIGS_DIR) + "/" + name;

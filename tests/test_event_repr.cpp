@@ -286,7 +286,7 @@ TEST(EventRepr, ClearKeepsScheduleSeed) {
 
 TEST(EventRepr, MachineDigestIsRerunStable) {
   // Whole-machine determinism: two identical runs must agree on every
-  // statistic (the digest the bench harness and CI gate on).
+  // statistic (the digest every line of tests/pins.txt records).
   auto run_once = [] {
     core::MachineConfig cfg;
     cfg.n_nodes = 8;

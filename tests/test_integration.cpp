@@ -162,6 +162,26 @@ TEST(Machine, WbiOwnerCacheMatchesDirectory) {
   }
 }
 
+TEST(Machine, DataDigestSeesWhatTheStatsDigestCannot) {
+  // Node 0 writes one word and keeps the line in M; the two runs differ
+  // only in the value written.
+  constexpr Addr kAddr = 5;
+  auto prog = [](Processor& p, Word v) -> sim::Task { co_await p.write(kAddr, v); };
+  Machine one(small_config(2));
+  Machine two(small_config(2));
+  one.spawn(prog(one.processor(0), 1));
+  two.spawn(prog(two.processor(0), 2));
+  EXPECT_EQ(run_all(one), run_all(two));
+  EXPECT_EQ(one.stats_digest(), two.stats_digest());
+  EXPECT_NE(one.data_digest(), two.data_digest());
+  // Memory is stale under write-back; the hash follows the owner's line,
+  // so it equals that of a machine whose memory holds the written word.
+  EXPECT_EQ(one.peek_memory(kAddr), 0u);
+  Machine poked(small_config(2));
+  poked.poke_memory(kAddr, 1);
+  EXPECT_EQ(one.data_digest(), poked.data_digest());
+}
+
 TEST(Machine, MixedLockAndDataTrafficQuiesces) {
   // Locks, barriers, global writes, and coherent traffic all at once; the
   // machine must drain completely.

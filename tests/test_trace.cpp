@@ -345,8 +345,8 @@ TEST(TraceHeader, MalformedDirectivesDiagnosed) {
 // ---------------------------------------------------------------------------
 // Round-trip property: for every built-in workload x machine flavor, a
 // recorded run replayed through the trace frontend — via its text
-// serialization — reproduces the stats digest and the retired-op count
-// bit-for-bit (ISSUE: trace-driven frontend conformance).
+// serialization — reproduces the stats digest, the data hash and the
+// retired-op count bit-for-bit.
 // ---------------------------------------------------------------------------
 
 TEST(TraceProperty, RecordReplayReproducesEveryWorkloadAndFlavor) {
@@ -374,6 +374,7 @@ TEST(TraceProperty, RecordReplayReproducesEveryWorkloadAndFlavor) {
       ws.fft.words_per_region = 4;
 
       std::uint64_t want_digest = 0;
+      std::uint64_t want_data = 0;
       std::uint64_t want_retired = 0;
       std::string text;
       {
@@ -382,6 +383,7 @@ TEST(TraceProperty, RecordReplayReproducesEveryWorkloadAndFlavor) {
         TraceRecorder rec(m);
         run_all(m);
         want_digest = m.stats_digest();
+        want_data = m.data_digest();
         want_retired = m.ops_retired_total();
         std::ostringstream os;
         rec.trace().write(os);
@@ -392,6 +394,7 @@ TEST(TraceProperty, RecordReplayReproducesEveryWorkloadAndFlavor) {
       replay.spawn_all(m);
       run_all(m);
       EXPECT_EQ(m.stats_digest(), want_digest);
+      EXPECT_EQ(m.data_digest(), want_data);
       EXPECT_EQ(m.ops_retired_total(), want_retired);
     }
   }

@@ -54,8 +54,11 @@
 //   --csv PATH           write all statistics as CSV
 //   --report             print the full statistics report
 //
+// A run prints its completion tick, its stats digest and `data:`, the hash
+// of its final memory contents (Machine::data_digest).
+//
 // Subcommands:
-//   bcsim check [--seeds N] [--first-seed S] [--nodes N]
+//   bcsim check [--seeds N] [--first-seed S] [--nodes N] [--trace-capacity N]
 //
 // Sweeps N schedule seeds (starting at S) across a battery of litmus/fuzz
 // programs on both machines with full invariant checking and per-seed
@@ -63,6 +66,12 @@
 // replay line (then replays it with event tracing on, so the interleaving
 // that broke is printed alongside the diagnostic). Exit status 1 on any
 // failure; --nodes below 2 is a usage error. See docs/TESTING.md.
+//
+// Each mode reads only its own flags, and any other flag is a usage error
+// naming the mode: --seeds and --first-seed are `check` flags, --record,
+// --trace-out and --trace-csv `trace` flags, --trace-capacity belongs to
+// both, and `check` takes no --workload, --tasks, --grain, --iters, --csv
+// or --report.
 //
 //   bcsim trace [run flags] [--trace-out PATH] [--trace-csv PATH]
 //               [--trace-capacity N]
@@ -76,12 +85,6 @@
 // [trace.tr]; feeding it back through `--workload trace` (config:
 // `source = trace:<file>`) reproduces the run bit-identically — same
 // digest, same retired-op counts. See docs/OBSERVABILITY.md, docs/CONFIGS.md.
-//
-//   bcsim bench [--smoke] [--out PATH] [--rev LABEL] [--config PATH]
-//
-// Runs the perf-regression harness: substrate microbenchmarks plus one
-// end-to-end run per machine flavor, written as BENCH_<rev>.json for
-// scripts/bench_compare.py. See docs/BENCHMARKS.md.
 //
 //   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--schedules M]
 //              [--first-program S] [--first-schedule S] [--nodes N]
@@ -125,8 +128,8 @@
 // ref::cell_keys(). See docs/TESTING.md, "One program IR, one grid, three
 // judges".
 //
-// The tool subcommands read their knobs from [bench]/[diff]/[model]/
-// [chaos] sections; a single preset file can carry a [machine]/[workload]
+// The tool subcommands read their knobs from [diff]/[model]/[chaos]
+// sections; a single preset file can carry a [machine]/[workload]
 // description *and* a tool section (each consumer ignores the others').
 #include <algorithm>
 #include <cstdio>
@@ -138,10 +141,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
-#include "bcsim_bench.hpp"
 #include "bcsim_harness.hpp"
 #include "conf/conf.hpp"
 #include "conf/scenario.hpp"
@@ -237,14 +241,29 @@ Options parse_args(int argc, char** argv) {
   }
   if (const auto t = load_config(first, argc, argv)) {
     const conf::Scenario sc = conf::resolve_scenario(*t);
-    t->expect_all_consumed({"bench", "diff", "model", "chaos"});
+    t->expect_all_consumed({"diff", "model", "chaos"});
     o.machine = sc.machine;
     o.config_workload = sc.workload;
     o.workload = sc.workload.kind;
     o.from_config = true;
   }
+  // The flags only some modes read: any other mode rejects them, so a
+  // flag is never silently ignored.
+  const std::pair<std::string_view, std::string_view> mode_flags[] = {
+      {"--seeds", "check"},          {"--first-seed", "check"},
+      {"--record", "trace"},         {"--trace-out", "trace"},
+      {"--trace-csv", "trace"},      {"--trace-capacity", "check trace"},
+      {"--workload", "run trace"},   {"--tasks", "run trace"},
+      {"--grain", "run trace"},      {"--iters", "run trace"},
+      {"--csv", "run trace"},        {"--report", "run trace"}};
+  const std::string mode = o.check ? "check" : o.trace ? "trace" : "run";
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
+    for (const auto& [flag, modes] : mode_flags) {
+      if (a == flag && modes.find(mode) == std::string_view::npos) {
+        usage_error("`bcsim " + mode + "` does not read " + a);
+      }
+    }
     if (a == "--config" || a == "-k") ++i;  // handled by load_config
     else if (a == "--dump-config") {}       // handled by load_config
     else if (a == "--nodes") o.machine.nodes = conf::parse_u32(a, need(i));
@@ -272,10 +291,7 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--report") o.report = true;
-    else if (a == "--record") {
-      if (!o.trace) usage_error("--record is a `bcsim trace` flag");
-      o.record = true;
-    }
+    else if (a == "--record") o.record = true;
     else if (a == "--trace-out") { o.trace_out = need(i); o.trace_out_set = true; }
     else if (a == "--trace-csv") o.trace_csv = need(i);
     else if (a == "--trace-capacity") o.machine.trace_capacity = conf::parse_u64(a, need(i));
@@ -286,31 +302,6 @@ Options parse_args(int argc, char** argv) {
   // so the captured digest matches a replay's.
   o.machine.trace = o.trace && !o.record;
   if (!o.trace_out_set) o.trace_out = o.record ? "trace.tr" : "trace.json";
-  return o;
-}
-
-tool::BenchOptions parse_bench_args(int argc, char** argv) {
-  tool::BenchOptions o;
-  if (const char* rev = std::getenv("BCSIM_REV")) o.revision = rev;
-  if (const auto t = load_config(2, argc, argv)) {
-    o.smoke = t->get_bool("bench.smoke", o.smoke);
-    o.out = t->get_string("bench.out", o.out);
-    o.revision = t->get_string("bench.rev", o.revision);
-    t->expect_all_consumed({"machine", "workload", "diff", "model", "chaos"});
-  }
-  auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--config" || a == "-k") ++i;
-    else if (a == "--dump-config") {}
-    else if (a == "--smoke") o.smoke = true;
-    else if (a == "--out") o.out = need(i);
-    else if (a == "--rev") o.revision = need(i);
-    else usage_error("unknown bench flag '" + a + "'");
-  }
   return o;
 }
 
@@ -474,7 +465,7 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
         ref::set_key(o.cell, k, config_text(*t, key, numeric));
       });
     }
-    std::vector<std::string_view> others = {"machine", "workload", "bench"};
+    std::vector<std::string_view> others = {"machine", "workload"};
     for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
       if (x != h) others.push_back(ref::to_string(x));
     }
@@ -983,6 +974,7 @@ int run_record(const Options& o) {
   std::printf("completion: %llu cycles\n", static_cast<unsigned long long>(t));
   std::printf("digest:     %016llx\n",
               static_cast<unsigned long long>(m.stats_digest()));
+  std::printf("data:       %016llx\n", static_cast<unsigned long long>(m.data_digest()));
   std::printf("recorded:   %zu primitive records -> %s\n", rec.trace().size(),
               o.trace_out.c_str());
   std::printf("replay:     bcsim --nodes %u --workload trace ... (config: source = "
@@ -1006,6 +998,7 @@ int run(const Options& o) {
                   m.stats().counter_value("net.contention_cycles")));
   std::printf("digest:     %016llx\n",
               static_cast<unsigned long long>(m.stats_digest()));
+  std::printf("data:       %016llx\n", static_cast<unsigned long long>(m.data_digest()));
   if (auto* wq = w.work_queue()) {
     std::printf("work queue: %llu tasks executed\n",
                 static_cast<unsigned long long>(wq->tasks_executed(m)));
@@ -1066,9 +1059,6 @@ int run(const Options& o) {
 
 int main(int argc, char** argv) {
   try {
-    if (argc > 1 && std::strcmp(argv[1], "bench") == 0) {
-      return tool::run_bench(parse_bench_args(argc, argv));
-    }
     for (const Harness h : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
       if (argc > 1 && std::strcmp(argv[1], ref::to_string(h)) == 0) {
         return tool::run_harness(parse_harness_args(h, argc, argv));
