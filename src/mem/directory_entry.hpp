@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/message.hpp"
@@ -69,7 +68,7 @@ struct DirectoryEntry {
   /// Requests that arrived while the entry was busy; drained FIFO when the
   /// entry becomes stable again (the paper assumes infinite buffers, so
   /// queuing — not NACKing — is the faithful model).
-  std::deque<net::Message> blocked;
+  std::vector<net::Message> blocked;
 
   // ---- paper Figure 2b ----
   /// usage bit: false = queue pointer threads the read-update subscriber

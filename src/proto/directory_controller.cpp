@@ -107,12 +107,18 @@ void DirectoryController::drain_blocked(BlockId b) {
   if (e.blocked.empty()) return;
   // Replay FIFO; a replayed request may make the entry busy again, in
   // which case handle() re-queues the remainder in order.
-  std::deque<net::Message> pending;
+  std::vector<net::Message> pending;
+  if (!spare_queues_.empty()) {
+    pending = std::move(spare_queues_.back());
+    spare_queues_.pop_back();
+  }
   pending.swap(e.blocked);
   // Handle asynchronously so the current handler finishes its state
   // transition before any replay observes it.
   sim_.schedule(0, [this, pending = std::move(pending)]() mutable {
     for (auto& m : pending) handle(m);
+    pending.clear();
+    spare_queues_.push_back(std::move(pending));
   });
 }
 

@@ -14,7 +14,7 @@
 //
 // Serialization discipline: the controller processes one message at a
 // time; requests that hit a busy block are queued in the entry's `blocked`
-// deque and replayed FIFO when the block becomes stable (the paper assumes
+// vector and replayed FIFO when the block becomes stable (the paper assumes
 // infinite buffering, so queuing — never NACK — is the faithful model).
 // Timing: every message charges t_D for the directory check plus t_m when
 // block data is read or written, serialized through the single-ported
@@ -144,6 +144,10 @@ class DirectoryController {
   sim::StatsRegistry& stats_;
   mem::MemoryModule memory_;
   std::unordered_map<BlockId, mem::DirectoryEntry> entries_;
+  /// Emptied queues that keep their capacity: drain_blocked swaps one into
+  /// the entry and its replay hands the drained queue back, so a busy
+  /// block's queue is not regrown from nothing on every drain.
+  std::vector<std::vector<net::Message>> spare_queues_;
   TransitionHook hook_;
 };
 

@@ -8,7 +8,7 @@
 // stores captures up to kInlineBytes in place (48 bytes: six pointers, or a
 // bound completion callback plus a word), relocates with a single indirect
 // call, and falls back to one heap cell only for oversized or
-// throwing-move callables (e.g. the directory's deferred-replay deque).
+// throwing-move callables.
 #pragma once
 
 #include <cstddef>

@@ -15,6 +15,8 @@
 //         block back (the paper's critical-section locality argument).
 #pragma once
 
+#include <vector>
+
 #include "core/config.hpp"
 #include "core/processor.hpp"
 #include "sim/task.hpp"
@@ -23,6 +25,33 @@ namespace bcsim::workload {
 
 using core::DataProtocol;
 using core::Processor;
+
+/// One data reference of the section 5.2 models (paper Table 4 mix).
+struct DataReference {
+  bool shared = false;  ///< false: a private reference (Processor::private_access)
+  bool read = false;    ///< shared only: a read, else a write of `value`
+  Addr addr = 0;        ///< shared only
+  Word value = 0;       ///< shared write only
+};
+
+/// Draws a reference: shared with probability `shared_ratio`, then for a
+/// shared one a block of `shared_blocks`, a word in it, read with
+/// probability `read_ratio`, and a write's value, in that order. A plain
+/// function, not a coroutine: the caller co_awaits the primitive itself,
+/// so a reference costs no coroutine frame (private_access() then draws
+/// its own hit).
+inline DataReference draw_reference(Processor& p, double shared_ratio, double read_ratio,
+                                    const std::vector<Addr>& shared_blocks) {
+  auto& rng = p.rng();
+  DataReference r;
+  if (!rng.chance(shared_ratio)) return r;
+  r.shared = true;
+  const Addr base = shared_blocks[rng.next_below(shared_blocks.size())];
+  r.addr = base + rng.next_below(p.config().block_words);
+  r.read = rng.chance(read_ratio);
+  if (!r.read) r.value = rng.next_u64();
+  return r;
+}
 
 /// Read shared data that will be read again (worth a subscription).
 inline core::OpAwaiter shared_read(Processor& p, Addr a) {

@@ -32,26 +32,19 @@ bool SyncModelWorkload::lock_slot(std::uint32_t t) const {
   return u < cfg_.lock_ratio;
 }
 
-sim::Task SyncModelWorkload::data_reference(Processor& p) {
-  auto& rng = p.rng();
-  if (!rng.chance(cfg_.shared_ratio)) {
-    co_await p.private_access();
-    co_return;
-  }
-  const Addr base = shared_blocks_[rng.next_below(shared_blocks_.size())];
-  const Addr a = base + rng.next_below(p.config().block_words);
-  if (rng.chance(cfg_.read_ratio)) {
-    co_await shared_read(p, a);
-  } else {
-    co_await shared_write(p, a, rng.next_u64());
-  }
-}
-
 sim::Task SyncModelWorkload::run(Processor& p) {
   auto& rng = p.rng();
   for (std::uint32_t t = 0; t < cfg_.tasks_per_proc; ++t) {
     for (std::uint32_t r = 0; r < cfg_.grain; ++r) {
-      co_await data_reference(p);
+      const DataReference ref =
+          draw_reference(p, cfg_.shared_ratio, cfg_.read_ratio, shared_blocks_);
+      if (!ref.shared) {
+        co_await p.private_access();
+      } else if (ref.read) {
+        co_await shared_read(p, ref.addr);
+      } else {
+        co_await shared_write(p, ref.addr, ref.value);
+      }
     }
     if (lock_slot(t)) {
       // Lock-protected critical section: under CBL the protected words

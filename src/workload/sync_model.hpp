@@ -43,8 +43,6 @@ class SyncModelWorkload {
   void spawn_all(core::Machine& machine);
 
  private:
-  sim::Task data_reference(core::Processor& p);
-
   /// True when task slot `t` synchronizes with a lock (false: barrier).
   /// The schedule is shared by all processors — a per-processor coin flip
   /// would deadlock the barrier.

@@ -44,24 +44,17 @@ std::uint64_t WorkQueueWorkload::tasks_executed(const Machine& machine) const {
   return machine.peek_coherent(done_addr());
 }
 
-sim::Task WorkQueueWorkload::data_reference(Processor& p) {
-  auto& rng = p.rng();
-  if (!rng.chance(cfg_.shared_ratio)) {
-    co_await p.private_access();
-    co_return;
-  }
-  const Addr base = shared_blocks_[rng.next_below(shared_blocks_.size())];
-  const Addr a = base + rng.next_below(p.config().block_words);
-  if (rng.chance(cfg_.read_ratio)) {
-    co_await shared_read(p, a);
-  } else {
-    co_await shared_write(p, a, rng.next_u64());
-  }
-}
-
 sim::Task WorkQueueWorkload::execute_task(Processor& p, Word /*task_seed*/) {
   for (std::uint32_t r = 0; r < cfg_.grain; ++r) {
-    co_await data_reference(p);
+    const DataReference ref =
+        draw_reference(p, cfg_.shared_ratio, cfg_.read_ratio, shared_blocks_);
+    if (!ref.shared) {
+      co_await p.private_access();
+    } else if (ref.read) {
+      co_await shared_read(p, ref.addr);
+    } else {
+      co_await shared_write(p, ref.addr, ref.value);
+    }
   }
 }
 

@@ -47,7 +47,6 @@ class WorkQueueWorkload {
   [[nodiscard]] std::uint64_t tasks_executed(const core::Machine& machine) const;
 
  private:
-  sim::Task data_reference(core::Processor& p);
   sim::Task execute_task(core::Processor& p, Word task_seed);
 
   WorkQueueConfig cfg_;

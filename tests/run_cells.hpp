@@ -1,10 +1,11 @@
-// Work-queue runs shared by test_pins (which pins each as a `run` line of
+// Runs shared by test_pins (which pins each as a `run` line of
 // tests/pins.txt) and test_allocs (which bounds the heap allocations each
 // makes inside Machine::run). A cell is a `bcsim run` invocation: it is
 // built through conf::build_machine and conf::WorkloadInstance, the path
 // the CLI takes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "conf/scenario.hpp"
@@ -14,16 +15,29 @@ namespace bcsim::test {
 struct RunCell {
   const char* name;
   conf::MachineSpec machine;
-  std::uint32_t tasks;
+  const char* workload;      ///< `--workload`: work-queue or sync-model
+  std::uint32_t tasks;       ///< `--tasks`
+  std::uint32_t grain;       ///< `--grain`
   std::uint64_t max_allocs;  ///< ceiling on heap allocations inside Machine::run
 };
 
-/// `--workload work-queue --grain 20 --tasks <tasks>`: the section 5.2
-/// work queue at a fine grain.
-inline conf::WorkloadSpec work_queue(std::uint32_t tasks) {
+/// The section 5.2 work queue with a `tasks` budget and `grain` references
+/// per task.
+inline conf::WorkloadSpec work_queue(std::uint32_t tasks, std::uint32_t grain) {
   conf::WorkloadSpec w;
   w.work_queue.total_tasks = tasks;
-  w.work_queue.grain = 20;
+  w.work_queue.grain = grain;
+  return w;
+}
+
+/// The workload of `bcsim run --workload <workload> --tasks <tasks>
+/// --grain <grain>`: the sync model gets tasks / nodes tasks per processor,
+/// as the CLI maps --tasks.
+inline conf::WorkloadSpec workload(const RunCell& c) {
+  conf::WorkloadSpec w = work_queue(c.tasks, c.grain);
+  w.kind = c.workload;
+  w.sync_model.tasks_per_proc = std::max(1u, c.tasks / std::max(1u, c.machine.nodes));
+  w.sync_model.grain = c.grain;
   return w;
 }
 
@@ -31,20 +45,35 @@ inline conf::WorkloadSpec work_queue(std::uint32_t tasks) {
 /// with CBL, the paper's read-update + BC + CBL) on 8 nodes, the paper
 /// machine on bounded omega and mesh fabrics, WBI on a depth-1 fabric
 /// whose 1-pointer directory overflows into 2-node regions, and the paper
-/// machine on 64 nodes. The allocation ceilings are exact counts measured
-/// with g++ 12.2 (Release, RelWithDebInfo and Debug agree).
+/// machine on 64 nodes; then the four workloads of BENCHMARK.json at 1/16
+/// of their task counts (perfbench's `--task-divisor 16`, so each `run`
+/// line's digest is the one `bcsim_e2e --task-divisor 16 --seed 1` prints),
+/// and the sync model on the three machines. The allocation ceilings are
+/// exact counts measured with g++ 12.2 (Release and RelWithDebInfo agree).
 inline const RunCell kRunCells[] = {
-    {"e2e.wbi", {.nodes = 8, .flavor = "wbi"}, 64, 5321},
-    {"e2e.cbl", {.nodes = 8, .flavor = "cbl-on-wbi"}, 64, 2062},
-    {"e2e.paper", {.nodes = 8, .flavor = "paper"}, 64, 2006},
-    {"fabric.omega", {.nodes = 8, .flavor = "paper", .buffer_depth = 4}, 64, 2006},
+    {"e2e.wbi", {.nodes = 8, .flavor = "wbi"}, "work-queue", 64, 20, 871},
+    {"e2e.cbl", {.nodes = 8, .flavor = "cbl-on-wbi"}, "work-queue", 64, 20, 698},
+    {"e2e.paper", {.nodes = 8, .flavor = "paper"}, "work-queue", 64, 20, 644},
+    {"fabric.omega", {.nodes = 8, .flavor = "paper", .buffer_depth = 4}, "work-queue", 64, 20,
+     644},
     {"fabric.mesh", {.nodes = 8, .flavor = "paper", .network = "mesh", .buffer_depth = 4},
-     64, 2015},
+     "work-queue", 64, 20, 649},
     {"fabric.coarse",
      {.nodes = 8, .flavor = "wbi", .buffer_depth = 1, .dir_limit = 1, .dir_overflow = "coarse",
       .dir_region = 2},
-     64, 5879},
-    {"e2e.wq", {.nodes = 64, .flavor = "paper"}, 128, 4207},
+     "work-queue", 64, 20, 1441},
+    {"e2e.wq", {.nodes = 64, .flavor = "paper"}, "work-queue", 128, 20, 1523},
+    {"perf.wq-wbi-512", {.nodes = 512, .flavor = "wbi"}, "work-queue", 16, 60, 9096},
+    {"perf.wq-ru-1024", {.nodes = 1024, .flavor = "paper"}, "work-queue", 512, 100, 12361},
+    {"perf.wq-cbl-64-g1000", {.nodes = 64, .flavor = "cbl-on-wbi"}, "work-queue", 256, 1000,
+     4062},
+    {"perf.mesh-bounded-512",
+     {.nodes = 512, .flavor = "wbi", .network = "mesh", .buffer_depth = 1, .dir_limit = 8,
+      .dir_overflow = "coarse", .dir_region = 32},
+     "work-queue", 8, 20, 16027},
+    {"sync.wbi", {.nodes = 16, .flavor = "wbi"}, "sync-model", 512, 100, 2174},
+    {"sync.cbl", {.nodes = 16, .flavor = "cbl-on-wbi"}, "sync-model", 512, 100, 1873},
+    {"sync.paper", {.nodes = 16, .flavor = "paper"}, "sync-model", 512, 100, 1870},
 };
 
 }  // namespace bcsim::test

@@ -7,8 +7,10 @@
 // Every operation there completes inside the node (a hit, a delay, an empty
 // flush, a no-op unsubscribe, an already-changed word), so anything above
 // zero is bookkeeping cost: a future's shared state, a type-erased
-// callback, a waiter list. RunAllocs bounds whole work-queue runs: a new
-// allocation per message or per event breaks every ceiling.
+// callback, a waiter list. RunAllocs bounds the whole runs of
+// run_cells.hpp, where a new allocation per message or per event breaks
+// every ceiling, and checks that a work queue's private references
+// allocate nothing however many there are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,13 +94,31 @@ TEST(OpAllocs, WaitForAWordThatAlreadyChanged) {
             0u);
 }
 
-TEST(RunAllocs, WorkQueueRunsStayUnderTheirCeilings) {
+/// Heap allocations inside Machine::run.
+std::uint64_t run_allocs(const conf::MachineSpec& machine, const conf::WorkloadSpec& workload) {
+  Machine m(conf::build_machine(machine));
+  conf::WorkloadInstance w(m, workload);
+  const std::uint64_t before = g_allocs;
+  m.run(100'000'000);
+  return g_allocs - before;
+}
+
+TEST(RunAllocs, RunsStayUnderTheirCeilings) {
   for (const test::RunCell& c : test::kRunCells) {
-    Machine m(conf::build_machine(c.machine));
-    conf::WorkloadInstance w(m, test::work_queue(c.tasks));
-    const std::uint64_t before = g_allocs;
-    m.run(100'000'000);
-    EXPECT_LE(g_allocs - before, c.max_allocs) << c.name;
+    EXPECT_LE(run_allocs(c.machine, test::workload(c)), c.max_allocs) << c.name;
+  }
+}
+
+TEST(RunAllocs, PrivateReferencesAllocateNothing) {
+  // One node, eight tasks, no shared references: quadrupling the grain
+  // adds 24000 private references and must add no allocation.
+  for (const char* flavor : {"wbi", "cbl-on-wbi", "paper"}) {
+    const auto allocs = [flavor](std::uint32_t grain) {
+      conf::WorkloadSpec w = test::work_queue(8, grain);
+      w.work_queue.shared_ratio = 0;
+      return run_allocs({.nodes = 1, .flavor = flavor}, w);
+    };
+    EXPECT_EQ(allocs(4000), allocs(1000)) << flavor;
   }
 }
 

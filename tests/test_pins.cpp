@@ -11,9 +11,10 @@
 //   test_pins - the first `run` lines: the run_cells.hpp table.
 //   test_block_words - the other `run` lines: the 16-node queue at every
 //       block size on three machines and both fabrics.
-// A `run` line is a work-queue `bcsim run` whose keys are its flags, every
-// knob spelled out. Its `data` is Machine::data_digest(), and it must
-// execute all its tasks (the queue's counters live in simulated memory).
+// A `run` line is a work-queue or sync-model `bcsim run` whose keys are its
+// flags, every knob spelled out. Its `data` is Machine::data_digest(), and
+// a work-queue run must execute all its tasks (the queue's counters live
+// in simulated memory).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -101,10 +102,10 @@ std::vector<std::string> ir_grid() {
 }
 
 /// A `run` line: `bcsim run` with these keys as flags reproduces it.
-std::string run_pin(const conf::MachineSpec& spec, std::uint32_t tasks) {
-  const core::MachineConfig cfg = conf::build_machine(spec);
+std::string run_pin(const test::RunCell& c) {
+  const core::MachineConfig cfg = conf::build_machine(c.machine);
   const std::string keys =
-      "run nodes=" + std::to_string(cfg.n_nodes) + " machine=" + spec.flavor +
+      "run nodes=" + std::to_string(cfg.n_nodes) + " machine=" + c.machine.flavor +
       " consistency=" + std::string(core::to_string(cfg.consistency)) +
       " lock=" + std::string(core::to_string(cfg.lock_impl)) +
       " barrier=" + std::string(core::to_string(cfg.barrier_impl)) +
@@ -113,13 +114,16 @@ std::string run_pin(const conf::MachineSpec& spec, std::uint32_t tasks) {
       " dir-limit=" + std::to_string(cfg.dir_pointer_limit) +
       " dir-overflow=" + std::string(core::to_string(cfg.dir_overflow)) +
       " dir-region=" + std::to_string(cfg.dir_region_nodes) +
-      " block-words=" + std::to_string(cfg.block_words) + " workload=work-queue tasks=" +
-      std::to_string(tasks) + " grain=20 seed=" + std::to_string(cfg.seed) +
+      " block-words=" + std::to_string(cfg.block_words) + " workload=" + c.workload +
+      " tasks=" + std::to_string(c.tasks) + " grain=" + std::to_string(c.grain) +
+      " seed=" + std::to_string(cfg.seed) +
       " schedule-seed=" + std::to_string(cfg.schedule_seed);
   core::Machine m(cfg);
-  conf::WorkloadInstance w(m, test::work_queue(tasks));
+  conf::WorkloadInstance w(m, test::workload(c));
   const Tick t = m.run(100'000'000);
-  EXPECT_EQ(w.work_queue()->tasks_executed(m), tasks) << keys;
+  if (w.work_queue() != nullptr) {
+    EXPECT_EQ(w.work_queue()->tasks_executed(m), c.tasks) << keys;
+  }
   return pin(keys, t, m.stats_digest(), m.data_digest());
 }
 
@@ -135,14 +139,15 @@ std::vector<std::string> pinned_lines(Grid g) {
     case Grid::kIr:
       return ir_grid();
     case Grid::kRunCells:
-      for (const test::RunCell& c : test::kRunCells) out.push_back(run_pin(c.machine, c.tasks));
+      for (const test::RunCell& c : test::kRunCells) out.push_back(run_pin(c));
       break;
     case Grid::kBlockWords:
       for (const std::uint32_t words : {1u, 2u, 4u, 8u, 16u, 32u}) {
         for (const char* flavor : {"wbi", "cbl-on-wbi", "paper"}) {
           for (const char* network : {"omega", "mesh"}) {
             out.push_back(run_pin(
-                {.nodes = 16, .flavor = flavor, .network = network, .block_words = words}, 64));
+                {"", {.nodes = 16, .flavor = flavor, .network = network, .block_words = words},
+                 "work-queue", 64, 20, 0}));
           }
         }
       }
