@@ -5,6 +5,9 @@
 // directly hurt experiment turnaround.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "cache/cache.hpp"
 #include "core/machine.hpp"
 #include "net/network.hpp"
@@ -33,9 +36,9 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePushPop);
 
 void BM_EventQueueSameTickBurst(benchmark::State& state) {
-  // Many events on one tick: the bucketed queue's best case (one tick-heap
-  // operation for the whole burst) and the old heap's worst (log n sifts of
-  // fat items through a same-priority plateau).
+  // Many events on one tick: one slot's list grows and drains (an
+  // all-events heap's worst case: log n sifts of fat items through a
+  // same-priority plateau).
   sim::EventQueue q;
   std::uint64_t sink = 0;
   for (auto _ : state) {
@@ -49,6 +52,32 @@ void BM_EventQueueSameTickBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_EventQueueSameTickBurst);
+
+void BM_EventQueueWideSpread(benchmark::State& state) {
+  // The shape of the 512-node WBI spin storm (perfbench's wq-wbi-512):
+  // about 1000 events pending, pushed 0-2560 ticks ahead, about 1.7 of them
+  // firing per occupied tick. Each iteration pops the earliest event and
+  // pushes one more, so the window slides while the pending count holds.
+  sim::EventQueue q;
+  sim::Rng rng(5);
+  const auto distance = [&rng] {
+    return rng.chance(0.6) ? rng.next_below(2561) : rng.next_below(256);
+  };
+  for (int i = 0; i < 1000; ++i) q.push(distance(), [] {});
+  Tick now = 0;
+  std::uint64_t ticks = 0;
+  for (auto _ : state) {
+    auto [t, fn] = q.pop();
+    if (t != now) ++ticks;
+    now = t;
+    q.push(now + distance(), [] {});
+  }
+  benchmark::DoNotOptimize(now);
+  state.counters["events_per_tick"] = static_cast<double>(state.iterations()) /
+                                      static_cast<double>(std::max<std::uint64_t>(ticks, 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueWideSpread);
 
 void BM_RngNextBelow(benchmark::State& state) {
   sim::Rng rng(7);

@@ -240,7 +240,7 @@ void CacheController::op_read(Addr a) {
     complete(line->data[w], kHitLatency);
     return;
   }
-  stats_.counter("cache.misses").add();
+  stats_.counter(hot_.misses, "cache.misses").add();
   if (config_.data_protocol == DataProtocol::kWbi) {
     begin_miss(MsgType::kGetS);
     send(make(MsgType::kGetS, b));
@@ -281,7 +281,7 @@ void CacheController::op_write(Addr a, Word v) {
       complete(v, kHitLatency);
       return;
     }
-    stats_.counter("cache.misses").add();
+    stats_.counter(hot_.misses, "cache.misses").add();
     begin_miss(MsgType::kReadGlobal);
     auto m = make(MsgType::kReadGlobal, b);
     m.addr = a;
@@ -367,7 +367,7 @@ void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Word operand2)
   m.value2 = operand2;
   m.aux = static_cast<std::uint8_t>(op);
   send(std::move(m));
-  stats_.counter("cache.rmw").add();
+  stats_.counter(hot_.rmw, "cache.rmw").add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kRmw, node_, b, operand);
 }
 
@@ -448,7 +448,7 @@ void CacheController::on_inv(const net::Message& m) {
                              static_cast<std::uint8_t>(line->msi),
                              static_cast<std::uint8_t>(MsiState::kInvalid));
     line->clear();
-    stats_.counter("cache.invalidated").add();
+    stats_.counter(hot_.invalidated, "cache.invalidated").add();
   }
   // Always acknowledge: the directory's full map may lag a silent
   // replacement, and the requester is counting acks either way.

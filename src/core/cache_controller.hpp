@@ -242,6 +242,15 @@ class CacheController {
   const mem::AddressMap& amap_;
   const MachineConfig& config_;
   sim::StatsRegistry& stats_;
+  /// Handles of the counters bumped per miss or per message, resolved on
+  /// first use (StatsRegistry::counter(handle, name)).
+  struct HotCounters {
+    sim::Counter* misses = nullptr;
+    sim::Counter* rmw = nullptr;
+    sim::Counter* invalidated = nullptr;
+    sim::Counter* ru_updates_received = nullptr;
+    sim::Counter* chain_forwards = nullptr;
+  } hot_;
 
   cache::Cache cache_;
   cache::LockCache lock_cache_;

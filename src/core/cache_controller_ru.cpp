@@ -59,7 +59,7 @@ void CacheController::on_ru_data(const net::Message& m) {
 }
 
 void CacheController::on_ru_update(const net::Message& m) {
-  stats_.counter("cache.ru_updates_received").add();
+  stats_.counter(hot_.ru_updates_received, "cache.ru_updates_received").add();
   if (CacheLine* line = cache_.find(m.block);
       line && line->update_bit && m.value > line->ru_version) {
     // Merge: take updated values for words this node has not locally
@@ -101,7 +101,7 @@ void CacheController::forward_chain(const net::Message& m) {
   fwd.chain.pop_front();
   // One cache-directory lookup before the hop leaves this node.
   net_.send_at(sim_.now() + config_.t_directory, std::move(fwd));
-  stats_.counter("cache.chain_forwards").add();
+  stats_.counter(hot_.chain_forwards, "cache.chain_forwards").add();
 }
 
 // ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ void DirectoryController::handle(const net::Message& m) {
 bool DirectoryController::defer_if_busy(mem::DirectoryEntry& e, const net::Message& m) {
   if (!e.busy()) return false;
   e.blocked.push_back(m);
-  stats_.counter("dir.deferred").add();
+  stats_.counter(hot_.deferred, "dir.deferred").add();
   return true;
 }
 
@@ -146,7 +146,7 @@ net::Message DirectoryController::reply_to(const net::Message& m, net::MsgType t
 void DirectoryController::on_gets(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.gets").add();
+  stats_.counter(hot_.gets, "dir.gets").add();
   switch (e.state) {
     case mem::DirState::kUncached:
     case mem::DirState::kShared: {
@@ -168,7 +168,7 @@ void DirectoryController::on_gets(const net::Message& m) {
 void DirectoryController::on_getx(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.getx").add();
+  stats_.counter(hot_.getx, "dir.getx").add();
   switch (e.state) {
     case mem::DirState::kUncached:
     case mem::DirState::kShared: {
@@ -184,7 +184,7 @@ void DirectoryController::on_getx(const net::Message& m) {
         inv.aux = 0;      // 0: ack to cache, 1: ack to directory
         reply_after(0, std::move(inv));
         ++acks;
-        stats_.counter("dir.invs").add();
+        stats_.counter(hot_.invs, "dir.invs").add();
       }
       clear_sharers(e);
       e.state = mem::DirState::kModified;
@@ -206,7 +206,7 @@ void DirectoryController::on_getx(const net::Message& m) {
 void DirectoryController::on_rmw(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.rmw").add();
+  stats_.counter(hot_.rmw, "dir.rmw").add();
   switch (e.state) {
     case mem::DirState::kUncached: {
       auto out = reply_to(m, MsgType::kRmwAck);
@@ -236,7 +236,7 @@ void DirectoryController::on_rmw(const net::Message& m) {
         inv.who = node_;
         inv.aux = 1;  // ack to directory
         reply_after(0, std::move(inv));
-        stats_.counter("dir.invs").add();
+        stats_.counter(hot_.invs, "dir.invs").add();
       }
       clear_sharers(e);
       if (targets.empty()) {

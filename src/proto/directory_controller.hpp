@@ -142,6 +142,15 @@ class DirectoryController {
   const mem::AddressMap& amap_;
   const core::MachineConfig& config_;
   sim::StatsRegistry& stats_;
+  /// Handles of the counters bumped per request, resolved on first use
+  /// (StatsRegistry::counter(handle, name)).
+  struct HotCounters {
+    sim::Counter* deferred = nullptr;
+    sim::Counter* gets = nullptr;
+    sim::Counter* getx = nullptr;
+    sim::Counter* invs = nullptr;
+    sim::Counter* rmw = nullptr;
+  } hot_;
   mem::MemoryModule memory_;
   std::unordered_map<BlockId, mem::DirectoryEntry> entries_;
   /// Emptied queues that keep their capacity: drain_blocked swaps one into

@@ -67,8 +67,8 @@ class EventFn {
     void (*call)(void*);
     /// Move-constructs into dst from src and destroys src (dst is raw).
     /// nullptr means "memcpy the buffer" — most captures are a few
-    /// pointers, and skipping the indirect call matters: the event vectors
-    /// relocate events on growth and hand them out on every pop.
+    /// pointers, and skipping the indirect call matters: the event queue's
+    /// node pool relocates events on growth and hands one out on every pop.
     void (*relocate)(void* dst, void* src) noexcept;
     /// nullptr means "trivially destructible" for the same reason.
     void (*destroy)(void*) noexcept;

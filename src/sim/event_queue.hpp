@@ -11,30 +11,39 @@
 // never reorder a point-to-point FIFO link. Sweeping seeds is how the test
 // suite explores protocol interleavings (docs/TESTING.md).
 //
-// Representation: instead of one binary heap over every pending event (one
-// O(log n) sift of a fat item per push and per pop), events are bucketed by
-// tick. A small min-heap of {tick, serial, bucket} triples orders the
-// buckets; each bucket is a contiguous vector of {key, seq, EventFn}. A
-// push appends to its tick's bucket — found through a tiny direct-mapped
-// cache (tick & mask) — and draining a tick pops the tick heap once and
-// fires events straight out of the vector (already (key, seq)-sorted under
-// seed 0; sorted on refill otherwise). A cache collision merely opens a
-// second bucket for the same tick; the drain path merges same-tick buckets
-// in creation (serial) order, which is sequence order, so correctness
-// never depends on the cache. The heap is touched once per bucket instead
-// of once per event, sifts move 24-byte PODs instead of full events, and
-// bucket storage recycles, so the steady state allocates nothing. The
-// fired order is bit-identical to the old all-events heap (total order by
-// (tick, key, seq)); tests/test_event_repr locks the two representations
-// together under schedule-seed sweeps.
+// Representation: a timing wheel. The window [base, base + kSpan) holds one
+// slot per tick, where base is the tick firing now (or last fired). A slot
+// is an intrusive FIFO list of nodes from one free-listed pool, so the
+// steady state allocates nothing. A push into the window appends to its
+// slot; the next occupied slot is found through a two-level 64 x 64
+// occupancy bitmap. Both are constant time. An event beyond the window, or
+// earlier than base (only the raw queue allows that; Simulator forbids
+// scheduling into the past), waits in the far heap, ordered by
+// (tick, key, seq). Whenever base advances, the far events the window now
+// covers move onto their slots in heap order, before any push can reach
+// those ticks directly. Events earlier than base fire straight from the
+// heap, ahead of the whole window.
+//
+// Order contract: events fire in the total order (tick, key, seq), under
+// every schedule seed. Under seed 0, key == seq and a slot's list is in seq
+// order: its migrated events were pushed before the tick entered the
+// window, and they migrate in seq order. Under a nonzero seed, a slot is
+// sorted by (key, seq) when its tick starts firing, and a push for the
+// firing tick is inserted into the unfired tail at its (key, seq) place.
+// tests/test_event_repr.cpp checks the firing order against a plain binary
+// heap of every event (the oracle) under schedule-seed sweeps, including
+// pushes at the window's edges and beyond it.
+//
+// kSpan is 4096 ticks, above the furthest push of the benchmark workloads
+// (2560 ticks on the 512-node WBI ones); a longer push is only slower.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -47,7 +56,9 @@ namespace bcsim::sim {
 /// Min-queue of events ordered by (tick, key, seq).
 class EventQueue {
  public:
-  EventQueue() { cache_.fill(kNoBucket); }
+  /// Ticks the wheel covers: a push less than kSpan ticks after the firing
+  /// tick goes straight onto its slot. A power of two, at most 64 x 64.
+  static constexpr std::size_t kSpan = 4096;
 
   /// Selects the same-tick tie-break policy. Seed 0 restores strict FIFO
   /// (scheduling order); any other seed fires same-tick events in a
@@ -84,23 +95,34 @@ class EventQueue {
   /// Time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] Tick next_tick() const noexcept {
     assert(!empty() && "EventQueue::next_tick() on an empty queue");
-    if (draining()) {
-      const Tick cur = buckets_[cur_bucket_].at;
-      return heap_.empty() ? cur : std::min(cur, heap_.front().at);
+    if (!far_.empty()) {
+      const Tick f = far_.front().at;
+      if (f < base_ || top_ == 0) return f;
     }
-    return heap_.front().at;
+    const std::size_t i = slot_of(base_);
+    return base_ + ((next_occupied(i) - i) & kMask);
   }
 
   /// Removes and returns the earliest event. Precondition: !empty().
   [[nodiscard]] std::pair<Tick, EventFn> pop() {
     assert(!empty() && "EventQueue::pop() on an empty queue");
-    if (draining()) {
-      const Tick cur = buckets_[cur_bucket_].at;
-      if (heap_.empty() || cur <= heap_.front().at) return take_from_current();
-      stash_current();  // an earlier tick appeared (possible only outside run())
+    if (!far_.empty()) {
+      const Tick f = far_.front().at;
+      if (f < base_) return pop_far();
+      if (top_ == 0) advance(f);  // only far events left: the window jumps
     }
-    refill_current();
-    return take_from_current();
+    std::size_t i = slot_of(base_);
+    if (!occupied(i)) {
+      const std::size_t j = next_occupied(i);
+      advance(base_ + ((j - i) & kMask));
+      i = j;
+    }
+    if (!firing_) {
+      // Seed 0 appends in seq order with key == seq: already sorted.
+      if (schedule_seed_ != 0) sort_slot(i);
+      firing_ = true;
+    }
+    return take_head(i);
   }
 
   /// Empties the queue and resets the sequence counter, so a cleared queue
@@ -108,156 +130,202 @@ class EventQueue {
   /// one (reused Machines must replay bit-identically). The schedule seed is
   /// kept — clear() resets contents, not policy.
   void clear() noexcept {
-    buckets_.clear();
-    free_buckets_.clear();
-    heap_.clear();
-    cache_.fill(kNoBucket);
-    cur_bucket_ = kNoBucket;
-    cur_pos_ = 0;
+    nodes_.clear();
+    free_ = kNil;
+    far_.clear();
+    slots_.fill(Slot{});
+    occ_.fill(0);
+    top_ = 0;
+    base_ = 0;
+    firing_ = false;
     size_ = 0;
     next_seq_ = 0;
-    next_serial_ = 0;
   }
 
  private:
-  struct Event {
-    Event(std::uint64_t k, std::uint64_t s, EventFn&& f) noexcept
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kMask = kSpan - 1;
+  static_assert(std::has_single_bit(kSpan) && kSpan <= 64 * 64);
+
+  /// One pending event: a pool entry, linked into a slot's list or
+  /// pointed at by the far heap while it waits, and into the free list
+  /// once fired.
+  struct Node {
+    Node(std::uint64_t k, std::uint64_t s, EventFn&& f) noexcept
         : key(k), seq(s), fn(std::move(f)) {}
     std::uint64_t key;  ///< same-tick tie-break (== seq when seed is 0)
     std::uint64_t seq;  ///< final tie-break: keys may collide, seqs cannot
     EventFn fn;
+    std::uint32_t next = kNil;
   };
-  struct Bucket {
-    Tick at = 0;
-    std::vector<Event> events;
+  /// A slot's list; head == kNil exactly when the slot's bitmap bit is clear.
+  struct Slot {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
-  /// Heap entry: one per open bucket. `serial` is the bucket's creation
-  /// number; a bucket only receives events while it is the newest bucket
-  /// for its tick, so within one tick, serial order == sequence order.
-  struct HeapItem {
+  /// Far-heap entry: an event outside the window.
+  struct FarItem {
     Tick at;
-    std::uint64_t serial;
-    std::uint32_t bucket;
+    std::uint64_t key;
+    std::uint64_t seq;
+    std::uint32_t node;
   };
   /// Comparator for std::push_heap (max-heap semantics -> invert to min).
-  struct HeapLater {
-    bool operator()(const HeapItem& a, const HeapItem& b) const noexcept {
+  struct FarLater {
+    bool operator()(const FarItem& a, const FarItem& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      return a.serial > b.serial;
+      if (a.key != b.key) return a.key > b.key;
+      return a.seq > b.seq;
     }
   };
+
   /// Ascending (key, seq) within one tick.
-  struct Earlier {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.key != b.key) return a.key < b.key;
-      return a.seq < b.seq;
+  [[nodiscard]] static bool earlier(const Node& a, const Node& b) noexcept {
+    if (a.key != b.key) return a.key < b.key;
+    return a.seq < b.seq;
+  }
+
+  [[nodiscard]] static std::size_t slot_of(Tick t) noexcept {
+    return static_cast<std::size_t>(t) & kMask;
+  }
+  [[nodiscard]] bool occupied(std::size_t i) const noexcept {
+    return ((occ_[i >> 6] >> (i & 63)) & 1) != 0;
+  }
+  void mark(std::size_t i) noexcept {
+    occ_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    top_ |= std::uint64_t{1} << (i >> 6);
+  }
+  void unmark(std::size_t i) noexcept {
+    if ((occ_[i >> 6] &= ~(std::uint64_t{1} << (i & 63))) == 0) {
+      top_ &= ~(std::uint64_t{1} << (i >> 6));
     }
-  };
+  }
 
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
-  static constexpr std::size_t kCacheSlots = 16;  ///< power of two
-
-  [[nodiscard]] bool draining() const noexcept { return cur_bucket_ != kNoBucket; }
+  /// First occupied slot from `i` on, wrapping round: the slot of the
+  /// earliest tick on the wheel when i is base's slot. Precondition: the
+  /// wheel is not empty (top_ != 0).
+  [[nodiscard]] std::size_t next_occupied(std::size_t i) const noexcept {
+    const std::size_t w = i >> 6;
+    const std::uint64_t here = occ_[w] & (~std::uint64_t{0} << (i & 63));
+    if (here != 0) return (w << 6) | static_cast<std::size_t>(std::countr_zero(here));
+    const std::uint64_t later = top_ & (~std::uint64_t{1} << w);  // words after w
+    const auto w2 = static_cast<std::size_t>(std::countr_zero(later != 0 ? later : top_));
+    return (w2 << 6) | static_cast<std::size_t>(std::countr_zero(occ_[w2]));
+  }
 
   void insert(Tick at, std::uint64_t key, std::uint64_t seq, EventFn&& fn) {
     ++size_;
-    if (draining() && buckets_[cur_bucket_].at == at) {
+    const std::uint32_t n = acquire_node(key, seq, std::move(fn));
+    if (at - base_ >= kSpan) {  // beyond the window, or (wrapped) before base
+      far_.push_back(FarItem{at, key, seq, n});
+      std::push_heap(far_.begin(), far_.end(), FarLater{});
+    } else if (at == base_ && firing_ && schedule_seed_ != 0) {
       // Same-tick push while this tick is firing: merge into the unfired
-      // tail at its (key, seq) position, so a seeded permutation interleaves
-      // it exactly where the all-events heap would have.
-      auto& ev = buckets_[cur_bucket_].events;
-      Event e{key, seq, std::move(fn)};
-      const auto it = std::upper_bound(ev.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-                                       ev.end(), e, Earlier{});
-      ev.insert(it, std::move(e));
-      return;
-    }
-    const std::size_t slot = static_cast<std::size_t>(at) & (kCacheSlots - 1);
-    std::uint32_t bi = cache_[slot];
-    if (bi == kNoBucket || buckets_[bi].at != at) {
-      bi = acquire_bucket(at);
-      heap_.push_back(HeapItem{at, next_serial_++, bi});
-      std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
-      cache_[slot] = bi;
-    }
-    buckets_[bi].events.emplace_back(key, seq, std::move(fn));
-  }
-
-  std::uint32_t acquire_bucket(Tick at) {
-    if (!free_buckets_.empty()) {
-      const std::uint32_t bi = free_buckets_.back();
-      free_buckets_.pop_back();
-      buckets_[bi].at = at;
-      return bi;
-    }
-    buckets_.push_back(Bucket{at, {}});
-    return static_cast<std::uint32_t>(buckets_.size() - 1);
-  }
-
-  /// Returns a drained bucket to the free list, dropping any cache entry
-  /// still pointing at it (a freed index may be re-leased for another tick).
-  void release_bucket(std::uint32_t bi) {
-    Bucket& b = buckets_[bi];
-    b.events.clear();  // keeps capacity for the bucket's next lease
-    const std::size_t slot = static_cast<std::size_t>(b.at) & (kCacheSlots - 1);
-    if (cache_[slot] == bi) cache_[slot] = kNoBucket;
-    free_buckets_.push_back(bi);
-  }
-
-  void refill_current() {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    const HeapItem top = heap_.back();
-    heap_.pop_back();
-    cur_bucket_ = top.bucket;
-    cur_pos_ = 0;
-    // Merge any sibling buckets for the same tick (direct-mapped cache
-    // collisions open one per interruption). Serial order is sequence
-    // order, so under seed 0 the concatenation stays sorted.
-    while (!heap_.empty() && heap_.front().at == top.at) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-      const std::uint32_t sib = heap_.back().bucket;
-      heap_.pop_back();
-      auto& dst = buckets_[cur_bucket_].events;
-      auto& src = buckets_[sib].events;
-      dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                 std::make_move_iterator(src.end()));
-      release_bucket(sib);
-    }
-    const std::size_t slot = static_cast<std::size_t>(top.at) & (kCacheSlots - 1);
-    if (cache_[slot] != kNoBucket && buckets_[cache_[slot]].at == top.at) {
-      cache_[slot] = kNoBucket;  // this tick is now firing; no more appends
-    }
-    if (schedule_seed_ != 0) {
-      // Seed 0 appends in seq order with key == seq: already sorted.
-      auto& ev = buckets_[cur_bucket_].events;
-      std::sort(ev.begin(), ev.end(), Earlier{});
+      // tail at its (key, seq) position, exactly where the order puts it.
+      insert_sorted(slot_of(at), n);
+    } else {
+      append(slot_of(at), n);
     }
   }
 
-  std::pair<Tick, EventFn> take_from_current() {
-    Bucket& b = buckets_[cur_bucket_];
-    std::pair<Tick, EventFn> p{b.at, std::move(b.events[cur_pos_].fn)};
-    ++cur_pos_;
-    --size_;
-    if (cur_pos_ == b.events.size()) {
-      release_bucket(cur_bucket_);
-      cur_bucket_ = kNoBucket;
-      cur_pos_ = 0;
+  std::uint32_t acquire_node(std::uint64_t key, std::uint64_t seq, EventFn&& fn) {
+    if (free_ != kNil) {
+      const std::uint32_t n = free_;
+      Node& node = nodes_[n];
+      free_ = node.next;
+      node.key = key;
+      node.seq = seq;
+      node.fn = std::move(fn);
+      return n;
     }
+    nodes_.emplace_back(key, seq, std::move(fn));
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  void append(std::size_t i, std::uint32_t n) noexcept {
+    Slot& s = slots_[i];
+    nodes_[n].next = kNil;
+    if (s.head == kNil) {
+      s.head = n;
+      mark(i);
+    } else {
+      nodes_[s.tail].next = n;
+    }
+    s.tail = n;
+  }
+
+  /// Links `n` before the first node of slot `i` that orders after it.
+  void insert_sorted(std::size_t i, std::uint32_t n) noexcept {
+    Slot& s = slots_[i];
+    std::uint32_t prev = kNil;
+    std::uint32_t cur = s.head;
+    while (cur != kNil && !earlier(nodes_[n], nodes_[cur])) {
+      prev = cur;
+      cur = nodes_[cur].next;
+    }
+    nodes_[n].next = cur;
+    if (prev == kNil) {
+      s.head = n;
+      mark(i);
+    } else {
+      nodes_[prev].next = n;
+    }
+    if (cur == kNil) s.tail = n;
+  }
+
+  /// Sorts slot `i`'s list by (key, seq), through a reused scratch vector.
+  void sort_slot(std::size_t i) {
+    Slot& s = slots_[i];
+    sort_scratch_.clear();
+    for (std::uint32_t n = s.head; n != kNil; n = nodes_[n].next) sort_scratch_.push_back(n);
+    std::sort(sort_scratch_.begin(), sort_scratch_.end(),
+              [this](std::uint32_t a, std::uint32_t b) { return earlier(nodes_[a], nodes_[b]); });
+    for (std::size_t k = 0; k + 1 < sort_scratch_.size(); ++k) {
+      nodes_[sort_scratch_[k]].next = sort_scratch_[k + 1];
+    }
+    s.head = sort_scratch_.front();
+    s.tail = sort_scratch_.back();
+    nodes_[s.tail].next = kNil;
+  }
+
+  /// Moves base forward to `t`, the earliest pending tick, and the far
+  /// events the window now covers onto the wheel, in heap order.
+  void advance(Tick t) {
+    base_ = t;
+    firing_ = false;
+    while (!far_.empty() && far_.front().at - base_ < kSpan) {
+      std::pop_heap(far_.begin(), far_.end(), FarLater{});
+      const FarItem item = far_.back();
+      far_.pop_back();
+      append(slot_of(item.at), item.node);
+    }
+  }
+
+  std::pair<Tick, EventFn> take_head(std::size_t i) {
+    Slot& s = slots_[i];
+    const std::uint32_t n = s.head;
+    Node& node = nodes_[n];
+    s.head = node.next;
+    if (s.head == kNil) unmark(i);
+    std::pair<Tick, EventFn> p{base_, std::move(node.fn)};
+    release_node(n);
     return p;
   }
 
-  /// Re-queues a part-drained bucket (an earlier tick was pushed mid-drain —
-  /// impossible through Simulator, which forbids scheduling into the past,
-  /// but the queue stays correct stand-alone). The fresh serial keeps it
-  /// ahead of any bucket its tick acquires later, preserving seq order.
-  void stash_current() {
-    Bucket& b = buckets_[cur_bucket_];
-    b.events.erase(b.events.begin(), b.events.begin() + static_cast<std::ptrdiff_t>(cur_pos_));
-    heap_.push_back(HeapItem{b.at, next_serial_++, cur_bucket_});
-    std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
-    cur_bucket_ = kNoBucket;
-    cur_pos_ = 0;
+  /// Fires the far heap's earliest event, which is earlier than base.
+  std::pair<Tick, EventFn> pop_far() {
+    std::pop_heap(far_.begin(), far_.end(), FarLater{});
+    const FarItem item = far_.back();
+    far_.pop_back();
+    std::pair<Tick, EventFn> p{item.at, std::move(nodes_[item.node].fn)};
+    release_node(item.node);
+    return p;
+  }
+
+  void release_node(std::uint32_t n) noexcept {
+    nodes_[n].next = free_;
+    free_ = n;
+    --size_;
   }
 
   [[nodiscard]] std::uint64_t tie_key(std::uint64_t seq) const noexcept {
@@ -275,15 +343,17 @@ class EventQueue {
                : SplitMix64(schedule_seed_ ^ (channel * 0x9e3779b97f4a7c15ULL)).next();
   }
 
-  std::vector<Bucket> buckets_;               ///< bucket pool (index-stable)
-  std::vector<std::uint32_t> free_buckets_;   ///< drained buckets, for reuse
-  std::vector<HeapItem> heap_;                ///< min-heap of open buckets
-  std::array<std::uint32_t, kCacheSlots> cache_{};  ///< tick & mask -> bucket
-  std::uint32_t cur_bucket_ = kNoBucket;      ///< bucket currently firing
-  std::size_t cur_pos_ = 0;                   ///< next unfired event in it
+  std::vector<Node> nodes_;                  ///< node pool (index-stable)
+  std::uint32_t free_ = kNil;                ///< free list through Node::next
+  std::vector<FarItem> far_;                 ///< min-heap of events off the wheel
+  std::vector<std::uint32_t> sort_scratch_;  ///< sort_slot's buffer, reused
+  std::array<Slot, kSpan> slots_{};          ///< slot of tick t: t & kMask
+  std::array<std::uint64_t, kSpan / 64> occ_{};  ///< bit i: slot i is occupied
+  std::uint64_t top_ = 0;                    ///< bit w: occ_[w] != 0
+  Tick base_ = 0;                            ///< the window's first tick
+  bool firing_ = false;                      ///< base's slot has started firing
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_serial_ = 0;
   std::uint64_t schedule_seed_ = 0;
 };
 

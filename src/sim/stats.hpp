@@ -83,6 +83,14 @@ class StatsRegistry {
  public:
   /// Returns the counter registered under `name`, creating it on first use.
   Counter& counter(std::string_view name);
+  /// counter(name) through a handle the caller keeps, resolved on the first
+  /// call: a per-message call site pays the name lookup once, and the
+  /// counter is still registered only when it first counts, so the set of
+  /// registered names (which the digest hashes) does not change.
+  Counter& counter(Counter*& handle, std::string_view name) {
+    if (handle == nullptr) handle = &counter(name);
+    return *handle;
+  }
   /// Returns the histogram registered under `name`, creating it on first use.
   Histogram& histogram(std::string_view name);
 

@@ -51,29 +51,29 @@ inline conf::WorkloadSpec workload(const RunCell& c) {
 /// and the sync model on the three machines. The allocation ceilings are
 /// exact counts measured with g++ 12.2 (Release and RelWithDebInfo agree).
 inline const RunCell kRunCells[] = {
-    {"e2e.wbi", {.nodes = 8, .flavor = "wbi"}, "work-queue", 64, 20, 871},
-    {"e2e.cbl", {.nodes = 8, .flavor = "cbl-on-wbi"}, "work-queue", 64, 20, 698},
-    {"e2e.paper", {.nodes = 8, .flavor = "paper"}, "work-queue", 64, 20, 644},
+    {"e2e.wbi", {.nodes = 8, .flavor = "wbi"}, "work-queue", 64, 20, 792},
+    {"e2e.cbl", {.nodes = 8, .flavor = "cbl-on-wbi"}, "work-queue", 64, 20, 670},
+    {"e2e.paper", {.nodes = 8, .flavor = "paper"}, "work-queue", 64, 20, 615},
     {"fabric.omega", {.nodes = 8, .flavor = "paper", .buffer_depth = 4}, "work-queue", 64, 20,
-     644},
+     615},
     {"fabric.mesh", {.nodes = 8, .flavor = "paper", .network = "mesh", .buffer_depth = 4},
-     "work-queue", 64, 20, 649},
+     "work-queue", 64, 20, 616},
     {"fabric.coarse",
      {.nodes = 8, .flavor = "wbi", .buffer_depth = 1, .dir_limit = 1, .dir_overflow = "coarse",
       .dir_region = 2},
-     "work-queue", 64, 20, 1441},
-    {"e2e.wq", {.nodes = 64, .flavor = "paper"}, "work-queue", 128, 20, 1523},
-    {"perf.wq-wbi-512", {.nodes = 512, .flavor = "wbi"}, "work-queue", 16, 60, 9096},
-    {"perf.wq-ru-1024", {.nodes = 1024, .flavor = "paper"}, "work-queue", 512, 100, 12361},
+     "work-queue", 64, 20, 1362},
+    {"e2e.wq", {.nodes = 64, .flavor = "paper"}, "work-queue", 128, 20, 1370},
+    {"perf.wq-wbi-512", {.nodes = 512, .flavor = "wbi"}, "work-queue", 16, 60, 4957},
+    {"perf.wq-ru-1024", {.nodes = 1024, .flavor = "paper"}, "work-queue", 512, 100, 10225},
     {"perf.wq-cbl-64-g1000", {.nodes = 64, .flavor = "cbl-on-wbi"}, "work-queue", 256, 1000,
-     4062},
+     3744},
     {"perf.mesh-bounded-512",
      {.nodes = 512, .flavor = "wbi", .network = "mesh", .buffer_depth = 1, .dir_limit = 8,
       .dir_overflow = "coarse", .dir_region = 32},
-     "work-queue", 8, 20, 16027},
-    {"sync.wbi", {.nodes = 16, .flavor = "wbi"}, "sync-model", 512, 100, 2174},
-    {"sync.cbl", {.nodes = 16, .flavor = "cbl-on-wbi"}, "sync-model", 512, 100, 1873},
-    {"sync.paper", {.nodes = 16, .flavor = "paper"}, "sync-model", 512, 100, 1870},
+     "work-queue", 8, 20, 11196},
+    {"sync.wbi", {.nodes = 16, .flavor = "wbi"}, "sync-model", 512, 100, 2021},
+    {"sync.cbl", {.nodes = 16, .flavor = "cbl-on-wbi"}, "sync-model", 512, 100, 1765},
+    {"sync.paper", {.nodes = 16, .flavor = "paper"}, "sync-model", 512, 100, 1772},
 };
 
 }  // namespace bcsim::test

@@ -1,19 +1,22 @@
-// Pins the event queue's observable behavior to the original representation.
+// Pins the event queue's firing order to one binary heap of every event.
 //
-// The kernel's EventQueue was rewritten from a single binary heap of
-// std::function events to a bucketed calendar queue with a small-buffer
-// callable (sim/event_queue.hpp). The rewrite is only legal if it is
-// *bit-identical*: every (tick, key, seq) total order the old heap produced,
-// the new queue must reproduce exactly, under every schedule seed, including
-// events pushed while their tick is being drained. ReferenceEventQueue below
-// is a line-for-line copy of the pre-rewrite implementation, kept as the
-// oracle; the tests drive both with identical operation scripts and demand
-// identical firing orders.
+// sim::EventQueue is a timing wheel: one-tick slots over a window of
+// EventQueue::kSpan ticks, a far heap for events outside the window, and
+// one pool of event nodes (sim/event_queue.hpp). It is only correct if it
+// fires in exactly the total order (tick, key, seq) under every schedule
+// seed: events pushed while their tick is being drained, pushes at the
+// window's edge and far beyond it, queues that hold only far events (the
+// window jumps), and runs long enough for the slots to wrap round
+// thousands of times. ReferenceEventQueue below is the queue's first
+// representation, one binary heap of (tick, key, seq, std::function),
+// kept as the oracle; the tests drive both with identical operation
+// scripts and demand identical firing orders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,8 +199,8 @@ TEST(EventRepr, InterleavedPushPopMatchesReferenceAcrossSeeds) {
 
 TEST(EventRepr, MidDrainSameTickPushesMatchReference) {
   // Callbacks that push more work at the *same* tick while that tick is
-  // being drained — the bucketed queue must weave them into the unfired
-  // tail exactly where the old heap would have fired them.
+  // being drained — the queue must weave them into the unfired tail
+  // exactly where the all-events heap fires them.
   for (const std::uint64_t seed : kSeeds) {
     auto drive = [seed](auto& q) {
       q.set_schedule_seed(seed);
@@ -225,6 +228,105 @@ TEST(EventRepr, MidDrainSameTickPushesMatchReference) {
     ReferenceEventQueue ref;
     EXPECT_EQ(drive(q), drive(ref)) << "schedule seed " << seed;
   }
+}
+
+/// Drives a queue with pushes placed relative to the tick that fired last,
+/// so the script controls distances, not absolute ticks. Before each pop
+/// the queue is topped up to `pending` events; each fired event pushes one
+/// more, while its tick is draining, with probability 1/2 (until `pops`
+/// events have fired). `distance(rng)` draws each push's distance; a third
+/// of the pushes go on one of four channels. Returns the firing order as
+/// (tick, event id) pairs.
+template <typename Queue, typename Distance>
+std::vector<std::pair<Tick, int>> run_relative(Queue& q, std::uint64_t script, int pops,
+                                               int pending, Distance distance) {
+  Rng rng(script);
+  std::vector<std::pair<Tick, int>> fired;
+  Tick now = 0;
+  int next_id = 0;
+  int live = 0;
+  std::function<void()> push_one = [&] {
+    const int id = next_id++;
+    const Tick at = now + distance(rng);
+    auto fire = [&, id] {
+      fired.emplace_back(now, id);
+      if (static_cast<int>(fired.size()) < pops && rng.chance(0.5)) push_one();
+    };
+    if (rng.chance(0.3)) {
+      q.push_channel(at, rng.next_below(4), fire);
+    } else {
+      q.push(at, fire);
+    }
+    ++live;
+  };
+  while (live > 0 || static_cast<int>(fired.size()) < pops) {
+    while (live < pending && static_cast<int>(fired.size()) < pops) push_one();
+    auto [at, fn] = q.pop();
+    --live;
+    now = at;
+    fn();
+  }
+  return fired;
+}
+
+/// Runs the same relative script on both queues under every schedule seed.
+template <typename Distance>
+void expect_relative_matches_reference(std::uint64_t script, int pops, int pending,
+                                       Distance distance) {
+  for (const std::uint64_t seed : kSeeds) {
+    EventQueue q;
+    ReferenceEventQueue ref;
+    q.set_schedule_seed(seed);
+    ref.set_schedule_seed(seed);
+    const auto got = run_relative(q, script, pops, pending, distance);
+    const auto want = run_relative(ref, script, pops, pending, distance);
+    ASSERT_EQ(got.size(), want.size()) << "schedule seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "schedule seed " << seed << ", firing " << i;
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+constexpr Tick kSpan = EventQueue::kSpan;
+
+TEST(EventRepr, PushesAtTheSpanEdgeMatchReference) {
+  // Distances on both sides of the window's end (span - 1 lands in the
+  // slot just behind base's own; span and span + 1 would land on base's
+  // slot and the next, so they must wait in the far heap), far beyond the
+  // span, and same-tick pushes during a drain.
+  const Tick edges[] = {0,        1,        2,         kSpan - 1, kSpan,
+                        kSpan + 1, 2 * kSpan - 1, 2 * kSpan, 2 * kSpan + 1, 37 * kSpan + 5};
+  for (const std::uint64_t script : {3ULL, 4ULL}) {
+    expect_relative_matches_reference(script, 3000, 24, [&edges](Rng& rng) {
+      return rng.chance(0.3) ? rng.next_below(4) : edges[rng.next_below(std::size(edges))];
+    });
+  }
+}
+
+TEST(EventRepr, QueuesOfOnlyFarEventsJumpTheWindow) {
+  // Every push lands at least a span ahead, so the wheel receives events
+  // only by migration, and whenever it drains the window jumps to the
+  // earliest far event; equal distances from one tick collide, so whole
+  // bursts migrate onto one slot together.
+  const Tick far[] = {kSpan, kSpan + 1, 2 * kSpan, 3 * kSpan + 2, 1000 * kSpan};
+  for (const std::uint64_t script : {5ULL, 6ULL}) {
+    expect_relative_matches_reference(script, 2000, 8, [&far](Rng& rng) {
+      return far[rng.next_below(std::size(far))];
+    });
+  }
+}
+
+TEST(EventRepr, ThousandsOfLapsOfTheWheelMatchReference) {
+  // A sparse wheel over millions of ticks: the slot search wraps round
+  // from the last word of the bitmap to the first on every lap.
+  const auto distance = [](Rng& rng) {
+    return rng.chance(0.5) ? rng.next_below(8) : rng.next_below(2 * kSpan + 1);
+  };
+  expect_relative_matches_reference(7, 40000, 8, distance);
+  EventQueue q;
+  const Tick last = run_relative(q, 7, 40000, 8, distance).back().first;
+  EXPECT_GT(last / kSpan, 2000u) << "the script must lap the wheel thousands of times";
 }
 
 TEST(EventRepr, EarlierTickPushMidDrainStillFiresFirst) {

@@ -2,6 +2,8 @@
 // simulator semantics, the PRNG, statistics, and coroutine tasks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -82,6 +84,33 @@ TEST(Simulator, SchedulingIntoThePastThrows) {
   Simulator s;
   s.schedule(10, [&] { EXPECT_THROW(s.schedule_at(5, [] {}), std::logic_error); });
   s.run();
+}
+
+TEST(Simulator, FiresOnTimeAtTheWheelEdgesAndBeyond) {
+  // Delays around the event queue's window (EventQueue::kSpan ticks) and
+  // far past it, scheduled from inside events at two depths: each event
+  // checks that now() is the tick it was scheduled for.
+  constexpr Tick kSpan = EventQueue::kSpan;
+  const std::vector<Tick> delays = {0,         1,         kSpan - 1, kSpan,
+                                    kSpan + 1, 2 * kSpan, 7 * kSpan + 3, 1'000'000};
+  Simulator s;
+  std::vector<Tick> fired;
+  int late = 0;
+  std::function<void(Tick, int)> arm = [&](Tick at, int depth) {
+    s.schedule_at(at, [&, at, depth] {
+      if (s.now() != at) ++late;
+      fired.push_back(s.now());
+      if (depth > 0) {
+        for (const Tick d : delays) arm(s.now() + d, depth - 1);
+      }
+    });
+  };
+  arm(0, 2);
+  EXPECT_EQ(s.run(), RunResult::kIdle);
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(fired.size(), 1 + delays.size() + delays.size() * delays.size());
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(s.now(), 2'000'000u);
 }
 
 TEST(Simulator, RunUntilAdvancesToBoundary) {
