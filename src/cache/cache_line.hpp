@@ -18,9 +18,11 @@
 namespace bcsim::cache {
 
 /// A frame's block payload: a view of the frame's `block_words` words in
-/// its cache's frame storage (Cache and LockCache each own one
-/// frames x block_words word array), plus the payload's valid-word count.
-/// A view cannot be copied — two frames never share words.
+/// its cache's frame storage, plus the payload's valid-word count. In the
+/// data cache the words follow their CacheLine directly, in one record
+/// carved when the line's set is first filled (cache.hpp); LockCache owns
+/// one slots x block_words word array. A view cannot be copied — two
+/// frames never share words.
 class FrameData {
  public:
   FrameData() = default;

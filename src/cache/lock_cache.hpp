@@ -8,8 +8,8 @@
 // quantify the pressure), and free entries when a line leaves the queue.
 //
 // Storage is fixed at construction: `capacity` slots whose words live in
-// one capacity x block_words array, as in the data cache. A slot never
-// moves, so a line's address is stable for as long as it is allocated.
+// one capacity x block_words array. A slot never moves, so a line's
+// address is stable for as long as it is allocated.
 #pragma once
 
 #include <cstdint>

@@ -59,7 +59,7 @@ void CacheController::on_message(const net::Message& m) {
     case MsgType::kInv: on_inv(m); break;
     case MsgType::kRecall: on_recall(m); break;
     case MsgType::kPutAck:
-      stats_.counter("cache.put_acks").add();
+      stats_.counter(hot_.put_acks, "cache.put_acks").add();
       break;
     case MsgType::kWriteGlobalAck: {
       sim_.trace().wb_event(sim::TraceKind::kWbRetire, sim_.now(), node_, m.txn);
@@ -128,8 +128,9 @@ void CacheController::complete(Word value, Tick latency) {
   sim_.schedule(latency, [this, value] { finish(value); });
 }
 
-void CacheController::complete_timed(Word value, std::string_view histogram) {
-  stats_.histogram(histogram).record(sim_.now() - op_.issued_at);
+void CacheController::complete_timed(Word value, sim::Histogram*& latency,
+                                     std::string_view name) {
+  stats_.histogram(latency, name).record(sim_.now() - op_.issued_at);
   complete(value, 0);
 }
 
@@ -174,7 +175,7 @@ cache::CacheLine& CacheController::install_line(BlockId b, const net::BlockData&
 }
 
 void CacheController::evict(cache::CacheLine& victim) {
-  stats_.counter("cache.evictions").add();
+  stats_.counter(hot_.evictions, "cache.evictions").add();
   if (victim.msi == MsiState::kModified || victim.dirty_mask != 0) {
     // Only dirty words are written back (per-word dirty bits, Figure 2a).
     auto put = make(MsgType::kPutM, victim.block);
@@ -182,12 +183,12 @@ void CacheController::evict(cache::CacheLine& victim) {
     put.dirty_mask = victim.dirty_mask != 0 ? victim.dirty_mask
                                             : net::full_block_mask(config_.block_words);
     send(std::move(put));
-    stats_.counter("cache.writebacks").add();
+    stats_.counter(hot_.writebacks, "cache.writebacks").add();
   }
   if (victim.update_bit) {
     // Replacement cancels the read-update subscription (paper 4.1).
     send(make(MsgType::kResetUpdate, victim.block));
-    stats_.counter("cache.ru_evict_unsubscribe").add();
+    stats_.counter(hot_.ru_evict_unsubscribe, "cache.ru_evict_unsubscribe").add();
     sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kUpdateBit, node_, victim.block,
                              1, 0);
   }
@@ -230,12 +231,12 @@ void CacheController::op_read(Addr a) {
   const std::uint32_t w = amap_.word_of(a);
   // Lock-carried data: reads inside a critical section hit the lock line.
   if (CacheLine* ll = lock_cache_.find(b); ll && ll->holds_lock()) {
-    stats_.counter("cache.hits").add();
+    stats_.counter(hot_.hits, "cache.hits").add();
     complete(ll->data[w], kHitLatency);
     return;
   }
   if (CacheLine* line = cache_.find(b)) {
-    stats_.counter("cache.hits").add();
+    stats_.counter(hot_.hits, "cache.hits").add();
     cache_.touch(*line, sim_.now());
     complete(line->data[w], kHitLatency);
     return;
@@ -266,7 +267,7 @@ void CacheController::op_write(Addr a, Word v) {
     ll->data[w] = v;
     ll->dirty_mask |= 1u << w;
     ll->memory_stale = true;
-    stats_.counter("cache.hits").add();
+    stats_.counter(hot_.hits, "cache.hits").add();
     complete(v, kHitLatency);
     return;
   }
@@ -277,7 +278,7 @@ void CacheController::op_write(Addr a, Word v) {
       line->data[w] = v;
       line->dirty_mask |= 1u << w;
       cache_.touch(*line, sim_.now());
-      stats_.counter("cache.hits").add();
+      stats_.counter(hot_.hits, "cache.hits").add();
       complete(v, kHitLatency);
       return;
     }
@@ -294,11 +295,15 @@ void CacheController::op_write(Addr a, Word v) {
     line->data[w] = v;
     line->dirty_mask |= 1u << w;
     cache_.touch(*line, sim_.now());
-    stats_.counter("cache.hits").add();
+    stats_.counter(hot_.hits, "cache.hits").add();
     complete(v, kHitLatency);
     return;
   }
-  stats_.counter(line ? "cache.upgrades" : "cache.misses").add();
+  if (line) {
+    stats_.counter(hot_.upgrades, "cache.upgrades").add();
+  } else {
+    stats_.counter(hot_.misses, "cache.misses").add();
+  }
   begin_miss(MsgType::kGetX);
   send(make(MsgType::kGetX, b));
 }
@@ -310,14 +315,14 @@ void CacheController::op_read_global(Addr a) {
   m.addr = a;
   m.aux = 0;  // single word, bypass cache (paper Table 1)
   send(std::move(m));
-  stats_.counter("cache.read_global").add();
+  stats_.counter(hot_.read_global, "cache.read_global").add();
 }
 
 void CacheController::op_write_global(Addr a, Word v) {
   begin(PrimitiveOp::kWriteGlobal, a);
   op_.value = v;
   const std::uint32_t w = amap_.word_of(a);
-  stats_.counter("cache.write_global").add();
+  stats_.counter(hot_.write_global, "cache.write_global").add();
   // Keep the local copy coherent with what memory will hold; the word is
   // not marked dirty (memory is receiving it).
   if (CacheLine* line = cache_.find(op_.block)) {
@@ -348,7 +353,7 @@ void CacheController::enter_global_write() {
 
 void CacheController::op_flush_buffer() {
   begin(PrimitiveOp::kFlushBuffer, 0);
-  stats_.counter("cache.flush_buffer").add();
+  stats_.counter(hot_.flush_buffer, "cache.flush_buffer").add();
   sim_.trace().wb_event(sim::TraceKind::kWbFlushReq, sim_.now(), node_, wbuf_.pending());
   op_.wait = Wait::kFlush;
   wbuf_.on_drained([this] {
@@ -400,7 +405,7 @@ void CacheController::finish_wbi_txn() {
       line.msi = MsiState::kShared;
       sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kMsi, node_, b, old_msi,
                                static_cast<std::uint8_t>(MsiState::kShared));
-      complete_timed(line.data[w], "lat.read_miss");
+      complete_timed(line.data[w], hot_.lat_read_miss, "lat.read_miss");
       break;
     }
     case MsgType::kGetX: {
@@ -410,11 +415,11 @@ void CacheController::finish_wbi_txn() {
                                static_cast<std::uint8_t>(MsiState::kModified));
       line.data[w] = op_.value;
       line.dirty_mask |= 1u << w;
-      complete_timed(op_.value, "lat.write_miss");
+      complete_timed(op_.value, hot_.lat_write_miss, "lat.write_miss");
       break;
     }
     case MsgType::kRmw:
-      complete_timed(op_.result, "lat.rmw");
+      complete_timed(op_.result, hot_.lat_rmw, "lat.rmw");
       break;
     case MsgType::kReadGlobal: {
       if (mshr_.data.count > 0) {
@@ -423,13 +428,13 @@ void CacheController::finish_wbi_txn() {
         if (op_.op == PrimitiveOp::kWrite) {
           line.data[w] = op_.value;
           line.dirty_mask |= 1u << w;
-          complete_timed(op_.value, "lat.write_miss");
+          complete_timed(op_.value, hot_.lat_write_miss, "lat.write_miss");
         } else {
-          complete_timed(line.data[w], "lat.read_miss");
+          complete_timed(line.data[w], hot_.lat_read_miss, "lat.read_miss");
         }
       } else {
         // READ-GLOBAL proper: a single word, bypassing the cache.
-        complete_timed(op_.result, "lat.read_global");
+        complete_timed(op_.result, hot_.lat_read_global, "lat.read_global");
       }
       break;
     }
@@ -477,7 +482,7 @@ void CacheController::on_recall(const net::Message& m) {
   if (line == nullptr || line->msi != MsiState::kModified) {
     // Our PutM crossed the recall in flight; the directory will treat the
     // PutM as the recall ack.
-    stats_.counter("cache.recall_crossed").add();
+    stats_.counter(hot_.recall_crossed, "cache.recall_crossed").add();
     return;
   }
   perform_recall(line, m.aux);
@@ -506,7 +511,7 @@ void CacheController::perform_recall(cache::CacheLine* line, std::uint8_t aux) {
                              static_cast<std::uint8_t>(MsiState::kInvalid));
     fire_line_change(b);
   }
-  stats_.counter("cache.recalled").add();
+  stats_.counter(hot_.recalled, "cache.recalled").add();
 }
 
 }  // namespace bcsim::core

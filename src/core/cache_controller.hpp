@@ -192,8 +192,9 @@ class CacheController {
   /// Completes the record `latency` cycles from now.
   void complete(Word value, Tick latency);
   /// Completes the record now and records its issue-to-completion latency
-  /// in the named histogram (misses/locks; hits are always one cycle).
-  void complete_timed(Word value, std::string_view histogram);
+  /// in the histogram `name` through its handle `latency` (misses/locks;
+  /// hits are always one cycle).
+  void complete_timed(Word value, sim::Histogram*& latency, std::string_view name);
   /// Empties the record and resumes the processor, in the calling event.
   void finish(Word value);
 
@@ -242,14 +243,44 @@ class CacheController {
   const mem::AddressMap& amap_;
   const MachineConfig& config_;
   sim::StatsRegistry& stats_;
-  /// Handles of the counters bumped per miss or per message, resolved on
-  /// first use (StatsRegistry::counter(handle, name)).
-  struct HotCounters {
+  /// Handles of every counter and latency histogram the controller
+  /// records, each named after its stat ("cache.hits" is `hits`,
+  /// "lat.read_miss" is `lat_read_miss`) and resolved on first use
+  /// (StatsRegistry::counter(handle, name)), so no operation, miss or
+  /// message looks a name up.
+  struct StatHandles {
+    sim::Counter* hits = nullptr;
     sim::Counter* misses = nullptr;
+    sim::Counter* upgrades = nullptr;
     sim::Counter* rmw = nullptr;
     sim::Counter* invalidated = nullptr;
+    sim::Counter* evictions = nullptr;
+    sim::Counter* writebacks = nullptr;
+    sim::Counter* put_acks = nullptr;
+    sim::Counter* recalled = nullptr;
+    sim::Counter* recall_crossed = nullptr;
+    sim::Counter* read_global = nullptr;
+    sim::Counter* write_global = nullptr;
+    sim::Counter* flush_buffer = nullptr;
+    sim::Counter* read_update = nullptr;
+    sim::Counter* reset_update = nullptr;
+    sim::Counter* ru_evict_unsubscribe = nullptr;
     sim::Counter* ru_updates_received = nullptr;
     sim::Counter* chain_forwards = nullptr;
+    sim::Counter* read_lock = nullptr;
+    sim::Counter* write_lock = nullptr;
+    sim::Counter* lock_line_busy_waits = nullptr;
+    sim::Counter* lock_cache_stalls = nullptr;
+    sim::Counter* lock_granted = nullptr;
+    sim::Counter* share_cascade = nullptr;
+    sim::Counter* unlock = nullptr;
+    sim::Counter* barrier_arrive = nullptr;
+    sim::Histogram* lat_read_miss = nullptr;
+    sim::Histogram* lat_write_miss = nullptr;
+    sim::Histogram* lat_rmw = nullptr;
+    sim::Histogram* lat_read_global = nullptr;
+    sim::Histogram* lat_read_update = nullptr;
+    sim::Histogram* lat_lock_acquire = nullptr;
   } hot_;
 
   cache::Cache cache_;

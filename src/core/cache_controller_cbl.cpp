@@ -41,18 +41,22 @@ void CacheController::op_lock(Addr a, net::LockMode mode) {
 }
 
 void CacheController::issue_lock() {
-  stats_.counter(op_.mode == LockMode::kRead ? "cache.read_lock" : "cache.write_lock").add();
+  if (op_.mode == LockMode::kRead) {
+    stats_.counter(hot_.read_lock, "cache.read_lock").add();
+  } else {
+    stats_.counter(hot_.write_lock, "cache.write_lock").add();
+  }
   if (lock_cache_.find(op_.block) != nullptr) {
     // The previous acquisition/release of this lock is still winding down
     // (e.g. an immediate re-lock while the unlock protocol is in flight):
     // release_lock_line issues the lock again.
     op_.wait = Wait::kLockLine;
-    stats_.counter("cache.lock_line_busy_waits").add();
+    stats_.counter(hot_.lock_line_busy_waits, "cache.lock_line_busy_waits").add();
     return;
   }
   op_.wait = Wait::kLockSlot;
   const bool stalled = lock_cache_.on_slot([this] { start_lock_request(); });
-  if (stalled) stats_.counter("cache.lock_cache_stalls").add();
+  if (stalled) stats_.counter(hot_.lock_cache_stalls, "cache.lock_cache_stalls").add();
 }
 
 void CacheController::start_lock_request() {
@@ -79,7 +83,7 @@ void CacheController::op_unlock(Addr a) {
   if (line == nullptr || !line->holds_lock()) {
     throw std::logic_error("CacheController: unlock of a lock not held");
   }
-  stats_.counter("cache.unlock").add();
+  stats_.counter(hot_.unlock, "cache.unlock").add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kUnlock, node_, b);
   // "The unlocking processor is allowed to continue its computation
   // immediately, and does not have to wait for the unlock operation to be
@@ -238,14 +242,14 @@ void CacheController::became_holder(cache::CacheLine& line, bool chain_modified)
   const auto old_lock = static_cast<std::uint8_t>(line.lock);
   line.lock =
       (line.lock == LockState::kWaitWrite) ? LockState::kHeldWrite : LockState::kHeldRead;
-  stats_.counter("cache.lock_granted").add();
+  stats_.counter(hot_.lock_granted, "cache.lock_granted").add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kLockGrant, node_, line.block);
   sim_.trace().cache_state(sim_.now(), sim::CacheTraceOp::kLock, node_, line.block, old_lock,
                            static_cast<std::uint8_t>(line.lock));
   cascade_share(line);
   assert(op_.wait == Wait::kLockGrant && op_.block == line.block);
   // The word the processor asked to lock rides along with the grant.
-  complete_timed(line.data[0], "lat.lock_acquire");
+  complete_timed(line.data[0], hot_.lat_lock_acquire, "lat.lock_acquire");
 }
 
 void CacheController::cascade_share(cache::CacheLine& line) {
@@ -263,7 +267,7 @@ void CacheController::cascade_share(cache::CacheLine& line) {
   g.data = line.data;
   g.aux = line.memory_stale ? 1 : 0;
   send(std::move(g));
-  stats_.counter("cache.share_cascade").add();
+  stats_.counter(hot_.share_cascade, "cache.share_cascade").add();
 }
 
 void CacheController::on_unlock_empty(const net::Message& m) {

@@ -17,12 +17,12 @@ void CacheController::op_read_update(Addr a) {
   // "A read-update request is serviced locally by the cache if the update
   // bit of the cache line is already set."
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
-    stats_.counter("cache.hits").add();
+    stats_.counter(hot_.hits, "cache.hits").add();
     cache_.touch(*line, sim_.now());
     complete(line->data[amap_.word_of(a)], kHitLatency);
     return;
   }
-  stats_.counter("cache.read_update").add();
+  stats_.counter(hot_.read_update, "cache.read_update").add();
   begin_miss(MsgType::kReadUpdate);
   auto m = make(MsgType::kReadUpdate, b);
   m.addr = a;
@@ -32,7 +32,7 @@ void CacheController::op_read_update(Addr a) {
 void CacheController::op_reset_update(Addr a) {
   begin(PrimitiveOp::kResetUpdate, a);
   const BlockId b = op_.block;
-  stats_.counter("cache.reset_update").add();
+  stats_.counter(hot_.reset_update, "cache.reset_update").add();
   if (CacheLine* line = cache_.find(b); line && line->update_bit) {
     line->update_bit = false;
     line->prev = line->next = kNoNode;
@@ -55,7 +55,7 @@ void CacheController::on_ru_data(const net::Message& m) {
   // previous head (the directory sends kRuLinkPrev to that node).
   line.prev = kNoNode;
   line.next = m.who;
-  complete_timed(line.data[amap_.word_of(op_.addr)], "lat.read_update");
+  complete_timed(line.data[amap_.word_of(op_.addr)], hot_.lat_read_update, "lat.read_update");
 }
 
 void CacheController::on_ru_update(const net::Message& m) {
@@ -111,7 +111,7 @@ void CacheController::forward_chain(const net::Message& m) {
 void CacheController::op_barrier(Addr a, std::uint32_t participants) {
   begin(PrimitiveOp::kBarrier, a);
   const BlockId b = op_.block;
-  stats_.counter("cache.barrier_arrive").add();
+  stats_.counter(hot_.barrier_arrive, "cache.barrier_arrive").add();
   sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierArrive, node_, b, participants);
   op_.wait = Wait::kBarrier;
   auto m = make(MsgType::kBarArrive, b);

@@ -38,7 +38,7 @@ void DirectoryController::on_lock_req(const net::Message& m) {
     throw std::logic_error("DirectoryController: lock request on a read-update block");
   }
   const auto mode = static_cast<LockMode>(m.aux & 1u);
-  stats_.counter("dir.lock_req").add();
+  stats_.counter(hot_.lock_req, "dir.lock_req").add();
 
   if (e.lock_chain.empty()) {
     // Unlocked and no outstanding requester: grant immediately, shipping
@@ -71,7 +71,11 @@ void DirectoryController::on_lock_req(const net::Message& m) {
   fwd.who = m.src;
   fwd.aux = static_cast<std::uint8_t>(mode) | (share ? kFwdShareBit : 0);
   reply_after(config_.t_directory, std::move(fwd));
-  stats_.counter(share ? "dir.lock_fwd_share" : "dir.lock_fwd_wait").add();
+  if (share) {
+    stats_.counter(hot_.lock_fwd_share, "dir.lock_fwd_share").add();
+  } else {
+    stats_.counter(hot_.lock_fwd_wait, "dir.lock_fwd_wait").add();
+  }
 }
 
 bool DirectoryController::chain_remove(mem::DirectoryEntry& e, NodeId node) {
@@ -114,10 +118,10 @@ void DirectoryController::on_unlock_notify(const net::Message& m) {
   if (it != e.lock_chain.end() &&
       static_cast<std::uint32_t>(it - e.lock_chain.begin()) >= e.lock_holders) {
     e.blocked.push_back(m);
-    stats_.counter("dir.unlock_notify_deferred").add();
+    stats_.counter(hot_.unlock_notify_deferred, "dir.unlock_notify_deferred").add();
     return;
   }
-  stats_.counter("dir.unlock_notify").add();
+  stats_.counter(hot_.unlock_notify, "dir.unlock_notify").add();
   const bool was_holder = chain_remove(e, m.src);
   assert(was_holder);
   static_cast<void>(was_holder);
@@ -161,7 +165,7 @@ void DirectoryController::on_unlock_notify(const net::Message& m) {
 
 void DirectoryController::on_unlock_query(const net::Message& m) {
   auto& e = entry(m.block);
-  stats_.counter("dir.unlock_query").add();
+  stats_.counter(hot_.unlock_query, "dir.unlock_query").add();
   if (e.lock_chain.size() == 1 && e.lock_chain.front().node == m.src) {
     // Truly the tail: unlink and call the data home.
     e.lock_chain.clear();
@@ -180,7 +184,7 @@ void DirectoryController::on_unlock_query(const net::Message& m) {
   if (!e.lock_chain.empty() && e.lock_chain.front().node != m.src &&
       chain_contains(e, m.src)) {
     e.blocked.push_back(m);
-    stats_.counter("dir.unlock_query_deferred").add();
+    stats_.counter(hot_.unlock_query_deferred, "dir.unlock_query_deferred").add();
     return;
   }
   // A querying releaser that is not in the chain at all is a protocol bug —
@@ -207,7 +211,7 @@ void DirectoryController::on_unlock_query(const net::Message& m) {
 
 void DirectoryController::on_lock_writeback(const net::Message& m) {
   auto& e = entry(m.block);
-  stats_.counter("dir.lock_writeback").add();
+  stats_.counter(hot_.lock_writeback, "dir.lock_writeback").add();
   assert(e.lock_writeback_pending);
   if (m.aux != 0) {
     memory_.write_block_masked(m.block, m.data, m.dirty_mask);

@@ -321,7 +321,7 @@ void DirectoryController::on_inv_ack(const net::Message& m) {
 
 void DirectoryController::start_recall(mem::DirectoryEntry& e, const net::Message& cause,
                                        bool for_exclusive) {
-  stats_.counter("dir.recalls").add();
+  stats_.counter(hot_.recalls, "dir.recalls").add();
   e.pending = cause;
   e.state = mem::DirState::kBusyRecall;
   net::Message rec;
@@ -377,13 +377,13 @@ void DirectoryController::finish_pending(mem::DirectoryEntry& e) {
 }
 
 std::vector<NodeId> DirectoryController::invalidation_targets(const mem::DirectoryEntry& e,
-                                                              NodeId requester) const {
+                                                              NodeId requester) {
   std::vector<NodeId> out;
   if (e.coarse) {
     // Coarse vector: invalidate every node of every flagged region (each
     // acks, cached copy or not). Conservative but never machine-wide
     // unless every region bit is set.
-    stats_.counter("dir.coarse_invalidations").add();
+    stats_.counter(hot_.coarse_invalidations, "dir.coarse_invalidations").add();
     for (NodeId n = 0; n < config_.n_nodes; ++n) {
       if (n != requester && e.region_bit(region_of(n))) out.push_back(n);
     }
@@ -394,7 +394,7 @@ std::vector<NodeId> DirectoryController::invalidation_targets(const mem::Directo
     // Dir_k-B: the directory ran out of pointers for this block; the only
     // safe invalidation is a broadcast to every other node (each acks,
     // cached copy or not).
-    stats_.counter("dir.broadcast_invalidations").add();
+    stats_.counter(hot_.broadcast_invalidations, "dir.broadcast_invalidations").add();
     out.reserve(config_.n_nodes - 1);
     for (NodeId n = 0; n < config_.n_nodes; ++n) {
       if (n != requester) out.push_back(n);
@@ -422,7 +422,7 @@ void DirectoryController::add_sharer(mem::DirectoryEntry& e, NodeId n) {
     // Pointer budget exhausted: fold the exact pointers into region bits.
     // From here the entry stays coarse until an invalidation round clears
     // every copy and clear_sharers() makes it exact again.
-    stats_.counter("dir.coarse_overflows").add();
+    stats_.counter(hot_.coarse_overflows, "dir.coarse_overflows").add();
     e.coarse = true;
     for (NodeId s : e.sharers) e.set_region_bit(region_of(s));
     e.sharers.clear();

@@ -102,7 +102,7 @@ class DirectoryController {
   /// pointer limit is exceeded; every node of every flagged region for a
   /// coarse-vector entry.
   [[nodiscard]] std::vector<NodeId> invalidation_targets(const mem::DirectoryEntry& e,
-                                                         NodeId requester) const;
+                                                         NodeId requester);
   /// Records `n` as a sharer, honoring the directory representation:
   /// exact pointer while within budget, region bit once the entry is (or
   /// becomes) coarse under the kCoarse overflow policy.
@@ -142,14 +142,33 @@ class DirectoryController {
   const mem::AddressMap& amap_;
   const core::MachineConfig& config_;
   sim::StatsRegistry& stats_;
-  /// Handles of the counters bumped per request, resolved on first use
-  /// (StatsRegistry::counter(handle, name)).
-  struct HotCounters {
+  /// Handles of every counter the directory bumps, each named after its
+  /// stat ("dir.gets" is `gets`) and resolved on first use
+  /// (StatsRegistry::counter(handle, name)), so no request looks a name up.
+  struct StatHandles {
     sim::Counter* deferred = nullptr;
     sim::Counter* gets = nullptr;
     sim::Counter* getx = nullptr;
     sim::Counter* invs = nullptr;
     sim::Counter* rmw = nullptr;
+    sim::Counter* recalls = nullptr;
+    sim::Counter* coarse_invalidations = nullptr;
+    sim::Counter* broadcast_invalidations = nullptr;
+    sim::Counter* coarse_overflows = nullptr;
+    sim::Counter* read_global = nullptr;
+    sim::Counter* write_global = nullptr;
+    sim::Counter* read_update = nullptr;
+    sim::Counter* reset_update = nullptr;
+    sim::Counter* ru_propagations = nullptr;
+    sim::Counter* barrier_arrivals = nullptr;
+    sim::Counter* lock_req = nullptr;
+    sim::Counter* lock_fwd_share = nullptr;
+    sim::Counter* lock_fwd_wait = nullptr;
+    sim::Counter* lock_writeback = nullptr;
+    sim::Counter* unlock_notify = nullptr;
+    sim::Counter* unlock_notify_deferred = nullptr;
+    sim::Counter* unlock_query = nullptr;
+    sim::Counter* unlock_query_deferred = nullptr;
   } hot_;
   mem::MemoryModule memory_;
   std::unordered_map<BlockId, mem::DirectoryEntry> entries_;

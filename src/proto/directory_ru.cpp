@@ -16,7 +16,7 @@ using net::Unit;
 void DirectoryController::on_read_global(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.read_global").add();
+  stats_.counter(hot_.read_global, "dir.read_global").add();
   auto out = reply_to(m, MsgType::kReadGlobalAck);
   if (m.aux == 1) {
     out.data = memory_.read_block(m.block);  // block fill (local-miss path)
@@ -29,7 +29,7 @@ void DirectoryController::on_read_global(const net::Message& m) {
 void DirectoryController::on_write_global(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
-  stats_.counter("dir.write_global").add();
+  stats_.counter(hot_.write_global, "dir.write_global").add();
   memory_.write_word(m.block, amap_.word_of(m.addr), m.value);
   e.ru_version += 1;
   const Tick done = memory_.occupy(sim_.now(), config_.t_directory + config_.t_memory);
@@ -42,7 +42,7 @@ void DirectoryController::on_write_global(const net::Message& m) {
   // its locally-updated copy may have been overwritten by an older
   // in-flight snapshot, and the version-ordered chain is what restores it.
   if (!e.ru_list.empty()) {
-    stats_.counter("dir.ru_propagations").add();
+    stats_.counter(hot_.ru_propagations, "dir.ru_propagations").add();
     Message upd;
     upd.src = node_;
     upd.unit = Unit::kCache;
@@ -64,7 +64,7 @@ void DirectoryController::on_write_global(const net::Message& m) {
 void DirectoryController::propagate_update(mem::DirectoryEntry& e, BlockId b, Tick when) {
   // Ack-free propagation path (used when no specific write is retiring).
   if (e.ru_list.empty()) return;
-  stats_.counter("dir.ru_propagations").add();
+  stats_.counter(hot_.ru_propagations, "dir.ru_propagations").add();
   Message upd;
   upd.src = node_;
   upd.unit = Unit::kCache;
@@ -85,7 +85,7 @@ void DirectoryController::on_read_update(const net::Message& m) {
     // a lock request for the same memory block."
     throw std::logic_error("DirectoryController: READ-UPDATE on a locked block");
   }
-  stats_.counter("dir.read_update").add();
+  stats_.counter(hot_.read_update, "dir.read_update").add();
   e.usage_lock = false;
   const NodeId old_head = e.ru_list.empty() ? kNoNode : e.ru_list.front();
   const bool already =
@@ -120,7 +120,7 @@ void DirectoryController::on_read_update(const net::Message& m) {
 
 void DirectoryController::on_reset_update(const net::Message& m) {
   auto& e = entry(m.block);
-  stats_.counter("dir.reset_update").add();
+  stats_.counter(hot_.reset_update, "dir.reset_update").add();
   auto it = std::find(e.ru_list.begin(), e.ru_list.end(), m.src);
   if (it == e.ru_list.end()) return;  // idempotent (replacement raced reset)
   const std::size_t idx = static_cast<std::size_t>(it - e.ru_list.begin());
@@ -153,7 +153,7 @@ void DirectoryController::on_reset_update(const net::Message& m) {
 
 void DirectoryController::on_bar_arrive(const net::Message& m) {
   auto& e = entry(m.block);
-  stats_.counter("dir.barrier_arrivals").add();
+  stats_.counter(hot_.barrier_arrivals, "dir.barrier_arrivals").add();
   e.barrier_count += 1;
   memory_.write_word(m.block, amap_.word_of(m.addr), e.barrier_count);
   const std::uint32_t target = static_cast<std::uint32_t>(m.value);

@@ -93,6 +93,12 @@ class StatsRegistry {
   }
   /// Returns the histogram registered under `name`, creating it on first use.
   Histogram& histogram(std::string_view name);
+  /// histogram(name) through a handle the caller keeps, resolved on the
+  /// first call, as counter(handle, name) is.
+  Histogram& histogram(Histogram*& handle, std::string_view name) {
+    if (handle == nullptr) handle = &histogram(name);
+    return *handle;
+  }
 
   /// Value of a counter, or 0 if it was never registered (reads don't
   /// create; useful for tests that assert "nothing of kind X happened").

@@ -1,18 +1,25 @@
 // Heap allocations, counted exactly.
 //
-// This executable replaces the global operator new with a counting one (so
-// the counter affects no other test). The OpAllocs cases run one program
-// on processor 0: a read that caches the probed block, a warm-up of kOps
-// operations, then kOps more operations between two counter snapshots.
-// Every operation there completes inside the node (a hit, a delay, an empty
-// flush, a no-op unsubscribe, an already-changed word), so anything above
-// zero is bookkeeping cost: a future's shared state, a type-erased
-// callback, a waiter list. RunAllocs bounds the whole runs of
-// run_cells.hpp, where a new allocation per message or per event breaks
-// every ceiling, and checks that a work queue's private references
-// allocate nothing however many there are.
+// This executable replaces every form of the global operator new (single
+// and array, default-aligned and over-aligned, throwing and nothrow) with a
+// counting one, so the counter affects no other test. All of them must be
+// replaced: libstdc++'s array forms call the single one, but ASan's runtime
+// defines `operator new[]` itself, so a count that relied on the forwarding
+// would differ between the Release and the sanitizer build.
+//
+// The OpAllocs cases run one program on processor 0: a read that caches
+// the probed block, a warm-up of kOps operations, then kOps more
+// operations between two counter snapshots. Every operation there
+// completes inside the node (a hit, a delay, an empty flush, a no-op
+// unsubscribe, an already-changed word), so anything above zero is
+// bookkeeping cost: a future's shared state, a type-erased callback, a
+// waiter list. RunAllocs bounds the whole runs of run_cells.hpp, where a
+// new allocation per message or per event breaks every ceiling, and
+// checks that a work queue's private references allocate nothing however
+// many there are.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -22,18 +29,73 @@
 
 namespace {
 std::uint64_t g_allocs = 0;
+
+void* counted(std::size_t n) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* counted(std::size_t n, std::align_val_t align) noexcept {
+  ++g_allocs;
+  // aligned_alloc takes a size that is a multiple of the alignment.
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (std::max<std::size_t>(n, 1) + a - 1) / a * a);
+}
+void* or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
 }  // namespace
 
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+// Every new is malloc() or aligned_alloc() and every delete is free().
+// All are out of line: where g++ inlines them it pairs the malloc() of one
+// with the operator delete of another, or operator new with the free(),
+// and -Wmismatched-new-delete fires under -fsanitize=address (a false
+// positive).
+[[gnu::noinline]] void* operator new(std::size_t n) { return or_throw(counted(n)); }
+[[gnu::noinline]] void* operator new[](std::size_t n) { return or_throw(counted(n)); }
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t a) {
+  return or_throw(counted(n, a));
 }
-// Out of line: inlined into a delete-expression, the free() trips g++'s
-// -Wmismatched-new-delete under -fsanitize=address (a false positive, as
-// this operator new is malloc).
+[[gnu::noinline]] void* operator new[](std::size_t n, std::align_val_t a) {
+  return or_throw(counted(n, a));
+}
+[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted(n);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted(n);
+}
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t a,
+                                     const std::nothrow_t&) noexcept {
+  return counted(n, a);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n, std::align_val_t a,
+                                       const std::nothrow_t&) noexcept {
+  return counted(n, a);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace bcsim {
 namespace {
