@@ -3,9 +3,12 @@
 // Lines that participate in a lock queue must not be replaced (replacement
 // would break the distributed linked list), so they live here instead of
 // the main cache. The paper treats its limited size as a resource managed
-// conservatively by the compiler; we expose the capacity as configuration,
-// block acquisitions when full (counting stalls so the ablation bench can
-// quantify the pressure), and free entries when a line leaves the queue.
+// conservatively by the compiler; we expose the capacity as configuration
+// and free entries when a line leaves the queue. The cache parks nothing:
+// an acquisition that finds it full() waits in the processor's
+// outstanding-operation record, and the cache controller wakes it where it
+// releases a line (counting the stall in `cache.lock_cache_stalls`, which
+// the ablation bench reports).
 //
 // Storage is fixed at construction: `capacity` slots whose words live in
 // one capacity x block_words array. A slot never moves, so a line's
@@ -13,8 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -67,40 +68,14 @@ class LockCache {
     return *line;
   }
 
-  /// Releases the entry for `b` (its slot comes back zeroed) and wakes one
-  /// capacity waiter, if any.
+  /// Releases the entry for `b`; its slot comes back zeroed.
   void release(BlockId b) {
     auto it = index_.find(b);
     if (it == index_.end()) return;
     it->second->clear();
     free_.push_back(it->second);
     index_.erase(it);
-    if (!waiters_.empty() && !full()) {
-      auto fn = std::move(waiters_.front());
-      waiters_.pop_front();
-      ++stalls_served_;
-      fn();
-    }
   }
-
-  /// Runs `fn` once an entry can be allocated (immediately if not full).
-  /// Returns true if the caller had to wait.
-  bool on_slot(std::function<void()> fn) {
-    if (!full()) {
-      fn();
-      return false;
-    }
-    waiters_.push_back(std::move(fn));
-    return true;
-  }
-
-  /// Number of acquisitions that had to wait for lock-cache capacity.
-  [[nodiscard]] std::uint64_t stalls_served() const noexcept { return stalls_served_; }
-
-  /// Acquisitions currently parked for capacity. A non-full cache with
-  /// waiters is a lost wakeup — the invariant checker asserts this is zero
-  /// at quiescence.
-  [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
 
   /// Visits every allocated line, in slot order.
   template <typename Fn>
@@ -116,8 +91,6 @@ class LockCache {
   std::vector<CacheLine> slots_;   // fixed; never reallocated
   std::vector<CacheLine*> free_;   // unallocated slots
   std::unordered_map<BlockId, CacheLine*> index_;
-  std::deque<std::function<void()>> waiters_;
-  std::uint64_t stalls_served_ = 0;
 };
 
 }  // namespace bcsim::cache

@@ -4,25 +4,25 @@
 // (the network model handles queuing); an entry is retired when the
 // acknowledgment from the home memory arrives. The number of pending
 // entries implicitly implements the Adve-Hill pending-operation counter
-// (paper section 3, issue 2). FLUSH-BUFFER waiters are resumed when the
-// writes *preceding* the flush have retired — that is the CP-Synch gate.
+// (paper section 3, issue 2).
 //
 // Flush semantics (paper section 4.2): FLUSH-BUFFER only guarantees that
 // global writes issued *before* it are performed; writes issued after may
-// still be in flight. The gate is therefore a retire-count watermark
-// captured at registration, not an empty-buffer test: under a bounded
-// buffer, a slot freed by a retire immediately refills from a backlogged
-// writer, so `pending == 0` may never hold and an empty-buffer gate would
-// starve the flush (and with it the CP-Synch it protects) indefinitely.
+// still be in flight. The gate is therefore a retire-count watermark taken
+// when the flush issues (flush_mark), not an empty-buffer test: under a
+// bounded buffer, a slot freed by a retire immediately refills from a
+// backlogged writer, so `pending == 0` may never hold and an empty-buffer
+// gate would starve the flush (and with it the CP-Synch it protects)
+// indefinitely.
 //
 // Capacity may be bounded (a real machine) or unbounded (the paper's
-// simulation assumption). When bounded and full, new writes block until a
-// slot frees; the caller provides the continuation.
+// simulation assumption). The buffer parks nothing: the one processor that
+// can wait on it (for a slot while full(), or for flushed(mark)) keeps that
+// wait in its outstanding-operation record, and the cache controller wakes
+// it when the acknowledgment that retires an entry arrives.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <stdexcept>
 
 #include "sim/types.hpp"
@@ -31,20 +31,17 @@ namespace bcsim::cache {
 
 class WriteBuffer {
  public:
-  /// Deliberate misbehaviors for oracle validation (core::WbFault mirrors
-  /// this at the machine-config level; docs/TESTING.md).
+  /// Deliberate misbehaviors of the flush gate for oracle validation,
+  /// armed by a fault plan's `wb:fault=` rule (docs/TESTING.md).
   enum class Fault : std::uint8_t {
     kNone,
-    kEagerFlush,  ///< on_drained fires immediately, gate removed
-    kEmptyGate,   ///< on_drained waits for a fully empty buffer (pre-fix bug)
+    kEagerFlush,  ///< every flush is flushed at once: the gate is removed
+    kEmptyGate,   ///< a flush waits for a fully empty buffer (pre-fix bug)
   };
 
   /// `capacity` 0 means unbounded (paper Table 4 assumption).
-  explicit WriteBuffer(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  /// Test-only: makes the flush gate misbehave (see Fault). Takes effect
-  /// for flushes registered after the call.
-  void inject_fault(Fault f) noexcept { fault_ = f; }
+  explicit WriteBuffer(std::size_t capacity = 0, Fault fault = Fault::kNone)
+      : capacity_(capacity), fault_(fault) {}
 
   [[nodiscard]] bool unbounded() const noexcept { return capacity_ == 0; }
   [[nodiscard]] std::size_t pending() const noexcept {
@@ -54,8 +51,6 @@ class WriteBuffer {
   [[nodiscard]] bool full() const noexcept {
     return capacity_ != 0 && pending() >= capacity_;
   }
-  /// Cumulative writes retired (monotonic; flush watermarks compare here).
-  [[nodiscard]] std::uint64_t retired() const noexcept { return retired_; }
 
   /// Registers a new in-flight global write; returns its transaction id.
   std::uint64_t enter() {
@@ -63,79 +58,39 @@ class WriteBuffer {
     return next_txn_++;
   }
 
-  /// Retires the entry matching an acknowledgment. Fires one slot waiter
-  /// when a slot frees, then every flush waiter whose watermark has been
-  /// reached. The slot waiter goes first: the write it enters is *after*
-  /// any already-registered flush, so it must not delay one.
+  /// Retires the entry matching an acknowledgment.
   void retire() {
     if (retired_ == entered_) {
       throw std::logic_error("WriteBuffer::retire: ack without a matching entry");
     }
     ++retired_;
-    if (!slot_waiters_.empty() && !full()) {
-      auto fn = std::move(slot_waiters_.front());
-      slot_waiters_.pop_front();
-      fn();  // typically enter()s — raises entered_, not existing watermarks
-    }
-    while (!flush_waiters_.empty() && waiter_ready(flush_waiters_.front())) {
-      auto fn = std::move(flush_waiters_.front().fn);
-      flush_waiters_.pop_front();
-      fn();
-    }
   }
 
-  /// Runs `fn` once every write entered *before this call* has retired
-  /// (immediately if they already have). Writes entered afterwards do not
-  /// delay it — the paper's FLUSH-BUFFER orders a CP-Synch after the
-  /// writes that precede it, nothing more.
-  void on_drained(std::function<void()> fn) {
-    if (fault_ == Fault::kEagerFlush || retired_ >= entered_) {
-      fn();
-    } else {
-      const std::uint64_t mark = fault_ == Fault::kEmptyGate ? kEmptyMark : entered_;
-      flush_waiters_.push_back(FlushWaiter{mark, std::move(fn)});
-    }
+  /// The watermark of a FLUSH-BUFFER issued now: every write entered
+  /// before it. Writes entered afterwards do not delay it — the paper's
+  /// FLUSH-BUFFER orders a CP-Synch after the writes that precede it,
+  /// nothing more.
+  [[nodiscard]] std::uint64_t flush_mark() const noexcept {
+    if (fault_ == Fault::kEagerFlush) return 0;
+    if (fault_ == Fault::kEmptyGate) return kEmptyMark;
+    return entered_;
   }
 
-  /// Runs `fn` once a slot is available (immediately if not full).
-  void on_slot(std::function<void()> fn) {
-    if (!full()) {
-      fn();
-    } else {
-      slot_waiters_.push_back(std::move(fn));
-    }
-  }
-
-  /// Continuations parked on the buffer (flush + slot waiters). An empty
-  /// buffer with waiters is a lost wakeup — the invariant checker asserts
-  /// this is zero at quiescence.
-  [[nodiscard]] std::size_t waiters() const noexcept {
-    return flush_waiters_.size() + slot_waiters_.size();
+  /// True once the writes a flush with watermark `mark` waits for have
+  /// retired. kEmptyMark (the injected empty-gate bug) holds only on a
+  /// fully drained buffer.
+  [[nodiscard]] bool flushed(std::uint64_t mark) const noexcept {
+    return mark == kEmptyMark ? empty() : mark <= retired_;
   }
 
  private:
-  /// A parked FLUSH-BUFFER: fires once `retired_` reaches the number of
-  /// writes entered before it registered. Watermarks are non-decreasing in
-  /// registration order, so the deque stays sorted by construction.
-  /// kEmptyMark (the injected empty-gate bug) only fires on a fully
-  /// drained buffer.
-  struct FlushWaiter {
-    std::uint64_t watermark;
-    std::function<void()> fn;
-  };
   static constexpr std::uint64_t kEmptyMark = ~std::uint64_t{0};
 
-  [[nodiscard]] bool waiter_ready(const FlushWaiter& w) const noexcept {
-    return w.watermark == kEmptyMark ? retired_ == entered_ : w.watermark <= retired_;
-  }
-
   std::size_t capacity_;
-  Fault fault_ = Fault::kNone;
+  Fault fault_;
   std::uint64_t entered_ = 0;
   std::uint64_t retired_ = 0;
   std::uint64_t next_txn_ = 1;
-  std::deque<FlushWaiter> flush_waiters_;
-  std::deque<std::function<void()>> slot_waiters_;
 };
 
 }  // namespace bcsim::cache

@@ -33,7 +33,7 @@ core::MachineConfig build_machine(const MachineSpec& o) {
     } catch (const std::invalid_argument& e) {
       throw UsageError(e.what());
     }
-    core::apply_fault_plan(cfg, plan);
+    cfg.fault_plan = plan;
     // An unreliable fabric without a watchdog can hang silently; arm a
     // default interval unless the user picked one.
     if (plan.has_net_rules() && cfg.watchdog_interval == 0) {

@@ -18,24 +18,28 @@ using net::Message;
 using net::MsgType;
 using net::Unit;
 
+namespace {
+
+/// The flush-gate fault a plan arms in every write buffer: its last
+/// write-buffer rule, if any.
+cache::WriteBuffer::Fault write_buffer_fault(const sim::FaultPlan& plan) {
+  auto fault = cache::WriteBuffer::Fault::kNone;
+  for (const auto& r : plan.rules) {
+    if (r.kind == sim::FaultKind::kWbEagerFlush) fault = cache::WriteBuffer::Fault::kEagerFlush;
+    if (r.kind == sim::FaultKind::kWbEmptyGate) fault = cache::WriteBuffer::Fault::kEmptyGate;
+  }
+  return fault;
+}
+
+}  // namespace
+
 CacheController::CacheController(NodeId node, sim::Simulator& simulator, net::Network& network,
                                  const mem::AddressMap& amap, const MachineConfig& config,
                                  sim::StatsRegistry& stats)
     : node_(node), sim_(simulator), net_(network), amap_(amap), config_(config), stats_(stats),
       cache_(config.cache_blocks, config.cache_assoc, config.block_words),
       lock_cache_(config.lock_cache_entries, config.block_words),
-      wbuf_(config.write_buffer_entries) {
-  switch (config.wb_fault) {
-    case WbFault::kNone:
-      break;
-    case WbFault::kEagerFlush:
-      wbuf_.inject_fault(cache::WriteBuffer::Fault::kEagerFlush);
-      break;
-    case WbFault::kEmptyGate:
-      wbuf_.inject_fault(cache::WriteBuffer::Fault::kEmptyGate);
-      break;
-  }
-}
+      wbuf_(config.write_buffer_entries, write_buffer_fault(config.fault_plan)) {}
 
 bool CacheController::quiescent() const noexcept {
   const bool in_protocol = op_.wait == Wait::kMiss || op_.wait == Wait::kWriteAck ||
@@ -61,13 +65,7 @@ void CacheController::on_message(const net::Message& m) {
     case MsgType::kPutAck:
       stats_.counter(hot_.put_acks, "cache.put_acks").add();
       break;
-    case MsgType::kWriteGlobalAck: {
-      sim_.trace().wb_event(sim::TraceKind::kWbRetire, sim_.now(), node_, m.txn);
-      wbuf_.retire();
-      // Under SC the processor waits on its one unretired write: this one.
-      if (op_.wait == Wait::kWriteAck) finish(0);
-      break;
-    }
+    case MsgType::kWriteGlobalAck: on_write_ack(m); break;
     case MsgType::kReadUpdateData: on_ru_data(m); break;
     case MsgType::kRuLinkPrev: {
       if (CacheLine* line = cache_.find(m.block); line && line->update_bit) {
@@ -329,9 +327,13 @@ void CacheController::op_write_global(Addr a, Word v) {
     line->data[w] = v;
     line->dirty_mask &= ~(1u << w);
   }
-  // A bounded write buffer applies backpressure when full.
-  op_.wait = Wait::kWriteSlot;
-  wbuf_.on_slot([this] { enter_global_write(); });
+  // A bounded write buffer applies backpressure when full: the write
+  // enters when an acknowledgment frees a slot (on_write_ack).
+  if (wbuf_.full()) {
+    op_.wait = Wait::kWriteSlot;
+    return;
+  }
+  enter_global_write();
 }
 
 void CacheController::enter_global_write() {
@@ -355,11 +357,33 @@ void CacheController::op_flush_buffer() {
   begin(PrimitiveOp::kFlushBuffer, 0);
   stats_.counter(hot_.flush_buffer, "cache.flush_buffer").add();
   sim_.trace().wb_event(sim::TraceKind::kWbFlushReq, sim_.now(), node_, wbuf_.pending());
-  op_.wait = Wait::kFlush;
-  wbuf_.on_drained([this] {
-    sim_.trace().wb_event(sim::TraceKind::kWbFlushDone, sim_.now(), node_, wbuf_.pending());
-    complete(0, kHitLatency);
-  });
+  // The flush covers the writes entered before it; it waits, with their
+  // watermark in the record, until on_write_ack sees them retired.
+  op_.value = wbuf_.flush_mark();
+  if (wbuf_.flushed(op_.value)) {
+    complete_flush();
+  } else {
+    op_.wait = Wait::kFlush;
+  }
+}
+
+void CacheController::complete_flush() {
+  sim_.trace().wb_event(sim::TraceKind::kWbFlushDone, sim_.now(), node_, wbuf_.pending());
+  complete(0, kHitLatency);
+}
+
+void CacheController::on_write_ack(const net::Message& m) {
+  sim_.trace().wb_event(sim::TraceKind::kWbRetire, sim_.now(), node_, m.txn);
+  wbuf_.retire();
+  // Wake the processor if the retire ends the wait its record had when the
+  // acknowledgment arrived.
+  if (op_.wait == Wait::kWriteAck) {
+    finish(0);  // SC: the processor's one unretired write is this one
+  } else if (op_.wait == Wait::kWriteSlot) {
+    enter_global_write();  // the retire freed the slot the write waits for
+  } else if (op_.wait == Wait::kFlush && wbuf_.flushed(op_.value)) {
+    complete_flush();
+  }
 }
 
 void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Word operand2) {

@@ -67,7 +67,7 @@ struct OutstandingOp {
   net::LockMode mode = net::LockMode::kWrite;
   BlockId block = 0;
   Addr addr = 0;
-  Word value = 0;      ///< the word a store writes
+  Word value = 0;      ///< the word a store writes; a flush's watermark
   Word result = 0;     ///< what co_await returns
   Tick issued_at = 0;  ///< start tick of its latency histogram
   std::coroutine_handle<> waiter{};
@@ -205,6 +205,11 @@ class CacheController {
   void evict(cache::CacheLine& victim);
   void fire_line_change(BlockId b);
   void enter_global_write();
+  /// Completes the record's FLUSH-BUFFER.
+  void complete_flush();
+  /// WRITE-GLOBAL acknowledgment: retires the write-buffer entry and wakes
+  /// an SC write, a write waiting for a slot, or a flush it completes.
+  void on_write_ack(const net::Message& m);
 
   // -- WBI handlers (cache_controller.cpp) --
   void finish_wbi_txn();

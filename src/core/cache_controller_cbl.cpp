@@ -54,9 +54,14 @@ void CacheController::issue_lock() {
     stats_.counter(hot_.lock_line_busy_waits, "cache.lock_line_busy_waits").add();
     return;
   }
-  op_.wait = Wait::kLockSlot;
-  const bool stalled = lock_cache_.on_slot([this] { start_lock_request(); });
-  if (stalled) stats_.counter(hot_.lock_cache_stalls, "cache.lock_cache_stalls").add();
+  if (lock_cache_.full()) {
+    // Every entry holds a lock line: release_lock_line starts the request
+    // once one leaves.
+    op_.wait = Wait::kLockSlot;
+    stats_.counter(hot_.lock_cache_stalls, "cache.lock_cache_stalls").add();
+    return;
+  }
+  start_lock_request();
 }
 
 void CacheController::start_lock_request() {
@@ -315,7 +320,14 @@ void CacheController::release_lock_line(BlockId b) {
   lock_cache_.release(b);
   assert(lock_release_inflight_ > 0);
   --lock_release_inflight_;
-  if (op_.wait == Wait::kLockLine && op_.block == b) issue_lock();
+  // Wake an acquisition waiting for what just left: a free entry, or this
+  // very block's line. A slot wait resumes past issue_lock, whose lock
+  // count it has already made.
+  if (op_.wait == Wait::kLockSlot && !lock_cache_.full()) {
+    start_lock_request();
+  } else if (op_.wait == Wait::kLockLine && op_.block == b) {
+    issue_lock();
+  }
 }
 
 }  // namespace bcsim::core

@@ -58,18 +58,6 @@ enum class DirOverflow : std::uint8_t {
                ///< full broadcast unless all regions are flagged
 };
 
-/// Deliberate write-buffer faults for oracle/invariant validation
-/// (docs/TESTING.md, "Differential testing"). Production configs use
-/// kNone; the others exist so tests can prove the differential oracle
-/// catches consistency bugs, not to model any real hardware.
-enum class WbFault : std::uint8_t {
-  kNone,
-  kEagerFlush,  ///< FLUSH-BUFFER completes immediately (no CP-Synch gate):
-                ///< global writes may still be in flight past a flush
-  kEmptyGate,   ///< the pre-watermark bug: a flush waits for the buffer to
-                ///< be fully empty, starving under bounded-capacity refill
-};
-
 [[nodiscard]] constexpr std::string_view to_string(DataProtocol p) noexcept {
   return p == DataProtocol::kWbi ? "wbi" : "read-update";
 }
@@ -166,16 +154,13 @@ struct MachineConfig {
   /// entry after every directory transition.
   sim::InvariantLevel invariants = sim::InvariantLevel::kOff;
 
-  /// Test-only fault injection into every node's write buffer (see
-  /// WbFault). The differential-oracle tests use this to verify that a
-  /// reordering bug in the flush gate is caught end-to-end.
-  WbFault wb_fault = WbFault::kNone;
-
-  /// Declarative fabric fault injection (sim/fault_plan.hpp). An empty
-  /// plan leaves the network pristine — the transport layer is not even
+  /// Declarative fault injection (sim/fault_plan.hpp). An empty plan
+  /// leaves the network pristine — the transport layer is not even
   /// installed, so behavior is bit-identical to a build without it. Rules
-  /// with network kinds install net::Transport; the legacy write-buffer
-  /// kinds map onto `wb_fault` (see apply_fault_plan()).
+  /// with network kinds install net::Transport; a write-buffer rule
+  /// (`wb:fault=eager-flush|empty-gate`, test-only) arms that flush-gate
+  /// bug in every node's write buffer, the last such rule winning, so the
+  /// differential oracle can be shown to catch a consistency bug.
   sim::FaultPlan fault_plan;
 
   /// Liveness watchdog (core/watchdog.hpp). 0 disables it (the default:
@@ -238,17 +223,5 @@ struct MachineConfig {
     }
   }
 };
-
-/// Applies a resolved fault plan to a config: network rules become the
-/// machine's `fault_plan` (installing the transport layer), and the legacy
-/// write-buffer kinds map onto `wb_fault` — so one registry name or inline
-/// spec configures every deliberate-fault mechanism in the tree.
-inline void apply_fault_plan(MachineConfig& cfg, const sim::FaultPlan& plan) {
-  cfg.fault_plan = plan;
-  for (const auto& r : plan.rules) {
-    if (r.kind == sim::FaultKind::kWbEagerFlush) cfg.wb_fault = WbFault::kEagerFlush;
-    if (r.kind == sim::FaultKind::kWbEmptyGate) cfg.wb_fault = WbFault::kEmptyGate;
-  }
-}
 
 }  // namespace bcsim::core

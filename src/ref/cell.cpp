@@ -61,7 +61,7 @@ core::MachineConfig cell_config(const Cell& c) {
   if (!c.plan.empty()) {
     sim::FaultPlan plan = sim::resolve_fault_plan(c.plan);
     plan.seed = c.fault_seed;
-    core::apply_fault_plan(cfg, plan);
+    cfg.fault_plan = plan;
   }
   cfg.watchdog_interval = c.watchdog;
   cfg.watchdog_stalls = c.stalls;

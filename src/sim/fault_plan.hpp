@@ -20,7 +20,9 @@
 // The legacy write-buffer faults ride along as `wb:fault=eager-flush` /
 // `wb:fault=empty-gate` rules so every deliberate-fault spelling in the
 // tree resolves through one registry (resolve_fault_plan), including the
-// historical `--inject-fault eager-flush|empty-gate` names.
+// historical `--inject-fault eager-flush|empty-gate` names. Each cache
+// controller reads them from MachineConfig::fault_plan when it builds its
+// write buffer (cache::WriteBuffer::Fault).
 //
 // This header is sim-level: it knows nothing about the network. Message
 // `type` filters are kept as strings ("sync", "data", or a concrete
@@ -44,8 +46,8 @@ enum class FaultKind : std::uint8_t {
   kCorrupt,  ///< payload bits flip in flight; the receiver's checksum
              ///< rejects the copy (modeled as perfect detection)
   kStall,    ///< node `node` accepts no deliveries during [at, at+ticks)
-  kWbEagerFlush,  ///< legacy write-buffer fault (core::WbFault::kEagerFlush)
-  kWbEmptyGate,   ///< legacy write-buffer fault (core::WbFault::kEmptyGate)
+  kWbEagerFlush,  ///< write-buffer fault: FLUSH-BUFFER never waits
+  kWbEmptyGate,   ///< write-buffer fault: a flush waits for an empty buffer
 };
 
 [[nodiscard]] constexpr std::string_view to_string(FaultKind k) noexcept {

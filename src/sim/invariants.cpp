@@ -234,13 +234,17 @@ void InvariantChecker::check_quiescent(const char* where) const {
       fail("quiescence", 0, kNoNode, i, tick,
            std::string(where) + ": cache controller still has activity outstanding");
     }
-    if (!cc.write_buffer().empty() || cc.write_buffer().waiters() != 0) {
+    // A processor still parked on its write buffer or lock cache at
+    // quiescence missed the wakeup its controller owed it.
+    using Wait = core::OutstandingOp::Wait;
+    const Wait wait = cc.outstanding().wait;
+    if (!cc.write_buffer().empty() || wait == Wait::kWriteSlot || wait == Wait::kFlush) {
       fail("write-buffer", 0, kNoNode, i, tick,
            std::string(where) + ": write buffer not drained (CP-Synch gate violated)");
     }
-    if (cc.lock_cache().waiting() != 0) {
+    if (wait == Wait::kLockSlot) {
       fail("lock-cache", 0, kNoNode, i, tick,
-           std::string(where) + ": lock-cache capacity waiters never woken");
+           std::string(where) + ": lock-cache capacity wait never woken");
     }
     cc.data_cache().for_each_valid(
         [&](const CacheLine& l) { data_lines[i].emplace(l.block, &l); });

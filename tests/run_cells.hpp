@@ -75,7 +75,7 @@ inline const RunCell kRunCells[] = {
      "work-queue", 8, 20, 12227},
     {"sync.wbi", {.nodes = 16, .flavor = "wbi"}, "sync-model", 512, 100, 2117},
     {"sync.cbl", {.nodes = 16, .flavor = "cbl-on-wbi"}, "sync-model", 512, 100, 1848},
-    {"sync.paper", {.nodes = 16, .flavor = "paper"}, "sync-model", 512, 100, 1854},
+    {"sync.paper", {.nodes = 16, .flavor = "paper"}, "sync-model", 512, 100, 1852},
 };
 
 }  // namespace bcsim::test

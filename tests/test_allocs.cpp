@@ -11,12 +11,13 @@
 // the probed block, a warm-up of kOps operations, then kOps more
 // operations between two counter snapshots. Every operation there
 // completes inside the node (a hit, a delay, an empty flush, a no-op
-// unsubscribe, an already-changed word), so anything above zero is
-// bookkeeping cost: a future's shared state, a type-erased callback, a
-// waiter list. RunAllocs bounds the whole runs of run_cells.hpp, where a
-// new allocation per message or per event breaks every ceiling, and
-// checks that a work queue's private references allocate nothing however
-// many there are.
+// unsubscribe, an already-changed word) or waits for one acknowledgment
+// (a flush behind a global write), so anything above zero is bookkeeping
+// cost: a future's shared state, a type-erased callback, a waiter list.
+// RunAllocs bounds the whole runs of run_cells.hpp, where a new
+// allocation per message or per event breaks every ceiling, and checks
+// that a work queue's private references allocate nothing however many
+// there are.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,22 +107,24 @@ using core::Processor;
 constexpr int kOps = 1000;
 constexpr Addr kAddr = 64;
 
-/// Runs `op(p, i)` 2 x kOps times on processor 0 of a 2-node WBI machine
-/// and returns the heap allocations made by the second kOps.
+/// Runs `op(p, i)` 2 x `ops` times on processor 0 of a 2-node machine (WBI
+/// unless `cfg` says otherwise) and returns the heap allocations made by
+/// the second `ops`.
 template <typename Op>
-sim::Task probe(Processor& p, Op op, std::uint64_t& allocs) {
+sim::Task probe(Processor& p, Op op, int ops, std::uint64_t& allocs) {
   co_await p.read(kAddr);
-  for (int i = 0; i < kOps; ++i) co_await op(p, i);
+  for (int i = 0; i < ops; ++i) co_await op(p, i);
   const std::uint64_t before = g_allocs;
-  for (int i = 0; i < kOps; ++i) co_await op(p, i);
+  for (int i = 0; i < ops; ++i) co_await op(p, i);
   allocs = g_allocs - before;
 }
 
 template <typename Op>
-std::uint64_t allocs_over_ops(Op op) {
-  Machine m(test::small_config(2));
+std::uint64_t allocs_over_ops(Op op, const core::MachineConfig& cfg = test::small_config(2),
+                              int ops = kOps) {
+  Machine m(cfg);
   std::uint64_t allocs = ~std::uint64_t{0};
-  m.spawn(probe(m.processor(0), op, allocs));
+  m.spawn(probe(m.processor(0), op, ops, allocs));
   test::run_all(m);
   return allocs;
 }
@@ -144,6 +147,18 @@ TEST(OpAllocs, Compute) {
 
 TEST(OpAllocs, FlushOfAnEmptyBuffer) {
   EXPECT_EQ(allocs_over_ops([](Processor& p, int) { return p.flush_buffer(); }), 0u);
+}
+
+TEST(OpAllocs, FlushParkedOnAGlobalWrite) {
+  // kOps pairs on the paper machine: a BC WRITE-GLOBAL, then a FLUSH-BUFFER
+  // that parks until the write's acknowledgment arrives.
+  EXPECT_EQ(allocs_over_ops(
+                [](Processor& p, int i) {
+                  return i % 2 == 0 ? p.write_global(kAddr, static_cast<Word>(i))
+                                    : p.flush_buffer();
+                },
+                test::paper_config(2), 2 * kOps),
+            0u);
 }
 
 TEST(OpAllocs, ResetUpdateWithoutSubscription) {

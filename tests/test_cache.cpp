@@ -1,4 +1,5 @@
-// Cache structure tests: set-associative cache, write buffer, lock cache.
+// Cache structure tests: set-associative cache and lock cache (the write
+// buffer's are in tests/test_write_buffer.cpp).
 // CacheDifferential holds the data cache to the flat frame layout it
 // replaced (FlatCache below), under seeded scripts over associativities
 // 1 to 8 and every block size from 1 to 32 words.
@@ -12,7 +13,6 @@
 
 #include "cache/cache.hpp"
 #include "cache/lock_cache.hpp"
-#include "cache/write_buffer.hpp"
 #include "sim/random.hpp"
 
 namespace bcsim::cache {
@@ -393,68 +393,6 @@ TEST(CacheDifferential, MatchesTheFlatLayout) {
   }
 }
 
-// --- write buffer ---
-
-TEST(WriteBuffer, PendingCountTracksEnterRetire) {
-  WriteBuffer wb;
-  EXPECT_TRUE(wb.empty());
-  wb.enter();
-  wb.enter();
-  EXPECT_EQ(wb.pending(), 2u);
-  wb.retire();
-  EXPECT_EQ(wb.pending(), 1u);
-  wb.retire();
-  EXPECT_TRUE(wb.empty());
-}
-
-TEST(WriteBuffer, TxnIdsAreUnique) {
-  WriteBuffer wb;
-  EXPECT_NE(wb.enter(), wb.enter());
-}
-
-TEST(WriteBuffer, FlushWaitersFireOnDrain) {
-  WriteBuffer wb;
-  int fired = 0;
-  wb.on_drained([&] { ++fired; });
-  EXPECT_EQ(fired, 1) << "empty buffer completes immediately";
-  wb.enter();
-  wb.on_drained([&] { ++fired; });
-  wb.on_drained([&] { ++fired; });
-  EXPECT_EQ(fired, 1);
-  wb.retire();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(WriteBuffer, BoundedCapacityBlocksAndWakes) {
-  WriteBuffer wb(2);
-  int issued = 0;
-  wb.on_slot([&] {
-    ++issued;
-    wb.enter();
-  });
-  wb.on_slot([&] {
-    ++issued;
-    wb.enter();
-  });
-  EXPECT_EQ(issued, 2);
-  EXPECT_TRUE(wb.full());
-  wb.on_slot([&] {
-    ++issued;
-    wb.enter();
-  });
-  EXPECT_EQ(issued, 2) << "third write must wait for a slot";
-  wb.retire();
-  EXPECT_EQ(issued, 3);
-  EXPECT_TRUE(wb.full());
-}
-
-TEST(WriteBuffer, UnboundedNeverFull) {
-  WriteBuffer wb(0);
-  for (int i = 0; i < 1000; ++i) wb.enter();
-  EXPECT_FALSE(wb.full());
-  EXPECT_TRUE(wb.unbounded());
-}
-
 // --- lock cache ---
 
 TEST(LockCache, AllocateFindRelease) {
@@ -469,23 +407,13 @@ TEST(LockCache, AllocateFindRelease) {
   EXPECT_EQ(lc.size(), 0u);
 }
 
-TEST(LockCache, CapacityBlocksUntilRelease) {
+TEST(LockCache, FullUntilARelease) {
   LockCache lc(1, 4);
-  int ran = 0;
-  EXPECT_FALSE(lc.on_slot([&] {
-    ++ran;
-    lc.allocate(1);
-  }));
+  lc.allocate(1);
   EXPECT_TRUE(lc.full());
-  EXPECT_TRUE(lc.on_slot([&] {
-    ++ran;
-    lc.allocate(2);
-  }));
-  EXPECT_EQ(ran, 1);
   lc.release(1);
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(lc.stalls_served(), 1u);
-  EXPECT_EQ(lc.find(2)->block, 2u);
+  EXPECT_FALSE(lc.full());
+  EXPECT_EQ(lc.allocate(2).block, 2u);
 }
 
 TEST(LockCache, ReleaseOfUnknownBlockIsIdempotent) {

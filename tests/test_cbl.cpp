@@ -286,8 +286,14 @@ TEST(Cbl, LockCacheCapacityStallsExtraLocks) {
     co_await p.unlock(l3);
   };
   m.spawn(prog(m.processor(0)));
-  run_all(m);
+  const Tick done = run_all(m);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_GT(m.stats().counter_value("cache.lock_cache_stalls"), 0u);
+  // No tests/pins.txt line sets the lock-cache size, so the run is pinned
+  // here: completion tick, stats digest, data digest.
+  EXPECT_EQ(done, 30u);
+  EXPECT_EQ(m.stats_digest(), 0xe87c8d6171634c82u);
+  EXPECT_EQ(m.data_digest(), 0x35daf7d520229a25u);
 }
 
 TEST(Cbl, ManyLocksManyProcessorsStress) {

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/watchdog.hpp"
 #include "net/transport.hpp"
@@ -66,19 +67,39 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)sim::FaultPlan::parse("wb:fault=nonsense"), std::invalid_argument);
 }
 
+/// The flush gate that `plan` arms in node `n`'s write buffer: whether a
+/// flush behind two in-flight writes is done at once, and whether it is
+/// done once those two retire while a later write is still in flight.
+std::pair<bool, bool> flush_gate(const sim::FaultPlan& plan, NodeId n) {
+  auto cfg = small_config(2);
+  cfg.fault_plan = plan;
+  Machine m(cfg);
+  cache::WriteBuffer& wb = m.cache_controller(n).mutable_write_buffer();
+  wb.enter();
+  wb.enter();
+  const std::uint64_t mark = wb.flush_mark();
+  const bool at_once = wb.flushed(mark);
+  wb.enter();
+  wb.retire();
+  wb.retire();
+  return {at_once, wb.flushed(mark)};
+}
+
 TEST(FaultPlan, RegistryResolvesLegacyAliasesAndInlineSpecs) {
-  // The old --inject-fault spellings live in the registry and map onto the
-  // write-buffer fault knob through apply_fault_plan.
+  // The old --inject-fault spellings live in the registry, and a plan
+  // holding one arms that flush-gate fault in every node's write buffer.
   const auto eager = sim::resolve_fault_plan("eager-flush");
   ASSERT_EQ(eager.rules.size(), 1u);
   EXPECT_EQ(eager.rules[0].kind, sim::FaultKind::kWbEagerFlush);
   EXPECT_FALSE(eager.has_net_rules());
-
-  core::MachineConfig cfg;
-  core::apply_fault_plan(cfg, eager);
-  EXPECT_EQ(cfg.wb_fault, core::WbFault::kEagerFlush);
-  core::apply_fault_plan(cfg, sim::resolve_fault_plan("empty-gate"));
-  EXPECT_EQ(cfg.wb_fault, core::WbFault::kEmptyGate);
+  for (NodeId n : {0u, 1u}) {
+    EXPECT_EQ(flush_gate({}, n), std::pair(false, true));
+    EXPECT_EQ(flush_gate(eager, n), std::pair(true, true));
+    EXPECT_EQ(flush_gate(sim::resolve_fault_plan("empty-gate"), n), std::pair(false, false));
+  }
+  // The last write-buffer rule wins.
+  EXPECT_EQ(flush_gate(sim::FaultPlan::parse("wb:fault=eager-flush;wb:fault=empty-gate"), 1),
+            std::pair(false, false));
 
   // Inline specs resolve too; unknown bare names fail with the valid list.
   EXPECT_EQ(sim::resolve_fault_plan("drop:p=0.5;seed=9").seed, 9u);
@@ -95,7 +116,7 @@ TEST(FaultPlan, RegistryResolvesLegacyAliasesAndInlineSpecs) {
 
 TEST(FaultPlan, UnknownMessageTypeRejectedAtInstall) {
   auto cfg = small_config(2);
-  core::apply_fault_plan(cfg, sim::FaultPlan::parse("drop:p=1,type=Bogus"));
+  cfg.fault_plan = sim::FaultPlan::parse("drop:p=1,type=Bogus");
   EXPECT_THROW((void)Machine(cfg), std::invalid_argument);
 }
 
@@ -113,7 +134,7 @@ sim::Task add_and_read(Processor& p, Addr counter, Addr spread, int iters) {
 /// sum proves the injected faults were masked end-to-end.
 void expect_transparent(const char* spec, const char* must_fire) {
   auto cfg = small_config(4);
-  core::apply_fault_plan(cfg, sim::resolve_fault_plan(spec));
+  cfg.fault_plan = sim::resolve_fault_plan(spec);
   cfg.watchdog_interval = 8192;
   Machine m(cfg);
   auto alloc = m.make_allocator();
@@ -156,7 +177,7 @@ TEST(Transport, MixedFaultsWithNodeStall) {
 
 TEST(Transport, RetransmitCounterTracksRecoveries) {
   auto cfg = small_config(4);
-  core::apply_fault_plan(cfg, sim::resolve_fault_plan("drop:p=0.1;seed=2"));
+  cfg.fault_plan = sim::resolve_fault_plan("drop:p=0.1;seed=2");
   cfg.watchdog_interval = 8192;
   Machine m(cfg);
   auto alloc = m.make_allocator();
@@ -198,8 +219,7 @@ TEST(Watchdog, DroppedLockHandoffWithoutRetriesIsDeadlock) {
   // chain, and the transport must report the undeliverable handoff.
   auto cfg = small_config(2);
   cfg.lock_impl = core::LockImpl::kCbl;
-  core::apply_fault_plan(
-      cfg, sim::FaultPlan::parse("drop:p=1,type=LockHandoff;retry:off"));
+  cfg.fault_plan = sim::FaultPlan::parse("drop:p=1,type=LockHandoff;retry:off");
   cfg.watchdog_interval = 1024;
   Machine m(cfg);
   auto alloc = m.make_allocator();
@@ -228,8 +248,7 @@ TEST(Watchdog, ExhaustedRetriesAreDiagnosedNotHung) {
   // after max attempts, the queue drains, and the run ends in a diagnosed
   // deadlock instead of spinning out the cycle budget.
   auto cfg = small_config(2);
-  core::apply_fault_plan(
-      cfg, sim::FaultPlan::parse("drop:p=1,dst=0;retry:max=3,timeout=8"));
+  cfg.fault_plan = sim::FaultPlan::parse("drop:p=1,dst=0;retry:max=3,timeout=8");
   cfg.watchdog_interval = 4096;
   Machine m(cfg);
   Word seen = 0;

@@ -2,6 +2,7 @@
 // FLUSH-BUFFER, CP-Synch ordering, and the performance relation BC <= SC.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "test_util.hpp"
@@ -78,22 +79,41 @@ TEST(Consistency, FlushOnEmptyBufferIsCheap) {
   EXPECT_LE(cost, 1u);
 }
 
+// Eight WRITE-GLOBALs, then FLUSH-BUFFER, on a buffer of depth 1 and 2:
+// every write after the first `depth` waits for a slot, and the flush
+// waits for the last ones. No tests/pins.txt line sets the buffer depth,
+// so each depth pins its completion tick, stats digest and data digest.
 TEST(Consistency, BoundedWriteBufferAppliesBackpressure) {
-  auto cfg = paper_config(2);
-  cfg.write_buffer_entries = 2;
-  Machine m(cfg);
-  Tick burst_cost = 0;
-  auto prog = [&](Processor& p) -> sim::Task {
-    const Tick t0 = p.simulator().now();
-    for (int i = 0; i < 8; ++i) {
-      co_await p.write_global(400 + static_cast<Addr>(i) * 4, 1);
-    }
-    burst_cost = p.simulator().now() - t0;
-    co_await p.flush_buffer();
+  struct Pin {
+    Tick completion;
+    std::uint64_t digest;
+    std::uint64_t data;
   };
-  m.spawn(prog(m.processor(0)));
-  run_all(m);
-  EXPECT_GT(burst_cost, 8u) << "a full buffer must stall further writes";
+  const Pin pins[] = {
+      {81, 0xbe4139bf04c64764, 0x10751a8624b4db25},  // depth 1
+      {48, 0xbe4139bf04c64764, 0x10751a8624b4db25},  // depth 2
+  };
+  for (std::size_t depth : {1u, 2u}) {
+    SCOPED_TRACE(depth);
+    auto cfg = paper_config(2);
+    cfg.write_buffer_entries = depth;
+    Machine m(cfg);
+    Tick burst_cost = 0;
+    auto prog = [&](Processor& p) -> sim::Task {
+      const Tick t0 = p.simulator().now();
+      for (int i = 0; i < 8; ++i) {
+        co_await p.write_global(400 + static_cast<Addr>(i) * 4, 1);
+      }
+      burst_cost = p.simulator().now() - t0;
+      co_await p.flush_buffer();
+    };
+    m.spawn(prog(m.processor(0)));
+    const Tick done = run_all(m);
+    EXPECT_GT(burst_cost, 8u) << "a full buffer must stall further writes";
+    EXPECT_EQ(done, pins[depth - 1].completion);
+    EXPECT_EQ(m.stats_digest(), pins[depth - 1].digest);
+    EXPECT_EQ(m.data_digest(), pins[depth - 1].data);
+  }
 }
 
 TEST(Consistency, CpSynchOrdersWritesBeforeLockRelease) {

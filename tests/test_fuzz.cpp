@@ -187,7 +187,7 @@ void run_fuzz_faulted(std::uint64_t program_seed, std::uint64_t fault_seed) {
     cfg.lock_cache_entries = 4;
     cfg.watchdog_interval = 4096;
     if (!paper) cfg.lock_impl = core::LockImpl::kCbl;
-    core::apply_fault_plan(cfg, plan);
+    cfg.fault_plan = plan;
     Machine m(cfg);
     FuzzProgram prog{{0, 16, 32}, 90, paper};
     for (NodeId i = 0; i < 5; ++i) m.spawn(prog(m.processor(i)));
@@ -217,7 +217,7 @@ TEST_P(FuzzFaultSeeds, FaultedRunsAreDeterministic) {
     cfg.network = core::NetworkKind::kOmega;
     cfg.seed = std::get<0>(GetParam());
     cfg.watchdog_interval = 4096;
-    core::apply_fault_plan(cfg, plan);
+    cfg.fault_plan = plan;
     Machine m(cfg);
     FuzzProgram prog{{0, 16}, 80, true};
     for (NodeId i = 0; i < 4; ++i) m.spawn(prog(m.processor(i)));

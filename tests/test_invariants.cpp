@@ -189,6 +189,7 @@ TEST(Invariants, LevelRoundTrips) {
 // ---------------------------------------------------------------------------
 
 constexpr Addr kData = 64;  ///< the data block every scenario touches
+constexpr Addr kFree = 256;  ///< a block no scenario touches
 
 /// Which healthy quiescent machine the corruption starts from.
 enum class Scenario {
@@ -227,7 +228,7 @@ core::MachineConfig scenario_config(Scenario s) {
     }
     default: {
       auto cfg = full(test::small_config(4));
-      cfg.write_buffer_entries = 1;  // bounded: lets a slot waiter park
+      cfg.write_buffer_entries = 1;  // bounded: lets a write wait for a slot
       return cfg;
     }
   }
@@ -369,22 +370,24 @@ const RuleCase kRuleCases[] = {
      }},
     {"write-buffer", Scenario::kWbiModified, CheckVia::kMachine,
      [](core::Machine& m, BlockId, NodeId) {
-       // A lost slot wakeup: two writers parked on the bounded buffer's
-       // one slot, only one woken by the retire that drained it.
-       auto& wb = m.cache_controller(0).mutable_write_buffer();
-       wb.enter();
-       wb.on_slot([] {});
-       wb.on_slot([] {});
-       wb.retire();  // drains the buffer, wakes only the first waiter
+       // A lost slot wakeup: a WRITE-GLOBAL parks on the bounded buffer's
+       // one slot, and the entry holding it retires behind the
+       // controller's back, so nothing wakes the record.
+       core::CacheController& cc = m.cache_controller(0);
+       cc.mutable_write_buffer().enter();
+       cc.op_write_global(kFree, 1);
+       cc.mutable_write_buffer().retire();
      }},
     {"lock-cache", Scenario::kWbiModified, CheckVia::kMachine,
      [](core::Machine& m, BlockId, NodeId) {
        // A lost capacity wakeup: the cache fills, an acquisition parks,
-       // and no release ever comes.
-       auto& lc = m.cache_controller(0).mutable_lock_cache();
+       // and a slot frees behind the controller's back.
+       core::CacheController& cc = m.cache_controller(0);
+       auto& lc = cc.mutable_lock_cache();
        BlockId filler = 1000;
        while (!lc.full()) lc.allocate(filler++);
-       lc.on_slot([] {});
+       cc.op_lock(kFree, net::LockMode::kWrite);
+       lc.release(1000);
      }},
     {"dirty-mask", Scenario::kWbiModified, CheckVia::kMachine,
      [](core::Machine& m, BlockId b, NodeId) {

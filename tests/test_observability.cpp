@@ -1,16 +1,12 @@
-// The event-trace observability layer (docs/OBSERVABILITY.md) and the
-// fixes that shipped with it: the write buffer's watermark FLUSH gate
-// (paper section 4.2 — a flush must not wait for writes issued after it),
-// the retire underflow guard, and the histogram quantile clamp.
+// The event-trace observability layer (docs/OBSERVABILITY.md), the
+// one-operation-per-processor guard, and the histogram quantile clamp.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "cache/write_buffer.hpp"
 #include "sim/invariants.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace_recorder.hpp"
@@ -23,78 +19,6 @@ using core::Machine;
 using core::Processor;
 using sim::TraceKind;
 using sim::TraceRecorder;
-
-// ---------------------------------------------------------------------------
-// WriteBuffer flush semantics (watermark, not empty-buffer).
-// ---------------------------------------------------------------------------
-
-TEST(WriteBuffer, FlushFiresImmediatelyWhenNothingPrecedesIt) {
-  cache::WriteBuffer wb;
-  bool flushed = false;
-  wb.on_drained([&] { flushed = true; });
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(wb.waiters(), 0u);
-}
-
-TEST(WriteBuffer, WritesEnteredAfterTheFlushDoNotDelayIt) {
-  cache::WriteBuffer wb;  // unbounded
-  wb.enter();
-  bool flushed = false;
-  wb.on_drained([&] { flushed = true; });
-  wb.enter();  // issued after the flush: outside its watermark
-  EXPECT_FALSE(flushed);
-  wb.retire();  // the one preceding write completes
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(wb.pending(), 1u);  // the later write is still in flight
-}
-
-// The starvation scenario the empty-buffer gate gets wrong: a bounded
-// buffer whose freed slots refill immediately from a backlogged writer is
-// never empty, yet the flush only covers the writes that preceded it.
-TEST(WriteBuffer, BoundedBufferRefillPressureCannotStarveAFlush) {
-  cache::WriteBuffer wb(2);
-  wb.enter();
-  wb.enter();  // full
-  // A writer with an endless backlog: every freed slot is taken at once.
-  std::function<void()> refill = [&] {
-    wb.enter();
-    wb.on_slot(refill);
-  };
-  wb.on_slot(refill);  // parks (buffer is full)
-  bool flushed = false;
-  std::size_t pending_at_flush = 0;
-  wb.on_drained([&] {
-    flushed = true;
-    pending_at_flush = wb.pending();
-  });  // watermark: the 2 writes already entered
-  wb.retire();
-  EXPECT_FALSE(flushed);  // only 1 of the 2 preceding writes has retired
-  wb.retire();
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(pending_at_flush, 2u);  // fired while the buffer was still full
-  EXPECT_FALSE(wb.empty());
-}
-
-TEST(WriteBuffer, FlushWaitersFireInRegistrationOrder) {
-  cache::WriteBuffer wb;
-  wb.enter();
-  std::string order;
-  wb.on_drained([&] { order += 'a'; });
-  wb.enter();
-  wb.on_drained([&] { order += 'b'; });
-  wb.retire();
-  EXPECT_EQ(order, "a");
-  wb.retire();
-  EXPECT_EQ(order, "ab");
-}
-
-TEST(WriteBuffer, RetireWithoutMatchingEntryThrows) {
-  cache::WriteBuffer wb;
-  EXPECT_THROW(wb.retire(), std::logic_error);
-  wb.enter();
-  wb.retire();
-  EXPECT_THROW(wb.retire(), std::logic_error);  // second ack for one write
-}
 
 // A processor runs one program: a second program on the same node issuing
 // while the first has an operation outstanding is a usage error, reported

@@ -1,12 +1,15 @@
-// Direct unit tests for cache::WriteBuffer — the retire-count watermark
-// that implements FLUSH-BUFFER's ordering guarantee (paper section 4.2),
-// its edge cases (capacity-1 buffers, the retire underflow guard), and
-// the two injectable faults the differential oracle uses
-// (docs/TESTING.md, "Differential testing").
+// Direct unit tests for cache::WriteBuffer — the pending-write counter
+// behind buffered consistency and the retire-count watermark that
+// implements FLUSH-BUFFER's ordering guarantee (paper section 4.2): its
+// accounting, its capacity, its edge cases (the retire underflow guard, a
+// bounded buffer that refills at once), and the two injectable faults the
+// differential oracle uses (docs/TESTING.md, "Differential testing").
+// Parking and waking a processor on the buffer is the cache controller's
+// job; tests/test_consistency.cpp covers it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "cache/write_buffer.hpp"
 
@@ -15,42 +18,26 @@ namespace {
 
 using cache::WriteBuffer;
 
-TEST(WriteBuffer, FlushOnEmptyFiresImmediately) {
+TEST(WriteBuffer, EmptyBufferIsFlushedAtOnce) {
   WriteBuffer wb;
-  bool fired = false;
-  wb.on_drained([&] { fired = true; });
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(wb.waiters(), 0u);
+  EXPECT_TRUE(wb.flushed(wb.flush_mark()));
 }
 
-TEST(WriteBuffer, WatermarkCoversOnlyPrecedingWrites) {
+TEST(WriteBuffer, PendingCountTracksEnterRetire) {
   WriteBuffer wb;
+  EXPECT_TRUE(wb.empty());
   wb.enter();
   wb.enter();
-  bool fired = false;
-  wb.on_drained([&] { fired = true; });
-  // A write entered *after* the flush registered must not delay it.
-  wb.enter();
+  EXPECT_EQ(wb.pending(), 2u);
   wb.retire();
-  EXPECT_FALSE(fired) << "flush fired with a preceding write still pending";
+  EXPECT_EQ(wb.pending(), 1u);
   wb.retire();
-  EXPECT_TRUE(fired) << "flush must fire once both preceding writes retired";
-  EXPECT_EQ(wb.pending(), 1u);  // the late write is still in flight
+  EXPECT_TRUE(wb.empty());
 }
 
-TEST(WriteBuffer, FlushWaitersFireInRegistrationOrder) {
+TEST(WriteBuffer, TxnIdsAreUnique) {
   WriteBuffer wb;
-  std::vector<int> order;
-  wb.enter();
-  wb.on_drained([&] { order.push_back(1); });
-  wb.enter();
-  wb.on_drained([&] { order.push_back(2); });
-  wb.retire();
-  ASSERT_EQ(order.size(), 1u);  // first flush covers one write only
-  wb.retire();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
+  EXPECT_NE(wb.enter(), wb.enter());
 }
 
 TEST(WriteBuffer, RetireWithoutEntryThrows) {
@@ -63,61 +50,61 @@ TEST(WriteBuffer, RetireWithoutEntryThrows) {
   EXPECT_THROW(wb.retire(), std::logic_error);
 }
 
-TEST(WriteBuffer, CapacityOneAppliesBackpressure) {
-  WriteBuffer wb(1);
+TEST(WriteBuffer, FullOnlyAtCapacity) {
+  WriteBuffer wb(2);
   EXPECT_FALSE(wb.unbounded());
-  int issued = 0;
-  auto writer = [&] {
-    wb.enter();
-    ++issued;
-  };
-  wb.on_slot(writer);  // immediate: buffer empty
-  EXPECT_EQ(issued, 1);
-  EXPECT_TRUE(wb.full());
-  wb.on_slot(writer);  // parks: the only slot is taken
-  EXPECT_EQ(issued, 1);
-  EXPECT_EQ(wb.waiters(), 1u);
+  wb.enter();
+  EXPECT_FALSE(wb.full());
+  wb.enter();
+  EXPECT_TRUE(wb.full()) << "a third write must wait for a slot";
   wb.retire();
-  EXPECT_EQ(issued, 2) << "freed slot must wake the parked writer";
-  EXPECT_TRUE(wb.full());
-  wb.retire();
-  EXPECT_TRUE(wb.empty());
+  EXPECT_FALSE(wb.full()) << "a retire frees a slot";
+
+  WriteBuffer unbounded;
+  for (int i = 0; i < 1000; ++i) unbounded.enter();
+  EXPECT_TRUE(unbounded.unbounded());
+  EXPECT_FALSE(unbounded.full());
 }
 
-// The ordering contract between the two waiter kinds on a capacity-1
-// buffer: the slot waiter runs first (its write entered *after* the
-// flush, so it must not delay the flush), and the flush still fires on
-// the same retire — a refilling slot must not starve a watermark that
-// has already been reached.
-TEST(WriteBuffer, RefillingSlotDoesNotStarveTheFlush) {
-  WriteBuffer wb(1);
-  wb.on_slot([&] { wb.enter(); });  // fills the buffer
-  bool flushed = false;
-  wb.on_drained([&] { flushed = true; });  // watermark = 1
-  bool refilled = false;
-  wb.on_slot([&] {
-    wb.enter();
-    refilled = true;
-  });
-  EXPECT_FALSE(flushed);
-  EXPECT_FALSE(refilled);
+TEST(WriteBuffer, WatermarkCoversOnlyPrecedingWrites) {
+  WriteBuffer wb;
+  wb.enter();
+  wb.enter();
+  const std::uint64_t mark = wb.flush_mark();
+  // A write entered *after* the flush issued must not delay it.
+  wb.enter();
   wb.retire();
-  EXPECT_TRUE(refilled) << "slot waiter must be woken by the retire";
-  EXPECT_TRUE(flushed)
-      << "flush starved: the refill raised pending above zero, but the "
-         "watermark (all writes preceding the flush) was reached";
-  EXPECT_EQ(wb.pending(), 1u);
+  EXPECT_FALSE(wb.flushed(mark)) << "flushed with a preceding write still pending";
+  wb.retire();
+  EXPECT_TRUE(wb.flushed(mark)) << "both preceding writes have retired";
+  EXPECT_EQ(wb.pending(), 1u);  // the late write is still in flight
+}
+
+// The starvation scenario an empty-buffer gate gets wrong: a bounded
+// buffer whose freed slots refill at once from a backlogged writer is
+// never empty, yet the flush covers only the writes that preceded it.
+TEST(WriteBuffer, RefillingSlotsDoNotStarveTheFlush) {
+  WriteBuffer wb(2);
+  wb.enter();
+  wb.enter();
+  const std::uint64_t mark = wb.flush_mark();
+  wb.retire();
+  wb.enter();  // the backlogged writer takes the freed slot
+  EXPECT_FALSE(wb.flushed(mark));  // only 1 of the 2 preceding writes retired
+  wb.retire();
+  wb.enter();
+  EXPECT_TRUE(wb.flushed(mark))
+      << "flush starved: the refills keep the buffer full, but every write "
+         "preceding the flush has retired";
+  EXPECT_TRUE(wb.full());
 }
 
 // Fault kEagerFlush (the differential oracle's injected reordering bug):
-// the gate disappears entirely — a flush completes with writes in flight.
+// the gate disappears entirely — a flush is done with writes in flight.
 TEST(WriteBuffer, EagerFlushFaultRemovesTheGate) {
-  WriteBuffer wb;
-  wb.inject_fault(WriteBuffer::Fault::kEagerFlush);
+  WriteBuffer wb(0, WriteBuffer::Fault::kEagerFlush);
   wb.enter();
-  bool fired = false;
-  wb.on_drained([&] { fired = true; });
-  EXPECT_TRUE(fired) << "kEagerFlush must complete the flush immediately";
+  EXPECT_TRUE(wb.flushed(wb.flush_mark())) << "kEagerFlush must not wait";
   EXPECT_EQ(wb.pending(), 1u);
 }
 
@@ -125,23 +112,19 @@ TEST(WriteBuffer, EagerFlushFaultRemovesTheGate) {
 // empty buffer, so a write entered after the flush delays it — exactly
 // the starvation the watermark fix removed.
 TEST(WriteBuffer, EmptyGateFaultWaitsForAFullyEmptyBuffer) {
-  WriteBuffer wb;
-  wb.inject_fault(WriteBuffer::Fault::kEmptyGate);
+  WriteBuffer wb(0, WriteBuffer::Fault::kEmptyGate);
   wb.enter();
-  bool fired = false;
-  wb.on_drained([&] { fired = true; });
+  const std::uint64_t mark = wb.flush_mark();
   wb.enter();  // entered after the flush — must not matter, but does here
   wb.retire();
-  EXPECT_FALSE(fired) << "empty-gate bug: pending == 1, so the gate holds";
+  EXPECT_FALSE(wb.flushed(mark)) << "empty-gate bug: pending == 1, so the gate holds";
   wb.retire();
-  EXPECT_TRUE(fired);
+  EXPECT_TRUE(wb.flushed(mark));
 }
 
-// Faults apply to flushes registered after injection; pending() and the
-// underflow guard are unaffected by either fault.
+// pending() and the underflow guard are unaffected by a fault.
 TEST(WriteBuffer, FaultsDoNotCorruptAccounting) {
-  WriteBuffer wb;
-  wb.inject_fault(WriteBuffer::Fault::kEagerFlush);
+  WriteBuffer wb(0, WriteBuffer::Fault::kEagerFlush);
   wb.enter();
   wb.enter();
   EXPECT_EQ(wb.pending(), 2u);
