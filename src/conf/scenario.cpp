@@ -40,6 +40,9 @@ core::MachineConfig build_machine(const MachineSpec& o) {
       cfg.watchdog_interval = 4096;
     }
   }
+  if (o.consistency != "sc" && o.consistency != "bc") {
+    throw UsageError("unknown consistency '" + o.consistency + "' (sc, bc)");
+  }
   if (o.flavor == "paper") {
     cfg.data_protocol = core::DataProtocol::kReadUpdate;
     cfg.consistency = o.consistency == "sc" ? core::Consistency::kSequential
@@ -59,7 +62,11 @@ core::MachineConfig build_machine(const MachineSpec& o) {
   }
   if (!o.lock.empty()) cfg.lock_impl = parse_lock(o.lock);
   if (!o.barrier.empty()) cfg.barrier_impl = parse_barrier(o.barrier);
-  cfg.validate();
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
   return cfg;
 }
 

@@ -64,9 +64,8 @@ struct MachineSpec {
 };
 
 /// Resolves a MachineSpec into a validated MachineConfig — the exact
-/// mapping the CLI's historical build_config performed. Unknown names
-/// throw UsageError; invalid combinations propagate cfg.validate()'s
-/// std::invalid_argument.
+/// mapping the CLI's historical build_config performed. Unknown names and
+/// a configuration cfg.validate() rejects throw UsageError.
 [[nodiscard]] core::MachineConfig build_machine(const MachineSpec& spec);
 
 /// Workload description: one of the six built-in models (each carrying

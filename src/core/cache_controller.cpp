@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/log.hpp"
 
 namespace bcsim::core {
 

@@ -16,6 +16,8 @@ sim::Task CblMutex::acquire(Processor& p) {
   co_await p.write_lock(addr_);
 }
 
+sim::Task CblMutex::acquire_shared(Processor& p) { co_await p.read_lock(addr_); }
+
 sim::Task CblMutex::release(Processor& p) {
   // CP-Synch: all global writes issued inside the critical section must be
   // globally performed before the lock moves on.

@@ -27,6 +27,10 @@ class Mutex {
  public:
   virtual ~Mutex() = default;
   virtual sim::Task acquire(core::Processor& p) = 0;
+  /// Shared acquisition: holders may be inside together, a writer waits
+  /// for all of them. Only the CBL lock has a shared mode (READ-LOCK); a
+  /// software lock takes the lock exclusively. release() ends either mode.
+  virtual sim::Task acquire_shared(core::Processor& p) { return acquire(p); }
   virtual sim::Task release(core::Processor& p) = 0;
 
   /// Base address of the lock's block. For the CBL lock, words 1..k-1 of
@@ -37,11 +41,15 @@ class Mutex {
   [[nodiscard]] virtual bool data_rides_lock() const { return false; }
 };
 
-/// CBL: the paper's cache-based queued lock (exclusive mode).
+/// CBL: the paper's cache-based queued lock, exclusive (WRITE-LOCK) or
+/// shared (READ-LOCK). Readers sharing the lock receive the lock block's
+/// data with the grant and may read it locally; a writer's modifications
+/// travel with the lock.
 class CblMutex final : public Mutex {
  public:
   explicit CblMutex(core::AddressAllocator& alloc) : addr_(alloc.alloc_blocks(1)) {}
   sim::Task acquire(core::Processor& p) override;
+  sim::Task acquire_shared(core::Processor& p) override;
   sim::Task release(core::Processor& p) override;
   [[nodiscard]] Addr lock_addr() const override { return addr_; }
   [[nodiscard]] bool data_rides_lock() const override { return true; }

@@ -2,16 +2,17 @@
 //
 // A program is a handful of threads, each a straight-line op list over
 // symbolic memory objects — shared locations, locks, counting semaphores
-// and barriers — named by index, never by address. Two generators emit it
-// (the seeded DRF generator, ref/drf_program.hpp, and the litmus battery,
-// model/battery.hpp) and three interpreters read it:
+// and barriers — named by index, never by address. Three generators emit
+// it (the seeded DRF generator, ref/drf_program.hpp, the check battery,
+// ref/check_battery.hpp, and the litmus battery, model/battery.hpp) and
+// three interpreters read it:
 //
 //   * ir/run.hpp lowers it onto a real core::Machine, thread t on
 //     processor t, through the protocol-agnostic access helpers and the
 //     sync library, so every machine flavor executes it with its native
 //     primitives;
 //   * ref/ref_machine.hpp interprets it on the golden sequentially
-//     consistent reference (the diff and chaos judges);
+//     consistent reference (the diff, chaos and check judges);
 //   * model/bc_model.hpp enumerates every outcome the Buffered
 //     Consistency axioms allow (the model judge).
 //
@@ -43,13 +44,16 @@ enum class OpKind : std::uint8_t {
   kCsAdd,     ///< location `arg` += `value`, only while holding the lock that guards it
   kSemP,      ///< P on semaphore `arg` (blocks while the count is 0)
   kSemV,      ///< V on semaphore `arg`
+  kReadLock,  ///< acquire lock `arg` shared (READ-LOCK on CBL); kUnlock releases either mode
+  kCsLoad,    ///< load location `arg`, only while holding the lock that guards it
+  kFetchAdd,  ///< atomic location `arg` += `value` at memory; the result is not observed
 };
 
 struct Op {
   OpKind kind = OpKind::kCompute;
   std::uint32_t arg = 0;  ///< location, lock, semaphore or barrier index; cycles
   Word value = 0;         ///< kStore: stored value; kAwait: value spun for; kCsAdd: delta
-  bool observed = false;  ///< kLoad/kLoadOnce: the value enters the comparison stream
+  bool observed = false;  ///< kLoad/kLoadOnce/kCsLoad: the value enters the comparison stream
 };
 
 // Terse constructors so a program reads like its paper notation.
@@ -71,6 +75,9 @@ inline Op Bar(std::uint32_t barrier = 0) { return {OpKind::kBarrier, barrier, 0,
 inline Op CsAdd(std::uint32_t loc, Word delta) { return {OpKind::kCsAdd, loc, delta, false}; }
 inline Op SemP(std::uint32_t sem) { return {OpKind::kSemP, sem, 0, false}; }
 inline Op SemV(std::uint32_t sem) { return {OpKind::kSemV, sem, 0, false}; }
+inline Op ReadLock(std::uint32_t lock) { return {OpKind::kReadLock, lock, 0, false}; }
+inline Op CsLoad(std::uint32_t loc) { return {OpKind::kCsLoad, loc, 0, true}; }
+inline Op FetchAdd(std::uint32_t loc, Word delta) { return {OpKind::kFetchAdd, loc, delta, false}; }
 
 /// Memory objects. Locks, semaphores and barriers are numbered in
 /// declaration order within their kind.

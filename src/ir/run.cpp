@@ -129,6 +129,20 @@ sim::Task interpret(core::Processor& p, const std::vector<Op>& code, Layout& lay
       case OpKind::kSemV:
         co_await lay.sems[op.arg]->v_op(p);
         break;
+      case OpKind::kReadLock:
+        co_await lay.locks[op.arg]->acquire_shared(p);
+        break;
+      case OpKind::kCsLoad: {
+        const Word v =
+            co_await workload::cs_read(p, lay.loc_addr[op.arg], lay.rides_lock[op.arg] != 0);
+        if (op.observed) obs.push_back({i, op.arg, v, p.simulator().now()});
+        break;
+      }
+      case OpKind::kFetchAdd: {
+        const Word old = co_await p.fetch_add(lay.loc_addr[op.arg], op.value);
+        (void)old;
+        break;
+      }
     }
   }
 }

@@ -1,15 +1,17 @@
 // Lowers an ir::Program onto a real core::Machine — the one machine runner
-// behind `bcsim diff`, `bcsim model` and `bcsim chaos` (docs/TESTING.md).
+// behind `bcsim diff`, `model`, `chaos` and `check` (docs/TESTING.md).
 //
 // Objects are allocated in declaration order (ir/program.hpp); thread t
 // runs on processor t as one coroutine using the protocol-agnostic access
 // helpers of workload/access.hpp and the sync library, so WBI, read-update
 // + BC and CBL-on-WBI all execute the program through their native
 // primitives. Loads and stores map onto the flavor's shared accessors,
-// kCsAdd onto the critical-section accessors (lock-riding data travels
-// with the grant), kFence onto FLUSH-BUFFER, kUnsub onto RESET-UPDATE
-// (read-update only). Semaphore counts are poked into memory before tick
-// 0, which is equivalent to a one-time init with empty caches.
+// kCsAdd and kCsLoad onto the critical-section accessors (lock-riding
+// data travels with the grant), kReadLock onto the lock's shared
+// acquisition, kFetchAdd onto FETCH&ADD, kFence onto FLUSH-BUFFER, kUnsub
+// onto RESET-UPDATE (read-update only). Semaphore counts are poked into
+// memory before tick 0, which is equivalent to a one-time init with empty
+// caches.
 #pragma once
 
 #include <cstdint>

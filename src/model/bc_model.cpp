@@ -303,6 +303,9 @@ class Enumerator {
       case OpKind::kCsAdd:
       case OpKind::kSemP:
       case OpKind::kSemV:
+      case OpKind::kReadLock:
+      case OpKind::kCsLoad:
+      case OpKind::kFetchAdd:
         break;  // rejected by validate()
     }
   }
@@ -336,6 +339,10 @@ std::string op_to_string(const ir::Op& op) {
       return "CsAdd " + loc_name(op.arg) + "+=" + std::to_string(op.value);
     case OpKind::kSemP: return "P " + std::to_string(op.arg);
     case OpKind::kSemV: return "V " + std::to_string(op.arg);
+    case OpKind::kReadLock: return std::string("ReadLock ") + static_cast<char>('a' + op.arg);
+    case OpKind::kCsLoad: return "CsLoad " + loc_name(op.arg);
+    case OpKind::kFetchAdd:
+      return "FetchAdd " + loc_name(op.arg) + "+=" + std::to_string(op.value);
   }
   return "?";
 }

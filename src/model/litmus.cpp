@@ -117,6 +117,9 @@ std::string validate(const ir::Program& t) {
         case OpKind::kCsAdd:
         case OpKind::kSemP:
         case OpKind::kSemV:
+        case OpKind::kReadLock:
+        case OpKind::kCsLoad:
+        case OpKind::kFetchAdd:
           return who + " uses an op the BC model has no rule for";
         default: break;
       }

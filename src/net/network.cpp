@@ -8,7 +8,6 @@
 #include <string>
 
 #include "net/transport.hpp"
-#include "sim/log.hpp"
 
 namespace bcsim::net {
 
@@ -126,10 +125,6 @@ void Network::deliver(const Message& m) {
   simulator_.trace().msg(sim::TraceKind::kMsgDeliver, simulator_.now(),
                          static_cast<std::uint8_t>(m.type), m.src, m.dst,
                          m.unit == Unit::kMemory, m.block, m.txn);
-  BCSIM_LOG(kTrace, "net", simulator_.now(),
-            to_string(m.type) << " " << m.src << "->" << m.dst
-                              << (m.unit == Unit::kMemory ? "(mem)" : "(cache)") << " blk="
-                              << m.block);
   fn(m);
 }
 

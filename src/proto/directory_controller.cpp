@@ -5,7 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/log.hpp"
 
 namespace bcsim::proto {
 

@@ -109,14 +109,10 @@ ir::Program cell_program(const Cell& c) {
   return generate_drf_program(c.program_seed, gen);
 }
 
-CellOutcome run_cell(const Cell& c, const ir::Program& prog, const RefResult& sc) {
-  const core::MachineConfig cfg = cell_config(c);
-  return judge(sc, ir::run_program(prog, cfg, c.budget), cfg.block_words);
-}
-
 CellOutcome run_cell(const Cell& c) {
   const ir::Program prog = cell_program(c);
-  return run_cell(c, prog, RefMachine(prog, 1).run());
+  const core::MachineConfig cfg = cell_config(c);
+  return judge(RefMachine(prog, 1).run(), ir::run_program(prog, cfg, c.budget), cfg.block_words);
 }
 
 const char* to_string(Harness h) noexcept {
@@ -124,18 +120,22 @@ const char* to_string(Harness h) noexcept {
     case Harness::kDiff: return "diff";
     case Harness::kModel: return "model";
     case Harness::kChaos: return "chaos";
+    case Harness::kCheck: return "check";
   }
   return "?";
 }
 
 namespace {
 
-constexpr unsigned kAll = bit(Harness::kDiff) | bit(Harness::kModel) | bit(Harness::kChaos);
+constexpr unsigned kAll =
+    bit(Harness::kDiff) | bit(Harness::kModel) | bit(Harness::kChaos) | bit(Harness::kCheck);
 constexpr unsigned kDrf = bit(Harness::kDiff) | bit(Harness::kChaos);
 constexpr unsigned kChaos = bit(Harness::kChaos);
+constexpr unsigned kWatched = kChaos | bit(Harness::kCheck);
 
-// diff and model arm the watchdog themselves for network faults; only
-// chaos takes its knobs. model runs litmus tests, which have no phases.
+// diff and model arm the watchdog themselves for network faults; chaos
+// takes its knobs and check its interval. model and check run fixed
+// batteries, which have no phases.
 const CellKey kKeys[] = {
     {"flavor", &Cell::flavor, 0, true},
     {"network", &Cell::network, 0, true},
@@ -149,7 +149,7 @@ const CellKey kKeys[] = {
     {"dir-limit", &Cell::dir_limit, kAll},
     {"dir-overflow", &Cell::dir_overflow, kAll},
     {"dir-region", &Cell::dir_region, kAll, false, 1},
-    {"watchdog", &Cell::watchdog, kChaos},
+    {"watchdog", &Cell::watchdog, kWatched},
     {"stalls", &Cell::stalls, kChaos, false, 1},
     {"trace-dump", &Cell::trace_dump, kChaos},
     {"budget", &Cell::budget, kAll},

@@ -1,11 +1,11 @@
 // One grid cell of the correctness harnesses, its machine configuration,
 // its verdict against the SC reference, and the corpus line that pins it
-// (docs/TESTING.md, "One grid, three judges").
+// (docs/TESTING.md, "One program IR, one grid, four judges").
 //
-// `bcsim diff`, `bcsim model` and `bcsim chaos` sweep the same grid —
-// fault plans x programs x networks x flavors x schedule seeds — and build
-// every machine through cell_config(). A DRF cell (diff, chaos) is judged
-// against the golden SC reference:
+// `bcsim diff`, `model`, `chaos` and `check` sweep the same grid — fault
+// plans x programs x networks x flavors x schedule seeds — and build every
+// machine through cell_config(). A DRF cell (diff, chaos) or a check cell
+// is judged against the golden SC reference:
 //
 //   * transparent — the run completed and is indistinguishable from the
 //     reference; retries/NACKs masked every injected fault. DRF
@@ -17,9 +17,10 @@
 //   * hung — the run died without a diagnosis (bare budget exhaustion,
 //     unexpected exception): the watchdog missed it.
 //
-// diff accepts only transparent; chaos accepts transparent or diagnosed.
-// A litmus cell (model) is judged by BC allowed-set membership instead
-// (model/bc_model.hpp); its program seed and phases are unused.
+// diff and check accept only transparent; chaos accepts transparent or
+// diagnosed. A litmus cell (model) is judged by BC allowed-set membership
+// instead (model/bc_model.hpp). A model or check cell runs a program of a
+// fixed battery, so its program seed and phases are unused.
 //
 // Each field has one name and one range (cell_keys()): a corpus line, a
 // harness flag, a config key and a replay line all spell it the same way.
@@ -74,7 +75,7 @@ struct Cell {
 };
 
 /// The harnesses that sweep cells (tools/bcsim_harness.hpp).
-enum class Harness : std::uint8_t { kDiff, kModel, kChaos };
+enum class Harness : std::uint8_t { kDiff, kModel, kChaos, kCheck };
 
 [[nodiscard]] const char* to_string(Harness h) noexcept;
 
@@ -129,12 +130,9 @@ struct CellOutcome {
 /// The cell's DRF program (ref/drf_program.hpp): program seed, nodes, phases.
 [[nodiscard]] ir::Program cell_program(const Cell& c);
 
-/// Runs `prog`, the cell's program, on the cell's machine within the
-/// cell's budget and judges it against `sc`, the program's SC reference
-/// run. Simulation failures never throw (they classify the cell).
-[[nodiscard]] CellOutcome run_cell(const Cell& c, const ir::Program& prog, const RefResult& sc);
-
-/// The same, generating the cell's program and its SC reference first.
+/// Runs the cell's DRF program on the cell's machine within the cell's
+/// budget and judges it against the program's SC reference run.
+/// Simulation failures never throw (they classify the cell).
 [[nodiscard]] CellOutcome run_cell(const Cell& c);
 
 /// One corpus line: a cell and the verdict it must reproduce.

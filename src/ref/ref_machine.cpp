@@ -43,7 +43,10 @@ RefResult RefMachine::run() {
   std::vector<std::size_t> pc(n_threads, 0);
   std::vector<std::uint32_t> waiting_at(n_threads, kNotWaiting);  // barrier id
   std::vector<std::uint32_t> arrived(prog_.count(ir::ObjKind::kBarrier), 0);
-  std::vector<std::uint32_t> lock_owner(n_locks, kFree);
+  std::vector<std::uint32_t> lock_owner(n_locks, kFree);  // the exclusive holder
+  // Shared holders: per lock, one flag per thread, and their count.
+  std::vector<std::vector<std::uint8_t>> reading(n_locks, std::vector<std::uint8_t>(n_threads, 0));
+  std::vector<std::uint32_t> readers(n_locks, 0);
 
   sim::Rng rng(sim::SplitMix64(schedule_seed_ ^ 0xD1FFu).next());
   std::vector<std::uint32_t> runnable;
@@ -58,7 +61,10 @@ RefResult RefMachine::run() {
       all_done = false;
       if (waiting_at[n] != kNotWaiting) continue;  // released when everyone arrives
       const ir::Op& op = code[pc[n]];
-      if (op.kind == OpKind::kLock && lock_owner[op.arg] != kFree) continue;
+      if (op.kind == OpKind::kLock && (lock_owner[op.arg] != kFree || readers[op.arg] != 0)) {
+        continue;
+      }
+      if (op.kind == OpKind::kReadLock && lock_owner[op.arg] != kFree) continue;
       if (op.kind == OpKind::kSemP && r.final_sems[op.arg] == 0) continue;
       if (op.kind == OpKind::kAwait && mem[op.arg] != op.value) continue;
       runnable.push_back(n);
@@ -97,17 +103,43 @@ RefResult RefMachine::run() {
         lock_owner[op.arg] = n;
         ++r.lock_acquisitions[op.arg];
         break;
+      case OpKind::kReadLock:
+        if (reading[op.arg][n] != 0) {
+          throw std::logic_error("RefMachine: read-lock of a lock the thread holds");
+        }
+        reading[op.arg][n] = 1;
+        ++readers[op.arg];
+        ++r.lock_acquisitions[op.arg];
+        break;
       case OpKind::kUnlock:
-        if (lock_owner[op.arg] != n) {
+        if (lock_owner[op.arg] == n) {
+          lock_owner[op.arg] = kFree;
+        } else if (reading[op.arg][n] != 0) {
+          reading[op.arg][n] = 0;
+          --readers[op.arg];
+        } else {
           throw std::logic_error("RefMachine: unlock of a lock the thread does not hold");
         }
-        lock_owner[op.arg] = kFree;
         break;
       case OpKind::kCsAdd:
-        // Guarded by its lock, so read-modify-write is one step.
+        // Guarded by its lock, held exclusively, so read-modify-write is
+        // one step.
         if (guard[op.arg] == ir::kNoLock || lock_owner[guard[op.arg]] != n) {
-          throw std::logic_error("RefMachine: CS-ADD outside its guarding lock");
+          throw std::logic_error("RefMachine: CS-ADD outside its guarding lock held exclusively");
         }
+        mem[op.arg] += op.value;
+        break;
+      case OpKind::kCsLoad:
+        // Guarded by its lock, held in either mode.
+        if (guard[op.arg] == ir::kNoLock ||
+            (lock_owner[guard[op.arg]] != n && reading[guard[op.arg]][n] == 0)) {
+          throw std::logic_error("RefMachine: CS-LOAD outside its guarding lock");
+        }
+        if (op.observed) {
+          r.loads[n].push_back({static_cast<std::uint32_t>(i), op.arg, mem[op.arg], 0});
+        }
+        break;
+      case OpKind::kFetchAdd:
         mem[op.arg] += op.value;
         break;
       case OpKind::kBarrier:
@@ -130,7 +162,7 @@ RefResult RefMachine::run() {
   }
 
   for (std::uint32_t l = 0; l < n_locks; ++l) {
-    if (lock_owner[l] != kFree) r.locks_held_at_end.push_back(l);
+    if (lock_owner[l] != kFree || readers[l] != 0) r.locks_held_at_end.push_back(l);
   }
   return r;
 }

@@ -10,7 +10,10 @@
 // machine must reproduce (docs/TESTING.md, "Differential testing").
 // kLoad and kLoadOnce both read memory; kAwait is runnable only once its
 // location holds the awaited value; kFence, kUnsub and kCompute are
-// no-ops (there is no buffer, subscription or time to model).
+// no-ops (there is no buffer, subscription or time to model). A lock is
+// held by one thread (kLock) or by a group of readers (kReadLock); kCsAdd
+// needs its guarding lock held exclusively, kCsLoad in either mode, and
+// kFetchAdd is one atomic step.
 //
 // The schedule seed exists for a self-check, not for coverage: a DRF
 // program's comparison stream must be identical under *every* reference
@@ -33,7 +36,7 @@ struct RefResult {
   std::vector<Word> final_locs;  ///< per location
   std::vector<Word> final_sems;  ///< per semaphore
   std::vector<std::vector<ir::Observation>> loads;  ///< per thread, program order
-  std::vector<std::uint64_t> lock_acquisitions;  ///< per lock
+  std::vector<std::uint64_t> lock_acquisitions;  ///< per lock, either mode
   std::vector<std::uint32_t> locks_held_at_end;  ///< must be empty for DRF programs
 };
 

@@ -230,12 +230,11 @@ void InvariantChecker::check_quiescent(const char* where) const {
   std::vector<std::unordered_map<BlockId, const CacheLine*>> lock_lines(n);
   for (NodeId i = 0; i < n; ++i) {
     const core::CacheController& cc = m_.cache_controller(i);
-    if (!cc.quiescent()) {
-      fail("quiescence", 0, kNoNode, i, tick,
-           std::string(where) + ": cache controller still has activity outstanding");
-    }
     // A processor still parked on its write buffer or lock cache at
-    // quiescence missed the wakeup its controller owed it.
+    // quiescence missed the wakeup its controller owed it. These rules
+    // come before the controller's own quiescence test, which also
+    // requires an empty buffer and would report the same state less
+    // precisely.
     using Wait = core::OutstandingOp::Wait;
     const Wait wait = cc.outstanding().wait;
     if (!cc.write_buffer().empty() || wait == Wait::kWriteSlot || wait == Wait::kFlush) {
@@ -245,6 +244,10 @@ void InvariantChecker::check_quiescent(const char* where) const {
     if (wait == Wait::kLockSlot) {
       fail("lock-cache", 0, kNoNode, i, tick,
            std::string(where) + ": lock-cache capacity wait never woken");
+    }
+    if (!cc.quiescent()) {
+      fail("quiescence", 0, kNoNode, i, tick,
+           std::string(where) + ": cache controller still has activity outstanding");
     }
     cc.data_cache().for_each_valid(
         [&](const CacheLine& l) { data_lines[i].emplace(l.block, &l); });

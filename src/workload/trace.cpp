@@ -10,78 +10,60 @@ namespace bcsim::workload {
 using core::Machine;
 using core::Processor;
 
-std::string_view to_string(TraceOp op) noexcept {
-  switch (op) {
-    case TraceOp::kRead: return "r";
-    case TraceOp::kWrite: return "w";
-    case TraceOp::kReadGlobal: return "rg";
-    case TraceOp::kWriteGlobal: return "wg";
-    case TraceOp::kReadUpdate: return "ru";
-    case TraceOp::kResetUpdate: return "xu";
-    case TraceOp::kFlushBuffer: return "fl";
-    case TraceOp::kReadLock: return "rl";
-    case TraceOp::kWriteLock: return "wl";
-    case TraceOp::kUnlock: return "ul";
-    case TraceOp::kCompute: return "c";
-    case TraceOp::kTestAndSet: return "ts";
-    case TraceOp::kFetchAdd: return "fa";
-    case TraceOp::kSwap: return "sw";
-    case TraceOp::kCompareSwap: return "cx";
-    case TraceOp::kBarrier: return "ba";
-    case TraceOp::kWaitWord: return "wc";
-    case TraceOp::kWaitLine: return "lc";
-    case TraceOp::kPrivate: return "pa";
-  }
-  return "?";
-}
-
-TraceOp parse_trace_op(std::string_view s) {
-  if (s == "r") return TraceOp::kRead;
-  if (s == "w") return TraceOp::kWrite;
-  if (s == "rg") return TraceOp::kReadGlobal;
-  if (s == "wg") return TraceOp::kWriteGlobal;
-  if (s == "ru") return TraceOp::kReadUpdate;
-  if (s == "xu") return TraceOp::kResetUpdate;
-  if (s == "fl") return TraceOp::kFlushBuffer;
-  if (s == "rl") return TraceOp::kReadLock;
-  if (s == "wl") return TraceOp::kWriteLock;
-  if (s == "ul") return TraceOp::kUnlock;
-  if (s == "c") return TraceOp::kCompute;
-  if (s == "ts") return TraceOp::kTestAndSet;
-  if (s == "fa") return TraceOp::kFetchAdd;
-  if (s == "sw") return TraceOp::kSwap;
-  if (s == "cx") return TraceOp::kCompareSwap;
-  if (s == "ba") return TraceOp::kBarrier;
-  if (s == "wc") return TraceOp::kWaitWord;
-  if (s == "lc") return TraceOp::kWaitLine;
-  if (s == "pa") return TraceOp::kPrivate;
-  throw std::invalid_argument("trace: unknown op '" + std::string(s) + "'");
-}
-
 namespace {
 
-bool op_has_addr(TraceOp op) { return op != TraceOp::kFlushBuffer; }
-bool op_has_value(TraceOp op) {
+using core::PrimitiveOp;
+
+/// An op's spelling in the text format: its mnemonic ("" for the generic
+/// kRmw tag, which is never recorded) and how many of the address, value
+/// and second-operand columns its records carry, in that order.
+struct Spelling {
+  std::string_view mnemonic;
+  int fields;
+};
+
+constexpr Spelling spelling(PrimitiveOp op) noexcept {
   switch (op) {
-    case TraceOp::kWrite:
-    case TraceOp::kWriteGlobal:
-    case TraceOp::kFetchAdd:
-    case TraceOp::kSwap:
-    case TraceOp::kCompareSwap:
-    case TraceOp::kBarrier:
-    case TraceOp::kWaitWord:
-      return true;
-    default:
-      return false;
+    case PrimitiveOp::kRead: return {"r", 1};
+    case PrimitiveOp::kWrite: return {"w", 2};
+    case PrimitiveOp::kReadGlobal: return {"rg", 1};
+    case PrimitiveOp::kWriteGlobal: return {"wg", 2};
+    case PrimitiveOp::kReadUpdate: return {"ru", 1};
+    case PrimitiveOp::kResetUpdate: return {"xu", 1};
+    case PrimitiveOp::kFlushBuffer: return {"fl", 0};
+    case PrimitiveOp::kReadLock: return {"rl", 1};
+    case PrimitiveOp::kWriteLock: return {"wl", 1};
+    case PrimitiveOp::kUnlock: return {"ul", 1};
+    case PrimitiveOp::kRmw: return {"", 0};
+    case PrimitiveOp::kTestAndSet: return {"ts", 1};
+    case PrimitiveOp::kFetchAdd: return {"fa", 2};
+    case PrimitiveOp::kBarrier: return {"ba", 2};
+    case PrimitiveOp::kCompute: return {"c", 1};
+    case PrimitiveOp::kSwap: return {"sw", 2};
+    case PrimitiveOp::kCompareSwap: return {"cx", 3};
+    case PrimitiveOp::kWaitWord: return {"wc", 2};
+    case PrimitiveOp::kWaitLine: return {"lc", 1};
+    case PrimitiveOp::kPrivate: return {"pa", 1};
   }
+  return {"", 0};
 }
-bool op_has_value2(TraceOp op) { return op == TraceOp::kCompareSwap; }
 
 [[noreturn]] void parse_fail(std::size_t lineno, const std::string& what) {
   throw std::invalid_argument("trace: " + what + " on line " + std::to_string(lineno));
 }
 
 }  // namespace
+
+std::string_view trace_mnemonic(PrimitiveOp op) noexcept { return spelling(op).mnemonic; }
+
+PrimitiveOp parse_trace_op(std::string_view s) {
+  for (auto k = static_cast<int>(PrimitiveOp::kRead); k <= static_cast<int>(PrimitiveOp::kPrivate);
+       ++k) {
+    const auto op = static_cast<PrimitiveOp>(k);
+    if (!s.empty() && s == trace_mnemonic(op)) return op;
+  }
+  throw std::invalid_argument("trace: unknown op '" + std::string(s) + "'");
+}
 
 Trace Trace::parse(std::istream& in) {
   Trace t;
@@ -121,11 +103,10 @@ Trace Trace::parse(std::istream& in) {
     } catch (const std::invalid_argument&) {
       parse_fail(lineno, "unknown op '" + op + "'");
     }
-    if (op_has_addr(r.op) && !(ls >> r.addr)) parse_fail(lineno, "missing address");
-    if (op_has_value(r.op) && !(ls >> r.value)) parse_fail(lineno, "missing value");
-    if (op_has_value2(r.op) && !(ls >> r.value2)) {
-      parse_fail(lineno, "missing second operand");
-    }
+    const int fields = spelling(r.op).fields;
+    if (fields >= 1 && !(ls >> r.addr)) parse_fail(lineno, "missing address");
+    if (fields >= 2 && !(ls >> r.value)) parse_fail(lineno, "missing value");
+    if (fields >= 3 && !(ls >> r.value2)) parse_fail(lineno, "missing second operand");
     std::string extra;
     if (ls >> extra) parse_fail(lineno, "trailing text '" + extra + "'");
     t.append(r);
@@ -142,10 +123,11 @@ void Trace::write(std::ostream& out) const {
   if (n_nodes_ != 0) out << "!nodes " << n_nodes_ << '\n';
   for (const auto& [a, v] : initial_memory_) out << "!m " << a << ' ' << v << '\n';
   for (const auto& r : records_) {
-    out << r.proc << ' ' << to_string(r.op);
-    if (op_has_addr(r.op)) out << ' ' << r.addr;
-    if (op_has_value(r.op)) out << ' ' << r.value;
-    if (op_has_value2(r.op)) out << ' ' << r.value2;
+    const Spelling sp = spelling(r.op);
+    out << r.proc << ' ' << sp.mnemonic;
+    if (sp.fields >= 1) out << ' ' << r.addr;
+    if (sp.fields >= 2) out << ' ' << r.value;
+    if (sp.fields >= 3) out << ' ' << r.value2;
     out << '\n';
   }
 }
@@ -162,49 +144,6 @@ std::vector<std::vector<TraceRecord>> Trace::per_processor(std::uint32_t n_nodes
   return streams;
 }
 
-namespace {
-
-/// Maps a primitive-hook event to a trace record. Every primitive now has
-/// a mnemonic; only the generic kRmw tag (unused by the Processor, which
-/// notes the specific specialization) has no representation.
-bool to_record(NodeId proc, core::PrimitiveOp op, Addr a, Word v, Word v2,
-               TraceRecord& out) {
-  out.proc = proc;
-  out.addr = a;
-  out.value = v;
-  out.value2 = v2;
-  switch (op) {
-    case core::PrimitiveOp::kRead: out.op = TraceOp::kRead; return true;
-    case core::PrimitiveOp::kWrite: out.op = TraceOp::kWrite; return true;
-    case core::PrimitiveOp::kReadGlobal: out.op = TraceOp::kReadGlobal; return true;
-    case core::PrimitiveOp::kWriteGlobal: out.op = TraceOp::kWriteGlobal; return true;
-    case core::PrimitiveOp::kReadUpdate: out.op = TraceOp::kReadUpdate; return true;
-    case core::PrimitiveOp::kResetUpdate: out.op = TraceOp::kResetUpdate; return true;
-    case core::PrimitiveOp::kFlushBuffer: out.op = TraceOp::kFlushBuffer; return true;
-    case core::PrimitiveOp::kReadLock: out.op = TraceOp::kReadLock; return true;
-    case core::PrimitiveOp::kWriteLock: out.op = TraceOp::kWriteLock; return true;
-    case core::PrimitiveOp::kUnlock: out.op = TraceOp::kUnlock; return true;
-    case core::PrimitiveOp::kTestAndSet: out.op = TraceOp::kTestAndSet; return true;
-    case core::PrimitiveOp::kFetchAdd: out.op = TraceOp::kFetchAdd; return true;
-    case core::PrimitiveOp::kSwap: out.op = TraceOp::kSwap; return true;
-    case core::PrimitiveOp::kCompareSwap: out.op = TraceOp::kCompareSwap; return true;
-    case core::PrimitiveOp::kBarrier: out.op = TraceOp::kBarrier; return true;
-    case core::PrimitiveOp::kWaitWord: out.op = TraceOp::kWaitWord; return true;
-    case core::PrimitiveOp::kWaitLine: out.op = TraceOp::kWaitLine; return true;
-    case core::PrimitiveOp::kCompute:
-      out.op = TraceOp::kCompute;
-      return true;  // addr carries the cycle count
-    case core::PrimitiveOp::kPrivate:
-      out.op = TraceOp::kPrivate;
-      return true;  // addr carries the realized cost
-    case core::PrimitiveOp::kRmw:
-      return false;  // generic tag; the Processor notes the specialization
-  }
-  return false;
-}
-
-}  // namespace
-
 TraceRecorder::TraceRecorder(Machine& machine)
     : machine_(&machine), per_node_(machine.n_nodes()) {
   trace_.set_n_nodes(machine.n_nodes());
@@ -212,8 +151,9 @@ TraceRecorder::TraceRecorder(Machine& machine)
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
     machine.processor(i).set_hook(
         [this, i](core::PrimitiveOp op, Addr a, Word v, Word v2) {
-          TraceRecord r;
-          if (to_record(i, op, a, v, v2, r)) per_node_[i].push_back(r);
+          // The generic kRmw tag has no mnemonic: the Processor notes the
+          // specialization it issues instead.
+          if (op != PrimitiveOp::kRmw) per_node_[i].push_back({i, op, a, v, v2});
         });
   }
 }
@@ -252,31 +192,32 @@ sim::Task TraceWorkload::run(Processor& p, const std::vector<TraceRecord>& strea
   Word sum = 0;
   for (const auto& r : stream) {
     switch (r.op) {
-      case TraceOp::kRead: sum += co_await p.read(r.addr); break;
-      case TraceOp::kWrite: co_await p.write(r.addr, r.value); break;
-      case TraceOp::kReadGlobal: sum += co_await p.read_global(r.addr); break;
-      case TraceOp::kWriteGlobal: co_await p.write_global(r.addr, r.value); break;
-      case TraceOp::kReadUpdate: sum += co_await p.read_update(r.addr); break;
-      case TraceOp::kResetUpdate: co_await p.reset_update(r.addr); break;
-      case TraceOp::kFlushBuffer: co_await p.flush_buffer(); break;
-      case TraceOp::kReadLock: co_await p.read_lock(r.addr); break;
-      case TraceOp::kWriteLock: co_await p.write_lock(r.addr); break;
-      case TraceOp::kUnlock: co_await p.unlock(r.addr); break;
-      case TraceOp::kCompute: co_await p.compute(r.addr); break;
-      case TraceOp::kTestAndSet: sum += co_await p.test_and_set(r.addr); break;
-      case TraceOp::kFetchAdd: sum += co_await p.fetch_add(r.addr, r.value); break;
-      case TraceOp::kSwap:
+      case PrimitiveOp::kRead: sum += co_await p.read(r.addr); break;
+      case PrimitiveOp::kWrite: co_await p.write(r.addr, r.value); break;
+      case PrimitiveOp::kReadGlobal: sum += co_await p.read_global(r.addr); break;
+      case PrimitiveOp::kWriteGlobal: co_await p.write_global(r.addr, r.value); break;
+      case PrimitiveOp::kReadUpdate: sum += co_await p.read_update(r.addr); break;
+      case PrimitiveOp::kResetUpdate: co_await p.reset_update(r.addr); break;
+      case PrimitiveOp::kFlushBuffer: co_await p.flush_buffer(); break;
+      case PrimitiveOp::kReadLock: co_await p.read_lock(r.addr); break;
+      case PrimitiveOp::kWriteLock: co_await p.write_lock(r.addr); break;
+      case PrimitiveOp::kUnlock: co_await p.unlock(r.addr); break;
+      case PrimitiveOp::kCompute: co_await p.compute(r.addr); break;
+      case PrimitiveOp::kTestAndSet: sum += co_await p.test_and_set(r.addr); break;
+      case PrimitiveOp::kFetchAdd: sum += co_await p.fetch_add(r.addr, r.value); break;
+      case PrimitiveOp::kSwap:
         sum += co_await p.rmw(r.addr, net::RmwOp::kSwap, r.value);
         break;
-      case TraceOp::kCompareSwap:
+      case PrimitiveOp::kCompareSwap:
         sum += co_await p.compare_swap(r.addr, r.value, r.value2);
         break;
-      case TraceOp::kBarrier:
+      case PrimitiveOp::kBarrier:
         co_await p.barrier_arrive(r.addr, static_cast<std::uint32_t>(r.value));
         break;
-      case TraceOp::kWaitWord: co_await p.wait_word_change(r.addr, r.value); break;
-      case TraceOp::kWaitLine: co_await p.wait_line_change(r.addr); break;
-      case TraceOp::kPrivate: co_await p.private_delay(r.addr); break;
+      case PrimitiveOp::kWaitWord: co_await p.wait_word_change(r.addr, r.value); break;
+      case PrimitiveOp::kWaitLine: co_await p.wait_line_change(r.addr); break;
+      case PrimitiveOp::kPrivate: co_await p.private_delay(r.addr); break;
+      case PrimitiveOp::kRmw: break;  // never recorded, and no mnemonic parses to it
     }
   }
   checksums_[p.id()] = sum;

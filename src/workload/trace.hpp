@@ -38,27 +38,25 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/primitives.hpp"
 #include "sim/task.hpp"
 
 namespace bcsim::workload {
 
-enum class TraceOp : std::uint8_t {
-  kRead, kWrite, kReadGlobal, kWriteGlobal, kReadUpdate, kResetUpdate,
-  kFlushBuffer, kReadLock, kWriteLock, kUnlock, kCompute, kTestAndSet, kFetchAdd,
-  kSwap, kCompareSwap, kBarrier, kWaitWord, kWaitLine, kPrivate,
-};
-
+/// One primitive as the processor issued it (core::PrimitiveOp is the
+/// trace's vocabulary; the generic kRmw tag is never recorded).
 struct TraceRecord {
   NodeId proc = 0;
-  TraceOp op = TraceOp::kRead;
+  core::PrimitiveOp op = core::PrimitiveOp::kRead;
   Addr addr = 0;    ///< address, or cycle count for kCompute / kPrivate
   Word value = 0;   ///< write value / operand / participants / last-seen
   Word value2 = 0;  ///< compare-swap only: the desired value
 };
 
-[[nodiscard]] std::string_view to_string(TraceOp op) noexcept;
+/// An op's mnemonic in the text format ("" for kRmw, which has none).
+[[nodiscard]] std::string_view trace_mnemonic(core::PrimitiveOp op) noexcept;
 /// Parses an op mnemonic; throws std::invalid_argument on unknown input.
-[[nodiscard]] TraceOp parse_trace_op(std::string_view s);
+[[nodiscard]] core::PrimitiveOp parse_trace_op(std::string_view s);
 
 class Trace {
  public:

@@ -14,6 +14,7 @@
 
 #include "ir/run.hpp"
 #include "ref/cell.hpp"
+#include "ref/check_battery.hpp"
 #include "ref/drf_program.hpp"
 #include "ref/ref_machine.hpp"
 
@@ -150,6 +151,116 @@ TEST(RefMachine, CounterSumsMatchTheEmittedDeltas) {
   }
 }
 
+// Read locks, critical-section loads and fetch-adds: locations 0 (guarded
+// by lock 0), then `extra` plain locations.
+Program shared_ops_program(std::uint32_t extra, std::vector<std::vector<ir::Op>> threads) {
+  Program p;
+  p.name = "shared-ops";
+  p.n_locations = 1 + extra;
+  p.objects = {{ir::ObjKind::kLock, 0, 1, 0}, {ir::ObjKind::kBlocks, 1, extra, 0}};
+  p.threads = std::move(threads);
+  return p;
+}
+
+TEST(RefMachine, ReadersShareALockAndAWriterWaitsForBoth) {
+  // Each reader announces it holds the lock (ready), then waits for `go`
+  // before it loads g: both readers hold the lock at once, or the program
+  // deadlocks. The writer sets `go` once both hold it and then locks; if
+  // it could enter while a reader held the lock, some schedule would let
+  // a reader observe its 5.
+  constexpr std::uint32_t kG = 0, kReady0 = 1, kReady1 = 2, kGo = 3;
+  const auto reader = [](std::uint32_t ready) {
+    return std::vector<ir::Op>{ir::ReadLock(0), ir::St(ready, 1), ir::Await(kGo, 1),
+                               ir::CsLoad(kG), ir::Unlock(0)};
+  };
+  const Program prog = shared_ops_program(
+      3, {reader(kReady0), reader(kReady1),
+          {ir::Await(kReady0, 1), ir::Await(kReady1, 1), ir::St(kGo, 1), ir::Lock(0),
+           ir::CsAdd(kG, 5), ir::Unlock(0)}});
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const ref::RefResult r = ref::RefMachine(prog, seed).run();
+    ASSERT_FALSE(r.deadlocked) << "seed " << seed << ": readers could not share the lock";
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      ASSERT_EQ(r.loads[t].size(), 1u);
+      EXPECT_EQ(r.loads[t][0].value, 0u) << "seed " << seed << ": the writer entered early";
+    }
+    EXPECT_EQ(r.final_locs[kG], 5u);
+    EXPECT_EQ(r.lock_acquisitions[0], 3u);
+    EXPECT_TRUE(r.locks_held_at_end.empty());
+  }
+}
+
+TEST(RefMachine, CriticalSectionOpsNeedTheirLock) {
+  const Program add_under_read_lock =
+      shared_ops_program(0, {{ir::ReadLock(0), ir::CsAdd(0, 1), ir::Unlock(0)}});
+  EXPECT_THROW((void)ref::RefMachine(add_under_read_lock, 1).run(), std::logic_error);
+  const Program load_outside = shared_ops_program(0, {{ir::CsLoad(0)}});
+  EXPECT_THROW((void)ref::RefMachine(load_outside, 1).run(), std::logic_error);
+}
+
+// One program with all three ops: readers observe x under the shared lock
+// while the writer moves it 0 -> 1 -> 0 under the exclusive one, and
+// everyone fetch-adds a counter.
+Program all_shared_ops() {
+  constexpr std::uint32_t kX = 0, kCount = 1;
+  std::vector<std::vector<ir::Op>> threads(4);
+  for (int k = 0; k < 3; ++k) {
+    threads[0].insert(threads[0].end(), {ir::Lock(0), ir::CsAdd(kX, 1), ir::Compute(3),
+                                         ir::CsAdd(kX, ~Word{0}), ir::Unlock(0),
+                                         ir::FetchAdd(kCount, 1)});
+    for (std::uint32_t t = 1; t < 4; ++t) {
+      threads[t].insert(threads[t].end(), {ir::ReadLock(0), ir::CsLoad(kX), ir::Compute(t),
+                                           ir::CsLoad(kX), ir::Unlock(0),
+                                           ir::FetchAdd(kCount, t)});
+    }
+  }
+  return shared_ops_program(1, std::move(threads));
+}
+
+TEST(RefMachine, SharedOpsProgramIsScheduleIndependent) {
+  const Program prog = all_shared_ops();
+  const ref::RefResult a = ref::RefMachine(prog, 1).run();
+  EXPECT_TRUE(ref::ref_results_agree(a, ref::RefMachine(prog, 0xfeedfaceULL).run()));
+  EXPECT_EQ(a.final_locs, (std::vector<Word>{0, 3 * (1 + 1 + 2 + 3)}));
+  for (std::uint32_t t = 1; t < 4; ++t) {
+    ASSERT_EQ(a.loads[t].size(), 6u);
+    for (const ir::Observation& o : a.loads[t]) EXPECT_EQ(o.value, 0u);
+  }
+}
+
+// The `bcsim check` battery is judged like a DRF program, so its reference
+// result must not depend on the reference schedule, and it must compute
+// what each program is for.
+TEST(CheckBattery, ReferenceResultsAreScheduleIndependent) {
+  for (const std::uint32_t n : {2u, 5u, 16u}) {
+    const std::vector<Program> battery = ref::check_battery(n);
+    ASSERT_EQ(battery.size(), 5u);
+    std::vector<ref::RefResult> sc;
+    for (const Program& prog : battery) {
+      SCOPED_TRACE(prog.name + " n=" + std::to_string(n));
+      ASSERT_EQ(prog.threads.size(), n);
+      sc.push_back(ref::RefMachine(prog, 1).run());
+      EXPECT_FALSE(sc.back().deadlocked);
+      EXPECT_TRUE(sc.back().locks_held_at_end.empty());
+      for (std::uint64_t seed = 2; seed < 10; ++seed) {
+        EXPECT_TRUE(ref::ref_results_agree(sc.back(), ref::RefMachine(prog, seed).run()));
+      }
+    }
+    EXPECT_EQ(sc[0].final_locs, (std::vector<Word>{6 * n}));  // lock-counter
+    EXPECT_EQ(sc[1].final_locs, (std::vector<Word>{0, 4}));   // rw-lock: x, count
+    for (const auto& loads : sc[1].loads) {
+      for (const ir::Observation& o : loads) EXPECT_EQ(o.value, 0u) << "rw-lock reader";
+    }
+    ASSERT_EQ(sc[2].loads[n - 1].size(), 1u);  // message-passing's reader
+    EXPECT_EQ(sc[2].loads[n - 1][0].value, 42u);
+    for (const auto& loads : sc[3].loads) {  // barrier: slot j holds j + 1
+      ASSERT_EQ(loads.size(), n);
+      for (std::uint32_t j = 0; j < n; ++j) EXPECT_EQ(loads[j].value, j + 1);
+    }
+  }
+  EXPECT_THROW((void)ref::check_battery(1), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // The oracle end to end: clean cells, tampering, injected faults.
 // ---------------------------------------------------------------------------
@@ -169,6 +280,24 @@ TEST(Diff, AllFlavorsMatchTheReference) {
        {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
     const ref::CellOutcome out = ref::run_cell(small_cell(f, 1));
     EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << ref::to_string(f) << ": " << out.detail;
+  }
+}
+
+// Read locks, critical-section loads and fetch-adds lower onto every
+// flavor's native primitives: READ-LOCK on CBL, the exclusive lock on TTS.
+TEST(Diff, SharedOpsMatchTheReferenceOnEveryFlavor) {
+  const Program prog = all_shared_ops();
+  const ref::RefResult sc = ref::RefMachine(prog, 1).run();
+  for (const ref::Flavor f : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
+    for (std::uint64_t schedule = 0; schedule < 4; ++schedule) {
+      ref::Cell c = small_cell(f, 0);
+      c.schedule_seed = schedule;
+      const auto cfg = ref::cell_config(c);
+      const ref::CellOutcome out =
+          ref::judge(sc, ir::run_program(prog, cfg), cfg.block_words);
+      EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
+          << ref::to_string(f) << " schedule " << schedule << ": " << out.detail;
+    }
   }
 }
 

@@ -378,6 +378,13 @@ const RuleCase kRuleCases[] = {
        cc.op_write_global(kFree, 1);
        cc.mutable_write_buffer().retire();
      }},
+    {"write-buffer", Scenario::kWbiModified, CheckVia::kMachine,
+     [](core::Machine& m, BlockId, NodeId) {
+       // An entry nothing will ever acknowledge: the buffer is not drained
+       // at quiescence. The rule must name it, not report the controller
+       // as merely busy ([quiescence]).
+       m.cache_controller(0).mutable_write_buffer().enter();
+     }},
     {"lock-cache", Scenario::kWbiModified, CheckVia::kMachine,
      [](core::Machine& m, BlockId, NodeId) {
        // A lost capacity wakeup: the cache fills, an acquisition parks,
@@ -430,13 +437,14 @@ TEST(InvariantRules, EveryRuleFiresUnderTargetedCorruption) {
 }
 
 /// The table covers the checker: every fail() name in invariants.cpp has
-/// a row above, so a new rule without a firing test shows up here.
-TEST(InvariantRules, TableNamesAreUniqueAndComplete) {
+/// a row above, so a new rule without a firing test shows up here. A rule
+/// may have several rows (write-buffer: a lost wakeup and an entry never
+/// acknowledged).
+TEST(InvariantRules, TableNamesAreComplete) {
   std::vector<std::string> names;
   for (const RuleCase& c : kRuleCases) names.emplace_back(c.rule);
   std::sort(names.begin(), names.end());
-  EXPECT_TRUE(std::adjacent_find(names.begin(), names.end()) == names.end())
-      << "duplicate rule row";
+  names.erase(std::unique(names.begin(), names.end()), names.end());
   const std::vector<std::string> expected = {
       "barrier",    "cbl-chain",   "cbl-holders", "cbl-orphan",  "cbl-tail",
       "cbl-writeback", "dir-blocked", "dir-coarse", "dirty-mask", "lock-cache",

@@ -141,8 +141,12 @@ TEST(ModelAxioms, ValidateRejectsMalformedTests) {
   const Program uneven = model::litmus("bad-barrier", "", 1, 0, {{ir::Bar()}, {ir::Ld(0)}});
   EXPECT_NE(model::validate(uneven), "") << "threads disagree on barrier count";
 
-  const Program drf_only = model::litmus("bad-op", "", 1, 0, {{ir::CsAdd(0, 1)}});
-  EXPECT_NE(model::validate(drf_only), "") << "the model has no rule for CS-ADD";
+  // Ops only the SC reference interprets: the model has no rule for them.
+  for (const ir::Op op : {ir::CsAdd(0, 1), ir::ReadLock(0), ir::CsLoad(0), ir::FetchAdd(0, 1)}) {
+    const Program drf_only = model::litmus("bad-op", "", 1, 1, {{op}});
+    EXPECT_NE(model::validate(drf_only), "") << "op kind " << static_cast<int>(op.kind);
+    EXPECT_THROW((void)model::enumerate_allowed(drf_only), std::invalid_argument);
+  }
 }
 
 TEST(ModelAxioms, FirstDivergenceFindsEarliestBadLoad) {

@@ -1,5 +1,6 @@
-// Direct unit tests for the thin sync wrappers: CblSharedMutex
-// (core/sync/rw_lock.hpp) and CountingSemaphore (core/sync/semaphore.hpp).
+// Direct unit tests for the thin sync wrappers: the shared mode of
+// sync::Mutex (core/sync/mutex.hpp) and CountingSemaphore
+// (core/sync/semaphore.hpp).
 // The lock and directory protocols underneath have their own suites
 // (test_cbl, test_sync); these tests pin the wrapper-level contracts —
 // reader concurrency, writer preference in the grant order, counting
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
-#include "core/sync/rw_lock.hpp"
+#include "core/sync/mutex.hpp"
 #include "core/sync/semaphore.hpp"
 #include "test_util.hpp"
 
@@ -31,30 +32,30 @@ core::MachineConfig cbl_config(std::uint32_t n_nodes) {
 }
 
 // ---------------------------------------------------------------------------
-// CblSharedMutex
+// Mutex::acquire_shared: READ-LOCK on CBL, exclusive on a software lock
 // ---------------------------------------------------------------------------
 
 // Readers overlap: with N readers each holding the lock across a long
 // compute, at least two must be inside simultaneously (a mutual-exclusion
 // lock would serialize them).
-TEST(CblSharedMutex, ReadersShareTheLock) {
+TEST(CblSharedMode, ReadersShareTheLock) {
   const auto cfg = cbl_config(4);
   Machine m(cfg);
   auto alloc = m.make_allocator();
-  sync::CblSharedMutex rw(alloc);
+  sync::CblMutex rw(alloc);
   int inside = 0;
   int peak = 0;
   struct Reader {
-    sync::CblSharedMutex& rw;
+    sync::CblMutex& rw;
     int& inside;
     int& peak;
     sim::Task operator()(Processor& p) const {
-      co_await rw.lock_shared(p);
+      co_await rw.acquire_shared(p);
       ++inside;
       peak = std::max(peak, inside);
       co_await p.compute(200);
       --inside;
-      co_await rw.unlock(p);
+      co_await rw.release(p);
     }
   } reader{rw, inside, peak};
   for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(reader(m.processor(i)));
@@ -65,29 +66,29 @@ TEST(CblSharedMutex, ReadersShareTheLock) {
 
 // Writers exclude everyone: concurrent writers incrementing a word in the
 // protected block must not lose updates, and no two may overlap.
-TEST(CblSharedMutex, WritersAreExclusive) {
+TEST(CblSharedMode, WritersAreExclusive) {
   const auto cfg = cbl_config(4);
   Machine m(cfg);
   auto alloc = m.make_allocator();
-  sync::CblSharedMutex rw(alloc);
+  sync::CblMutex rw(alloc);
   const Addr counter = rw.lock_addr() + 1;
   constexpr int kIters = 5;
   int inside = 0;
   bool overlapped = false;
   struct Writer {
-    sync::CblSharedMutex& rw;
+    sync::CblMutex& rw;
     Addr counter;
     int& inside;
     bool& overlapped;
     sim::Task operator()(Processor& p) const {
       for (int k = 0; k < kIters; ++k) {
-        co_await rw.lock(p);
+        co_await rw.acquire(p);
         if (++inside > 1) overlapped = true;
         const Word v = co_await p.read(counter);
         co_await p.compute(3);
         co_await p.write(counter, v + 1);
         --inside;
-        co_await rw.unlock(p);
+        co_await rw.release(p);
       }
     }
   } writer{rw, counter, inside, overlapped};
@@ -103,40 +104,40 @@ TEST(CblSharedMutex, WritersAreExclusive) {
 // than slipping into the active group (src/proto/directory_cbl.cpp's
 // share condition). With readers holding the lock, a writer arriving
 // before a late reader must run before that reader.
-TEST(CblSharedMutex, QueuedWriterBlocksLaterReaders) {
+TEST(CblSharedMode, QueuedWriterBlocksLaterReaders) {
   const auto cfg = cbl_config(4);
   Machine m(cfg);
   auto alloc = m.make_allocator();
-  sync::CblSharedMutex rw(alloc);
+  sync::CblMutex rw(alloc);
   std::vector<int> order;  // 0 = early reader, 1 = writer, 2 = late reader
   struct EarlyReader {
-    sync::CblSharedMutex& rw;
+    sync::CblMutex& rw;
     std::vector<int>& order;
     sim::Task operator()(Processor& p) const {
-      co_await rw.lock_shared(p);
+      co_await rw.acquire_shared(p);
       order.push_back(0);
       co_await p.compute(400);  // hold long enough for the others to queue
-      co_await rw.unlock(p);
+      co_await rw.release(p);
     }
   } early{rw, order};
   struct LockWriter {
-    sync::CblSharedMutex& rw;
+    sync::CblMutex& rw;
     std::vector<int>& order;
     sim::Task operator()(Processor& p) const {
       co_await p.compute(100);  // arrive while the early readers hold
-      co_await rw.lock(p);
+      co_await rw.acquire(p);
       order.push_back(1);
-      co_await rw.unlock(p);
+      co_await rw.release(p);
     }
   } writer{rw, order};
   struct LateReader {
-    sync::CblSharedMutex& rw;
+    sync::CblMutex& rw;
     std::vector<int>& order;
     sim::Task operator()(Processor& p) const {
       co_await p.compute(250);  // arrive after the writer queued
-      co_await rw.lock_shared(p);
+      co_await rw.acquire_shared(p);
       order.push_back(2);
-      co_await rw.unlock(p);
+      co_await rw.release(p);
     }
   } late{rw, order};
   m.spawn(early(m.processor(0)));
@@ -149,6 +150,34 @@ TEST(CblSharedMutex, QueuedWriterBlocksLaterReaders) {
   const auto late_at = std::find(order.begin(), order.end(), 2);
   EXPECT_LT(writer_at - order.begin(), late_at - order.begin())
       << "a reader that arrived after a queued writer ran before it";
+}
+
+// A software lock has no shared mode: acquire_shared takes it exclusively,
+// so readers never overlap.
+TEST(SoftwareLockSharedMode, ReadersAreSerialized) {
+  const auto cfg = small_config(4);
+  Machine m(cfg);
+  auto alloc = m.make_allocator();
+  const auto lock = sync::make_mutex(core::LockImpl::kTts, alloc, cfg.n_nodes);
+  int inside = 0;
+  int peak = 0;
+  struct Reader {
+    sync::Mutex& lock;
+    int& inside;
+    int& peak;
+    sim::Task operator()(Processor& p) const {
+      co_await lock.acquire_shared(p);
+      ++inside;
+      peak = std::max(peak, inside);
+      co_await p.compute(200);
+      --inside;
+      co_await lock.release(p);
+    }
+  } reader{*lock, inside, peak};
+  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(reader(m.processor(i)));
+  run_all(m);
+  EXPECT_EQ(peak, 1) << "shared holders of a software lock overlapped";
+  EXPECT_EQ(inside, 0);
 }
 
 // ---------------------------------------------------------------------------

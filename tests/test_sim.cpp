@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -218,24 +217,6 @@ TEST(StatsRegistry, ReportMentionsEverything) {
   const std::string s = os.str();
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("lat"), std::string::npos);
-}
-
-TEST(Log, LevelsGateEmission) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kOff);
-  EXPECT_FALSE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kWarn);
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  EXPECT_TRUE(log_enabled(LogLevel::kWarn));
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  set_log_level(LogLevel::kTrace);
-  EXPECT_TRUE(log_enabled(LogLevel::kTrace));
-  set_log_level(old);
-}
-
-TEST(Log, EmitDoesNotCrashOnEdgeInput) {
-  log_emit(LogLevel::kError, "", 0, "");
-  log_emit(LogLevel::kTrace, "component", ~0ULL, "tail message");
 }
 
 // --- coroutine tasks ---

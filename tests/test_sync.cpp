@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/sync/mutex.hpp"
-#include "core/sync/rw_lock.hpp"
 #include "core/sync/semaphore.hpp"
 #include "test_util.hpp"
 
@@ -153,29 +152,29 @@ TEST(Semaphore, BoundsConcurrency) {
 TEST(RwLock, ReadersConcurrentWritersExclusive) {
   Machine m(paper_config(6));
   auto alloc = m.make_allocator(100);
-  sync::CblSharedMutex rw(alloc);
+  sync::CblMutex rw(alloc);
   int readers = 0, writers = 0, peak_readers = 0;
   bool violation = false;
   auto reader = [&](Processor& p) -> sim::Task {
     for (int k = 0; k < 5; ++k) {
-      co_await rw.lock_shared(p);
+      co_await rw.acquire_shared(p);
       ++readers;
       peak_readers = std::max(peak_readers, readers);
       violation = violation || writers != 0;
       co_await p.compute(120);
       --readers;
-      co_await rw.unlock(p);
+      co_await rw.release(p);
       co_await p.compute(30);
     }
   };
   auto writer = [&](Processor& p) -> sim::Task {
     for (int k = 0; k < 5; ++k) {
-      co_await rw.lock(p);
+      co_await rw.acquire(p);
       ++writers;
       violation = violation || readers != 0 || writers != 1;
       co_await p.compute(60);
       --writers;
-      co_await rw.unlock(p);
+      co_await rw.release(p);
       co_await p.compute(40);
     }
   };
@@ -190,19 +189,19 @@ TEST(RwLock, ReadersConcurrentWritersExclusive) {
 TEST(RwLock, WriterDataVisibleToSubsequentReaders) {
   Machine m(paper_config(4));
   auto alloc = m.make_allocator(100);
-  sync::CblSharedMutex rw(alloc);
+  sync::CblMutex rw(alloc);
   const Addr data = rw.lock_addr() + 2;
   std::vector<Word> seen;
   auto writer = [&](Processor& p) -> sim::Task {
-    co_await rw.lock(p);
+    co_await rw.acquire(p);
     co_await p.write(data, 7);
-    co_await rw.unlock(p);
+    co_await rw.release(p);
   };
   auto reader = [&](Processor& p) -> sim::Task {
     co_await p.compute(200);
-    co_await rw.lock_shared(p);
+    co_await rw.acquire_shared(p);
     seen.push_back(co_await p.read(data));
-    co_await rw.unlock(p);
+    co_await rw.release(p);
   };
   m.spawn(writer(m.processor(0)));
   for (NodeId i = 1; i < 4; ++i) m.spawn(reader(m.processor(i)));

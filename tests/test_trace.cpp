@@ -15,6 +15,7 @@ namespace bcsim::workload {
 namespace {
 
 using core::Machine;
+using core::PrimitiveOp;
 using test::paper_config;
 using test::run_all;
 using test::small_config;
@@ -28,12 +29,12 @@ TEST(TraceFormat, ParsesBasicRecords) {
 0 fl
 )");
   ASSERT_EQ(t.size(), 5u);
-  EXPECT_EQ(t.records()[0].op, TraceOp::kRead);
+  EXPECT_EQ(t.records()[0].op, PrimitiveOp::kRead);
   EXPECT_EQ(t.records()[1].value, 7u);
   EXPECT_EQ(t.records()[2].proc, 1u);
-  EXPECT_EQ(t.records()[3].op, TraceOp::kCompute);
+  EXPECT_EQ(t.records()[3].op, PrimitiveOp::kCompute);
   EXPECT_EQ(t.records()[3].addr, 100u);
-  EXPECT_EQ(t.records()[4].op, TraceOp::kFlushBuffer);
+  EXPECT_EQ(t.records()[4].op, PrimitiveOp::kFlushBuffer);
 }
 
 TEST(TraceFormat, SkipsCommentsAndBlankLines) {
@@ -50,10 +51,10 @@ TEST(TraceFormat, RejectsMalformedInput) {
 
 TEST(TraceFormat, WriteParseRoundTrip) {
   Trace t;
-  t.append({0, TraceOp::kRead, 16, 0});
-  t.append({1, TraceOp::kWriteGlobal, 20, 99});
-  t.append({2, TraceOp::kFlushBuffer, 0, 0});
-  t.append({0, TraceOp::kFetchAdd, 8, 3});
+  t.append({0, PrimitiveOp::kRead, 16, 0});
+  t.append({1, PrimitiveOp::kWriteGlobal, 20, 99});
+  t.append({2, PrimitiveOp::kFlushBuffer, 0, 0});
+  t.append({0, PrimitiveOp::kFetchAdd, 8, 3});
   std::ostringstream os;
   t.write(os);
   const auto t2 = Trace::parse_string(os.str());
@@ -139,12 +140,12 @@ TEST(TraceCapture, RecordsPrimitiveStream) {
   rec.detach();
   const auto& recs = rec.trace().records();
   ASSERT_EQ(recs.size(), 4u);
-  EXPECT_EQ(recs[0].op, TraceOp::kWriteGlobal);
+  EXPECT_EQ(recs[0].op, PrimitiveOp::kWriteGlobal);
   EXPECT_EQ(recs[0].value, 5u);
-  EXPECT_EQ(recs[1].op, TraceOp::kFlushBuffer);
-  EXPECT_EQ(recs[2].op, TraceOp::kCompute);
+  EXPECT_EQ(recs[1].op, PrimitiveOp::kFlushBuffer);
+  EXPECT_EQ(recs[2].op, PrimitiveOp::kCompute);
   EXPECT_EQ(recs[2].addr, 10u);
-  EXPECT_EQ(recs[3].op, TraceOp::kReadUpdate);
+  EXPECT_EQ(recs[3].op, PrimitiveOp::kReadUpdate);
 }
 
 TEST(TraceCapture, CaptureReplayReproducesMemoryState) {
@@ -197,8 +198,8 @@ TEST(TraceCapture, RoundTripsThroughTextFormat) {
   rec.trace().write(os);
   const auto parsed = workload::Trace::parse_string(os.str());
   ASSERT_EQ(parsed.size(), rec.trace().size());
-  EXPECT_EQ(parsed.records()[0].op, TraceOp::kFetchAdd);
-  EXPECT_EQ(parsed.records()[1].op, TraceOp::kTestAndSet);
+  EXPECT_EQ(parsed.records()[0].op, PrimitiveOp::kFetchAdd);
+  EXPECT_EQ(parsed.records()[1].op, PrimitiveOp::kTestAndSet);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,22 +213,23 @@ TEST(TraceFormat, EveryOpRoundTripsIdentically) {
   // format drops them, so only then can the round-trip be identity.
   Trace t;
   NodeId proc = 0;
-  for (const TraceOp op :
-       {TraceOp::kRead, TraceOp::kWrite, TraceOp::kReadGlobal, TraceOp::kWriteGlobal,
-        TraceOp::kReadUpdate, TraceOp::kResetUpdate, TraceOp::kFlushBuffer,
-        TraceOp::kReadLock, TraceOp::kWriteLock, TraceOp::kUnlock, TraceOp::kCompute,
-        TraceOp::kTestAndSet, TraceOp::kFetchAdd}) {
+  for (const PrimitiveOp op :
+       {PrimitiveOp::kRead, PrimitiveOp::kWrite, PrimitiveOp::kReadGlobal,
+        PrimitiveOp::kWriteGlobal, PrimitiveOp::kReadUpdate, PrimitiveOp::kResetUpdate,
+        PrimitiveOp::kFlushBuffer, PrimitiveOp::kReadLock, PrimitiveOp::kWriteLock,
+        PrimitiveOp::kUnlock, PrimitiveOp::kCompute, PrimitiveOp::kTestAndSet,
+        PrimitiveOp::kFetchAdd}) {
     TraceRecord r;
     r.proc = proc++ % 3;
     r.op = op;
-    const bool has_addr = op != TraceOp::kFlushBuffer;
-    const bool has_value = op == TraceOp::kWrite || op == TraceOp::kWriteGlobal ||
-                           op == TraceOp::kFetchAdd;
+    const bool has_addr = op != PrimitiveOp::kFlushBuffer;
+    const bool has_value = op == PrimitiveOp::kWrite || op == PrimitiveOp::kWriteGlobal ||
+                           op == PrimitiveOp::kFetchAdd;
     r.addr = has_addr ? 16 + 4 * proc : 0;
     r.value = has_value ? 100 + proc : 0;
     t.append(r);
     // The mnemonic itself must be a bijection.
-    EXPECT_EQ(parse_trace_op(to_string(op)), op);
+    EXPECT_EQ(parse_trace_op(trace_mnemonic(op)), op);
   }
   std::ostringstream os;
   t.write(os);
@@ -248,9 +250,9 @@ TEST(TraceFormat, EveryOpRoundTripsIdentically) {
 
 TEST(TraceFormat, FileWriteReadRoundTrip) {
   Trace t;
-  t.append({0, TraceOp::kWriteGlobal, 32, 9});
-  t.append({1, TraceOp::kReadUpdate, 32, 0});
-  t.append({0, TraceOp::kFlushBuffer, 0, 0});
+  t.append({0, PrimitiveOp::kWriteGlobal, 32, 9});
+  t.append({1, PrimitiveOp::kReadUpdate, 32, 0});
+  t.append({0, PrimitiveOp::kFlushBuffer, 0, 0});
   const std::string path = ::testing::TempDir() + "/trace_roundtrip.txt";
   {
     std::ofstream out(path);
@@ -262,8 +264,8 @@ TEST(TraceFormat, FileWriteReadRoundTrip) {
   const Trace back = Trace::parse(in);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back.records()[0].value, 9u);
-  EXPECT_EQ(back.records()[1].op, TraceOp::kReadUpdate);
-  EXPECT_EQ(back.records()[2].op, TraceOp::kFlushBuffer);
+  EXPECT_EQ(back.records()[1].op, PrimitiveOp::kReadUpdate);
+  EXPECT_EQ(back.records()[2].op, PrimitiveOp::kFlushBuffer);
 }
 
 TEST(TraceFormat, TruncatedFileNamesTheBrokenLine) {

@@ -58,20 +58,10 @@
 // of its final memory contents (Machine::data_digest).
 //
 // Subcommands:
-//   bcsim check [--seeds N] [--first-seed S] [--nodes N] [--trace-capacity N]
 //
-// Sweeps N schedule seeds (starting at S) across a battery of litmus/fuzz
-// programs on both machines with full invariant checking and per-seed
-// determinism verification, and prints the smallest failing seed with a
-// replay line (then replays it with event tracing on, so the interleaving
-// that broke is printed alongside the diagnostic). Exit status 1 on any
-// failure; --nodes below 2 is a usage error. See docs/TESTING.md.
-//
-// Each mode reads only its own flags, and any other flag is a usage error
-// naming the mode: --seeds and --first-seed are `check` flags, --record,
-// --trace-out and --trace-csv `trace` flags, --trace-capacity belongs to
-// both, and `check` takes no --workload, --tasks, --grain, --iters, --csv
-// or --report.
+// `run` and `trace` read only the flags above, plus their own: --record,
+// --trace-out, --trace-csv and --trace-capacity are `trace` flags, and any
+// other flag is a usage error naming the mode.
 //
 //   bcsim trace [run flags] [--trace-out PATH] [--trace-csv PATH]
 //               [--trace-capacity N]
@@ -104,6 +94,11 @@
 //               [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
 //               [--dir-region R] [--corpus PATH] [--budget T]
 //               [--config PATH]
+//   bcsim check [--tests a,b,...] [--flavors wbi,ru,cbl]
+//               [--networks omega,mesh] [--seeds N] [--first-seed S]
+//               [--nodes N] [--inject-fault F] [--buffer-depth B]
+//               [--dir-limit K] [--dir-overflow O] [--dir-region R]
+//               [--watchdog T] [--budget T] [--config PATH]
 //
 // The correctness harnesses, one grid driver (bcsim_harness.hpp): each
 // sweeps fault plans x programs x networks x flavors x schedule seeds and
@@ -113,22 +108,26 @@
 // liveness watchdog on, and also accepts a watchdog/invariant diagnosis;
 // `model` runs the litmus battery and requires every observed outcome to
 // be in the axiomatically allowed set, reporting per-outcome hit counts
-// (--print-allowed dumps the golden tables and exits). --inject-fault F
-// arms a fault plan on every diff/model cell, e.g. eager-flush, which
-// breaks the write-buffer flush gate to prove the judges catch it. A
-// failing cell prints a report and a replay line naming every knob of
+// (--print-allowed dumps the golden tables and exits); `check` runs its
+// battery (lock-counter, rw-lock, message-passing, barrier, fuzz;
+// ref/check_battery.hpp) with full invariant checking, requires each run
+// to match the SC reference, and runs each cell twice: the two runs must
+// agree on completion tick, stats digest and data hash. --inject-fault F
+// arms a fault plan on every diff/model/check cell, e.g. eager-flush,
+// which breaks the write-buffer flush gate to prove the judges catch it.
+// A failing cell prints a report and a replay line naming every knob of
 // its machine, diff/chaos append it to --corpus (tests/cell_corpus.txt's
-// format), and diff/model replay it with event tracing. Exit 1 on a
+// format), and diff/model/check replay it with event tracing. Exit 1 on a
 // failing cell. Defaults: diff 8 programs x 4 schedules, nodes 8,
 // phases 3, omega; model 16 seeds, nodes 16; chaos 8 seeds x 2 programs,
 // nodes 8, phases 3, watchdog 4096, stalls 3, trace dump 64, budget 5e7
-// (1e8 otherwise); model and chaos sweep omega + mesh. The same rows
-// parse these flags and the [diff]/[model]/[chaos] config keys with one
-// range per key: the sweep knobs below, the per-cell knobs in
-// ref::cell_keys(). See docs/TESTING.md, "One program IR, one grid, three
-// judges".
+// (1e8 otherwise); check 64 seeds, nodes 16 (below 2 is a usage error);
+// model, chaos and check sweep omega + mesh. The same rows parse these
+// flags and the [diff]/[model]/[chaos]/[check] config keys with one range
+// per key: the sweep knobs below, the per-cell knobs in ref::cell_keys().
+// See docs/TESTING.md, "One program IR, one grid, four judges".
 //
-// The tool subcommands read their knobs from [diff]/[model]/[chaos]
+// The tool subcommands read their knobs from [diff]/[model]/[chaos]/[check]
 // sections; a single preset file can carry a [machine]/[workload]
 // description *and* a tool section (each consumer ignores the others').
 #include <algorithm>
@@ -142,7 +141,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -174,10 +172,6 @@ struct Options {
   bool from_config = false;
   std::string csv;
   bool report = false;
-  // `check` subcommand
-  bool check = false;
-  std::uint64_t seeds = 64;
-  std::uint64_t first_seed = 0;
   // `trace` subcommand
   bool trace = false;
   bool record = false;  ///< --record: primitive (replayable) trace capture
@@ -230,10 +224,7 @@ Options parse_args(int argc, char** argv) {
     return argv[++i];
   };
   int first = 1;
-  if (argc > 1 && std::strcmp(argv[1], "check") == 0) {
-    o.check = true;
-    first = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "trace") == 0) {
+  if (argc > 1 && std::strcmp(argv[1], "trace") == 0) {
     o.trace = true;
     first = 2;
   } else if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
@@ -241,28 +232,21 @@ Options parse_args(int argc, char** argv) {
   }
   if (const auto t = load_config(first, argc, argv)) {
     const conf::Scenario sc = conf::resolve_scenario(*t);
-    t->expect_all_consumed({"diff", "model", "chaos"});
+    t->expect_all_consumed({"diff", "model", "chaos", "check"});
     o.machine = sc.machine;
     o.config_workload = sc.workload;
     o.workload = sc.workload.kind;
     o.from_config = true;
   }
-  // The flags only some modes read: any other mode rejects them, so a
-  // flag is never silently ignored.
-  const std::pair<std::string_view, std::string_view> mode_flags[] = {
-      {"--seeds", "check"},          {"--first-seed", "check"},
-      {"--record", "trace"},         {"--trace-out", "trace"},
-      {"--trace-csv", "trace"},      {"--trace-capacity", "check trace"},
-      {"--workload", "run trace"},   {"--tasks", "run trace"},
-      {"--grain", "run trace"},      {"--iters", "run trace"},
-      {"--csv", "run trace"},        {"--report", "run trace"}};
-  const std::string mode = o.check ? "check" : o.trace ? "trace" : "run";
+  // The flags only `trace` reads: `run` rejects them, so a flag is never
+  // silently ignored.
+  const std::string_view trace_flags[] = {"--record", "--trace-out", "--trace-csv",
+                                          "--trace-capacity"};
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    for (const auto& [flag, modes] : mode_flags) {
-      if (a == flag && modes.find(mode) == std::string_view::npos) {
-        usage_error("`bcsim " + mode + "` does not read " + a);
-      }
+    if (!o.trace && std::find(std::begin(trace_flags), std::end(trace_flags), a) !=
+                        std::end(trace_flags)) {
+      usage_error("`bcsim run` does not read " + a);
     }
     if (a == "--config" || a == "-k") ++i;  // handled by load_config
     else if (a == "--dump-config") {}       // handled by load_config
@@ -287,8 +271,6 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--fault-plan") o.machine.fault_plan = need(i);
     else if (a == "--watchdog") o.machine.watchdog = conf::parse_u64(a, need(i));
     else if (a == "--trace-dump") o.machine.trace_dump = conf::parse_u64(a, need(i));
-    else if (a == "--seeds") o.seeds = conf::parse_u64(a, need(i));
-    else if (a == "--first-seed") o.first_seed = conf::parse_u64(a, need(i));
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--report") o.report = true;
     else if (a == "--record") o.record = true;
@@ -306,12 +288,13 @@ Options parse_args(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// `diff` / `model` / `chaos` flags. A knob every cell shares (nodes, phases,
-// fabric, directory, watchdog, budget) is a ref::cell_keys() row: flag
-// `--<name>`, config key `<harness>.<name>` ('_' for '-'), one range. The
-// sweep knobs below follow the same spelling rule. The same rows parse
-// flags and config keys (so the two always agree on a range) and render
-// replay lines (so a replay line carries every knob of its cell).
+// `diff` / `model` / `chaos` / `check` flags. A knob every cell shares
+// (nodes, phases, fabric, directory, watchdog, budget) is a
+// ref::cell_keys() row: flag `--<name>`, config key `<harness>.<name>`
+// ('_' for '-'), one range. The sweep knobs below follow the same
+// spelling rule. The same rows parse flags and config keys (so the two
+// always agree on a range) and render replay lines (so a replay line
+// carries every knob of its cell).
 // ---------------------------------------------------------------------------
 
 using tool::Harness;
@@ -328,7 +311,8 @@ struct Overloaded : Fs... {
 constexpr unsigned kDiff = ref::bit(Harness::kDiff);
 constexpr unsigned kModel = ref::bit(Harness::kModel);
 constexpr unsigned kChaos = ref::bit(Harness::kChaos);
-constexpr unsigned kAll = kDiff | kModel | kChaos;
+constexpr unsigned kCheck = ref::bit(Harness::kCheck);
+constexpr unsigned kAll = kDiff | kModel | kChaos | kCheck;
 
 struct Knob {
   const char* name;
@@ -343,18 +327,18 @@ struct Knob {
 };
 
 const Knob kKnobs[] = {
-    {"tests", kModel, &HarnessOptions::tests},
+    {"tests", kModel | kCheck, &HarnessOptions::tests},
     {"plans", kChaos, &HarnessOptions::plans},
     {"flavors", kAll, &HarnessOptions::flavors},
     {"network", kDiff, &HarnessOptions::networks, 0, true, true},
-    {"networks", kModel | kChaos, &HarnessOptions::networks},
-    {"seeds", kModel | kChaos, &HarnessOptions::seeds, 1},
-    {"first-seed", kModel | kChaos, &HarnessOptions::first_seed},
+    {"networks", kModel | kChaos | kCheck, &HarnessOptions::networks},
+    {"seeds", kModel | kChaos | kCheck, &HarnessOptions::seeds, 1},
+    {"first-seed", kModel | kChaos | kCheck, &HarnessOptions::first_seed},
     {"programs", kDiff | kChaos, &HarnessOptions::programs, 1},
     {"first-program", kDiff | kChaos, &HarnessOptions::first_program},
     {"schedules", kDiff, &HarnessOptions::seeds, 1},
     {"first-schedule", kDiff, &HarnessOptions::first_seed},
-    {"inject-fault", kDiff | kModel, &HarnessOptions::inject_fault},
+    {"inject-fault", kDiff | kModel | kCheck, &HarnessOptions::inject_fault},
     {"corpus", kDiff | kChaos, &HarnessOptions::corpus, 0, false},
     {"print-allowed", kModel, &HarnessOptions::print_allowed, 0, false},
     {"require-complete", kModel, &HarnessOptions::require_complete, 0, false},
@@ -466,7 +450,7 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
       });
     }
     std::vector<std::string_view> others = {"machine", "workload"};
-    for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
+    for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos, Harness::kCheck}) {
       if (x != h) others.push_back(ref::to_string(x));
     }
     t->expect_all_consumed(others);
@@ -550,406 +534,6 @@ conf::WorkloadSpec workload_spec(const Options& o) {
     wl.grid.sweeps = o.iters;
   }
   return wl;
-}
-
-// ---------------------------------------------------------------------------
-// `check` subcommand: schedule-seed sweep with full invariant checking.
-//
-// Each program in the battery runs under every schedule seed on both
-// machines with InvariantLevel::kFull (entry-local checks after every
-// directory transition + a whole-machine sweep at the end), verifies its
-// functional result, and runs twice to prove the seed is deterministic.
-// The sweep is ascending, so the first failure is the smallest seed.
-// ---------------------------------------------------------------------------
-
-struct CaseResult {
-  bool ok = true;
-  std::string detail;
-  Tick completion = 0;
-  std::uint64_t messages = 0;
-};
-
-constexpr Tick kCheckBudget = 100'000'000;
-
-/// Queued-lock counter: the classic mutual-exclusion workout (enqueue,
-/// handoff, drain, and re-lock races). The lock's own block carries the
-/// counter, so the data rides the grant messages.
-CaseResult case_lock_counter(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
-  const Addr lock = 16;
-  constexpr int kIters = 6;
-  struct Prog {
-    Addr lock;
-    sim::Task operator()(core::Processor& p) const {
-      for (int k = 0; k < kIters; ++k) {
-        co_await p.write_lock(lock);
-        const Word v = co_await p.read(lock + 1);
-        co_await p.write(lock + 1, v + 1);
-        co_await p.unlock(lock);
-      }
-    }
-  } prog{lock};
-  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(prog(m.processor(i)));
-  CaseResult r;
-  r.completion = m.run(kCheckBudget);
-  r.messages = m.stats().counter_value("net.messages");
-  const Word want = static_cast<Word>(cfg.n_nodes) * kIters;
-  if (!m.all_done() || !m.quiescent()) {
-    r.ok = false;
-    r.detail = "programs stuck or protocol not quiescent";
-  } else if (m.peek_memory(lock + 1) != want) {
-    r.ok = false;
-    r.detail = "lost increment: counter " + std::to_string(m.peek_memory(lock + 1)) +
-               ", expected " + std::to_string(want);
-  }
-  return r;
-}
-
-/// Readers-writer lock: read-holder groups, mid-group reader drop-outs, and
-/// writer promotion — the orchestrated (directory-decided) release paths the
-/// write-lock counter never touches.
-CaseResult case_rw_lock(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
-  const Addr lock = 16;
-  constexpr int kIters = 4;
-  struct Writer {
-    Addr lock;
-    sim::Task operator()(core::Processor& p) const {
-      for (int k = 0; k < kIters; ++k) {
-        co_await p.write_lock(lock);
-        const Word v = co_await p.read(lock + 1);
-        co_await p.compute(2);
-        co_await p.write(lock + 1, v + 1);
-        co_await p.unlock(lock);
-      }
-    }
-  } writer{lock};
-  struct Reader {
-    Addr lock;
-    bool& torn;
-    sim::Task operator()(core::Processor& p) const {
-      for (int k = 0; k < kIters; ++k) {
-        co_await p.read_lock(lock);
-        const Word a = co_await p.read(lock + 1);
-        co_await p.compute(1 + (p.id() % 3));  // staggered: mid-group drop-outs
-        const Word b = co_await p.read(lock + 1);
-        if (a != b) torn = true;  // a writer slipped inside the read group
-        co_await p.unlock(lock);
-      }
-    }
-  };
-  bool torn = false;
-  Reader reader{lock, torn};
-  m.spawn(writer(m.processor(0)));
-  for (NodeId i = 1; i < cfg.n_nodes; ++i) m.spawn(reader(m.processor(i)));
-  CaseResult r;
-  r.completion = m.run(kCheckBudget);
-  r.messages = m.stats().counter_value("net.messages");
-  if (!m.all_done() || !m.quiescent()) {
-    r.ok = false;
-    r.detail = "programs stuck or protocol not quiescent";
-  } else if (torn) {
-    r.ok = false;
-    r.detail = "write observed inside a read-holder critical section";
-  } else if (m.peek_memory(lock + 1) != kIters) {
-    r.ok = false;
-    r.detail = "lost increment under readers: counter " +
-               std::to_string(m.peek_memory(lock + 1)) + ", expected " +
-               std::to_string(kIters);
-  }
-  return r;
-}
-
-/// Message passing under the CP-Synch discipline: data must never trail the
-/// flag past a flush. Uses the machine's native operations (subscriptions
-/// on read-update, coherent reads on WBI).
-CaseResult case_message_passing(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
-  const bool ru = cfg.data_protocol == core::DataProtocol::kReadUpdate;
-  const Addr data = 0;  // home 0
-  const Addr flag = 4;  // block 1 -> home 1
-  Word seen = 0;
-  struct Writer {
-    Addr data, flag;
-    bool ru;
-    sim::Task operator()(core::Processor& p) const {
-      co_await p.compute(50);
-      if (ru) {
-        co_await p.write_global(data, 42);
-        co_await p.flush_buffer();  // CP-Synch: data globally performed first
-        co_await p.write_global(flag, 1);
-        co_await p.flush_buffer();
-      } else {
-        co_await p.write(data, 42);  // SC write: performed before it returns
-        co_await p.write(flag, 1);
-      }
-    }
-  } writer{data, flag, ru};
-  struct Reader {
-    Addr data, flag;
-    bool ru;
-    Word& seen;
-    sim::Task operator()(core::Processor& p) const {
-      if (ru) {
-        co_await p.read_update(flag);
-        co_await p.read_update(data);
-      }
-      for (;;) {
-        const Word f = ru ? co_await p.read_update(flag) : co_await p.read(flag);
-        if (f == 1) break;
-        co_await p.wait_word_change(flag, f);
-      }
-      seen = ru ? co_await p.read_update(data) : co_await p.read(data);
-    }
-  } reader{data, flag, ru, seen};
-  m.spawn(writer(m.processor(0)));
-  m.spawn(reader(m.processor(cfg.n_nodes - 1)));
-  // A couple of bystander subscribers/sharers lengthen the delivery chains.
-  struct Bystander {
-    Addr data;
-    bool ru;
-    sim::Task operator()(core::Processor& p) const {
-      if (ru) {
-        co_await p.read_update(data);
-      } else {
-        co_await p.read(data);
-      }
-    }
-  } bystander{data, ru};
-  for (NodeId i = 1; i + 1 < cfg.n_nodes && i <= 2; ++i) {
-    m.spawn(bystander(m.processor(i)));
-  }
-  CaseResult r;
-  r.completion = m.run(kCheckBudget);
-  r.messages = m.stats().counter_value("net.messages");
-  if (!m.all_done() || !m.quiescent()) {
-    r.ok = false;
-    r.detail = "programs stuck or protocol not quiescent";
-  } else if (seen != 42) {
-    r.ok = false;
-    r.detail = "stale data (" + std::to_string(seen) + ") observed past the flag";
-  }
-  return r;
-}
-
-/// Hardware barrier separating two phases: every phase-1 write must be
-/// visible to every phase-2 reader.
-CaseResult case_barrier_phases(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
-  const Addr bar = 16;
-  const Addr base = 64;
-  const std::uint32_t n = cfg.n_nodes;
-  std::vector<Word> sums(n, 0);
-  struct Prog {
-    Addr bar, base;
-    std::uint32_t n;
-    std::vector<Word>& sums;
-    sim::Task operator()(core::Processor& p) const {
-      co_await p.write_global(base + p.id(), p.id() + 1);
-      co_await p.flush_buffer();  // barrier is CP-Synch
-      co_await p.barrier_arrive(bar, n);
-      Word s = 0;
-      for (NodeId j = 0; j < n; ++j) s += co_await p.read_global(base + j);
-      sums[p.id()] = s;
-    }
-  } prog{bar, base, n, sums};
-  for (NodeId i = 0; i < n; ++i) m.spawn(prog(m.processor(i)));
-  CaseResult r;
-  r.completion = m.run(kCheckBudget);
-  r.messages = m.stats().counter_value("net.messages");
-  const Word want = static_cast<Word>(n) * (n + 1) / 2;
-  if (!m.all_done() || !m.quiescent()) {
-    r.ok = false;
-    r.detail = "programs stuck or protocol not quiescent";
-    return r;
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    if (sums[i] != want) {
-      r.ok = false;
-      r.detail = "node " + std::to_string(i) + " summed " + std::to_string(sums[i]) +
-                 ", expected " + std::to_string(want) + " after the barrier";
-      return r;
-    }
-  }
-  return r;
-}
-
-/// Random well-formed program (hierarchical locks, global/local traffic,
-/// subscriptions, flushes) — must terminate and quiesce under every
-/// schedule with every invariant intact.
-CaseResult case_fuzz(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
-  const bool ru = cfg.data_protocol == core::DataProtocol::kReadUpdate;
-  struct Prog {
-    std::vector<Addr> locks;
-    int steps;
-    bool ru;
-    sim::Task operator()(core::Processor& p) const {
-      auto& rng = p.rng();
-      std::vector<std::size_t> held;
-      for (int s = 0; s < steps; ++s) {
-        const double dice = rng.next_double();
-        if (dice < 0.25) {
-          const std::size_t next = held.empty() ? rng.next_below(2) : held.back() + 1;
-          if (next < locks.size() && held.size() < 2) {
-            co_await p.write_lock(locks[next]);
-            held.push_back(next);
-          } else {
-            co_await p.compute(3);
-          }
-        } else if (dice < 0.45) {
-          if (!held.empty()) {
-            const Addr a = locks[held.back()] + 1 + rng.next_below(2);
-            const Word v = co_await p.read(a);
-            co_await p.write(a, v + 1);
-            co_await p.unlock(locks[held.back()]);
-            held.pop_back();
-          } else {
-            co_await p.compute(2);
-          }
-        } else if (dice < 0.65) {
-          const Addr a = 256 + rng.next_below(64);
-          if (ru) {
-            if (rng.chance(0.5)) {
-              co_await p.write_global(a, rng.next_u64());
-            } else {
-              co_await p.read_update(a);
-            }
-          } else {
-            if (rng.chance(0.5)) {
-              co_await p.write(a, rng.next_u64());
-            } else {
-              co_await p.read(a);
-            }
-          }
-        } else if (dice < 0.75) {
-          if (ru && rng.chance(0.5)) {
-            co_await p.reset_update(256 + rng.next_below(64));
-          } else {
-            co_await p.fetch_add(512 + rng.next_below(8), 1);
-          }
-        } else if (dice < 0.85) {
-          co_await p.flush_buffer();
-        } else {
-          co_await p.compute(1 + rng.next_below(15));
-        }
-      }
-      while (!held.empty()) {
-        co_await p.unlock(locks[held.back()]);
-        held.pop_back();
-      }
-      co_await p.flush_buffer();
-    }
-  } prog{{0, 16, 32}, 60, ru};
-  for (NodeId i = 0; i < cfg.n_nodes; ++i) m.spawn(prog(m.processor(i)));
-  CaseResult r;
-  r.completion = m.run(kCheckBudget);
-  r.messages = m.stats().counter_value("net.messages");
-  if (!m.all_done() || !m.quiescent()) {
-    r.ok = false;
-    r.detail = "programs stuck or protocol not quiescent";
-  }
-  return r;
-}
-
-int run_check(const Options& o) {
-  using CaseFn = CaseResult (*)(const core::MachineConfig&);
-  struct Entry {
-    const char* machine;
-    const char* program;
-    CaseFn fn;
-  };
-  // Both machines: the paper's (read-update + BC + CBL) and the WBI
-  // baseline (with CBL synchronization so the lock/barrier engines are
-  // exercised against the invalidate directory too).
-  const Entry battery[] = {
-      {"paper", "lock-counter", case_lock_counter},
-      {"paper", "rw-lock", case_rw_lock},
-      {"paper", "message-passing", case_message_passing},
-      {"paper", "barrier", case_barrier_phases},
-      {"paper", "fuzz", case_fuzz},
-      {"cbl-on-wbi", "lock-counter", case_lock_counter},
-      {"cbl-on-wbi", "rw-lock", case_rw_lock},
-      {"cbl-on-wbi", "message-passing", case_message_passing},
-      {"cbl-on-wbi", "barrier", case_barrier_phases},
-      {"cbl-on-wbi", "fuzz", case_fuzz},
-  };
-  const auto config_for = [&](const char* machine, std::uint64_t schedule_seed) {
-    conf::MachineSpec spec = o.machine;
-    spec.flavor = machine;
-    spec.invariants = "full";
-    spec.schedule_seed = schedule_seed;
-    return conf::build_machine(spec);
-  };
-  if (o.seeds == 0) usage_error("check needs --seeds >= 1");
-  // message-passing and rw-lock put their writer and readers on different
-  // processors, and a processor runs one program.
-  if (o.machine.nodes < 2) {
-    usage_error("check needs --nodes >= 2, --nodes is " + std::to_string(o.machine.nodes));
-  }
-  std::printf("check: %llu schedule seeds x %zu programs, nodes=%u, invariants=full\n",
-              static_cast<unsigned long long>(o.seeds), std::size(battery),
-              o.machine.nodes);
-  for (std::uint64_t s = o.first_seed; s < o.first_seed + o.seeds; ++s) {
-    for (const Entry& e : battery) {
-      const auto cfg = config_for(e.machine, s);
-      CaseResult r1;
-      try {
-        r1 = e.fn(cfg);
-        if (r1.ok) {
-          // Same seed, fresh machine: the schedule must replay exactly.
-          const CaseResult r2 = e.fn(cfg);
-          if (r2.completion != r1.completion || r2.messages != r1.messages) {
-            r1.ok = false;
-            r1.detail = "nondeterministic: reruns disagree on completion time or traffic";
-          }
-        }
-      } catch (const std::exception& ex) {
-        r1.ok = false;
-        r1.detail = ex.what();
-      }
-      if (!r1.ok) {
-        std::printf("check: FAILED\n");
-        std::printf("  smallest failing schedule seed: %llu\n",
-                    static_cast<unsigned long long>(s));
-        std::printf("  machine=%s program=%s\n  %s\n", e.machine, e.program,
-                    r1.detail.c_str());
-        // Every MachineSpec knob the case's machine was built from.
-        const conf::MachineSpec& m = o.machine;
-        std::string knobs = " --consistency " + m.consistency;
-        if (!m.lock.empty()) knobs += " --lock " + m.lock;
-        if (!m.barrier.empty()) knobs += " --barrier " + m.barrier;
-        if (!m.fault_plan.empty()) knobs += " --fault-plan '" + m.fault_plan + "'";
-        std::printf(
-            "  replay: bcsim check --nodes %u%s --network %s --buffer-depth %u --dir-limit %u "
-            "--dir-overflow %s --dir-region %u --block-words %u --seed %llu --watchdog %llu "
-            "--trace-dump %zu --first-seed %llu --seeds 1\n",
-            m.nodes, knobs.c_str(), m.network.c_str(), m.buffer_depth, m.dir_limit,
-            m.dir_overflow.c_str(), m.dir_region, m.block_words,
-            static_cast<unsigned long long>(m.seed), static_cast<unsigned long long>(m.watchdog),
-            m.trace_dump, static_cast<unsigned long long>(s));
-        // Replay the failing case with the event-trace recorder on: when
-        // the failure is an invariant violation, the machine prints the
-        // tail of the interleaving that led there next to the diagnostic
-        // (docs/OBSERVABILITY.md). Functional failures replay silently.
-        std::printf("  replaying with event tracing enabled...\n");
-        std::fflush(stdout);
-        auto traced = cfg;
-        traced.trace = true;
-        traced.trace_capacity = o.machine.trace_capacity;
-        try {
-          (void)e.fn(traced);
-        } catch (const std::exception&) {
-          // The diagnostic and trace tail already went to stderr.
-        }
-        return 1;
-      }
-    }
-  }
-  std::printf("check: OK (seeds %llu..%llu, all invariants held, all results exact)\n",
-              static_cast<unsigned long long>(o.first_seed),
-              static_cast<unsigned long long>(o.first_seed + o.seeds - 1));
-  return 0;
 }
 
 /// `bcsim trace --record`: run the scenario with the primitive recorder
@@ -1059,13 +643,12 @@ int run(const Options& o) {
 
 int main(int argc, char** argv) {
   try {
-    for (const Harness h : {Harness::kDiff, Harness::kModel, Harness::kChaos}) {
+    for (const Harness h : {Harness::kDiff, Harness::kModel, Harness::kChaos, Harness::kCheck}) {
       if (argc > 1 && std::strcmp(argv[1], ref::to_string(h)) == 0) {
         return tool::run_harness(parse_harness_args(h, argc, argv));
       }
     }
     const Options o = parse_args(argc, argv);
-    if (o.check) return run_check(o);
     if (o.record) return run_record(o);
     return run(o);
   } catch (const conf::UsageError& e) {

@@ -9,6 +9,7 @@
 #include "ir/run.hpp"
 #include "model/battery.hpp"
 #include "model/bc_model.hpp"
+#include "ref/check_battery.hpp"
 #include "ref/ref_machine.hpp"
 #include "sim/fault_plan.hpp"
 
@@ -32,6 +33,10 @@ HarnessOptions harness_defaults(Harness h) {
       o.cell.watchdog = 4096;
       o.cell.budget = 50'000'000;
       break;
+    case Harness::kCheck:
+      o.seeds = 64;
+      o.cell.nodes = 16;
+      break;
   }
   return o;
 }
@@ -48,7 +53,8 @@ std::string join(const std::vector<T>& items, Name name) {
   return s;
 }
 
-/// The one-cell options that replay `c` (running litmus `test` for model).
+/// The one-cell options that replay `c` (running battery program `test`
+/// for model and check).
 HarnessOptions narrow(const HarnessOptions& o, const ref::Cell& c, const std::string& test) {
   HarnessOptions one = o;
   one.cell = c;
@@ -77,12 +83,21 @@ void record(const HarnessOptions& o, const ref::CorpusEntry& e) {
   std::printf("  recorded in corpus: %s\n", o.corpus.c_str());
 }
 
+/// The machine a harness runs a cell on. check runs every cell, and its
+/// traced replay, with full invariant checking: entry-local checks after
+/// every directory transition and the whole-machine sweep at the end.
+core::MachineConfig machine_config(Harness h, const ref::Cell& c) {
+  core::MachineConfig cfg = ref::cell_config(c);
+  if (h == Harness::kCheck) cfg.invariants = sim::InvariantLevel::kFull;
+  return cfg;
+}
+
 /// Replays a failing cell with the event-trace recorder on: the tail of
 /// the interleaving goes to stderr (docs/OBSERVABILITY.md).
-void replay_traced(const ir::Program& prog, const ref::Cell& c) {
+void replay_traced(Harness h, const ir::Program& prog, const ref::Cell& c) {
   std::printf("  replaying with event tracing enabled...\n");
   std::fflush(stdout);
-  core::MachineConfig cfg = ref::cell_config(c);
+  core::MachineConfig cfg = machine_config(h, c);
   cfg.trace = true;
   (void)ir::run_program(prog, cfg, c.budget, &std::cerr);
 }
@@ -124,6 +139,9 @@ int run_harness(const HarnessOptions& o) {
   const Harness h = o.harness;
   const char* name = to_string(h);
   const bool model = h == Harness::kModel;
+  // model and check run a fixed battery; diff and chaos a range of DRF
+  // program seeds.
+  const bool battery_axis = model || h == Harness::kCheck;
   const auto usage = [&](const std::string& msg) {
     std::fprintf(stderr, "bcsim %s: %s\n", name, msg.c_str());
     return 2;
@@ -154,16 +172,25 @@ int run_harness(const HarnessOptions& o) {
   if (networks.empty()) networks = {core::NetworkKind::kOmega};
   if (o.networks.empty() && h != Harness::kDiff) networks.push_back(core::NetworkKind::kMesh);
 
-  // The program axis: the selected litmus tests, or a range of DRF seeds.
-  const std::vector<ir::Program> battery = model ? model::litmus_battery()
-                                                 : std::vector<ir::Program>{};
+  // The program axis: the selected litmus tests or check programs, or a
+  // range of DRF seeds. rw-lock and message-passing put their writer and
+  // readers on different processors, and a processor runs one program.
+  if (h == Harness::kCheck && o.cell.nodes < 2) {
+    return usage("check needs --nodes >= 2, --nodes is " + std::to_string(o.cell.nodes));
+  }
+  const std::vector<ir::Program> battery =
+      model ? model::litmus_battery()
+            : h == Harness::kCheck ? ref::check_battery(o.cell.nodes) : std::vector<ir::Program>{};
   std::vector<const ir::Program*> tests;
   for (const ir::Program& t : battery) {
     if (o.tests.empty()) tests.push_back(&t);
   }
   for (const std::string& test : o.tests) {
     const ir::Program* t = model::find_litmus(battery, test);
-    if (t == nullptr) return usage("unknown litmus test '" + test + "'");
+    if (t == nullptr) {
+      return usage(std::string(model ? "unknown litmus test '" : "unknown check program '") +
+                   test + "'");
+    }
     tests.push_back(t);
   }
   if (o.print_allowed) {
@@ -178,7 +205,7 @@ int run_harness(const HarnessOptions& o) {
                    " nodes, --nodes is " + std::to_string(o.cell.nodes));
     }
   }
-  const std::uint64_t n_programs = model ? tests.size() : o.programs;
+  const std::uint64_t n_programs = battery_axis ? tests.size() : o.programs;
 
   const auto cell_at = [&](std::size_t pi, std::uint64_t ps, core::NetworkKind network,
                            ref::Flavor flavor, std::uint64_t s) {
@@ -192,7 +219,9 @@ int run_harness(const HarnessOptions& o) {
     // pattern also runs under a distinct interleaving.
     c.fault_seed = h == Harness::kChaos ? s : resolved[pi].seed;
     // Network faults without a watchdog could hang a cell silently.
-    if (h != Harness::kChaos) c.watchdog = resolved[pi].has_net_rules() ? 4096 : 0;
+    if (h != Harness::kChaos && c.watchdog == 0 && resolved[pi].has_net_rules()) {
+      c.watchdog = 4096;
+    }
     return c;
   };
   // Knobs every cell shares may still clash (a coarse directory needs a
@@ -205,6 +234,8 @@ int run_harness(const HarnessOptions& o) {
   }
 
   const std::string flavor_list = join(flavors, [](ref::Flavor f) { return ref::to_string(f); });
+  const std::string network_list =
+      join(networks, [](core::NetworkKind n) { return std::string(core::to_string(n)); });
   const std::string fault =
       o.inject_fault.empty() ? std::string() : ", injected fault: " + o.inject_fault;
   const auto llu = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
@@ -216,10 +247,8 @@ int run_harness(const HarnessOptions& o) {
       break;
     case Harness::kModel:
       std::printf("model: %zu litmus tests x {%s} x {%s} x %llu seeds, nodes=%u%s\n",
-                  tests.size(), flavor_list.c_str(),
-                  join(networks, [](core::NetworkKind n) { return std::string(core::to_string(n)); })
-                      .c_str(),
-                  llu(o.seeds), o.cell.nodes, fault.c_str());
+                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds),
+                  o.cell.nodes, fault.c_str());
       break;
     case Harness::kChaos:
       std::printf("chaos: {%s} x %zu flavors x %zu networks x %llu seeds x %llu programs, "
@@ -227,6 +256,11 @@ int run_harness(const HarnessOptions& o) {
                   join(plans, [](const std::string& p) { return p; }).c_str(), flavors.size(),
                   networks.size(), llu(o.seeds), llu(o.programs), o.cell.nodes, o.cell.phases,
                   llu(o.cell.watchdog));
+      break;
+    case Harness::kCheck:
+      std::printf("check: %zu programs x {%s} x {%s} x %llu seeds, nodes=%u, invariants=full%s\n",
+                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds),
+                  o.cell.nodes, fault.c_str());
       break;
   }
 
@@ -241,8 +275,8 @@ int run_harness(const HarnessOptions& o) {
       // or the SC reference run.
       const std::uint64_t ps = o.first_program + k;
       const ir::Program prog =
-          model ? *tests[k]
-                : ref::cell_program(cell_at(pi, ps, networks[0], flavors[0], o.first_seed));
+          battery_axis ? *tests[k]
+                       : ref::cell_program(cell_at(pi, ps, networks[0], flavors[0], o.first_seed));
       std::vector<model::Outcome> allowed;
       std::map<model::Outcome, std::uint64_t> hits;
       ref::RefResult sc;
@@ -254,7 +288,8 @@ int run_harness(const HarnessOptions& o) {
         sc = ref::RefMachine(prog, 1).run();
         const ref::RefResult sc2 = ref::RefMachine(prog, 0x9e3779b97f4a7c15ULL).run();
         if (sc.deadlocked || !ref::ref_results_agree(sc, sc2)) {
-          std::printf("%s: GENERATOR BUG at program seed %llu\n", name, llu(ps));
+          const std::string which = battery_axis ? prog.name : "program seed " + std::to_string(ps);
+          std::printf("%s: GENERATOR BUG at %s\n", name, which.c_str());
           std::printf(
               "  two reference schedules disagree (or deadlock) — the program is not "
               "DRF; fix the generator before trusting any comparison\n");
@@ -267,13 +302,13 @@ int run_harness(const HarnessOptions& o) {
             const ref::Cell cell = cell_at(pi, ps, network, flavor, s);
             ++cells;
             const auto replay = [&] {
-              return command_line(narrow(o, cell, model ? prog.name : std::string()));
+              return command_line(narrow(o, cell, battery_axis ? prog.name : std::string()));
             };
+            const core::MachineConfig cfg = machine_config(h, cell);
 
             if (model) {
               const ir::Program warm = model::with_warmup(prog, s);
-              const ir::RunResult run =
-                  ir::run_program(warm, ref::cell_config(cell), cell.budget);
+              const ir::RunResult run = ir::run_program(warm, cfg, cell.budget);
               const model::Outcome got = model::outcome_of(run.loads, run.final_locs);
               if (run.error.empty() && model::outcome_allowed(allowed, got)) {
                 ++hits[got];
@@ -281,32 +316,55 @@ int run_harness(const HarnessOptions& o) {
               }
               print_violation(prog, allowed, run, cell);
               std::printf("  replay: %s\n", replay().c_str());
-              replay_traced(warm, cell);
+              replay_traced(h, warm, cell);
               return 1;
             }
-            const ref::CellOutcome out = ref::run_cell(cell, prog, sc);
+            const ir::RunResult run = ir::run_program(prog, cfg, cell.budget);
+            ref::CellOutcome out = ref::judge(sc, run, cfg.block_words);
+            if (h == Harness::kCheck && out.verdict == ref::Verdict::kTransparent) {
+              // The same cell on a fresh machine must replay exactly.
+              const ir::RunResult again = ir::run_program(prog, cfg, cell.budget);
+              if (again.completion != run.completion || again.digest != run.digest ||
+                  again.data != run.data) {
+                out = {ref::Verdict::kWrong,
+                       "nondeterministic: two runs of the cell differ in completion tick, stats "
+                       "digest or data hash"};
+              }
+            }
             ++plan_counts[out.verdict];
             ++counts[out.verdict];
-            const bool fails = h == Harness::kDiff ? out.verdict != ref::Verdict::kTransparent
-                                                   : out.verdict == ref::Verdict::kWrong ||
-                                                         out.verdict == ref::Verdict::kHung;
+            // chaos also accepts a diagnosed cell; diff and check only a
+            // transparent one.
+            const bool fails = h == Harness::kChaos ? out.verdict == ref::Verdict::kWrong ||
+                                                          out.verdict == ref::Verdict::kHung
+                                                    : out.verdict != ref::Verdict::kTransparent;
             if (!fails) continue;
             ++bad;
-            std::printf("%s: %s cell\n", name, ref::to_string(out.verdict));
-            std::printf("  cell: %s\n", ref::format_corpus_line({cell, out.verdict}).c_str());
+            if (h == Harness::kCheck) {
+              // A corpus line would name a DRF program; this cell runs a
+              // battery program.
+              std::printf("check: %s cell: program=%s flavor=%s network=%s schedule=%llu\n",
+                          ref::to_string(out.verdict), prog.name.c_str(),
+                          ref::to_string(cell.flavor), core::to_string(cell.network).data(),
+                          llu(s));
+            } else {
+              std::printf("%s: %s cell\n", name, ref::to_string(out.verdict));
+              std::printf("  cell: %s\n", ref::format_corpus_line({cell, out.verdict}).c_str());
+            }
             std::printf("  %s\n", out.detail.c_str());
             std::printf("  replay: %s\n", replay().c_str());
             if (h == Harness::kChaos) {
               record(o, {cell, out.verdict});
               continue;
             }
-            // diff pins the fault-free scenario, which must be transparent.
+            // diff pins the fault-free scenario, which must be transparent
+            // (check has no corpus).
             ref::Cell scenario = cell;
             scenario.plan.clear();
             scenario.fault_seed = 0;
             scenario.watchdog = 0;
             record(o, {scenario, ref::Verdict::kTransparent});
-            replay_traced(prog, cell);
+            replay_traced(h, prog, cell);
             return 1;
           }
         }
@@ -344,6 +402,12 @@ int run_harness(const HarnessOptions& o) {
         return 1;
       }
       std::printf("model: OK (%llu runs, every observed outcome was allowed)\n", llu(cells));
+      return 0;
+    case Harness::kCheck:
+      std::printf(
+          "check: OK (%llu cells, each matched the SC reference twice with every invariant "
+          "intact)\n",
+          llu(cells));
       return 0;
     case Harness::kChaos:
       break;

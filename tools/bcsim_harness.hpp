@@ -1,5 +1,6 @@
-// `bcsim diff`, `bcsim model`, `bcsim chaos` — one grid driver for the
-// three correctness harnesses (docs/TESTING.md, "One grid, three judges").
+// `bcsim diff`, `model`, `chaos`, `check` — one grid driver for the four
+// correctness harnesses (docs/TESTING.md, "One program IR, one grid, four
+// judges").
 //
 // Every harness sweeps the same grid, fault plans x programs x networks x
 // flavors x schedule seeds, builds each machine through ref::cell_config
@@ -18,6 +19,11 @@
 //     membership in the BC allowed set (model/bc_model.hpp), with
 //     per-outcome hit counts; a violation prints the first divergent read
 //     and a replay line and is replayed with tracing on.
+//   * check — the check battery (ref/check_battery.hpp) judged against the
+//     SC reference at full invariant level; each cell runs twice and must
+//     repeat its completion tick, stats digest and data hash. The first
+//     failing cell prints its program, the divergence or diagnosis and a
+//     replay line, and is replayed with tracing on.
 //
 // Replay lines are rendered from the failing cell through the flag table
 // (command_line), so every knob that built the cell's machine is on them.
@@ -33,7 +39,7 @@ namespace bcsim::tool {
 
 using ref::Harness;
 
-/// The options of all three harnesses. A field a harness has no flag for
+/// The options of all four harnesses. A field a harness has no flag for
 /// keeps its default there.
 struct HarnessOptions {
   Harness harness = Harness::kDiff;
@@ -41,10 +47,11 @@ struct HarnessOptions {
   /// watchdog, budget: the keys ref::cell_keys() gives flags); the sweep
   /// sets each cell's flavor, network, program, schedule and fault plan.
   ref::Cell cell;
-  std::vector<std::string> tests;  ///< model: battery subset; empty = all
+  std::vector<std::string> tests;  ///< model, check: battery subset; empty = all
   std::vector<std::string> plans;  ///< chaos: fault plans; empty = the default battery
-  /// diff/model: one fault plan (registry name or inline spec) armed on
-  /// every cell; "" = none. Proves the judges catch a broken flush gate.
+  /// diff/model/check: one fault plan (registry name or inline spec)
+  /// armed on every cell; "" = none. Proves the judges catch a broken
+  /// flush gate.
   std::string inject_fault;
   std::vector<ref::Flavor> flavors;         ///< empty = all three
   std::vector<core::NetworkKind> networks;  ///< empty = omega (diff), omega + mesh
