@@ -432,35 +432,14 @@ const Value& Table::require(std::string_view key) const {
   return it->second;
 }
 
-std::int64_t Table::get_int(std::string_view key, std::int64_t def, std::int64_t min,
-                            std::int64_t max) const {
+std::int64_t Table::get_int(std::string_view key, std::int64_t def) const {
   if (!has(key)) return def;
   const Value& v = require(key);
   if (v.kind != Value::Kind::kInt) {
     throw ConfError(v.loc, "key '" + std::string(key) + "' must be an integer, got " +
                                std::string(Value::kind_name(v.kind)) + " " + v.repr());
-  }
-  if (v.i < min || v.i > max) {
-    throw ConfError(v.loc, "key '" + std::string(key) + "' = " + std::to_string(v.i) +
-                               " is out of range [" + std::to_string(min) + ", " +
-                               std::to_string(max) + "]");
   }
   return v.i;
-}
-
-std::uint64_t Table::get_u64(std::string_view key, std::uint64_t def) const {
-  if (!has(key)) return def;
-  const Value& v = require(key);
-  if (v.kind != Value::Kind::kInt) {
-    throw ConfError(v.loc, "key '" + std::string(key) + "' must be an integer, got " +
-                               std::string(Value::kind_name(v.kind)) + " " + v.repr());
-  }
-  if (v.i < 0) {
-    throw ConfError(v.loc,
-                    "key '" + std::string(key) + "' must be non-negative, got " +
-                        std::to_string(v.i));
-  }
-  return static_cast<std::uint64_t>(v.i);
 }
 
 bool Table::get_bool(std::string_view key, bool def) const {
@@ -481,22 +460,6 @@ std::string Table::get_string(std::string_view key, std::string_view def) const 
                                std::string(Value::kind_name(v.kind)) + " " + v.repr());
   }
   return v.s;
-}
-
-std::string Table::get_name(std::string_view key, std::string_view def,
-                            const std::vector<std::string_view>& allowed) const {
-  const std::string s = get_string(key, def);
-  for (const auto& a : allowed) {
-    if (s == a) return s;
-  }
-  std::string list;
-  for (const auto& a : allowed) {
-    if (!list.empty()) list += ", ";
-    list += a;
-  }
-  const SourceLoc where = has(key) ? loc(key) : SourceLoc{};
-  throw ConfError(where, "key '" + std::string(key) + "' = '" + s +
-                             "' is not one of {" + list + "}");
 }
 
 const SourceLoc& Table::loc(std::string_view key) const {

@@ -88,17 +88,12 @@ class Table {
   [[nodiscard]] bool has(std::string_view key) const;
 
   /// Typed getters with a default for absent keys. Present-but-wrong-type
-  /// (or out-of-range) throws ConfError naming the value's file:line.
-  [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def,
-                                     std::int64_t min = INT64_MIN,
-                                     std::int64_t max = INT64_MAX) const;
-  [[nodiscard]] std::uint64_t get_u64(std::string_view key, std::uint64_t def) const;
+  /// throws ConfError naming the value's file:line. A key's range is its
+  /// consumer's (conf::scenario_keys(), the harness rows): each checks a
+  /// value as the text its flag would take.
+  [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;
   [[nodiscard]] std::string get_string(std::string_view key, std::string_view def) const;
-  /// get_string restricted to a closed name set; rejects others listing
-  /// the alternatives.
-  [[nodiscard]] std::string get_name(std::string_view key, std::string_view def,
-                                     const std::vector<std::string_view>& allowed) const;
 
   /// Location of a key (for consumers that need to point at it). The key
   /// must exist.

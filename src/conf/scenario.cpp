@@ -1,26 +1,130 @@
 #include "conf/scenario.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "conf/strict_parse.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace bcsim::conf {
 
+namespace {
+
+/// What a flavor sets: its data protocol, and the consistency, lock and
+/// barrier a run keeps unless it names its own.
+struct FlavorDefaults {
+  std::string_view name;
+  core::DataProtocol protocol;
+  core::Consistency consistency;
+  core::LockImpl lock;
+  core::BarrierImpl barrier;
+};
+
+constexpr std::string_view to_string(const FlavorDefaults& f) noexcept { return f.name; }
+
+constexpr FlavorDefaults kFlavors[] = {
+    {"paper", core::DataProtocol::kReadUpdate, core::Consistency::kBuffered,
+     core::LockImpl::kCbl, core::BarrierImpl::kCbl},
+    {"wbi", core::DataProtocol::kWbi, core::Consistency::kSequential, core::LockImpl::kTts,
+     core::BarrierImpl::kCentral},
+    {"cbl-on-wbi", core::DataProtocol::kWbi, core::Consistency::kSequential,
+     core::LockImpl::kCbl, core::BarrierImpl::kCbl},
+};
+
+constexpr std::string_view kKinds[] = {"work-queue", "sync-model", "solver", "stencil",
+                                       "grid",       "fft",        "trace"};
+constexpr std::string_view kBools[] = {"false", "true"};
+constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+
+template <typename T, typename C>
+C class_of(T C::*);
+
+/// A row's field: member F of the part of the Scenario of F's class.
+template <auto F>
+KeyField field(Scenario& s) {
+  auto parts = std::tie(s.machine, s.workload, s.workload.work_queue, s.workload.sync_model,
+                        s.workload.solver, s.workload.stencil, s.workload.grid, s.workload.fft);
+  return &(std::get<decltype(class_of(F))&>(parts).*F);
+}
+
+using M = MachineSpec;
+using W = WorkloadSpec;
+using WQ = workload::WorkQueueConfig;
+using SM = workload::SyncModelConfig;
+using LS = workload::LinearSolverConfig;
+using ST = workload::StencilConfig;
+using GS = workload::GridStencilConfig;
+using FP = workload::FftPhasesConfig;
+
+const ScenarioKey kKeys[] = {
+    {"machine.nodes", "--nodes", "", field<&M::nodes>, {}, 1},
+    {"machine.flavor", "--machine", "", field<&M::flavor>, kNames<kFlavors>},
+    {"machine.consistency", "--consistency", "", field<&M::consistency>, kNames<kConsistencies>},
+    {"machine.lock", "--lock", "", field<&M::lock>, kNames<kLocks>},
+    {"machine.barrier", "--barrier", "", field<&M::barrier>, kNames<kBarriers>},
+    {"machine.network", "--network", "", field<&M::network>, kNames<kNetworks>},
+    {"machine.net_buffer_depth", "--buffer-depth", "", field<&M::buffer_depth>},
+    {"machine.dir_limit", "--dir-limit", "", field<&M::dir_limit>},
+    {"machine.dir_overflow", "--dir-overflow", "", field<&M::dir_overflow>, kNames<kDirOverflows>},
+    {"machine.dir_region", "--dir-region", "", field<&M::dir_region>, {}, 1},
+    {"machine.block_words", "--block-words", "", field<&M::block_words>, {}, 1, 32},
+    {"machine.seed", "--seed", "", field<&M::seed>},
+    {"machine.schedule_seed", "--schedule-seed", "", field<&M::schedule_seed>},
+    {"machine.invariants", "--check-invariants", "", field<&M::invariants>,
+     kNames<kInvariantLevels>},
+    {"machine.fault_plan", "--fault-plan", "", field<&M::fault_plan>},
+    {"machine.watchdog", "--watchdog", "", field<&M::watchdog>},
+    {"machine.watchdog_stalls", "", "", field<&M::watchdog_stalls>, {}, 1},
+    {"machine.trace_dump", "--trace-dump", "", field<&M::trace_dump>},
+    {"workload.kind", "--workload", "", field<&W::kind>, kKinds},
+    {"workload.tasks", "--tasks", "work-queue", field<&WQ::total_tasks>, {}, 1},
+    {"workload.grain", "--grain", "work-queue", field<&WQ::grain>},
+    {"workload.initial_tasks", "", "work-queue", field<&WQ::initial_tasks>},
+    {"workload.shared_blocks", "", "work-queue", field<&WQ::n_shared_blocks>, {}, 1},
+    {"workload.shared_pct", "", "work-queue", field<&WQ::shared_ratio>},
+    {"workload.read_pct", "", "work-queue", field<&WQ::read_ratio>},
+    {"workload.spawn_pct", "", "work-queue", field<&WQ::spawn_prob>},
+    {"workload.tasks_per_proc", "--tasks", "sync-model", field<&SM::tasks_per_proc>, {}, 1, kMax,
+     true},
+    {"workload.grain", "--grain", "sync-model", field<&SM::grain>},
+    {"workload.shared_blocks", "", "sync-model", field<&SM::n_shared_blocks>, {}, 1},
+    {"workload.locks", "", "sync-model", field<&SM::n_locks>, {}, 1},
+    {"workload.cs_references", "", "sync-model", field<&SM::cs_references>},
+    {"workload.shared_pct", "", "sync-model", field<&SM::shared_ratio>},
+    {"workload.read_pct", "", "sync-model", field<&SM::read_ratio>},
+    {"workload.lock_pct", "", "sync-model", field<&SM::lock_ratio>},
+    {"workload.schedule_seed", "", "sync-model", field<&SM::schedule_seed>},
+    {"workload.iterations", "--iters", "solver", field<&LS::iterations>, {}, 1},
+    {"workload.matrix_seed", "", "solver", field<&LS::matrix_seed>},
+    {"workload.separate_x_blocks", "", "solver", field<&LS::separate_x_blocks>},
+    {"workload.cells_per_proc", "", "stencil", field<&ST::cells_per_proc>, {}, 1},
+    {"workload.sweeps", "--iters", "stencil", field<&ST::sweeps>, {}, 1},
+    {"workload.data_seed", "", "stencil", field<&ST::data_seed>},
+    {"workload.grid", "", "grid", field<&GS::grid>, {}, 2},
+    {"workload.sweeps", "--iters", "grid", field<&GS::sweeps>, {}, 1},
+    {"workload.data_seed", "", "grid", field<&GS::data_seed>},
+    {"workload.words_per_region", "", "fft", field<&FP::words_per_region>, {}, 1},
+    {"workload.data_seed", "", "fft", field<&FP::data_seed>},
+    {"workload.file", "", "trace", field<&W::trace_file>},
+};
+
+}  // namespace
+
 core::MachineConfig build_machine(const MachineSpec& o) {
   core::MachineConfig cfg;
   cfg.n_nodes = o.nodes;
   cfg.block_words = o.block_words;
-  cfg.network = parse_network(o.network);
+  cfg.network = parse_enum<kNetworks>("machine.network", o.network);
   cfg.net_buffer_depth = o.buffer_depth;
   cfg.dir_pointer_limit = o.dir_limit;
-  cfg.dir_overflow = parse_dir_overflow(o.dir_overflow);
+  cfg.dir_overflow = parse_enum<kDirOverflows>("machine.dir_overflow", o.dir_overflow);
   cfg.dir_region_nodes = o.dir_region;
   cfg.seed = o.seed;
   cfg.schedule_seed = o.schedule_seed;
-  cfg.invariants = parse_invariants(o.invariants);
+  cfg.invariants = parse_enum<kInvariantLevels>("machine.invariants", o.invariants);
   cfg.trace = o.trace;
   cfg.trace_capacity = o.trace_capacity;
   cfg.trace_dump = o.trace_dump;
@@ -40,28 +144,14 @@ core::MachineConfig build_machine(const MachineSpec& o) {
       cfg.watchdog_interval = 4096;
     }
   }
-  if (o.consistency != "sc" && o.consistency != "bc") {
-    throw UsageError("unknown consistency '" + o.consistency + "' (sc, bc)");
-  }
-  if (o.flavor == "paper") {
-    cfg.data_protocol = core::DataProtocol::kReadUpdate;
-    cfg.consistency = o.consistency == "sc" ? core::Consistency::kSequential
-                                            : core::Consistency::kBuffered;
-    cfg.lock_impl = core::LockImpl::kCbl;
-    cfg.barrier_impl = core::BarrierImpl::kCbl;
-  } else if (o.flavor == "wbi") {
-    cfg.data_protocol = core::DataProtocol::kWbi;
-    cfg.lock_impl = core::LockImpl::kTts;
-    cfg.barrier_impl = core::BarrierImpl::kCentral;
-  } else if (o.flavor == "cbl-on-wbi") {
-    cfg.data_protocol = core::DataProtocol::kWbi;
-    cfg.lock_impl = core::LockImpl::kCbl;
-    cfg.barrier_impl = core::BarrierImpl::kCbl;
-  } else {
-    throw UsageError("unknown machine '" + o.flavor + "'");
-  }
-  if (!o.lock.empty()) cfg.lock_impl = parse_lock(o.lock);
-  if (!o.barrier.empty()) cfg.barrier_impl = parse_barrier(o.barrier);
+  const FlavorDefaults flavor = parse_enum<kFlavors>("machine.flavor", o.flavor);
+  cfg.data_protocol = flavor.protocol;
+  cfg.consistency = o.consistency.empty()
+                        ? flavor.consistency
+                        : parse_enum<kConsistencies>("machine.consistency", o.consistency);
+  cfg.lock_impl = o.lock.empty() ? flavor.lock : parse_enum<kLocks>("machine.lock", o.lock);
+  cfg.barrier_impl =
+      o.barrier.empty() ? flavor.barrier : parse_enum<kBarriers>("machine.barrier", o.barrier);
   try {
     cfg.validate();
   } catch (const std::invalid_argument& e) {
@@ -70,56 +160,68 @@ core::MachineConfig build_machine(const MachineSpec& o) {
   return cfg;
 }
 
-namespace {
+std::span<const ScenarioKey> scenario_keys() noexcept { return kKeys; }
 
-constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
-
-/// Present-only percentage knob: leaves the struct's double default
-/// untouched when the key is absent, so config-built defaults stay
-/// bit-identical to flag-built ones.
-void pct(const Table& t, std::string_view key, double& field) {
-  if (t.has(key)) {
-    field = static_cast<double>(t.get_int(key, 0, 0, 100)) / 100.0;
-  }
+std::string key_text(Scenario s, const ScenarioKey& k) {
+  return std::visit(Overloaded{
+                        [](std::string* f) { return *f; },
+                        [](bool* f) { return std::string(kBools[*f ? 1 : 0]); },
+                        [](double* f) { return std::to_string(std::llround(*f * 100)); },
+                        [](auto* f) { return std::to_string(*f); },
+                    },
+                    k.field(s));
 }
 
-void u32_knob(const Table& t, std::string_view key, std::uint32_t& field,
-              std::int64_t min = 0, std::int64_t max = kU32Max) {
-  field = static_cast<std::uint32_t>(t.get_int(key, field, min, max));
+namespace {
+
+/// Sets a row's field from its text: a flag value, or a config value as
+/// the text its flag would take. Throws UsageError naming `what` for a
+/// malformed, out-of-range or unknown value.
+void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const std::string& what) {
+  const auto number = [&](std::uint64_t type_max) {
+    return parse_u64(what, text, k.min, std::min(k.max, type_max));
+  };
+  std::visit(Overloaded{
+                 [&]<typename T>(T* f) {
+                   *f = static_cast<T>(number(std::numeric_limits<T>::max()));
+                 },
+                 [&](double* f) { *f = static_cast<double>(number(100)) / 100.0; },
+                 [&](bool* f) { *f = name_index(what, text, kBools) == 1; },
+                 [&](std::string* f) {
+                   if (!k.names.empty() && text != key_text(Scenario{}, k)) {
+                     (void)name_index(what, text, k.names);
+                   }
+                   *f = text;
+                 },
+             },
+             k.field(s));
 }
 
 }  // namespace
 
 Scenario resolve_scenario(const Table& t) {
   Scenario s;
-  MachineSpec& m = s.machine;
-  u32_knob(t, "machine.nodes", m.nodes, 1);
-  m.flavor = t.get_name("machine.flavor", m.flavor, {"paper", "wbi", "cbl-on-wbi"});
-  m.consistency = t.get_name("machine.consistency", m.consistency, {"sc", "bc"});
-  m.lock = t.get_name("machine.lock", m.lock,
-                      {"", "cbl", "tts", "tts-backoff", "ticket", "mcs"});
-  m.barrier = t.get_name("machine.barrier", m.barrier, {"", "cbl", "central", "tree"});
-  m.network =
-      t.get_name("machine.network", m.network, {"omega", "crossbar", "mesh", "ideal"});
-  u32_knob(t, "machine.net_buffer_depth", m.buffer_depth);
-  u32_knob(t, "machine.dir_limit", m.dir_limit);
-  m.dir_overflow =
-      t.get_name("machine.dir_overflow", m.dir_overflow, {"broadcast", "coarse"});
-  u32_knob(t, "machine.dir_region", m.dir_region, 1);
-  u32_knob(t, "machine.block_words", m.block_words, 1, 32);
-  m.seed = t.get_u64("machine.seed", m.seed);
-  m.schedule_seed = t.get_u64("machine.schedule_seed", m.schedule_seed);
-  m.invariants =
-      t.get_name("machine.invariants", m.invariants, {"off", "quiesce", "full"});
-  m.fault_plan = t.get_string("machine.fault_plan", m.fault_plan);
-  m.watchdog = t.get_u64("machine.watchdog", m.watchdog);
-  u32_knob(t, "machine.watchdog_stalls", m.watchdog_stalls, 1);
-  m.trace_dump = t.get_u64("machine.trace_dump", m.trace_dump);
-
+  // A config value enters its row as the text its flag would take, so the
+  // two spellings share one range check; its error names file:line.
+  const auto read = [&](const ScenarioKey& k) {
+    if (!t.has(k.key)) return;
+    const std::string text = std::visit(
+        Overloaded{
+            [&](std::string*) { return t.get_string(k.key, ""); },
+            [&](bool*) { return std::string(kBools[t.get_bool(k.key, false) ? 1 : 0]); },
+            [&](auto*) { return std::to_string(t.get_int(k.key, 0)); },
+        },
+        k.field(s));
+    try {
+      set_key(s, k, text, std::string(k.key));
+    } catch (const UsageError& e) {
+      throw ConfError(t.loc(k.key), e.what());
+    }
+  };
+  for (const ScenarioKey& k : kKeys) {
+    if (k.kind.empty()) read(k);
+  }
   WorkloadSpec& w = s.workload;
-  w.kind = t.get_name(
-      "workload.kind", w.kind,
-      {"work-queue", "sync-model", "solver", "stencil", "grid", "fft", "trace"});
   const std::string source = t.get_string("workload.source", "");
   if (!source.empty()) {
     constexpr std::string_view kPrefix = "trace:";
@@ -130,67 +232,55 @@ Scenario resolve_scenario(const Table& t) {
     }
     w.kind = "trace";
     w.trace_file = source.substr(kPrefix.size());
+  }
+  for (const ScenarioKey& k : kKeys) {
+    if (k.kind.empty()) continue;
     // `source` usually arrives as a -k override re-driving a config whose
     // [workload] describes the run the trace was recorded from; those
     // model knobs are part of the provenance, not schema violations.
-    for (const char* knob :
-         {"workload.tasks", "workload.grain", "workload.initial_tasks",
-          "workload.shared_blocks", "workload.shared_pct", "workload.read_pct",
-          "workload.spawn_pct", "workload.tasks_per_proc", "workload.locks",
-          "workload.cs_references", "workload.lock_pct", "workload.schedule_seed",
-          "workload.iterations", "workload.matrix_seed", "workload.separate_x_blocks",
-          "workload.cells_per_proc", "workload.sweeps", "workload.data_seed",
-          "workload.grid", "workload.words_per_region"}) {
-      t.consume(knob);
+    if (!source.empty()) {
+      t.consume(k.key);
+    } else if (k.kind == w.kind) {
+      read(k);
     }
   }
-  if (w.kind == "work-queue") {
-    u32_knob(t, "workload.tasks", w.work_queue.total_tasks, 1);
-    u32_knob(t, "workload.grain", w.work_queue.grain);
-    u32_knob(t, "workload.initial_tasks", w.work_queue.initial_tasks);
-    u32_knob(t, "workload.shared_blocks", w.work_queue.n_shared_blocks, 1);
-    pct(t, "workload.shared_pct", w.work_queue.shared_ratio);
-    pct(t, "workload.read_pct", w.work_queue.read_ratio);
-    pct(t, "workload.spawn_pct", w.work_queue.spawn_prob);
-  } else if (w.kind == "sync-model") {
-    u32_knob(t, "workload.tasks_per_proc", w.sync_model.tasks_per_proc, 1);
-    u32_knob(t, "workload.grain", w.sync_model.grain);
-    u32_knob(t, "workload.shared_blocks", w.sync_model.n_shared_blocks, 1);
-    u32_knob(t, "workload.locks", w.sync_model.n_locks, 1);
-    u32_knob(t, "workload.cs_references", w.sync_model.cs_references);
-    pct(t, "workload.shared_pct", w.sync_model.shared_ratio);
-    pct(t, "workload.read_pct", w.sync_model.read_ratio);
-    pct(t, "workload.lock_pct", w.sync_model.lock_ratio);
-    w.sync_model.schedule_seed =
-        t.get_u64("workload.schedule_seed", w.sync_model.schedule_seed);
-  } else if (w.kind == "solver") {
-    u32_knob(t, "workload.iterations", w.solver.iterations, 1);
-    w.solver.matrix_seed = t.get_u64("workload.matrix_seed", w.solver.matrix_seed);
-    w.solver.separate_x_blocks =
-        t.get_bool("workload.separate_x_blocks", w.solver.separate_x_blocks);
-  } else if (w.kind == "stencil") {
-    u32_knob(t, "workload.cells_per_proc", w.stencil.cells_per_proc, 1);
-    u32_knob(t, "workload.sweeps", w.stencil.sweeps, 1);
-    w.stencil.data_seed = t.get_u64("workload.data_seed", w.stencil.data_seed);
-  } else if (w.kind == "grid") {
-    u32_knob(t, "workload.grid", w.grid.grid, 2);
-    u32_knob(t, "workload.sweeps", w.grid.sweeps, 1);
-    w.grid.data_seed = t.get_u64("workload.data_seed", w.grid.data_seed);
-  } else if (w.kind == "fft") {
-    u32_knob(t, "workload.words_per_region", w.fft.words_per_region, 1);
-    w.fft.data_seed = t.get_u64("workload.data_seed", w.fft.data_seed);
-  } else {  // trace
-    if (w.trace_file.empty()) {
-      w.trace_file = t.get_string("workload.file", "");
-    } else {
-      t.consume("workload.file");
-    }
-    if (w.trace_file.empty()) {
-      throw ConfError(t.has("workload.kind") ? t.loc("workload.kind") : SourceLoc{},
-                      "workload kind 'trace' needs 'source = trace:<file>'");
-    }
+  if (w.kind == "trace" && w.trace_file.empty()) {
+    throw ConfError(t.has("workload.kind") ? t.loc("workload.kind") : SourceLoc{},
+                    "workload kind 'trace' needs 'source = trace:<file>'");
   }
   return s;
+}
+
+void apply_flags(Scenario& s, const std::vector<Flag>& flags) {
+  // Machine flags and --workload first: a kind's flags see the final kind
+  // and node count.
+  for (const bool kind_pass : {false, true}) {
+    for (const Flag& f : flags) {
+      const ScenarioKey* row = nullptr;
+      bool kind_flag = false;
+      for (const ScenarioKey& k : kKeys) {
+        if (k.flag != f.name) continue;
+        kind_flag = !k.kind.empty();
+        if (k.kind.empty() || k.kind == s.workload.kind) row = &k;
+      }
+      if (kind_flag != kind_pass) continue;
+      if (row == nullptr) {
+        throw UsageError(kind_flag ? f.name + " is not read by workload kind '" +
+                                         s.workload.kind + "'"
+                                   : "unknown flag '" + f.name + "'");
+      }
+      std::string text = f.value;
+      if (row->per_proc) {
+        const std::uint64_t tasks =
+            parse_u64(f.name, f.value, 0, std::numeric_limits<std::uint32_t>::max());
+        text = std::to_string(std::max<std::uint64_t>(1, tasks / std::max(1u, s.machine.nodes)));
+      }
+      set_key(s, *row, text, f.name);
+    }
+  }
+  if (s.workload.kind == "trace" && s.workload.trace_file.empty()) {
+    throw UsageError("--workload trace needs -k workload.source=trace:<file>");
+  }
 }
 
 WorkloadInstance::WorkloadInstance(core::Machine& m, const WorkloadSpec& spec)

@@ -1,30 +1,21 @@
 // Scenario: the one construction path from a declarative description —
-// flag values or a resolved config Table — to a live MachineConfig and
-// workload. Both the legacy flag path and `--config` runs funnel through
-// build_machine()/WorkloadInstance, which is what makes a config-built
-// run bit-identical to its flag-built equivalent (the golden conformance
-// grid in tests/test_configs.cpp pins this).
-//
-// Config schema (docs/CONFIGS.md):
-//
-//   [machine]
-//   nodes = 16            flavor = paper        consistency = bc
-//   lock = cbl            barrier = cbl
-//   network = omega       net_buffer_depth = 0  block_words = 4
-//   dir_limit = 0         dir_overflow = broadcast   dir_region = 4
-//   seed = 1              schedule_seed = 0     invariants = off
-//   fault_plan = drop:p=0.05;seed=3             watchdog = 0
-//   watchdog_stalls = 3   trace_dump = 64
-//
-//   [workload]
-//   kind = work-queue     # work-queue | sync-model | solver | stencil
-//                         # | grid | fft  — or source = trace:<file>
-//   ... per-model knobs (see resolve_scenario) ...
+// `run`/`trace` flags or a resolved config Table — to a live MachineConfig
+// and workload. One key table (scenario_keys()) reads both: each
+// [machine]/[workload] knob is one row naming its config key, its flag
+// spelling (if it has one), its field and its one range or name set, so a
+// flag-built run is bit-identical to the config run with the same keys
+// (tests/test_configs.cpp and the conf_*_matches_flags ctest entries pin
+// this). docs/CONFIGS.md lists the rows.
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "conf/conf.hpp"
 #include "core/config.hpp"
@@ -38,14 +29,14 @@
 
 namespace bcsim::conf {
 
-/// Machine description in flag vocabulary (names, not enums). Defaults
-/// mirror the historical CLI defaults exactly.
+/// Machine description in flag vocabulary (names, not enums); the
+/// defaults are the [machine] keys' defaults.
 struct MachineSpec {
   std::uint32_t nodes = 16;
   std::string flavor = "paper";  ///< paper | wbi | cbl-on-wbi
-  std::string consistency = "bc";
-  std::string lock{};     ///< empty: the flavor's default
-  std::string barrier{};  ///< empty: the flavor's default
+  std::string consistency{};     ///< empty: the flavor's default
+  std::string lock{};            ///< empty: the flavor's default
+  std::string barrier{};         ///< empty: the flavor's default
   std::string network = "omega";
   std::uint32_t buffer_depth = 0;
   std::uint32_t dir_limit = 0;
@@ -58,14 +49,16 @@ struct MachineSpec {
   std::string fault_plan{};
   std::uint64_t watchdog = 0;
   std::uint32_t watchdog_stalls = 3;
-  std::size_t trace_dump = 64;
+  std::uint64_t trace_dump = 64;
   bool trace = false;  ///< event-trace recorder (the `trace` subcommand)
   std::size_t trace_capacity = std::size_t{1} << 16;
 };
 
-/// Resolves a MachineSpec into a validated MachineConfig — the exact
-/// mapping the CLI's historical build_config performed. Unknown names and
-/// a configuration cfg.validate() rejects throw UsageError.
+/// Resolves a MachineSpec into a validated MachineConfig: the flavor sets
+/// the data protocol and the default consistency, lock and barrier; a
+/// given consistency, lock or barrier replaces its default. Unknown names
+/// and a configuration cfg.validate() rejects (BC on a WBI flavor, a
+/// software lock on the paper machine) throw UsageError.
 [[nodiscard]] core::MachineConfig build_machine(const MachineSpec& spec);
 
 /// Workload description: one of the six built-in models (each carrying
@@ -86,12 +79,54 @@ struct Scenario {
   WorkloadSpec workload;
 };
 
+/// A knob's field: a number, a whole percentage (held as a ratio), a
+/// boolean, or a name or text.
+using KeyField = std::variant<std::uint32_t*, std::uint64_t*, double*, bool*, std::string*>;
+
+/// One [machine] or [workload] knob. resolve_scenario() reads its config
+/// key through the row and apply_flags() its flag, so the two spellings
+/// share one default (the Scenario's) and one range.
+struct ScenarioKey {
+  std::string_view key;   ///< "machine.nodes"
+  std::string_view flag;  ///< "--nodes"; "" when only the key spells it
+  std::string_view kind;  ///< the workload kind that reads it; "" for every run
+  KeyField (*field)(Scenario&);
+  /// A name's choices; a name key also accepts its default, so an empty
+  /// lock, barrier or consistency keeps the flavor's.
+  std::span<const std::string_view> names{};
+  std::uint64_t min = 0;  ///< numbers; a percentage is also at most 100
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();  ///< capped by the field's type
+  /// The flag counts tasks machine-wide and the key per processor: the
+  /// key is max(1, flag / nodes).
+  bool per_proc = false;
+};
+
+/// Every row: the machine keys, `workload.kind`, then each kind's keys.
+[[nodiscard]] std::span<const ScenarioKey> scenario_keys() noexcept;
+
+/// A row's field as text, the value its flag or key takes.
+[[nodiscard]] std::string key_text(Scenario s, const ScenarioKey& k);
+
 /// Resolves the [machine] and [workload] sections of a parsed config into
 /// a Scenario, consuming every key it understands. Schema violations
 /// (bad type, out of range, unknown enum name) throw ConfError naming
 /// the offending key's file:line. The caller finishes with
 /// Table::expect_all_consumed to reject unknown keys.
 [[nodiscard]] Scenario resolve_scenario(const Table& t);
+
+/// A `run`/`trace` flag and its value text.
+struct Flag {
+  std::string name;  ///< "--nodes"
+  std::string value;
+};
+
+/// Applies flags over a resolved Scenario through the rows (flags win over
+/// the file and -k): the machine flags and --workload first, then each
+/// flag of the selected kind, so --tasks on the sync model divides by the
+/// final node count. Throws UsageError naming the flag for a bad value, a
+/// flag no row spells, a flag the selected kind does not read, or a trace
+/// kind without a file.
+void apply_flags(Scenario& s, const std::vector<Flag>& flags);
 
 /// Constructs the selected workload on a machine and registers its
 /// programs (spawn_all). Keeps the workload object alive for post-run

@@ -3,28 +3,26 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 namespace bcsim::conf {
 
-std::uint64_t parse_u64(const std::string& what, const std::string& s) {
+std::uint64_t parse_u64(const std::string& what, const std::string& s, std::uint64_t min,
+                        std::uint64_t max) {
   const bool looks_numeric =
       !s.empty() && std::isdigit(static_cast<unsigned char>(s[0])) != 0;
   if (looks_numeric) {
     errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end == '\0' && errno != ERANGE) return v;
+    if (*end == '\0' && errno != ERANGE) {
+      if (v < min || v > max) {
+        throw UsageError(what + " " + s + " is out of range [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "]");
+      }
+      return v;
+    }
   }
   throw UsageError(what + " expects a non-negative integer, got '" + s + "'");
-}
-
-std::uint32_t parse_u32(const std::string& what, const std::string& s) {
-  const std::uint64_t v = parse_u64(what, s);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw UsageError(what + " value " + s + " is out of range");
-  }
-  return static_cast<std::uint32_t>(v);
 }
 
 void split_list(const std::string& list,
@@ -39,41 +37,15 @@ void split_list(const std::string& list,
   }
 }
 
-core::LockImpl parse_lock(const std::string& s) {
-  if (s == "cbl") return core::LockImpl::kCbl;
-  if (s == "tts") return core::LockImpl::kTts;
-  if (s == "tts-backoff") return core::LockImpl::kTtsBackoff;
-  if (s == "ticket") return core::LockImpl::kTicket;
-  if (s == "mcs") return core::LockImpl::kMcs;
-  throw UsageError("unknown lock '" + s + "'");
-}
-
-core::BarrierImpl parse_barrier(const std::string& s) {
-  if (s == "cbl") return core::BarrierImpl::kCbl;
-  if (s == "central") return core::BarrierImpl::kCentral;
-  if (s == "tree") return core::BarrierImpl::kTree;
-  throw UsageError("unknown barrier '" + s + "'");
-}
-
-sim::InvariantLevel parse_invariants(const std::string& s) {
-  if (s == "off") return sim::InvariantLevel::kOff;
-  if (s == "quiesce") return sim::InvariantLevel::kQuiesce;
-  if (s == "full") return sim::InvariantLevel::kFull;
-  throw UsageError("unknown invariant level '" + s + "'");
-}
-
-core::NetworkKind parse_network(const std::string& s) {
-  if (s == "omega") return core::NetworkKind::kOmega;
-  if (s == "crossbar") return core::NetworkKind::kCrossbar;
-  if (s == "mesh") return core::NetworkKind::kMesh;
-  if (s == "ideal") return core::NetworkKind::kIdeal;
-  throw UsageError("unknown network '" + s + "'");
-}
-
-core::DirOverflow parse_dir_overflow(const std::string& s) {
-  if (s == "broadcast") return core::DirOverflow::kBroadcast;
-  if (s == "coarse") return core::DirOverflow::kCoarse;
-  throw UsageError("unknown --dir-overflow '" + s + "' (broadcast, coarse)");
+std::size_t name_index(std::string_view what, std::string_view name,
+                       std::span<const std::string_view> names) {
+  std::string list;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return i;
+    list += (i == 0 ? "" : ", ") + std::string(names[i]);
+  }
+  throw UsageError(std::string(what) + " '" + std::string(name) + "' is not one of {" + list +
+                   "}");
 }
 
 }  // namespace bcsim::conf

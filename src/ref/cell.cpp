@@ -12,22 +12,6 @@
 
 namespace bcsim::ref {
 
-const char* to_string(Flavor f) noexcept {
-  switch (f) {
-    case Flavor::kWbi: return "wbi";
-    case Flavor::kRu: return "ru";
-    case Flavor::kCbl: return "cbl";
-  }
-  return "?";
-}
-
-std::optional<Flavor> parse_flavor(std::string_view s) noexcept {
-  if (s == "wbi") return Flavor::kWbi;
-  if (s == "ru") return Flavor::kRu;
-  if (s == "cbl") return Flavor::kCbl;
-  return std::nullopt;
-}
-
 core::MachineConfig cell_config(const Cell& c) {
   core::MachineConfig cfg;
   cfg.n_nodes = c.nodes;
@@ -177,23 +161,14 @@ std::string key_text(const Cell& c, const CellKey& k) {
 }
 
 void set_key(Cell& c, const CellKey& k, const std::string& text) {
-  const auto in_range = [&](std::uint64_t max) {
-    const std::uint64_t v = conf::parse_u64(k.name, text);
-    if (v < k.min || v > max) {
-      throw conf::UsageError(std::string(k.name) + " " + text + " is out of range [" +
-                             std::to_string(k.min) + ", " + std::to_string(max) + "]");
-    }
-    return v;
-  };
   struct {
     Cell& c;
     const std::string& text;
-    const decltype(in_range)& number;
-    void operator()(std::uint64_t Cell::*f) const {
-      c.*f = number(std::numeric_limits<std::uint64_t>::max());
-    }
+    const CellKey& k;
+    void operator()(std::uint64_t Cell::*f) const { c.*f = conf::parse_u64(k.name, text, k.min); }
     void operator()(std::uint32_t Cell::*f) const {
-      c.*f = static_cast<std::uint32_t>(number(std::numeric_limits<std::uint32_t>::max()));
+      c.*f = static_cast<std::uint32_t>(
+          conf::parse_u64(k.name, text, k.min, std::numeric_limits<std::uint32_t>::max()));
     }
     void operator()(std::string Cell::*f) const {
       try {
@@ -203,16 +178,14 @@ void set_key(Cell& c, const CellKey& k, const std::string& text) {
       }
       c.*f = text;
     }
-    void operator()(Flavor Cell::*f) const {
-      const auto flavor = parse_flavor(text);
-      if (!flavor) throw conf::UsageError("unknown flavor '" + text + "' (wbi, ru, cbl)");
-      c.*f = *flavor;
+    void operator()(Flavor Cell::*f) const { c.*f = conf::parse_enum<kFlavors>(k.name, text); }
+    void operator()(core::NetworkKind Cell::*f) const {
+      c.*f = conf::parse_enum<conf::kNetworks>(k.name, text);
     }
-    void operator()(core::NetworkKind Cell::*f) const { c.*f = conf::parse_network(text); }
     void operator()(core::DirOverflow Cell::*f) const {
-      c.*f = conf::parse_dir_overflow(text);
+      c.*f = conf::parse_enum<conf::kDirOverflows>(k.name, text);
     }
-  } visitor{c, text, in_range};
+  } visitor{c, text, k};
   std::visit(visitor, k.field);
 }
 

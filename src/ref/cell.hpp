@@ -30,7 +30,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -46,10 +45,17 @@ enum class Flavor : std::uint8_t {
   kCbl,  ///< CBL synchronization on the WBI data protocol
 };
 
-[[nodiscard]] const char* to_string(Flavor f) noexcept;
+[[nodiscard]] constexpr const char* to_string(Flavor f) noexcept {
+  switch (f) {
+    case Flavor::kWbi: return "wbi";
+    case Flavor::kRu: return "ru";
+    case Flavor::kCbl: return "cbl";
+  }
+  return "?";
+}
 
-/// Parses "wbi" / "ru" / "cbl".
-[[nodiscard]] std::optional<Flavor> parse_flavor(std::string_view s) noexcept;
+/// Every flavor; a flavor's name is its to_string (conf::parse_enum).
+inline constexpr Flavor kFlavors[] = {Flavor::kWbi, Flavor::kRu, Flavor::kCbl};
 
 /// Every field that builds the cell's run: its machine configuration, the
 /// DRF program it runs and the tick budget it runs under.

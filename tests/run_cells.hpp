@@ -5,8 +5,8 @@
 // the CLI takes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "conf/scenario.hpp"
 
@@ -31,14 +31,14 @@ inline conf::WorkloadSpec work_queue(std::uint32_t tasks, std::uint32_t grain) {
 }
 
 /// The workload of `bcsim run --workload <workload> --tasks <tasks>
-/// --grain <grain>`: the sync model gets tasks / nodes tasks per processor,
-/// as the CLI maps --tasks.
+/// --grain <grain>` on the cell's machine, through the CLI's flag rows (the
+/// sync model gets tasks / nodes tasks per processor).
 inline conf::WorkloadSpec workload(const RunCell& c) {
-  conf::WorkloadSpec w = work_queue(c.tasks, c.grain);
-  w.kind = c.workload;
-  w.sync_model.tasks_per_proc = std::max(1u, c.tasks / std::max(1u, c.machine.nodes));
-  w.sync_model.grain = c.grain;
-  return w;
+  conf::Scenario s{c.machine, {}};
+  conf::apply_flags(s, {{"--workload", c.workload},
+                        {"--tasks", std::to_string(c.tasks)},
+                        {"--grain", std::to_string(c.grain)}});
+  return s.workload;
 }
 
 /// The three machines (WBI with a TTS lock and a central barrier, WBI

@@ -11,9 +11,12 @@
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "conf/conf.hpp"
 #include "conf/scenario.hpp"
+#include "conf/strict_parse.hpp"
 
 namespace bcsim::conf {
 namespace {
@@ -241,23 +244,8 @@ TEST(ConfTable, GettersEnforceTypeNamingTheSource) {
                     {"<string>:3", "must be a string"});
   expect_conf_error([&] { (void)t.get_bool("m.num", false); },
                     {"<string>:3", "must be a boolean"});
-  expect_conf_error([&] { (void)t.get_u64("m.flag", 0); },
+  expect_conf_error([&] { (void)t.get_int("m.flag", 0); },
                     {"<string>:4", "must be an integer"});
-}
-
-TEST(ConfTable, GettersEnforceRange) {
-  const Table t = parse_string("[m]\nnodes = 0\nneg = -5\n");
-  expect_conf_error([&] { (void)t.get_int("m.nodes", 1, 1, 1024); },
-                    {"<string>:2", "out of range", "[1, 1024]"});
-  expect_conf_error([&] { (void)t.get_u64("m.neg", 0); },
-                    {"<string>:3", "non-negative"});
-}
-
-TEST(ConfTable, GetNameListsTheAlternatives) {
-  const Table t = parse_string("[m]\nnetwork = hypercube\n");
-  expect_conf_error(
-      [&] { (void)t.get_name("m.network", "omega", {"omega", "mesh"}); },
-      {"<string>:2", "hypercube", "{omega, mesh}"});
 }
 
 TEST(ConfTable, UnknownKeyRejectedWithLocation) {
@@ -306,8 +294,8 @@ TEST(ConfScenario, ResolvesMachineAndWorkload) {
 }
 
 TEST(ConfScenario, AbsentKeysKeepFlagDefaults) {
-  // An empty config resolves to the CLI's historical defaults — the
-  // bit-identity anchor of the conformance grid.
+  // An empty config resolves to the Scenario's defaults, which are also
+  // the defaults of a run given only flags.
   const Table t = parse_string("");
   const Scenario s = resolve_scenario(t);
   const MachineSpec d;
@@ -349,6 +337,164 @@ TEST(ConfScenario, UnknownFlavorListsTheChoices) {
   const Table t = parse_string("[machine]\nflavor = dragon\n");
   expect_conf_error([&] { (void)resolve_scenario(t); },
                     {"<string>:2", "dragon", "paper"});
+}
+
+TEST(ConfScenario, EveryUnknownNameListsTheChoices) {
+  // Every name key (each machine enum, the flavor, the workload kind)
+  // rejects an unknown name listing its choices: as a key naming
+  // file:line, as a flag naming the flag, and as a MachineSpec field
+  // handed to build_machine.
+  std::size_t seen = 0;
+  for (const ScenarioKey& k : scenario_keys()) {
+    if (k.names.empty()) continue;
+    ++seen;
+    SCOPED_TRACE(std::string(k.key));
+    const auto expect_choices = [&](const std::string& msg) {
+      EXPECT_NE(msg.find("dragon"), std::string::npos) << msg;
+      for (const std::string_view name : k.names) {
+        EXPECT_NE(msg.find(name), std::string::npos) << "'" << name << "' missing from: " << msg;
+      }
+    };
+    const std::string section(k.key.substr(0, k.key.find('.')));
+    const Table t = parse_string("[" + section + "]\n" +
+                                 std::string(k.key.substr(section.size() + 1)) + " = dragon\n");
+    try {
+      (void)resolve_scenario(t);
+      ADD_FAILURE() << "the key accepted 'dragon'";
+    } catch (const ConfError& e) {
+      EXPECT_NE(std::string(e.what()).find("<string>:2"), std::string::npos) << e.what();
+      expect_choices(e.what());
+    }
+    Scenario s;
+    try {
+      apply_flags(s, {{std::string(k.flag), "dragon"}});
+      ADD_FAILURE() << "the flag accepted 'dragon'";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(k.flag), std::string::npos) << e.what();
+      expect_choices(e.what());
+    }
+    if (!k.key.starts_with("machine.")) continue;
+    *std::get<std::string*>(k.field(s)) = "dragon";
+    try {
+      (void)build_machine(s.machine);
+      ADD_FAILURE() << "build_machine accepted 'dragon'";
+    } catch (const UsageError& e) {
+      expect_choices(e.what());
+    }
+  }
+  EXPECT_EQ(seen, 8u) << "flavor, consistency, lock, barrier, network, dir_overflow, "
+                         "invariants and the workload kind";
+}
+
+TEST(ConfScenario, EveryFlagIsAnotherSpellingOfItsKey) {
+  // For every row with a flag: a sample value gives the same Scenario as
+  // a flag and as a key (with the row's kind selected), and a value out of
+  // the key's range, or an unknown name, is rejected both ways.
+  const auto by_flag = [](const ScenarioKey& k, const std::string& text) {
+    Scenario s;
+    std::vector<Flag> flags;
+    if (!k.kind.empty()) flags.push_back({"--workload", std::string(k.kind)});
+    flags.push_back({std::string(k.flag), text});
+    apply_flags(s, flags);
+    return s;
+  };
+  const auto by_key = [](const ScenarioKey& k, const std::string& text) {
+    std::vector<Override> keys;
+    if (!k.kind.empty()) keys.push_back({"workload.kind", std::string(k.kind)});
+    keys.push_back({std::string(k.key), text});
+    const Table t = parse_string("", keys);
+    const Scenario s = resolve_scenario(t);
+    t.expect_all_consumed();
+    return s;
+  };
+  const auto rejected = [](auto make) {
+    try {
+      const Scenario s = make();
+      (void)build_machine(s.machine);
+    } catch (const UsageError&) {
+      return true;
+    } catch (const ConfError&) {
+      return true;
+    }
+    return false;
+  };
+  const Scenario defaults;
+  std::size_t seen = 0;
+  for (const ScenarioKey& k : scenario_keys()) {
+    if (k.flag.empty()) continue;
+    ++seen;
+    SCOPED_TRACE(std::string(k.flag) + " / " + std::string(k.key));
+    Scenario probe;
+    const KeyField f = k.field(probe);
+    std::string sample;
+    std::vector<std::string> bad;
+    if (std::holds_alternative<std::string*>(f)) {
+      sample = k.names.empty() ? "drop" : std::string(k.names[1]);
+      bad = {k.names.empty() ? "no-such-plan" : "dragon"};
+    } else {
+      sample = std::to_string(k.min + 2);
+      bad = {"-1", "4x"};
+      if (k.min > 0 && !k.per_proc) bad.push_back(std::to_string(k.min - 1));
+      const std::uint64_t max = std::holds_alternative<std::uint32_t*>(f)
+                                    ? std::min<std::uint64_t>(k.max, UINT32_MAX)
+                                    : k.max;
+      if (max < UINT64_MAX) bad.push_back(std::to_string(max + 1));
+    }
+    // --tasks on the sync model counts tasks machine-wide: 16 nodes.
+    const std::string flag_sample =
+        k.per_proc ? std::to_string((k.min + 2) * defaults.machine.nodes) : sample;
+    const Scenario a = by_flag(k, flag_sample);
+    const Scenario b = by_key(k, sample);
+    EXPECT_EQ(key_text(b, k), sample);
+    EXPECT_NE(key_text(b, k), key_text(defaults, k)) << "the sample is the default";
+    for (const ScenarioKey& r : scenario_keys()) {
+      EXPECT_EQ(key_text(a, r), key_text(b, r)) << r.key;
+    }
+    for (const std::string& v : bad) {
+      EXPECT_TRUE(rejected([&] { return by_flag(k, v); })) << "flag accepted " << v;
+      EXPECT_TRUE(rejected([&] { return by_key(k, v); })) << "key accepted " << v;
+    }
+  }
+  EXPECT_EQ(seen, 25u);  // 17 machine flags, --workload and 7 kind rows
+}
+
+TEST(ConfScenario, AFlagTheKindDoesNotReadIsAUsageError) {
+  for (const auto& [kind, flag] : {std::pair{"solver", "--tasks"}, std::pair{"stencil", "--grain"},
+                                   std::pair{"work-queue", "--iters"}}) {
+    Scenario s;
+    try {
+      apply_flags(s, {{flag, "5"}, {"--workload", kind}});
+      ADD_FAILURE() << kind << " read " << flag;
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(flag), std::string::npos) << msg;
+      EXPECT_NE(msg.find(kind), std::string::npos) << msg;
+    }
+  }
+  Scenario s;
+  EXPECT_THROW(apply_flags(s, {{"--workload", "trace"}}), UsageError);
+  EXPECT_THROW(apply_flags(s, {{"--bogus", "1"}}), UsageError);
+}
+
+TEST(ConfScenario, FlagsWinOverKeys) {
+  const Table t = parse_string("[machine]\nnodes = 4\n[workload]\nkind = sync-model\n"
+                               "tasks_per_proc = 6\n");
+  Scenario s = resolve_scenario(t);
+  apply_flags(s, {{"--tasks", "64"}, {"--nodes", "8"}});
+  EXPECT_EQ(s.machine.nodes, 8u);
+  EXPECT_EQ(s.workload.sync_model.tasks_per_proc, 8u);  // 64 tasks over the final 8 nodes
+}
+
+TEST(ConfScenario, ConsistencyIsAFlavorDefault) {
+  EXPECT_EQ(build_machine({.flavor = "paper"}).consistency, core::Consistency::kBuffered);
+  EXPECT_EQ(build_machine({.flavor = "wbi"}).consistency, core::Consistency::kSequential);
+  EXPECT_EQ(build_machine({.flavor = "cbl-on-wbi"}).consistency, core::Consistency::kSequential);
+  EXPECT_EQ(build_machine({.flavor = "paper", .consistency = "sc"}).consistency,
+            core::Consistency::kSequential);
+  // A given consistency applies on every flavor, so BC on WBI is rejected
+  // rather than ignored.
+  EXPECT_THROW((void)build_machine({.flavor = "wbi", .consistency = "bc"}), UsageError);
+  EXPECT_THROW((void)build_machine({.flavor = "cbl-on-wbi", .consistency = "bc"}), UsageError);
 }
 
 TEST(ConfScenario, ZeroNodesOutOfRange) {

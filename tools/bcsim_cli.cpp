@@ -1,56 +1,24 @@
 // bcsim — command-line experiment driver.
 //
 // One binary to configure the machine, pick a workload, run it, and dump
-// results (human-readable report and/or CSV for plotting). Runs are
-// described either by flags or by a declarative config file — both funnel
-// through the same construction path (src/conf/scenario.hpp), so a
-// config-built run is bit-identical to its flag-built equivalent:
+// results (human-readable report and/or CSV for plotting). A run is
+// described by flags, by a config file, or by both. One key table
+// (conf::scenario_keys()) reads the [machine]/[workload] keys and their
+// flags: a flag is another spelling of its key, with the key's default and
+// range, so a run given only flags is bit-identical to the config run with
+// the same keys. docs/CONFIGS.md lists every key with its flag, default
+// and range; --tasks, --grain and --iters spell the selected workload
+// kind's keys. Flags win over the file and over -k.
 //
-//   bcsim --nodes 32 --machine paper --workload work-queue --tasks 256
-//         --grain 100 --report
-//   bcsim run --config configs/paper-baseline.conf
+//   bcsim --nodes 32 --machine paper --workload work-queue --grain 100 --report
 //   bcsim run --config configs/paper-baseline.conf -k machine.nodes=64
+//   bcsim run -k machine.nodes=8 --tasks 16
 //
-// Config files (docs/CONFIGS.md): INI sections, `include "file"` layering,
-// integer/boolean expressions with $(key) references, `-k key=value`
-// overrides applied last, strict unknown-key/type/range errors naming
-// file:line. `--dump-config` prints the resolved table and exits.
-//
-// Flags (defaults in brackets; every flag overrides the config file):
-//   --config PATH        load a [machine]/[workload] config file
-//   -k key=value         override one config key (repeatable)
+// Flags outside the table:
+//   --config PATH        load a config file (docs/CONFIGS.md: INI sections,
+//                        `include` layering, expressions, errors at file:line)
+//   -k key=value         override one config key, after the file (repeatable)
 //   --dump-config        print the resolved config table and exit
-//   --nodes N            processors [16]
-//   --machine M          paper | wbi | cbl-on-wbi [paper]
-//   --consistency C      sc | bc (paper machine only) [bc]
-//   --lock L             cbl | tts | tts-backoff | ticket | mcs [per machine]
-//   --barrier B          cbl | central | tree [per machine]
-//   --network NET        omega | crossbar | mesh | ideal [omega]
-//   --buffer-depth B     per-port fabric buffer depth; 0 = the paper's
-//                        infinite buffering, B > 0 = bounded with
-//                        credit-based flow control (DESIGN.md, "Bounded
-//                        fabric") [0]
-//   --dir-limit K        directory pointer budget; 0 = full map [0]
-//   --dir-overflow O     broadcast (Dir_k-B) | coarse (region-bit vector)
-//                        — what happens past the pointer budget [broadcast]
-//   --dir-region R       nodes per coarse-vector region [4]
-//   --block-words W      cache line size in words [4]
-//   --workload W         work-queue | sync-model | solver | stencil | grid
-//                        | fft | trace [work-queue]
-//   --tasks N            work-queue task budget [256]
-//   --grain G            references per task [100]
-//   --iters K            solver iterations / stencil sweeps [8]
-//   --seed S             RNG seed [1]
-//   --schedule-seed S    same-tick event tie-break (0 = FIFO order) [0]
-//   --check-invariants L off | quiesce | full (docs/TESTING.md) [off]
-//   --fault-plan P       arm a fault plan: a registry name (bcsim chaos
-//                        lists them on a typo) or an inline spec like
-//                        'drop:p=0.05;seed=3' (sim/fault_plan.hpp) [off]
-//   --watchdog T         liveness watchdog interval in ticks; armed
-//                        automatically when --fault-plan injects network
-//                        faults (core/watchdog.hpp) [0 = off]
-//   --trace-dump N       trace-tail records dumped with an invariant or
-//                        watchdog diagnosis [64]
 //   --csv PATH           write all statistics as CSV
 //   --report             print the full statistics report
 //
@@ -59,9 +27,9 @@
 //
 // Subcommands:
 //
-// `run` and `trace` read only the flags above, plus their own: --record,
-// --trace-out, --trace-csv and --trace-capacity are `trace` flags, and any
-// other flag is a usage error naming the mode.
+// `run` and `trace` read only the table's flags and the flags above, plus
+// their own: --record, --trace-out, --trace-csv and --trace-capacity are
+// `trace` flags, and any other flag is a usage error naming the mode.
 //
 //   bcsim trace [run flags] [--trace-out PATH] [--trace-csv PATH]
 //               [--trace-capacity N]
@@ -72,9 +40,10 @@
 // chrome://tracing or Perfetto) [trace.json], plus an optional flat CSV.
 // With --record: captures the per-processor *primitive* streams (plus the
 // machine width and pre-run memory) into a replayable trace file
-// [trace.tr]; feeding it back through `--workload trace` (config:
-// `source = trace:<file>`) reproduces the run bit-identically — same
-// digest, same retired-op counts. See docs/OBSERVABILITY.md, docs/CONFIGS.md.
+// [trace.tr] and prints a `replay:` line, `bcsim run` with every machine
+// knob that differs from its default and `-k workload.source=trace:<file>`,
+// which reproduces the run bit-identically — same digest, same retired-op
+// counts. See docs/OBSERVABILITY.md, docs/CONFIGS.md.
 //
 //   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--schedules M]
 //              [--first-program S] [--first-schedule S] [--nodes N]
@@ -136,9 +105,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -160,31 +126,21 @@ namespace {
 [[noreturn]] void usage_error(const std::string& msg) { throw conf::UsageError(msg); }
 
 struct Options {
-  conf::MachineSpec machine;
-  /// Workload selection in flag vocabulary; workload_spec() resolves it
-  /// (merged over the config file's [workload], when one was given).
-  std::string workload = "work-queue";
-  std::uint32_t tasks = 256;
-  std::uint32_t grain = 100;
-  std::uint32_t iters = 8;
-  bool workload_set = false, tasks_set = false, grain_set = false, iters_set = false;
-  conf::WorkloadSpec config_workload;  ///< from --config; defaults otherwise
-  bool from_config = false;
+  conf::Scenario scenario;
   std::string csv;
   bool report = false;
   // `trace` subcommand
   bool trace = false;
-  bool record = false;  ///< --record: primitive (replayable) trace capture
-  std::string trace_out;
-  bool trace_out_set = false;
+  bool record = false;    ///< --record: primitive (replayable) trace capture
+  std::string trace_out;  ///< "" until given: trace.tr with --record, else trace.json
   std::string trace_csv;
 };
 
-/// Scans argv for --config / -k / --dump-config, parses the file (with
-/// overrides applied), and returns the resolved table — or nullopt when no
-/// --config was given. --dump-config prints the table and exits 0 here,
-/// before any schema consumption (the dump is the parser's view).
-std::optional<conf::Table> load_config(int first, int argc, char** argv) {
+/// The config table of every mode: the --config file if one is given (an
+/// empty table otherwise), then the -k overrides. --dump-config prints the
+/// table and exits 0 here, before any schema consumption (the dump is the
+/// parser's view).
+conf::Table load_table(int first, int argc, char** argv) {
   std::string path;
   std::vector<conf::Override> overrides;
   bool dump = false;
@@ -204,12 +160,8 @@ std::optional<conf::Table> load_config(int first, int argc, char** argv) {
       dump = true;
     }
   }
-  if (path.empty()) {
-    if (dump) usage_error("--dump-config requires --config");
-    if (!overrides.empty()) usage_error("-k overrides require --config");
-    return std::nullopt;
-  }
-  conf::Table t = conf::parse_file(path, overrides);
+  conf::Table t =
+      path.empty() ? conf::parse_string("", overrides) : conf::parse_file(path, overrides);
   if (dump) {
     t.dump(std::cout);
     std::exit(0);
@@ -230,61 +182,53 @@ Options parse_args(int argc, char** argv) {
   } else if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
     first = 2;  // `run` is the (optional) name of the default mode
   }
-  if (const auto t = load_config(first, argc, argv)) {
-    const conf::Scenario sc = conf::resolve_scenario(*t);
-    t->expect_all_consumed({"diff", "model", "chaos", "check"});
-    o.machine = sc.machine;
-    o.config_workload = sc.workload;
-    o.workload = sc.workload.kind;
-    o.from_config = true;
-  }
+  const conf::Table t = load_table(first, argc, argv);
+  o.scenario = conf::resolve_scenario(t);
+  t.expect_all_consumed({"diff", "model", "chaos", "check"});
   // The flags only `trace` reads: `run` rejects them, so a flag is never
   // silently ignored.
   const std::string_view trace_flags[] = {"--record", "--trace-out", "--trace-csv",
                                           "--trace-capacity"};
+  const auto keys = conf::scenario_keys();
+  std::vector<conf::Flag> flags;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (!o.trace && std::find(std::begin(trace_flags), std::end(trace_flags), a) !=
                         std::end(trace_flags)) {
       usage_error("`bcsim run` does not read " + a);
     }
-    if (a == "--config" || a == "-k") ++i;  // handled by load_config
-    else if (a == "--dump-config") {}       // handled by load_config
-    else if (a == "--nodes") o.machine.nodes = conf::parse_u32(a, need(i));
-    else if (a == "--machine") o.machine.flavor = need(i);
-    else if (a == "--consistency") o.machine.consistency = need(i);
-    else if (a == "--lock") o.machine.lock = need(i);
-    else if (a == "--barrier") o.machine.barrier = need(i);
-    else if (a == "--network") o.machine.network = need(i);
-    else if (a == "--buffer-depth") o.machine.buffer_depth = conf::parse_u32(a, need(i));
-    else if (a == "--dir-limit") o.machine.dir_limit = conf::parse_u32(a, need(i));
-    else if (a == "--dir-overflow") o.machine.dir_overflow = need(i);
-    else if (a == "--dir-region") o.machine.dir_region = conf::parse_u32(a, need(i));
-    else if (a == "--block-words") o.machine.block_words = conf::parse_u32(a, need(i));
-    else if (a == "--workload") { o.workload = need(i); o.workload_set = true; }
-    else if (a == "--tasks") { o.tasks = conf::parse_u32(a, need(i)); o.tasks_set = true; }
-    else if (a == "--grain") { o.grain = conf::parse_u32(a, need(i)); o.grain_set = true; }
-    else if (a == "--iters") { o.iters = conf::parse_u32(a, need(i)); o.iters_set = true; }
-    else if (a == "--seed") o.machine.seed = conf::parse_u64(a, need(i));
-    else if (a == "--schedule-seed") o.machine.schedule_seed = conf::parse_u64(a, need(i));
-    else if (a == "--check-invariants") o.machine.invariants = need(i);
-    else if (a == "--fault-plan") o.machine.fault_plan = need(i);
-    else if (a == "--watchdog") o.machine.watchdog = conf::parse_u64(a, need(i));
-    else if (a == "--trace-dump") o.machine.trace_dump = conf::parse_u64(a, need(i));
+    if (a == "--config" || a == "-k") ++i;  // read by load_table
+    else if (a == "--dump-config") {}       // read by load_table
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--report") o.report = true;
     else if (a == "--record") o.record = true;
-    else if (a == "--trace-out") { o.trace_out = need(i); o.trace_out_set = true; }
+    else if (a == "--trace-out") o.trace_out = need(i);
     else if (a == "--trace-csv") o.trace_csv = need(i);
-    else if (a == "--trace-capacity") o.machine.trace_capacity = conf::parse_u64(a, need(i));
-    else usage_error("unknown flag '" + a + "'");
+    else if (a == "--trace-capacity") {
+      o.scenario.machine.trace_capacity = conf::parse_u64(a, need(i));
+    } else if (std::any_of(keys.begin(), keys.end(),
+                           [&](const conf::ScenarioKey& k) { return k.flag == a; })) {
+      flags.push_back({a, need(i)});
+    } else {
+      usage_error("unknown flag '" + a + "'");
+    }
   }
+  conf::apply_flags(o.scenario, flags);
   // The event-trace recorder serves the Chrome-JSON mode; primitive
   // recording (--record) must leave the machine identical to a plain run
   // so the captured digest matches a replay's.
-  o.machine.trace = o.trace && !o.record;
-  if (!o.trace_out_set) o.trace_out = o.record ? "trace.tr" : "trace.json";
+  o.scenario.machine.trace = o.trace && !o.record;
+  if (o.trace_out.empty()) o.trace_out = o.record ? "trace.tr" : "trace.json";
   return o;
+}
+
+/// A value as one shell word: quoted when a shell would split or expand it
+/// (inline fault specs).
+std::string shell_word(const std::string& v) {
+  const bool plain = v.find_first_not_of(
+                         "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+                         "_.,:=+-/") == std::string::npos;
+  return plain ? v : "'" + v + "'";
 }
 
 // ---------------------------------------------------------------------------
@@ -302,11 +246,6 @@ using tool::HarnessOptions;
 
 template <typename T>
 using Field = T HarnessOptions::*;
-
-template <typename... Fs>
-struct Overloaded : Fs... {
-  using Fs::operator()...;
-};
 
 constexpr unsigned kDiff = ref::bit(Harness::kDiff);
 constexpr unsigned kModel = ref::bit(Harness::kModel);
@@ -354,28 +293,23 @@ void apply(HarnessOptions& o, const Knob& k, const std::string& text) {
     }
     conf::split_list(text, [&](const std::string& s) { list.push_back(parse(s)); });
   };
-  std::visit(Overloaded{
-                 [&](Field<std::uint64_t> f) {
-                   o.*f = conf::parse_u64(k.name, text);
-                   if (o.*f < k.min) {
-                     usage_error(std::string(k.name) + " " + text + " is out of range [" +
-                                 std::to_string(k.min) + ", " +
-                                 std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]");
-                   }
-                 },
+  std::visit(conf::Overloaded{
+                 [&](Field<std::uint64_t> f) { o.*f = conf::parse_u64(k.name, text, k.min); },
                  [&](Field<bool> f) { o.*f = true; },
                  [&](Field<std::string> f) { o.*f = text; },
                  [&](Field<std::vector<std::string>> f) {
                    each(o.*f, [](const std::string& s) { return s; });
                  },
                  [&](Field<std::vector<ref::Flavor>> f) {
-                   each(o.*f, [](const std::string& s) {
-                     const auto flavor = ref::parse_flavor(s);
-                     if (!flavor) usage_error("unknown flavor '" + s + "' (wbi, ru, cbl)");
-                     return *flavor;
+                   each(o.*f, [&](const std::string& s) {
+                     return conf::parse_enum<ref::kFlavors>(k.name, s);
                    });
                  },
-                 [&](Field<std::vector<core::NetworkKind>> f) { each(o.*f, conf::parse_network); },
+                 [&](Field<std::vector<core::NetworkKind>> f) {
+                   each(o.*f, [&](const std::string& s) {
+                     return conf::parse_enum<conf::kNetworks>(k.name, s);
+                   });
+                 },
              },
              k.field);
 }
@@ -391,7 +325,7 @@ std::string render(const HarnessOptions& o, const Knob& k) {
     return s;
   };
   return std::visit(
-      Overloaded{
+      conf::Overloaded{
           [&](Field<std::uint64_t> f) { return std::to_string(o.*f); },
           [&](Field<bool>) { return std::string(); },
           [&](Field<std::string> f) { return o.*f; },
@@ -422,43 +356,42 @@ std::string config_text(const conf::Table& t, const std::string& key, bool numer
 HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
   HarnessOptions o = tool::harness_defaults(h);
   const std::string section = ref::to_string(h);
-  if (const auto t = load_config(2, argc, argv)) {
-    // One pass per table; a value's error names its file:line.
-    const auto each_key = [&](const char* name, unsigned harnesses, auto set) {
-      const std::string key = config_key(h, name);
-      if ((harnesses & ref::bit(h)) == 0 || !t->has(key)) return;
-      try {
-        set(key);
-      } catch (const conf::UsageError& e) {
-        throw conf::ConfError(t->loc(key), e.what());
+  const conf::Table t = load_table(2, argc, argv);
+  // One pass per table; a value's error names its file:line.
+  const auto each_key = [&](const char* name, unsigned harnesses, auto set) {
+    const std::string key = config_key(h, name);
+    if ((harnesses & ref::bit(h)) == 0 || !t.has(key)) return;
+    try {
+      set(key);
+    } catch (const conf::UsageError& e) {
+      throw conf::ConfError(t.loc(key), e.what());
+    }
+  };
+  for (const Knob& k : kKnobs) {
+    each_key(k.name, k.harnesses, [&](const std::string& key) {
+      if (std::holds_alternative<Field<bool>>(k.field)) {
+        o.*std::get<Field<bool>>(k.field) = t.get_bool(key, false);
+      } else {
+        apply(o, k, config_text(t, key, std::holds_alternative<Field<std::uint64_t>>(k.field)));
       }
-    };
-    for (const Knob& k : kKnobs) {
-      each_key(k.name, k.harnesses, [&](const std::string& key) {
-        if (std::holds_alternative<Field<bool>>(k.field)) {
-          o.*std::get<Field<bool>>(k.field) = t->get_bool(key, false);
-        } else {
-          apply(o, k, config_text(*t, key, std::holds_alternative<Field<std::uint64_t>>(k.field)));
-        }
-      });
-    }
-    for (const ref::CellKey& k : ref::cell_keys()) {
-      each_key(k.name, k.harnesses, [&](const std::string& key) {
-        const bool numeric = std::holds_alternative<std::uint64_t ref::Cell::*>(k.field) ||
-                             std::holds_alternative<std::uint32_t ref::Cell::*>(k.field);
-        ref::set_key(o.cell, k, config_text(*t, key, numeric));
-      });
-    }
-    std::vector<std::string_view> others = {"machine", "workload"};
-    for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos, Harness::kCheck}) {
-      if (x != h) others.push_back(ref::to_string(x));
-    }
-    t->expect_all_consumed(others);
+    });
   }
+  for (const ref::CellKey& k : ref::cell_keys()) {
+    each_key(k.name, k.harnesses, [&](const std::string& key) {
+      const bool numeric = std::holds_alternative<std::uint64_t ref::Cell::*>(k.field) ||
+                           std::holds_alternative<std::uint32_t ref::Cell::*>(k.field);
+      ref::set_key(o.cell, k, config_text(t, key, numeric));
+    });
+  }
+  std::vector<std::string_view> others = {"machine", "workload"};
+  for (const Harness x : {Harness::kDiff, Harness::kModel, Harness::kChaos, Harness::kCheck}) {
+    if (x != h) others.push_back(ref::to_string(x));
+  }
+  t.expect_all_consumed(others);
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--config" || a == "-k") {
-      ++i;  // handled by load_config
+      ++i;  // read by load_table
       continue;
     }
     if (a == "--dump-config") continue;
@@ -493,12 +426,7 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
 std::string tool::command_line(const HarnessOptions& o) {
   std::string s = std::string("bcsim ") + ref::to_string(o.harness);
   const auto flag = [&](const char* name, const std::string& v) {
-    if (v.empty()) return;
-    // Quote values a shell would split or expand (inline fault specs).
-    const bool plain = v.find_first_not_of(
-                           "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-                           "_.,:=+-/") == std::string::npos;
-    s += std::string(" --") + name + " " + (plain ? v : "'" + v + "'");
+    if (!v.empty()) s += std::string(" --") + name + " " + shell_word(v);
   };
   for (const Knob& k : kKnobs) {
     if ((k.harnesses & ref::bit(o.harness)) != 0 && k.replayed) flag(k.name, render(o, k));
@@ -511,38 +439,38 @@ std::string tool::command_line(const HarnessOptions& o) {
 
 namespace {
 
-/// Resolves the run's WorkloadSpec: the config file's [workload] (or the
-/// defaults) overlaid with the legacy flag knobs. Flag-only runs apply
-/// --tasks/--grain/--iters unconditionally (the historical mapping, which
-/// e.g. set stencil sweeps to --iters' default 8); with a config file only
-/// explicitly-passed flags override the resolved values.
-conf::WorkloadSpec workload_spec(const Options& o) {
-  conf::WorkloadSpec wl = o.config_workload;
-  wl.kind = o.workload;
-  const bool all = !o.from_config;
-  if (all || o.tasks_set) {
-    wl.work_queue.total_tasks = o.tasks;
-    wl.sync_model.tasks_per_proc = std::max(1u, o.tasks / std::max(1u, o.machine.nodes));
-  }
-  if (all || o.grain_set) {
-    wl.work_queue.grain = o.grain;
-    wl.sync_model.grain = o.grain;
-  }
-  if (all || o.iters_set) {
-    wl.solver.iterations = o.iters;
-    wl.stencil.sweeps = o.iters;
-    wl.grid.sweeps = o.iters;
-  }
-  return wl;
-}
-
 /// `bcsim trace --record`: run the scenario with the primitive recorder
 /// attached and write a replayable trace file. The machine is configured
 /// exactly like a plain run (no event-trace recorder), so the digest
 /// printed here is what a replay must reproduce.
+/// The line that replays a recorded run: `bcsim run`, every machine knob
+/// that differs from its default (a key without a flag as `-k key=value`),
+/// and the trace as the workload.
+std::string replay_line(const conf::Scenario& s, const std::string& trace_file) {
+  std::string line = "bcsim run";
+  for (const conf::ScenarioKey& k : conf::scenario_keys()) {
+    const std::string v = conf::key_text(s, k);
+    if (!k.key.starts_with("machine.") || v == conf::key_text({}, k)) continue;
+    line += k.flag.empty() ? " -k " + shell_word(std::string(k.key) + "=" + v)
+                           : " " + std::string(k.flag) + " " + shell_word(v);
+  }
+  // A -k value is an expression: a path that is not a bare word (a space,
+  // a '+') goes in as a quoted string literal.
+  std::string source = "trace:" + trace_file;
+  if (source.find_first_not_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+                               "_-.:/=;,") != std::string::npos) {
+    conf::Value quoted;
+    quoted.kind = conf::Value::Kind::kString;
+    quoted.s = source;
+    source = quoted.repr();
+  }
+  return line + " -k " + shell_word("workload.source=" + source);
+}
+
 int run_record(const Options& o) {
-  core::Machine m(conf::build_machine(o.machine));
-  conf::WorkloadInstance w(m, workload_spec(o));
+  const conf::MachineSpec& spec = o.scenario.machine;
+  core::Machine m(conf::build_machine(spec));
+  conf::WorkloadInstance w(m, o.scenario.workload);
   workload::TraceRecorder rec(m);
   const Tick t = m.run();
   rec.detach();
@@ -552,29 +480,26 @@ int run_record(const Options& o) {
     return 1;
   }
   rec.trace().write(out);
-  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", o.machine.flavor.c_str(),
-              w.kind().c_str(), o.machine.nodes,
-              static_cast<unsigned long long>(o.machine.seed));
+  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", spec.flavor.c_str(),
+              w.kind().c_str(), spec.nodes, static_cast<unsigned long long>(spec.seed));
   std::printf("completion: %llu cycles\n", static_cast<unsigned long long>(t));
   std::printf("digest:     %016llx\n",
               static_cast<unsigned long long>(m.stats_digest()));
   std::printf("data:       %016llx\n", static_cast<unsigned long long>(m.data_digest()));
   std::printf("recorded:   %zu primitive records -> %s\n", rec.trace().size(),
               o.trace_out.c_str());
-  std::printf("replay:     bcsim --nodes %u --workload trace ... (config: source = "
-              "trace:%s)\n",
-              o.machine.nodes, o.trace_out.c_str());
+  std::printf("replay:     %s\n", replay_line(o.scenario, o.trace_out).c_str());
   return 0;
 }
 
 int run(const Options& o) {
-  core::Machine m(conf::build_machine(o.machine));
-  conf::WorkloadInstance w(m, workload_spec(o));
+  const conf::MachineSpec& spec = o.scenario.machine;
+  core::Machine m(conf::build_machine(spec));
+  conf::WorkloadInstance w(m, o.scenario.workload);
 
   const Tick t = m.run();
-  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", o.machine.flavor.c_str(),
-              w.kind().c_str(), o.machine.nodes,
-              static_cast<unsigned long long>(o.machine.seed));
+  std::printf("machine=%s workload=%s nodes=%u seed=%llu\n", spec.flavor.c_str(),
+              w.kind().c_str(), spec.nodes, static_cast<unsigned long long>(spec.seed));
   std::printf("completion: %llu cycles\n", static_cast<unsigned long long>(t));
   std::printf("network:    %llu messages, %llu contention cycles\n",
               static_cast<unsigned long long>(m.stats().counter_value("net.messages")),
@@ -652,8 +577,7 @@ int main(int argc, char** argv) {
     if (o.record) return run_record(o);
     return run(o);
   } catch (const conf::UsageError& e) {
-    std::fprintf(stderr, "bcsim: %s\n(see the header of tools/bcsim_cli.cpp for flags)\n",
-                 e.what());
+    std::fprintf(stderr, "bcsim: %s\n(flags: docs/CONFIGS.md, tools/bcsim_cli.cpp)\n", e.what());
     return 2;
   } catch (const conf::ConfError& e) {
     std::fprintf(stderr, "bcsim: %s\n", e.what());
