@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -111,6 +112,13 @@ const ScenarioKey kKeys[] = {
     {"workload.file", "", "trace", field<&W::trace_file>},
 };
 
+/// How a user writes the knob of config key `key`: "key / --flag".
+std::string spelled(std::string_view key) {
+  const auto* row = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                 [&](const ScenarioKey& k) { return k.key == key; });
+  return std::string(key) + " / " + std::string(row->flag);
+}
+
 }  // namespace
 
 core::MachineConfig build_machine(const MachineSpec& o) {
@@ -152,6 +160,25 @@ core::MachineConfig build_machine(const MachineSpec& o) {
   cfg.lock_impl = o.lock.empty() ? flavor.lock : parse_enum<kLocks>("machine.lock", o.lock);
   cfg.barrier_impl =
       o.barrier.empty() ? flavor.barrier : parse_enum<kBarriers>("machine.barrier", o.barrier);
+  // The combinations validate() rejects by the config's field names, named
+  // here by what the user writes.
+  const bool read_update = cfg.data_protocol == core::DataProtocol::kReadUpdate;
+  if (read_update && cfg.lock_impl != core::LockImpl::kCbl) {
+    throw UsageError(spelled("machine.lock") + " '" + o.lock + "' cannot run on " +
+                     spelled("machine.flavor") + " '" + o.flavor +
+                     "': the read-update machine has no coherent plain writes to spin on; "
+                     "its locks are 'cbl'");
+  }
+  if (!read_update && cfg.consistency == core::Consistency::kBuffered) {
+    throw UsageError(spelled("machine.consistency") + " 'bc' cannot run on " +
+                     spelled("machine.flavor") + " '" + o.flavor +
+                     "': buffered consistency orders the read-update machine's global "
+                     "writes, which only 'paper' makes");
+  }
+  if (cfg.dir_overflow == core::DirOverflow::kCoarse && cfg.dir_pointer_limit == 0) {
+    throw UsageError(spelled("machine.dir_overflow") + " 'coarse' needs " +
+                     spelled("machine.dir_limit") + " > 0: a full map never overflows");
+  }
   try {
     cfg.validate();
   } catch (const std::invalid_argument& e) {
@@ -203,7 +230,7 @@ Scenario resolve_scenario(const Table& t) {
   Scenario s;
   // A config value enters its row as the text its flag would take, so the
   // two spellings share one range check; its error names file:line.
-  const auto read = [&](const ScenarioKey& k) {
+  const auto read = [&](Scenario& into, const ScenarioKey& k) {
     if (!t.has(k.key)) return;
     const std::string text = std::visit(
         Overloaded{
@@ -211,15 +238,15 @@ Scenario resolve_scenario(const Table& t) {
             [&](bool*) { return std::string(kBools[t.get_bool(k.key, false) ? 1 : 0]); },
             [&](auto*) { return std::to_string(t.get_int(k.key, 0)); },
         },
-        k.field(s));
+        k.field(into));
     try {
-      set_key(s, k, text, std::string(k.key));
+      set_key(into, k, text, std::string(k.key));
     } catch (const UsageError& e) {
       throw ConfError(t.loc(k.key), e.what());
     }
   };
   for (const ScenarioKey& k : kKeys) {
-    if (k.kind.empty()) read(k);
+    if (k.kind.empty()) read(s, k);
   }
   WorkloadSpec& w = s.workload;
   const std::string source = t.get_string("workload.source", "");
@@ -233,15 +260,31 @@ Scenario resolve_scenario(const Table& t) {
     w.kind = "trace";
     w.trace_file = source.substr(kPrefix.size());
   }
+  // `source` usually arrives as a -k override re-driving a config whose
+  // [workload] describes the run the trace was recorded from; those model
+  // knobs are part of the provenance, not schema violations. Each must
+  // still be a value that some kind's row of its key accepts, or it is the
+  // error it would be without `source` (the first such row's).
+  const auto check_provenance = [&](const ScenarioKey& k) {
+    std::optional<ConfError> rejected;
+    for (const ScenarioKey& row : kKeys) {
+      if (row.key != k.key) continue;
+      try {
+        Scenario scratch;
+        read(scratch, row);
+        return;
+      } catch (const ConfError& e) {
+        if (!rejected) rejected = e;
+      }
+    }
+    throw *rejected;
+  };
   for (const ScenarioKey& k : kKeys) {
     if (k.kind.empty()) continue;
-    // `source` usually arrives as a -k override re-driving a config whose
-    // [workload] describes the run the trace was recorded from; those
-    // model knobs are part of the provenance, not schema violations.
     if (!source.empty()) {
-      t.consume(k.key);
+      if (t.has(k.key)) check_provenance(k);
     } else if (k.kind == w.kind) {
-      read(k);
+      read(s, k);
     }
   }
   if (w.kind == "trace" && w.trace_file.empty()) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/message.hpp"
@@ -37,15 +38,55 @@ struct LockChainNode {
 struct DirectoryEntry {
   // ---- WBI (baseline protocol) ----
   DirState state = DirState::kUncached;
-  std::vector<NodeId> sharers;      ///< full-map sharer set (kShared)
-  NodeId owner = kNoNode;           ///< exclusive owner (kModified)
-
-  // ---- limited-directory overflow (coarse vector) ----
   /// True once this entry exhausted its pointer budget under the
   /// coarse-vector overflow policy (MachineConfig::dir_overflow = kCoarse):
   /// the exact `sharers` pointers have been folded into `region_mask` and
   /// `sharers` stays empty until an invalidation round resets the entry.
+  /// (Declared beside `state` and `owner`, which it packs with.)
   bool coarse = false;
+  NodeId owner = kNoNode;           ///< exclusive owner (kModified)
+  /// Full-map sharer set (kShared), in the order Invs go out.
+  std::vector<NodeId> sharers;
+  /// Membership of `sharers`, so that a GetS, a PutS and the invariant
+  /// checker test it in O(1): node n's bit is bit n % 64 of word n / 64.
+  /// A machine of up to 64 nodes keeps its one word in `sharer_word`; a
+  /// larger one allocates a word per 64 nodes in `sharer_words` when the
+  /// entry gains its first sharer (null before).
+  std::uint64_t sharer_word = 0;
+  std::unique_ptr<std::uint64_t[]> sharer_words;
+
+  /// Whether `n`, a node of the machine, is listed.
+  [[nodiscard]] bool is_sharer(NodeId n) const noexcept {
+    const std::uint64_t w = sharer_words ? sharer_words[n / 64] : n < 64 ? sharer_word : 0;
+    return (w >> (n % 64)) & 1u;
+  }
+  /// The word that holds `n`'s bit, once the entry has its words.
+  [[nodiscard]] std::uint64_t& sharer_word_of(NodeId n) noexcept {
+    return sharer_words ? sharer_words[n / 64] : sharer_word;
+  }
+  /// Lists `n` last unless it is already a sharer of this n_nodes machine.
+  void insert_sharer(NodeId n, std::uint32_t n_nodes) {
+    if (n_nodes > 64 && !sharer_words) {
+      sharer_words = std::make_unique<std::uint64_t[]>((n_nodes + 63) / 64);
+    }
+    std::uint64_t& w = sharer_word_of(n);
+    const std::uint64_t bit = std::uint64_t{1} << (n % 64);
+    if ((w & bit) != 0) return;
+    w |= bit;
+    sharers.push_back(n);
+  }
+  /// Unlists `n`, keeping the others' order.
+  void erase_sharer(NodeId n) {
+    if (!is_sharer(n)) return;
+    sharer_word_of(n) &= ~(std::uint64_t{1} << (n % 64));
+    std::erase(sharers, n);
+  }
+  void clear_sharer_list() noexcept {
+    for (const NodeId n : sharers) sharer_word_of(n) &= ~(std::uint64_t{1} << (n % 64));
+    sharers.clear();
+  }
+
+  // ---- limited-directory overflow (coarse vector: `coarse` above) ----
   /// Region bitmap, 64 regions per word; bit r set means "some node in
   /// region r may hold a copy". Conservative: PutS cannot clear a bit, so
   /// invalidations cover whole regions.
@@ -65,15 +106,16 @@ struct DirectoryEntry {
   net::Message pending{};           ///< original request being serviced
   std::uint32_t acks_outstanding = 0;
 
+  // ---- paper Figure 2b ----
+  /// usage bit: false = queue pointer threads the read-update subscriber
+  /// list; true = it threads a lock queue. (Declared beside
+  /// `acks_outstanding`, which it packs with.)
+  bool usage_lock = false;
+
   /// Requests that arrived while the entry was busy; drained FIFO when the
   /// entry becomes stable again (the paper assumes infinite buffers, so
   /// queuing — not NACKing — is the faithful model).
   std::vector<net::Message> blocked;
-
-  // ---- paper Figure 2b ----
-  /// usage bit: false = queue pointer threads the read-update subscriber
-  /// list; true = it threads a lock queue.
-  bool usage_lock = false;
 
   // ---- read-update subscription list (authoritative mirror) ----
   /// Subscribers, head first. The head is what the hardware queue pointer

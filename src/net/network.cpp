@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -128,254 +129,203 @@ void Network::deliver(const Message& m) {
   fn(m);
 }
 
-OmegaNetwork::OmegaNetwork(sim::Simulator& simulator, sim::StatsRegistry& stats,
-                           std::uint32_t n_nodes, Tick switch_delay, std::uint32_t buffer_depth)
-    : Network(simulator, stats, n_nodes), switch_delay_(switch_delay) {
-  // Degenerate geometry guard: a 1-node machine still builds a 2-wide,
-  // 1-stage fabric (all its traffic is local and bypasses route(), but the
-  // shift amounts in rotl_bits and the routing loop must stay in range).
-  width_ = std::bit_ceil(n_nodes < 2 ? 2u : n_nodes);
-  stages_ = static_cast<std::uint32_t>(std::bit_width(width_) - 1);
-  const std::size_t n_ports = static_cast<std::size_t>(stages_) * width_;
-  port_free_.assign(n_ports, 0);
-  credits_.init(n_ports, buffer_depth);
-  if (credits_.bounded()) {
-    port_stall_.assign(n_ports, 0);
-    enable_credit_counters();
+namespace {
+
+/// The later of two ticks, without a branch: whether a hop waits depends
+/// on the data, so a jump mispredicts (g++ 12 compiles std::max here into
+/// one; this gives a cmov).
+[[nodiscard]] inline Tick later(Tick a, Tick b) noexcept {
+  return __builtin_expect_with_probability(a > b, 1, 0.5) ? a : b;
+}
+
+/// Omega geometry. A 1-node machine still builds a 2-wide, 1-stage fabric
+/// (all its traffic is local and bypasses route(), but the routing shifts
+/// must stay in range).
+std::uint32_t omega_width(std::uint32_t n_nodes) { return std::bit_ceil(std::max(n_nodes, 2u)); }
+std::uint32_t omega_stages(std::uint32_t n_nodes) {
+  return static_cast<std::uint32_t>(std::bit_width(omega_width(n_nodes)) - 1);
+}
+
+/// Mesh geometry: a near-square grid, width >= height. Degenerate shapes
+/// (1x1, 1xN, a ragged last row) fall out naturally: XY routing only ever
+/// visits coordinates between two valid node positions.
+std::uint32_t mesh_columns(std::uint32_t n_nodes) {
+  std::uint32_t cols = 1;
+  while (cols * cols < n_nodes) ++cols;
+  return cols;
+}
+std::uint32_t mesh_rows(std::uint32_t n_nodes) {
+  const std::uint32_t cols = mesh_columns(n_nodes);
+  return (n_nodes + cols - 1) / cols;
+}
+
+}  // namespace
+
+PortFabric::PortFabric(sim::Simulator& simulator, sim::StatsRegistry& stats,
+                       std::uint32_t n_nodes, std::size_t n_ports, Tick hop_delay,
+                       std::uint32_t buffer_depth)
+    : Network(simulator, stats, n_nodes), hop_delay_(hop_delay), depth_(buffer_depth),
+      stride_(buffer_depth == 0 ? 1 : kSlots + buffer_depth), ports_(n_ports * stride_, 0) {
+  if (depth_ > 0) enable_credit_counters();
+}
+
+template <typename Path>
+Tick PortFabric::walk(const Message& m, Tick now, Path path) {
+  // Locals, not members: a store into a port record could alias a member.
+  const Tick flits = flits_of(m);
+  const Tick delay = hop_delay_;
+  Tick* const ports = ports_.data();
+  Tick t = now;  // when the header reaches the next port
+  if (depth_ == 0) {
+    // Contention walk. A port is held until both the tail has streamed
+    // through (flits) and the header has cleared the hop (hop_delay): with
+    // a slow switch the next message cannot enter before the previous
+    // header left.
+    const Tick hold = std::max(flits, delay);
+    const Tick hops = path([&](std::size_t port) {
+      const Tick entry = later(ports[port], t);
+      ports[port] = entry + hold;
+      t = entry + delay;
+    });
+    // Each hop took `delay` plus its wait, so the waits are the rest.
+    count_contention(t - now - hops * delay);
+    // Tail flit arrives flits-1 cycles after the header.
+    return t + (flits - 1);
+  }
+  // Credit walk: claim each port's oldest slot; fill the previous hop's
+  // claim once this hop fixes when the tail leaves it. The first hop's
+  // "previous hop" is a scratch record, so every hop fills one.
+  const std::size_t stride = stride_;
+  const Tick depth = depth_;
+  Tick scratch[2] = {};
+  Tick* prev_busy = &scratch[0];
+  Tick* prev_slot = &scratch[1];
+  Tick stalled = 0;  // every hop's credit wait
+  Tick inject = 0;   // the first hop's: backpressure reached the injecting node
+  bool first = true;
+  const Tick hops = path([&](std::size_t port) {
+    Tick* rec = ports + port * stride;
+    const Tick free_at = later(rec[kBusy], t);
+    const Tick oldest = rec[kOldest];
+    const Tick entry = later(rec[kSlots + oldest], free_at);
+    const Tick stall = entry - free_at;
+    rec[kWaited] += stall;
+    stalled += stall;
+    inject = first ? stall : inject;
+    first = false;
+    // Entry here fixes when the tail clears the previous port: release it.
+    // The freed credit takes one hop to cross back upstream.
+    const Tick exit = entry + flits - 1;
+    *prev_busy = exit;
+    *prev_slot = exit + delay;
+    prev_busy = &rec[kBusy];
+    prev_slot = &rec[kSlots + oldest];
+    rec[kOldest] = oldest + 1 == depth ? 0 : oldest + 1;
+    t = entry + delay;
+  });
+  const Tick arrive = t + (flits - 1);
+  // Ejection into the destination node is never refused, so the last
+  // port's slot drains as the tail arrives.
+  *prev_busy = arrive;
+  *prev_slot = arrive + delay;
+  // Each hop took `delay`, its wait for the port and its wait for a credit.
+  count_contention(t - now - hops * delay - stalled);
+  count_inject_stall(inject);
+  count_credit_stall(stalled - inject);
+  return arrive;
+}
+
+void PortFabric::fabric_report(std::ostream& os) const {
+  if (depth_ == 0) return;
+  os << "fabric: ";
+  describe(os);
+  os << ", buffer depth " << depth_ << "\n"
+     << "  inject stall cycles:  " << inject_stall_cycles() << "\n"
+     << "  credit stall cycles:  " << credit_stall_cycles() << "\n";
+  std::size_t worst = 0;
+  for (std::size_t p = 1; p < ports_.size() / stride_; ++p) {
+    if (ports_[p * stride_ + kWaited] > ports_[worst * stride_ + kWaited]) worst = p;
+  }
+  if (const Tick w = ports_[worst * stride_ + kWaited]; w > 0) {
+    os << "  most backpressured ";
+    describe_port(os, worst);
+    os << " (" << w << " credit-wait cycles)\n";
   }
 }
+
+OmegaNetwork::OmegaNetwork(sim::Simulator& simulator, sim::StatsRegistry& stats,
+                           std::uint32_t n_nodes, Tick switch_delay, std::uint32_t buffer_depth)
+    : PortFabric(simulator, stats, n_nodes,
+                 std::size_t{omega_stages(n_nodes)} * omega_width(n_nodes), switch_delay,
+                 buffer_depth),
+      width_(omega_width(n_nodes)), stages_(omega_stages(n_nodes)) {}
 
 Tick OmegaNetwork::route(const Message& m, Tick now) {
   assert(m.src != m.dst && "local traffic must not reach route()");
   assert(m.src < width_ && m.dst < width_);
-  const Tick flits = flits_of(m);
-  if (credits_.bounded()) return route_bounded(m, now, flits);
-  std::uint32_t wire = m.src;
-  Tick t = now;
-  Tick waited = 0;
-  for (std::uint32_t s = 0; s < stages_; ++s) {
-    // Perfect shuffle into stage s, then destination-tag routing: the
-    // switch sends the message out of port bit(dst, stages-1-s).
-    wire = rotl_bits(wire);
-    const std::uint32_t sw = wire >> 1;
-    const std::uint32_t out = (m.dst >> (stages_ - 1 - s)) & 1u;
-    wire = (sw << 1) | out;
-    Tick& free_at = port_free_[static_cast<std::size_t>(s) * width_ + wire];
-    if (free_at > t) {
-      waited += free_at - t;
-      t = free_at;
+  return walk(m, now, [&](auto&& hop) {
+    // A perfect shuffle into each stage, then destination-tag routing out
+    // of port bit(dst, stages-1-s): each stage shifts the wire left by one
+    // and takes dst's next bit, so after stage s the message is on wire
+    // ((src << (s+1)) | (dst >> (stages-1-s))) & (width-1).
+    const std::uint64_t mask = width_ - 1;
+    std::uint64_t wire = m.src;
+    std::uint64_t tag = std::uint64_t{m.dst} << (64 - stages_);  // dst's top bit first
+    for (std::size_t stage = 0; stage < std::size_t{stages_} * width_; stage += width_) {
+      wire = ((wire << 1) & mask) | (tag >> 63);
+      tag <<= 1;
+      hop(stage + wire);
     }
-    // Port occupied until both the tail has streamed through (flits) and
-    // the header has cleared the switch (switch_delay): with a slow switch
-    // the next message cannot enter before the previous header left.
-    free_at = t + std::max(flits, switch_delay_);
-    t += switch_delay_;    // header advances to the next stage
-  }
-  if (waited > 0) count_contention(waited);
-  // Tail flit arrives flits-1 cycles after the header.
-  return t + (flits - 1);
+    return stages_;
+  });
 }
 
-Tick OmegaNetwork::route_bounded(const Message& m, Tick now, Tick flits) {
-  // Credit walk: claim one buffer slot per stage; a slot's drain time is
-  // known only when the *next* stage accepts the tail, so each claim is
-  // filled one hop late (prev_slot / prev_free carry the deferred state).
-  // The omega is feed-forward, so a path never revisits a port and every
-  // deferred fill completes before any later lookup of that port.
-  std::uint32_t wire = m.src;
-  Tick t = now;
-  Tick waited = 0;
-  std::size_t prev_slot = CreditLedger::kNoSlot;
-  Tick* prev_free = nullptr;
-  for (std::uint32_t s = 0; s < stages_; ++s) {
-    wire = rotl_bits(wire);
-    const std::uint32_t sw = wire >> 1;
-    const std::uint32_t out = (m.dst >> (stages_ - 1 - s)) & 1u;
-    wire = (sw << 1) | out;
-    const std::size_t port = static_cast<std::size_t>(s) * width_ + wire;
-    Tick& free_at = port_free_[port];
-    Tick entry = t;
-    if (free_at > entry) {
-      waited += free_at - entry;
-      entry = free_at;
-    }
-    const Tick credit_at = credits_.available_at(port);
-    if (credit_at > entry) {
-      // Backpressure: all B slots of this port are still waiting on their
-      // returned credits. At stage 0 the stall reaches the injecting node.
-      const Tick stall = credit_at - entry;
-      port_stall_[port] += stall;
-      if (s == 0) {
-        count_inject_stall(stall);
-      } else {
-        count_credit_stall(stall);
-      }
-      entry = credit_at;
-    }
-    if (prev_slot != CreditLedger::kNoSlot) {
-      // Entry to stage s fixes when the tail clears stage s-1: complete
-      // the deferred fill and release the upstream port. The freed credit
-      // takes one switch traversal to cross back upstream.
-      const Tick exit = entry + flits - 1;
-      *prev_free = exit;
-      credits_.set(prev_slot, exit + switch_delay_);
-    }
-    prev_slot = credits_.claim(port);
-    prev_free = &free_at;
-    t = entry + switch_delay_;  // header advances to the next stage
-  }
-  const Tick arrive = t + (flits - 1);
-  // Ejection into the destination node is never refused, so the last
-  // stage's slot drains as the tail arrives.
-  *prev_free = arrive;
-  credits_.set(prev_slot, arrive + switch_delay_);
-  if (waited > 0) count_contention(waited);
-  return arrive;
+void OmegaNetwork::describe(std::ostream& os) const {
+  os << "omega, " << n_nodes() << " nodes (" << stages_ << " stages x " << width_ << " wires)";
 }
 
-void OmegaNetwork::fabric_report(std::ostream& os) const {
-  if (!credits_.bounded()) return;
-  os << "fabric: omega, " << n_nodes() << " nodes (" << stages_ << " stages x " << width_
-     << " wires), buffer depth " << credits_.depth() << "\n"
-     << "  inject stall cycles:  " << inject_stall_cycles() << "\n"
-     << "  credit stall cycles:  " << credit_stall_cycles() << "\n";
-  std::size_t worst = 0;
-  for (std::size_t p = 1; p < port_stall_.size(); ++p) {
-    if (port_stall_[p] > port_stall_[worst]) worst = p;
-  }
-  if (port_stall_[worst] > 0) {
-    os << "  most backpressured port: stage " << worst / width_ << ", wire " << worst % width_
-       << " (" << port_stall_[worst] << " credit-wait cycles)\n";
-  }
+void OmegaNetwork::describe_port(std::ostream& os, std::size_t port) const {
+  os << "port: stage " << port / width_ << ", wire " << port % width_;
 }
 
 MeshNetwork::MeshNetwork(sim::Simulator& simulator, sim::StatsRegistry& stats,
                          std::uint32_t n_nodes, Tick hop_delay, std::uint32_t buffer_depth)
-    : Network(simulator, stats, n_nodes), hop_delay_(hop_delay) {
-  // Near-square grid, width >= height. Degenerate shapes (1x1, 1xN, a
-  // ragged last row) fall out naturally: XY routing only ever visits
-  // coordinates between two valid node positions.
-  cols_ = 1;
-  while (cols_ * cols_ < n_nodes) ++cols_;
-  rows_ = (n_nodes + cols_ - 1) / cols_;
-  const std::size_t n_links = static_cast<std::size_t>(cols_) * rows_ * 4;
-  link_free_.assign(n_links, 0);
-  credits_.init(n_links, buffer_depth);
-  if (credits_.bounded()) {
-    port_stall_.assign(n_links, 0);
-    enable_credit_counters();
-  }
+    : PortFabric(simulator, stats, n_nodes,
+                 std::size_t{mesh_columns(n_nodes)} * mesh_rows(n_nodes) * 4, hop_delay,
+                 buffer_depth),
+      cols_(mesh_columns(n_nodes)), rows_(mesh_rows(n_nodes)), coords_(n_nodes) {
+  for (std::uint32_t n = 0; n < n_nodes; ++n) coords_[n] = {n % cols_, n / cols_};
 }
 
 Tick MeshNetwork::route(const Message& m, Tick now) {
   assert(m.src != m.dst && "local traffic must not reach route()");
   assert(m.src < n_nodes() && m.dst < n_nodes());
-  const Tick flits = flits_of(m);
-  if (credits_.bounded()) return route_bounded(m, now, flits);
-  std::uint32_t x = m.src % cols_;
-  std::uint32_t y = m.src / cols_;
-  const std::uint32_t dx = m.dst % cols_;
-  const std::uint32_t dy = m.dst / cols_;
-  Tick t = now;
-  Tick waited = 0;
-  auto traverse = [&](std::uint32_t dir) {
-    Tick& free_at = link_free_[link_index(x, y, dir)];
-    if (free_at > t) {
-      waited += free_at - t;
-      t = free_at;
-    }
-    // Same occupancy rule as the omega switch port: the link is held until
-    // both the tail streamed through and the header cleared the router.
-    free_at = t + std::max(flits, hop_delay_);
-    t += hop_delay_;
-  };
-  while (x != dx) {
-    const std::uint32_t dir = (dx > x) ? 0u : 1u;
-    traverse(dir);
-    x = (dx > x) ? x + 1 : x - 1;
-  }
-  while (y != dy) {
-    const std::uint32_t dir = (dy > y) ? 2u : 3u;
-    traverse(dir);
-    y = (dy > y) ? y + 1 : y - 1;
-  }
-  if (waited > 0) count_contention(waited);
-  return t + (flits - 1);
+  const Coord s = coords_[m.src];
+  const Coord d = coords_[m.dst];
+  return walk(m, now, [&](auto&& hop) {
+    // X leg along the source's row: +x or -x links, one router (4 links)
+    // apart; then the Y leg along the destination's column from (d.x, s.y),
+    // +y or -y links, one row (4 * cols links) apart.
+    const std::uint32_t x_hops = std::max(s.x, d.x) - std::min(s.x, d.x);
+    const std::uint32_t y_hops = std::max(s.y, d.y) - std::min(s.y, d.y);
+    std::ptrdiff_t link = std::ptrdiff_t{m.src} * 4 + (d.x < s.x ? 1 : 0);
+    std::ptrdiff_t step = d.x < s.x ? -4 : 4;
+    for (std::uint32_t i = 0; i < x_hops; ++i, link += step) hop(static_cast<std::size_t>(link));
+    link = (std::ptrdiff_t{s.y} * cols_ + d.x) * 4 + (d.y < s.y ? 3 : 2);
+    step = (d.y < s.y ? -4 : 4) * std::ptrdiff_t{cols_};
+    for (std::uint32_t i = 0; i < y_hops; ++i, link += step) hop(static_cast<std::size_t>(link));
+    return x_hops + y_hops;
+  });
 }
 
-Tick MeshNetwork::route_bounded(const Message& m, Tick now, Tick flits) {
-  // Same deferred-fill credit walk as the omega (see route_bounded there).
-  // Dimension-order routing never revisits a link within a path, so the
-  // one-hop-late slot fills always complete before a later lookup.
-  std::uint32_t x = m.src % cols_;
-  std::uint32_t y = m.src / cols_;
-  const std::uint32_t dx = m.dst % cols_;
-  const std::uint32_t dy = m.dst / cols_;
-  Tick t = now;
-  Tick waited = 0;
-  std::size_t prev_slot = CreditLedger::kNoSlot;
-  Tick* prev_free = nullptr;
-  auto traverse = [&](std::uint32_t dir) {
-    const std::size_t link = link_index(x, y, dir);
-    Tick& free_at = link_free_[link];
-    Tick entry = t;
-    if (free_at > entry) {
-      waited += free_at - entry;
-      entry = free_at;
-    }
-    const Tick credit_at = credits_.available_at(link);
-    if (credit_at > entry) {
-      const Tick stall = credit_at - entry;
-      port_stall_[link] += stall;
-      if (prev_slot == CreditLedger::kNoSlot) {
-        count_inject_stall(stall);  // first hop: backpressure reaches the source
-      } else {
-        count_credit_stall(stall);
-      }
-      entry = credit_at;
-    }
-    if (prev_slot != CreditLedger::kNoSlot) {
-      const Tick exit = entry + flits - 1;
-      *prev_free = exit;
-      credits_.set(prev_slot, exit + hop_delay_);
-    }
-    prev_slot = credits_.claim(link);
-    prev_free = &free_at;
-    t = entry + hop_delay_;
-  };
-  while (x != dx) {
-    const std::uint32_t dir = (dx > x) ? 0u : 1u;
-    traverse(dir);
-    x = (dx > x) ? x + 1 : x - 1;
-  }
-  while (y != dy) {
-    const std::uint32_t dir = (dy > y) ? 2u : 3u;
-    traverse(dir);
-    y = (dy > y) ? y + 1 : y - 1;
-  }
-  const Tick arrive = t + (flits - 1);
-  *prev_free = arrive;  // ejection is never refused
-  credits_.set(prev_slot, arrive + hop_delay_);
-  if (waited > 0) count_contention(waited);
-  return arrive;
+void MeshNetwork::describe(std::ostream& os) const {
+  os << "mesh, " << n_nodes() << " nodes (" << cols_ << "x" << rows_ << ")";
 }
 
-void MeshNetwork::fabric_report(std::ostream& os) const {
-  if (!credits_.bounded()) return;
-  os << "fabric: mesh, " << n_nodes() << " nodes (" << cols_ << "x" << rows_
-     << "), buffer depth " << credits_.depth() << "\n"
-     << "  inject stall cycles:  " << inject_stall_cycles() << "\n"
-     << "  credit stall cycles:  " << credit_stall_cycles() << "\n";
-  std::size_t worst = 0;
-  for (std::size_t p = 1; p < port_stall_.size(); ++p) {
-    if (port_stall_[p] > port_stall_[worst]) worst = p;
-  }
-  if (port_stall_[worst] > 0) {
-    static constexpr const char* kDir[] = {"+x", "-x", "+y", "-y"};
-    const std::size_t router = worst / 4;
-    os << "  most backpressured link: (" << router % cols_ << "," << router / cols_ << ") "
-       << kDir[worst % 4] << " (" << port_stall_[worst] << " credit-wait cycles)\n";
-  }
+void MeshNetwork::describe_port(std::ostream& os, std::size_t port) const {
+  static constexpr const char* kDir[] = {"+x", "-x", "+y", "-y"};
+  const std::size_t router = port / 4;
+  os << "link: (" << router % cols_ << "," << router / cols_ << ") " << kDir[port % 4];
 }
 
 CrossbarNetwork::CrossbarNetwork(sim::Simulator& simulator, sim::StatsRegistry& stats,

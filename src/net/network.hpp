@@ -66,52 +66,6 @@ class MessagePool {
   std::vector<Message*> free_;
 };
 
-/// Credit ledger for bounded fabric ports (buffer depth B > 0).
-///
-/// Per port it keeps a ring of the last B slot "credit usable again" times:
-/// a message may claim a slot only at or after the ring's oldest entry —
-/// exactly the credit-based rule that the B-th-previous occupant must have
-/// drained *and its freed credit must have crossed back upstream* before
-/// the next header is accepted. Slots are claimed while walking a path and
-/// filled in deferred fashion (a slot's drain time is only known once the
-/// next hop has accepted the tail); no port repeats within one path
-/// (omega is feed-forward, the mesh routes dimension-order), so a deferred
-/// fill is always completed before any later lookup of that port.
-class CreditLedger {
- public:
-  /// Sentinel slot index: "no claim outstanding".
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  void init(std::size_t n_ports, std::uint32_t depth) {
-    depth_ = depth;
-    if (depth == 0) return;
-    ring_.assign(n_ports * depth, 0);
-    head_.assign(n_ports, 0);
-  }
-  [[nodiscard]] bool bounded() const noexcept { return depth_ > 0; }
-  [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
-
-  /// Earliest tick a new message may claim a slot of `port`.
-  [[nodiscard]] Tick available_at(std::size_t port) const noexcept {
-    return ring_[port * depth_ + head_[port]];
-  }
-  /// Claims the oldest slot of `port`; fill it with set() once the drain
-  /// time is known.
-  [[nodiscard]] std::size_t claim(std::size_t port) noexcept {
-    std::uint32_t& h = head_[port];
-    const std::size_t slot = port * depth_ + h;
-    h = (h + 1 == depth_) ? 0 : h + 1;
-    return slot;
-  }
-  /// Records when the claimed slot's credit is usable upstream again.
-  void set(std::size_t slot, Tick credit_back) noexcept { ring_[slot] = credit_back; }
-
- private:
-  std::uint32_t depth_ = 0;
-  std::vector<Tick> ring_;         ///< [port * depth + slot] -> usable-again
-  std::vector<std::uint32_t> head_;  ///< [port] -> oldest slot
-};
-
 class Network {
  public:
   Network(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint32_t n_nodes);
@@ -185,8 +139,8 @@ class Network {
   /// this.
   virtual Tick route(const Message& m, Tick now) = 0;
 
-  /// Charges queuing delay to the contention counter (cached handle; this
-  /// sits inside every route() implementation's hot loop).
+  /// Charges queuing delay to the contention counter (cached handle; a
+  /// route() adds a message's waits once).
   void count_contention(Tick waited) noexcept { c_contention_->add(waited); }
 
   /// Registers the bounded-fabric stall counters. Called by subclasses
@@ -286,17 +240,63 @@ class IdealNetwork final : public Network {
   Tick latency_;
 };
 
+/// A fabric of FIFO output ports, each infinitely buffered per the paper
+/// (buffer depth 0) or B message slots deep with credit-based flow control
+/// (DESIGN.md "Bounded fabric"): a message waits until the port is free
+/// (and, when bounded, until a credit is back), then occupies it while it
+/// streams through (cut-through); the header advances one hop per
+/// `hop_delay` cycles. A fabric only lists the ports of a message's path;
+/// one contention walk (depth 0) and one credit walk (depth B > 0) time it.
+///
+/// Each port is one record of `ports_`: its busy-until tick and, when
+/// bounded, its credit-wait cycles, the index of its oldest slot, then
+/// its B slots' "credit usable again" ticks. A message may claim a slot
+/// only at or after the oldest slot's tick — the credit-based rule that
+/// the B-th previous occupant must have drained *and its freed credit
+/// must have crossed back upstream* before the next header is accepted.
+/// A slot's drain time is known only once the next hop accepts the tail,
+/// so each hop's claim is filled one hop late; no port repeats within a
+/// path (the omega is feed-forward, the mesh routes dimension-order), so
+/// a deferred fill completes before any later lookup of its port.
+class PortFabric : public Network {
+ public:
+  /// Bounded fabrics print buffer depth, cumulative injection and credit
+  /// stalls, and the port with the most credit-wait cycles.
+  void fabric_report(std::ostream& os) const final;
+
+ protected:
+  PortFabric(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint32_t n_nodes,
+             std::size_t n_ports, Tick hop_delay, std::uint32_t buffer_depth);
+
+  /// Times `m`, injected at `now`, over the ports `path` lists: `path(hop)`
+  /// calls `hop(port)` for each port of the message's path, in order, and
+  /// returns how many it listed.
+  template <typename Path>
+  Tick walk(const Message& m, Tick now, Path path);
+
+  Tick hop_delay_;
+
+ private:
+  /// Word offsets within a port's record (an unbounded port has kBusy only).
+  static constexpr std::size_t kBusy = 0, kWaited = 1, kOldest = 2, kSlots = 3;
+
+  /// Prints the fabric's shape, e.g. "omega, 8 nodes (3 stages x 8 wires)".
+  virtual void describe(std::ostream& os) const = 0;
+  /// Names a port, e.g. "port: stage 1, wire 5".
+  virtual void describe_port(std::ostream& os, std::size_t port) const = 0;
+
+  std::uint32_t depth_;
+  std::size_t stride_;     ///< words per port record: 1, or kSlots + depth_
+  std::vector<Tick> ports_;  ///< [port * stride_ + word]
+};
+
 /// Multistage Omega network of 2x2 switches (the paper's interconnect).
 ///
 /// Endpoints are padded to the next power of two; k = log2(N) stages with a
 /// perfect-shuffle permutation before each stage and destination-tag
-/// routing. Each switch output port is a FIFO — infinitely buffered per
-/// the paper by default, or `buffer_depth` message slots deep with
-/// credit-based flow control (DESIGN.md "Bounded fabric"): a message waits
-/// until the port is free (and, when bounded, until a credit is back),
-/// then occupies it while it streams through (cut-through). The header
-/// advances one stage per `switch_delay` cycles.
-class OmegaNetwork final : public Network {
+/// routing. Port `stage * width + wire` is the switch output a message
+/// leaves stage `stage` by.
+class OmegaNetwork final : public PortFabric {
  public:
   /// `buffer_depth` 0 = the paper's infinite per-port buffering (legacy,
   /// bit-identical); B > 0 = B message slots per switch output port with
@@ -310,35 +310,27 @@ class OmegaNetwork final : public Network {
   /// tail flit and bounded-buffer credit waits only add to that (asserted
   /// in route_and_deliver).
   [[nodiscard]] Tick min_remote_latency() const noexcept override {
-    return static_cast<Tick>(stages_) * switch_delay_;
+    return static_cast<Tick>(stages_) * hop_delay_;
   }
-
-  void fabric_report(std::ostream& os) const override;
 
  protected:
   Tick route(const Message& m, Tick now) override;
 
  private:
-  Tick route_bounded(const Message& m, Tick now, Tick flits);
+  void describe(std::ostream& os) const override;
+  void describe_port(std::ostream& os, std::size_t port) const override;
 
-  std::uint32_t width_;        ///< padded endpoint count (power of two)
-  std::uint32_t stages_;       ///< log2(width_)
-  Tick switch_delay_;
-  std::vector<Tick> port_free_;  ///< [stage * width_ + wire] -> busy-until
-  CreditLedger credits_;
-  std::vector<std::uint64_t> port_stall_;  ///< per-port credit-wait cycles (bounded only)
-
-  [[nodiscard]] std::uint32_t rotl_bits(std::uint32_t w) const noexcept {
-    return ((w << 1) | (w >> (stages_ - 1))) & (width_ - 1);
-  }
+  std::uint32_t width_;   ///< padded endpoint count (power of two)
+  std::uint32_t stages_;  ///< log2(width_)
 };
 
 /// 2D mesh with dimension-order (XY) routing: nodes are laid out on a
 /// near-square grid; a message first travels along X, then along Y. Each
-/// directed link is a FIFO resource (infinite buffering, cut-through).
-/// Included as the directly-wired alternative to the Omega network — the
-/// paper leaves the interconnect "intentionally unspecified".
-class MeshNetwork final : public Network {
+/// directed link is a port: link `router * 4 + d` leaves router
+/// `y * columns + x` in direction d (0:+x 1:-x 2:+y 3:-y). Included as the
+/// directly-wired alternative to the Omega network — the paper leaves the
+/// interconnect "intentionally unspecified".
+class MeshNetwork final : public PortFabric {
  public:
   /// `buffer_depth` as for OmegaNetwork. Dimension-order (XY) routing
   /// admits no cyclic link dependency, so bounded link buffers with
@@ -353,25 +345,20 @@ class MeshNetwork final : public Network {
   /// delay link entry, so credit waits never undercut the bound.
   [[nodiscard]] Tick min_remote_latency() const noexcept override { return hop_delay_; }
 
-  void fabric_report(std::ostream& os) const override;
-
  protected:
   Tick route(const Message& m, Tick now) override;
 
  private:
-  Tick route_bounded(const Message& m, Tick now, Tick flits);
-  /// Directed link leaving (x,y) in direction d (0:+x 1:-x 2:+y 3:-y).
-  [[nodiscard]] std::size_t link_index(std::uint32_t x, std::uint32_t y,
-                                       std::uint32_t d) const noexcept {
-    return (static_cast<std::size_t>(y) * cols_ + x) * 4 + d;
-  }
+  void describe(std::ostream& os) const override;
+  void describe_port(std::ostream& os, std::size_t port) const override;
+
+  struct Coord {
+    std::uint32_t x, y;
+  };
 
   std::uint32_t cols_;
   std::uint32_t rows_;
-  Tick hop_delay_;
-  std::vector<Tick> link_free_;
-  CreditLedger credits_;
-  std::vector<std::uint64_t> port_stall_;  ///< per-link credit-wait cycles (bounded only)
+  std::vector<Coord> coords_;  ///< [node] -> its router's grid position
 };
 
 /// Single-stage crossbar: contention only at the destination port.

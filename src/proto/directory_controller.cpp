@@ -1,10 +1,8 @@
 // Dispatch, serialization, and the WBI (write-back invalidate) baseline.
 #include "proto/directory_controller.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
-
 
 namespace bcsim::proto {
 
@@ -293,7 +291,7 @@ void DirectoryController::on_puts(const net::Message& m) {
     reply_after(config_.t_directory, reply_to(m, MsgType::kPutAck));
     return;
   }
-  std::erase(e.sharers, m.src);
+  e.erase_sharer(m.src);
   if (e.sharers.empty() && e.state == mem::DirState::kShared) {
     e.state = mem::DirState::kUncached;
   }
@@ -412,9 +410,7 @@ void DirectoryController::add_sharer(mem::DirectoryEntry& e, NodeId n) {
     e.set_region_bit(region_of(n));
     return;
   }
-  if (std::find(e.sharers.begin(), e.sharers.end(), n) == e.sharers.end()) {
-    e.sharers.push_back(n);
-  }
+  e.insert_sharer(n, config_.n_nodes);
   const std::uint32_t limit = config_.dir_pointer_limit;
   if (limit != 0 && e.sharers.size() > limit &&
       config_.dir_overflow == core::DirOverflow::kCoarse) {
@@ -424,12 +420,12 @@ void DirectoryController::add_sharer(mem::DirectoryEntry& e, NodeId n) {
     stats_.counter(hot_.coarse_overflows, "dir.coarse_overflows").add();
     e.coarse = true;
     for (NodeId s : e.sharers) e.set_region_bit(region_of(s));
-    e.sharers.clear();
+    e.clear_sharer_list();
   }
 }
 
 void DirectoryController::clear_sharers(mem::DirectoryEntry& e) {
-  e.sharers.clear();
+  e.clear_sharer_list();
   e.coarse = false;
   e.region_mask.clear();
 }

@@ -1,6 +1,7 @@
 #include "sim/invariants.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,8 +59,18 @@ void check_entry_local(const core::MachineConfig& cfg, const DirectoryEntry& e, 
   const auto id = [](NodeId x) { return x; };
 
   // -- WBI directory state sanity --
-  if (!nodes_ok(e.sharers, n, id)) {
-    fail("wbi-sharers", b, home, home, tick, "sharer set has an invalid or duplicate node");
+  // The sharer list names real nodes, and its membership bitmap holds
+  // exactly those: every listed node's bit and no other, so a node listed
+  // twice shows as one bit too few.
+  std::size_t members = std::popcount(e.sharer_word);
+  for (std::size_t w = 0; e.sharer_words && w < (n + 63) / 64; ++w) {
+    members += std::popcount(e.sharer_words[w]);
+  }
+  if (!std::all_of(e.sharers.begin(), e.sharers.end(),
+                   [&](NodeId s) { return s < n && e.is_sharer(s); }) ||
+      members != e.sharers.size()) {
+    fail("wbi-sharers", b, home, home, tick,
+         "sharer set has an invalid or duplicate node, or disagrees with its membership bitmap");
   }
   if (e.owner != kNoNode && e.owner >= n) {
     fail("wbi-owner", b, home, e.owner, tick, "owner is not a valid node");
@@ -301,7 +312,7 @@ void InvariantChecker::check_quiescent(const char* where) const {
           }
           const bool listed =
               e.coarse ? e.region_bit(i / cfg.dir_region_nodes)
-                       : std::find(e.sharers.begin(), e.sharers.end(), i) != e.sharers.end();
+                       : e.is_sharer(i);
           if (!listed) {
             // Clean shared drops are silent, so the sharer set (or, for a
             // coarse entry, the region cover) is a superset of the caches —

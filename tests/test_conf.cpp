@@ -321,6 +321,26 @@ TEST(ConfScenario, SourceForcesTraceKindAndToleratesModelKnobs) {
   EXPECT_EQ(s.workload.trace_file, "f.tr");
 }
 
+TEST(ConfScenario, SourceStillRangeChecksModelKnobs) {
+  // Provenance knobs are not read, but each value must be one some kind's
+  // row of its key accepts: a negative count is the error it is without
+  // `source`, naming the -k.
+  const Table t = parse_string("[workload]\nkind = work-queue\ntasks = 64\n",
+                               {{"workload.source", "trace:f.tr"}, {"workload.tasks", "-5"}});
+  expect_conf_error([&] { (void)resolve_scenario(t); },
+                    {"-k workload.tasks", "non-negative integer, got '-5'"});
+  const Table without = parse_string("[workload]\nkind = work-queue\ntasks = 64\n",
+                                     {{"workload.tasks", "-5"}});
+  expect_conf_error([&] { (void)resolve_scenario(without); },
+                    {"-k workload.tasks", "non-negative integer, got '-5'"});
+  // A value one kind's row of the key accepts passes: `sweeps` is the
+  // stencil's and the grid's, `grain` the work queue's and the sync model's.
+  const Table other_kind = parse_string(
+      "[workload]\nkind = grid\nsweeps = 3\ngrain = 40\nsource = trace:f.tr\n");
+  EXPECT_EQ(resolve_scenario(other_kind).workload.trace_file, "f.tr");
+  other_kind.expect_all_consumed();
+}
+
 TEST(ConfScenario, BadSourcePrefixRejected) {
   const Table t = parse_string("[workload]\nsource = file.tr\n");
   expect_conf_error([&] { (void)resolve_scenario(t); },
@@ -495,6 +515,30 @@ TEST(ConfScenario, ConsistencyIsAFlavorDefault) {
   // rather than ignored.
   EXPECT_THROW((void)build_machine({.flavor = "wbi", .consistency = "bc"}), UsageError);
   EXPECT_THROW((void)build_machine({.flavor = "cbl-on-wbi", .consistency = "bc"}), UsageError);
+}
+
+TEST(ConfScenario, MachineConflictsNameTheKeysAndFlags) {
+  // A combination the machine cannot run names every knob it involves,
+  // both as a config key and as a flag.
+  const auto expect_usage = [](const MachineSpec& o,
+                               std::initializer_list<std::string_view> fragments) {
+    try {
+      (void)build_machine(o);
+      FAIL() << "expected UsageError";
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      for (const auto f : fragments) {
+        EXPECT_NE(msg.find(f), std::string::npos) << "expected '" << f << "' in: " << msg;
+      }
+    }
+  };
+  expect_usage({.flavor = "wbi", .consistency = "bc"},
+               {"machine.consistency", "--consistency", "machine.flavor", "--machine", "'bc'",
+                "'wbi'"});
+  expect_usage({.flavor = "paper", .lock = "tts"},
+               {"machine.lock", "--lock", "machine.flavor", "--machine", "'tts'", "'cbl'"});
+  expect_usage({.dir_overflow = "coarse"},
+               {"machine.dir_overflow", "--dir-overflow", "machine.dir_limit", "--dir-limit"});
 }
 
 TEST(ConfScenario, ZeroNodesOutOfRange) {

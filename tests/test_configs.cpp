@@ -111,6 +111,20 @@ TEST(ConfigsGrid, CiWbiMeshMatchesFlagRun) {
   expect_matches_flags("ci/wbi-mesh.conf", flags);
 }
 
+TEST(ConfigsGrid, CiWbiMeshCoarseMatchesFlagRun) {
+  conf::Scenario flags;
+  flags.machine.nodes = 32;
+  flags.machine.flavor = "wbi";
+  flags.machine.network = "mesh";
+  flags.machine.buffer_depth = 1;
+  flags.machine.dir_limit = 4;
+  flags.machine.dir_overflow = "coarse";
+  flags.machine.dir_region = 8;
+  flags.workload.work_queue.total_tasks = 64;
+  flags.workload.work_queue.grain = 20;
+  expect_matches_flags("ci/wbi-mesh-coarse.conf", flags);
+}
+
 TEST(ConfigsGrid, CiCblCrossbarSolverMatchesFlagRun) {
   conf::Scenario flags;
   flags.machine.nodes = 16;

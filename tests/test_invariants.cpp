@@ -276,6 +276,23 @@ const RuleCase kRuleCases[] = {
        auto& e = m.directory(home).mutable_entry(b);
        e.sharers.push_back(e.sharers.front());  // duplicate sharer
      }},
+    {"wbi-sharers", Scenario::kWbiShared, CheckVia::kMachine,
+     [](core::Machine& m, BlockId b, NodeId home) {
+       auto& e = m.directory(home).mutable_entry(b);
+       const NodeId s = e.sharers.front();
+       e.sharer_word_of(s) &= ~(std::uint64_t{1} << (s % 64));  // listed, not a member
+     }},
+    {"wbi-sharers", Scenario::kWbiShared, CheckVia::kMachine,
+     [](core::Machine& m, BlockId b, NodeId home) {
+       auto& e = m.directory(home).mutable_entry(b);
+       for (NodeId s = 0; s < m.config().n_nodes; ++s) {
+         if (!e.is_sharer(s)) {
+           e.sharer_word_of(s) |= std::uint64_t{1} << (s % 64);  // a member, not listed
+           return;
+         }
+       }
+       FAIL() << "every node already shares the block";
+     }},
     {"wbi-owner", Scenario::kWbiModified, CheckVia::kMachine,
      [](core::Machine& m, BlockId b, NodeId home) {
        m.directory(home).mutable_entry(b).owner = 99;  // not a node
@@ -433,6 +450,29 @@ TEST(InvariantRules, EveryRuleFiresUnderTargetedCorruption) {
           << c.rule << " expected, got: " << v.what();
       EXPECT_EQ(v.tick, m.simulator().now());
     }
+  }
+}
+
+TEST(InvariantRules, SharerWordsAboveSixtyFourNodes) {
+  // Above 64 nodes an entry keeps its sharer bitmap in allocated words
+  // (96 nodes: two); every node reads the block, so both words fill, the
+  // list and the words agree through a fully checked run, and a word that
+  // loses a listed node's bit is caught.
+  core::Machine m(full(test::small_config(96)));
+  for (NodeId i = 0; i < 96; ++i) m.spawn(read_once(m.processor(i)));
+  test::run_all(m);
+  const BlockId b = m.address_map().block_of(kData);
+  auto& e = m.directory(m.address_map().home_of(b)).mutable_entry(b);
+  ASSERT_EQ(e.sharers.size(), 96u);
+  ASSERT_NE(e.sharer_words, nullptr);
+  EXPECT_EQ(e.sharer_word, 0u);
+  EXPECT_TRUE(e.is_sharer(70));
+  e.sharer_word_of(70) &= ~(std::uint64_t{1} << (70 % 64));
+  try {
+    m.check_invariants("test");
+    FAIL() << "a listed node without its bit passed";
+  } catch (const InvariantViolation& v) {
+    EXPECT_NE(std::string(v.what()).find("[wbi-sharers]"), std::string::npos) << v.what();
   }
 }
 

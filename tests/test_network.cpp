@@ -2,8 +2,12 @@
 // pair, Omega contention, flit accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -583,6 +587,408 @@ TEST_F(NetFixture, FabricReportNamesTheBackpressuredPort) {
   std::ostringstream empty;
   unbounded.fabric_report(empty);
   EXPECT_TRUE(empty.str().empty());
+}
+
+// --- the shared walks against the fabrics' own walks they replaced ---
+
+/// The omega and mesh as each timed a message before the two fabrics shared
+/// one contention walk and one credit walk: a walk of each kind per fabric,
+/// with the bounded state in four vectors per fabric (busy-until, a ring of
+/// B credit times, the ring's head, credit-wait cycles). Test-only, and
+/// kept as it was, like FlatCache in test_cache.cpp: FabricDifferential
+/// holds the fabrics' timing and accounting to it.
+class RefLedger {
+ public:
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  void init(std::size_t n_ports, std::uint32_t depth) {
+    depth_ = depth;
+    if (depth == 0) return;
+    ring_.assign(n_ports * depth, 0);
+    head_.assign(n_ports, 0);
+  }
+  [[nodiscard]] bool bounded() const noexcept { return depth_ > 0; }
+  [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
+  [[nodiscard]] Tick available_at(std::size_t port) const noexcept {
+    return ring_[port * depth_ + head_[port]];
+  }
+  [[nodiscard]] std::size_t claim(std::size_t port) noexcept {
+    std::uint32_t& h = head_[port];
+    const std::size_t slot = port * depth_ + h;
+    h = (h + 1 == depth_) ? 0 : h + 1;
+    return slot;
+  }
+  void set(std::size_t slot, Tick credit_back) noexcept { ring_[slot] = credit_back; }
+
+ private:
+  std::uint32_t depth_ = 0;
+  std::vector<Tick> ring_;
+  std::vector<std::uint32_t> head_;
+};
+
+class RefOmega final : public Network {
+ public:
+  RefOmega(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint32_t n_nodes,
+           Tick switch_delay, std::uint32_t buffer_depth)
+      : Network(simulator, stats, n_nodes), switch_delay_(switch_delay) {
+    width_ = std::bit_ceil(n_nodes < 2 ? 2u : n_nodes);
+    stages_ = static_cast<std::uint32_t>(std::bit_width(width_) - 1);
+    const std::size_t n_ports = static_cast<std::size_t>(stages_) * width_;
+    port_free_.assign(n_ports, 0);
+    credits_.init(n_ports, buffer_depth);
+    if (credits_.bounded()) {
+      port_stall_.assign(n_ports, 0);
+      enable_credit_counters();
+    }
+  }
+  [[nodiscard]] Tick min_remote_latency() const noexcept override {
+    return static_cast<Tick>(stages_) * switch_delay_;
+  }
+  void fabric_report(std::ostream& os) const override {
+    if (!credits_.bounded()) return;
+    os << "fabric: omega, " << n_nodes() << " nodes (" << stages_ << " stages x " << width_
+       << " wires), buffer depth " << credits_.depth() << "\n"
+       << "  inject stall cycles:  " << inject_stall_cycles() << "\n"
+       << "  credit stall cycles:  " << credit_stall_cycles() << "\n";
+    std::size_t worst = 0;
+    for (std::size_t p = 1; p < port_stall_.size(); ++p) {
+      if (port_stall_[p] > port_stall_[worst]) worst = p;
+    }
+    if (port_stall_[worst] > 0) {
+      os << "  most backpressured port: stage " << worst / width_ << ", wire "
+         << worst % width_ << " (" << port_stall_[worst] << " credit-wait cycles)\n";
+    }
+  }
+
+ protected:
+  Tick route(const Message& m, Tick now) override {
+    const Tick flits = flits_of(m);
+    if (credits_.bounded()) return route_bounded(m, now, flits);
+    std::uint32_t wire = m.src;
+    Tick t = now;
+    Tick waited = 0;
+    for (std::uint32_t s = 0; s < stages_; ++s) {
+      wire = rotl_bits(wire);
+      const std::uint32_t sw = wire >> 1;
+      const std::uint32_t out = (m.dst >> (stages_ - 1 - s)) & 1u;
+      wire = (sw << 1) | out;
+      Tick& free_at = port_free_[static_cast<std::size_t>(s) * width_ + wire];
+      if (free_at > t) {
+        waited += free_at - t;
+        t = free_at;
+      }
+      free_at = t + std::max(flits, switch_delay_);
+      t += switch_delay_;
+    }
+    if (waited > 0) count_contention(waited);
+    return t + (flits - 1);
+  }
+
+ private:
+  Tick route_bounded(const Message& m, Tick now, Tick flits) {
+    std::uint32_t wire = m.src;
+    Tick t = now;
+    Tick waited = 0;
+    std::size_t prev_slot = RefLedger::kNoSlot;
+    Tick* prev_free = nullptr;
+    for (std::uint32_t s = 0; s < stages_; ++s) {
+      wire = rotl_bits(wire);
+      const std::uint32_t sw = wire >> 1;
+      const std::uint32_t out = (m.dst >> (stages_ - 1 - s)) & 1u;
+      wire = (sw << 1) | out;
+      const std::size_t port = static_cast<std::size_t>(s) * width_ + wire;
+      Tick& free_at = port_free_[port];
+      Tick entry = t;
+      if (free_at > entry) {
+        waited += free_at - entry;
+        entry = free_at;
+      }
+      const Tick credit_at = credits_.available_at(port);
+      if (credit_at > entry) {
+        const Tick stall = credit_at - entry;
+        port_stall_[port] += stall;
+        if (s == 0) {
+          count_inject_stall(stall);
+        } else {
+          count_credit_stall(stall);
+        }
+        entry = credit_at;
+      }
+      if (prev_slot != RefLedger::kNoSlot) {
+        const Tick exit = entry + flits - 1;
+        *prev_free = exit;
+        credits_.set(prev_slot, exit + switch_delay_);
+      }
+      prev_slot = credits_.claim(port);
+      prev_free = &free_at;
+      t = entry + switch_delay_;
+    }
+    const Tick arrive = t + (flits - 1);
+    *prev_free = arrive;
+    credits_.set(prev_slot, arrive + switch_delay_);
+    if (waited > 0) count_contention(waited);
+    return arrive;
+  }
+  [[nodiscard]] std::uint32_t rotl_bits(std::uint32_t w) const noexcept {
+    return ((w << 1) | (w >> (stages_ - 1))) & (width_ - 1);
+  }
+
+  std::uint32_t width_;
+  std::uint32_t stages_;
+  Tick switch_delay_;
+  std::vector<Tick> port_free_;
+  RefLedger credits_;
+  std::vector<std::uint64_t> port_stall_;
+};
+
+class RefMesh final : public Network {
+ public:
+  RefMesh(sim::Simulator& simulator, sim::StatsRegistry& stats, std::uint32_t n_nodes,
+          Tick hop_delay, std::uint32_t buffer_depth)
+      : Network(simulator, stats, n_nodes), hop_delay_(hop_delay) {
+    cols_ = 1;
+    while (cols_ * cols_ < n_nodes) ++cols_;
+    rows_ = (n_nodes + cols_ - 1) / cols_;
+    const std::size_t n_links = static_cast<std::size_t>(cols_) * rows_ * 4;
+    link_free_.assign(n_links, 0);
+    credits_.init(n_links, buffer_depth);
+    if (credits_.bounded()) {
+      port_stall_.assign(n_links, 0);
+      enable_credit_counters();
+    }
+  }
+  [[nodiscard]] Tick min_remote_latency() const noexcept override { return hop_delay_; }
+  void fabric_report(std::ostream& os) const override {
+    if (!credits_.bounded()) return;
+    os << "fabric: mesh, " << n_nodes() << " nodes (" << cols_ << "x" << rows_
+       << "), buffer depth " << credits_.depth() << "\n"
+       << "  inject stall cycles:  " << inject_stall_cycles() << "\n"
+       << "  credit stall cycles:  " << credit_stall_cycles() << "\n";
+    std::size_t worst = 0;
+    for (std::size_t p = 1; p < port_stall_.size(); ++p) {
+      if (port_stall_[p] > port_stall_[worst]) worst = p;
+    }
+    if (port_stall_[worst] > 0) {
+      static constexpr const char* kDir[] = {"+x", "-x", "+y", "-y"};
+      const std::size_t router = worst / 4;
+      os << "  most backpressured link: (" << router % cols_ << "," << router / cols_ << ") "
+         << kDir[worst % 4] << " (" << port_stall_[worst] << " credit-wait cycles)\n";
+    }
+  }
+
+ protected:
+  Tick route(const Message& m, Tick now) override {
+    const Tick flits = flits_of(m);
+    if (credits_.bounded()) return route_bounded(m, now, flits);
+    std::uint32_t x = m.src % cols_;
+    std::uint32_t y = m.src / cols_;
+    const std::uint32_t dx = m.dst % cols_;
+    const std::uint32_t dy = m.dst / cols_;
+    Tick t = now;
+    Tick waited = 0;
+    auto traverse = [&](std::uint32_t dir) {
+      Tick& free_at = link_free_[link_index(x, y, dir)];
+      if (free_at > t) {
+        waited += free_at - t;
+        t = free_at;
+      }
+      free_at = t + std::max(flits, hop_delay_);
+      t += hop_delay_;
+    };
+    while (x != dx) {
+      traverse((dx > x) ? 0u : 1u);
+      x = (dx > x) ? x + 1 : x - 1;
+    }
+    while (y != dy) {
+      traverse((dy > y) ? 2u : 3u);
+      y = (dy > y) ? y + 1 : y - 1;
+    }
+    if (waited > 0) count_contention(waited);
+    return t + (flits - 1);
+  }
+
+ private:
+  Tick route_bounded(const Message& m, Tick now, Tick flits) {
+    std::uint32_t x = m.src % cols_;
+    std::uint32_t y = m.src / cols_;
+    const std::uint32_t dx = m.dst % cols_;
+    const std::uint32_t dy = m.dst / cols_;
+    Tick t = now;
+    Tick waited = 0;
+    std::size_t prev_slot = RefLedger::kNoSlot;
+    Tick* prev_free = nullptr;
+    auto traverse = [&](std::uint32_t dir) {
+      const std::size_t link = link_index(x, y, dir);
+      Tick& free_at = link_free_[link];
+      Tick entry = t;
+      if (free_at > entry) {
+        waited += free_at - entry;
+        entry = free_at;
+      }
+      const Tick credit_at = credits_.available_at(link);
+      if (credit_at > entry) {
+        const Tick stall = credit_at - entry;
+        port_stall_[link] += stall;
+        if (prev_slot == RefLedger::kNoSlot) {
+          count_inject_stall(stall);
+        } else {
+          count_credit_stall(stall);
+        }
+        entry = credit_at;
+      }
+      if (prev_slot != RefLedger::kNoSlot) {
+        const Tick exit = entry + flits - 1;
+        *prev_free = exit;
+        credits_.set(prev_slot, exit + hop_delay_);
+      }
+      prev_slot = credits_.claim(link);
+      prev_free = &free_at;
+      t = entry + hop_delay_;
+    };
+    while (x != dx) {
+      traverse((dx > x) ? 0u : 1u);
+      x = (dx > x) ? x + 1 : x - 1;
+    }
+    while (y != dy) {
+      traverse((dy > y) ? 2u : 3u);
+      y = (dy > y) ? y + 1 : y - 1;
+    }
+    const Tick arrive = t + (flits - 1);
+    *prev_free = arrive;
+    credits_.set(prev_slot, arrive + hop_delay_);
+    if (waited > 0) count_contention(waited);
+    return arrive;
+  }
+  [[nodiscard]] std::size_t link_index(std::uint32_t x, std::uint32_t y,
+                                       std::uint32_t d) const noexcept {
+    return (static_cast<std::size_t>(y) * cols_ + x) * 4 + d;
+  }
+
+  std::uint32_t cols_;
+  std::uint32_t rows_;
+  Tick hop_delay_;
+  std::vector<Tick> link_free_;
+  RefLedger credits_;
+  std::vector<std::uint64_t> port_stall_;
+};
+
+/// One fabric under test: its own simulator and stats, every endpoint
+/// attached, each delivery recorded as (message id, tick).
+struct DiffRun {
+  sim::Simulator simulator;
+  sim::StatsRegistry stats;
+  std::unique_ptr<Network> net;
+  std::vector<std::pair<Word, Tick>> deliveries;
+
+  void attach_all(std::uint32_t n_nodes) {
+    for (NodeId d = 0; d < n_nodes; ++d) {
+      for (const Unit u : {Unit::kCache, Unit::kMemory}) {
+        net->attach(d, u, [this](const Message& m) {
+          deliveries.emplace_back(m.value, simulator.now());
+        });
+      }
+    }
+  }
+};
+
+/// Seeded bursts: each burst injects at one tick, from random sources, to
+/// random destinations or all to one hot spot (which backs credits up to
+/// the sources), mixing control, word and block messages.
+std::vector<std::pair<Tick, Message>> bursts(std::uint32_t n_nodes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  std::vector<std::pair<Tick, Message>> out;
+  Tick at = 0;
+  Word id = 0;
+  for (int b = 0; b < 12; ++b) {
+    at += below(40);
+    const bool hot = below(3) == 0;
+    const NodeId hot_dst = static_cast<NodeId>(below(n_nodes));
+    const std::uint64_t count = 1 + below(std::min<std::uint64_t>(3 * n_nodes, 96));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Message m;
+      m.src = static_cast<NodeId>(below(n_nodes));
+      m.dst = hot ? hot_dst : static_cast<NodeId>(below(n_nodes));
+      if (m.src == m.dst) m.src = (m.src + 1) % n_nodes;
+      m.unit = below(2) == 0 ? Unit::kCache : Unit::kMemory;
+      const std::uint64_t size = below(3);
+      m.type = size == 0 ? MsgType::kGetS : size == 1 ? MsgType::kWriteGlobal : MsgType::kDataS;
+      if (size == 2) m.data.count = 1;  // control, word or block flits
+      m.value = id++;
+      out.emplace_back(at, std::move(m));
+    }
+  }
+  return out;
+}
+
+TEST(FabricDifferential, MatchesTheParentWalks) {
+  std::uint64_t cell = 0;
+  std::uint64_t contention = 0;
+  std::uint64_t inject = 0;
+  std::uint64_t credit = 0;
+  std::uint64_t reports = 0;  // bounded reports that name a port
+  for (const bool mesh : {false, true}) {
+    for (const std::uint32_t depth : {0u, 1u, 2u, 3u, 4u}) {
+      for (const std::uint32_t n : {2u, 3u, 5u, 10u, 12u, 63u, 64u, 512u}) {
+        for (const Tick delay : {Tick{1}, Tick{3}}) {
+          for (const Tick words : {Tick{1}, Tick{4}, Tick{32}}) {
+            const std::string where = std::string(mesh ? "mesh" : "omega") + " depth " +
+                                      std::to_string(depth) + " nodes " + std::to_string(n) +
+                                      " delay " + std::to_string(delay) + " block_words " +
+                                      std::to_string(words);
+            DiffRun now_run;
+            DiffRun ref_run;
+            if (mesh) {
+              now_run.net = std::make_unique<MeshNetwork>(now_run.simulator, now_run.stats, n,
+                                                          delay, depth);
+              ref_run.net =
+                  std::make_unique<RefMesh>(ref_run.simulator, ref_run.stats, n, delay, depth);
+            } else {
+              now_run.net = std::make_unique<OmegaNetwork>(now_run.simulator, now_run.stats,
+                                                           n, delay, depth);
+              ref_run.net =
+                  std::make_unique<RefOmega>(ref_run.simulator, ref_run.stats, n, delay, depth);
+            }
+            const auto sends = bursts(n, ++cell);
+            for (DiffRun* r : {&now_run, &ref_run}) {
+              r->net->set_block_words(words);
+              r->attach_all(n);
+              for (const auto& [at, msg] : sends) {
+                r->simulator.schedule_at(at,
+                                         [r, m = msg]() mutable { r->net->send(std::move(m)); });
+              }
+              r->simulator.run();
+              std::sort(r->deliveries.begin(), r->deliveries.end());
+            }
+            ASSERT_EQ(now_run.deliveries.size(), sends.size()) << where;
+            ASSERT_EQ(now_run.deliveries, ref_run.deliveries) << where;
+            EXPECT_EQ(now_run.stats.counter_value("net.contention_cycles"),
+                      ref_run.stats.counter_value("net.contention_cycles"))
+                << where;
+            EXPECT_EQ(now_run.net->inject_stall_cycles(), ref_run.net->inject_stall_cycles())
+                << where;
+            EXPECT_EQ(now_run.net->credit_stall_cycles(), ref_run.net->credit_stall_cycles())
+                << where;
+            std::ostringstream now_report;
+            std::ostringstream ref_report;
+            now_run.net->fabric_report(now_report);
+            ref_run.net->fabric_report(ref_report);
+            EXPECT_EQ(now_report.str(), ref_report.str()) << where;
+            EXPECT_EQ(now_run.stats.digest(), ref_run.stats.digest()) << where;
+            contention += now_run.stats.counter_value("net.contention_cycles");
+            inject += now_run.net->inject_stall_cycles();
+            credit += now_run.net->credit_stall_cycles();
+            reports += now_report.str().find("most backpressured") != std::string::npos;
+          }
+        }
+      }
+    }
+  }
+  // The bursts reach every path the walks take: queueing, a stall at the
+  // first hop and at a later one, and a report naming a port.
+  EXPECT_GT(contention, 0u);
+  EXPECT_GT(inject, 0u);
+  EXPECT_GT(credit, 0u);
+  EXPECT_GT(reports, 0u);
 }
 
 }  // namespace
