@@ -19,8 +19,8 @@ using namespace bcsim::bench;
 using core::Machine;
 using core::Processor;
 
-double barrier_phases(const core::MachineConfig& cfg, core::BarrierImpl impl, int phases) {
-  Machine m(cfg);
+double barrier_phases(const conf::MachineSpec& machine, core::BarrierImpl impl, int phases) {
+  Machine m(conf::build_machine(machine));
   auto alloc = m.make_allocator(100);
   auto bar = sync::make_barrier(impl, alloc, m.n_nodes());
   struct Prog {
@@ -52,11 +52,10 @@ int main() {
         // Software barriers need coherent READ/WRITE: run them on the WBI
         // machine; the hardware barrier runs on the paper's machine.
         return std::vector<double>{
-            barrier_phases(wbi_machine(n, core::LockImpl::kTts), core::BarrierImpl::kCentral,
+            barrier_phases({.nodes = n, .flavor = "wbi"}, core::BarrierImpl::kCentral, kPhases),
+            barrier_phases({.nodes = n, .flavor = "wbi"}, core::BarrierImpl::kTree, kPhases),
+            barrier_phases({.nodes = n, .flavor = "cbl-on-wbi"}, core::BarrierImpl::kCbl,
                            kPhases),
-            barrier_phases(wbi_machine(n, core::LockImpl::kTts), core::BarrierImpl::kTree,
-                           kPhases),
-            barrier_phases(cbl_machine(n), core::BarrierImpl::kCbl, kPhases),
         };
       }));
   for (std::size_t i = 0; i < nodes.size(); ++i) {

@@ -25,8 +25,8 @@ struct Run {
   double flits = 0;
 };
 
-Run solver_run(const core::MachineConfig& cfg) {
-  core::Machine m(cfg);
+Run solver_run(const conf::MachineSpec& machine) {
+  core::Machine m(conf::build_machine(machine));
   workload::LinearSolverConfig sc;
   sc.iterations = 8;
   sc.separate_x_blocks = false;  // colocated: the false-sharing layout
@@ -48,18 +48,8 @@ int main() {
   const auto rows = sim::parallel_map<std::vector<double>>(
       blocks.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
         const std::uint32_t B = blocks[i];
-        auto wbi = wbi_machine(kN, core::LockImpl::kTts);
-        wbi.block_words = B;
-        core::MachineConfig ru;
-        ru.n_nodes = kN;
-        ru.block_words = B;
-        ru.data_protocol = core::DataProtocol::kReadUpdate;
-        ru.consistency = core::Consistency::kBuffered;
-        ru.lock_impl = core::LockImpl::kCbl;
-        ru.barrier_impl = core::BarrierImpl::kCbl;
-        ru.network = core::NetworkKind::kOmega;
-        const Run w = solver_run(wbi);
-        const Run r = solver_run(ru);
+        const Run w = solver_run({.nodes = kN, .flavor = "wbi", .block_words = B});
+        const Run r = solver_run({.nodes = kN, .block_words = B});
         return std::vector<double>{w.cycles, r.cycles, w.cycles / r.cycles, w.flits, r.flits};
       }));
   std::vector<std::string> labels;

@@ -30,8 +30,7 @@ struct Result {
 };
 
 Result rmw_storm(std::uint32_t n, bool hot, int ops_per_proc) {
-  auto cfg = wbi_machine(n, core::LockImpl::kTts);
-  Machine m(cfg);
+  Machine m(conf::build_machine({.nodes = n, .flavor = "wbi"}));
   struct Prog {
     bool hot;
     int ops;

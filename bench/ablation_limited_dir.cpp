@@ -27,9 +27,7 @@ struct Result {
 };
 
 Result run_limit(std::uint32_t n, std::uint32_t limit) {
-  auto cfg = wbi_machine(n, core::LockImpl::kTts);
-  cfg.dir_pointer_limit = limit;
-  core::Machine m(cfg);
+  core::Machine m(conf::build_machine({.nodes = n, .flavor = "wbi", .dir_limit = limit}));
   workload::StencilConfig sc;
   sc.sweeps = 8;
   sc.cells_per_proc = 8;

@@ -42,7 +42,7 @@ Result run_guarded(std::uint32_t entries) {
 }
 
 Result run_nested(std::uint32_t lock_cache_entries) {
-  auto cfg = cbl_machine(8);
+  core::MachineConfig cfg = conf::build_machine({.nodes = 8, .flavor = "cbl-on-wbi"});
   cfg.lock_cache_entries = lock_cache_entries;
   Machine m(cfg);
   auto alloc = m.make_allocator(100);

@@ -15,7 +15,6 @@ namespace {
 
 using namespace bcsim;
 using namespace bcsim::bench;
-using core::LockImpl;
 using core::Machine;
 using core::Processor;
 
@@ -43,22 +42,20 @@ double contended_locks(const core::MachineConfig& cfg, int iters) {
   return static_cast<double>(run_machine(m, 2'000'000'000ULL));
 }
 
-core::MachineConfig cfg_for(LockImpl impl, std::uint32_t n) {
-  return impl == LockImpl::kCbl ? cbl_machine(n) : wbi_machine(n, impl);
-}
-
 }  // namespace
 
 int main() {
   std::printf("Ablation: CBL vs software locks (contended counter, 12 CS/processor)\n");
   const std::vector<std::uint32_t> nodes = {4, 8, 16, 32, 64};
-  const std::vector<LockImpl> impls = {LockImpl::kTts, LockImpl::kTtsBackoff,
-                                       LockImpl::kTicket, LockImpl::kMcs, LockImpl::kCbl};
+  const std::vector<std::string> locks = {"tts", "tts-backoff", "ticket", "mcs", "cbl"};
   const auto rows = sim::parallel_map<std::vector<double>>(
       nodes.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
         std::vector<double> row;
-        for (LockImpl impl : impls) {
-          row.push_back(contended_locks(cfg_for(impl, nodes[i]), 12));
+        for (const std::string& lock : locks) {
+          // CBL runs on the CBL machine, with its hardware barrier.
+          const char* flavor = lock == "cbl" ? "cbl-on-wbi" : "wbi";
+          row.push_back(contended_locks(
+              conf::build_machine({.nodes = nodes[i], .flavor = flavor, .lock = lock}), 12));
         }
         return row;
       }));
@@ -68,8 +65,7 @@ int main() {
     labels.push_back("n=" + std::to_string(nodes[i]));
     cells.push_back(rows[i]);
   }
-  print_table("completion time (cycles)", "processors",
-              {"tts", "tts-backoff", "ticket", "mcs", "cbl"}, labels, cells);
+  print_table("completion time (cycles)", "processors", locks, labels, cells);
   std::printf("\nExpected: tts collapses with n; ticket improves (one release wakes all\n"
               "spinners but handoff is O(1)); mcs scales like cbl in message count;\n"
               "cbl still wins by merging the data transfer with the lock grant and by\n"

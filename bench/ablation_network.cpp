@@ -15,12 +15,11 @@ namespace {
 using namespace bcsim;
 using namespace bcsim::bench;
 
-double run_q(core::MachineConfig cfg, core::NetworkKind net) {
-  cfg.network = net;
+double run_q(const conf::MachineSpec& machine) {
   workload::WorkQueueConfig wq;
   wq.total_tasks = 192;
   wq.grain = 100;
-  return static_cast<double>(run_work_queue(cfg, wq).completion);
+  return static_cast<double>(run_work_queue(machine, wq).completion);
 }
 
 }  // namespace
@@ -32,17 +31,13 @@ int main() {
   std::vector<std::vector<double>> cells;
   const auto rows = sim::parallel_map<std::vector<double>>(
       nodes.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
-        const std::uint32_t n = nodes[i];
-        return std::vector<double>{
-            run_q(wbi_machine(n, core::LockImpl::kTts), core::NetworkKind::kIdeal),
-            run_q(wbi_machine(n, core::LockImpl::kTts), core::NetworkKind::kCrossbar),
-            run_q(wbi_machine(n, core::LockImpl::kTts), core::NetworkKind::kOmega),
-            run_q(wbi_machine(n, core::LockImpl::kTts), core::NetworkKind::kMesh),
-            run_q(cbl_machine(n), core::NetworkKind::kIdeal),
-            run_q(cbl_machine(n), core::NetworkKind::kCrossbar),
-            run_q(cbl_machine(n), core::NetworkKind::kOmega),
-            run_q(cbl_machine(n), core::NetworkKind::kMesh),
-        };
+        std::vector<double> row;
+        for (const char* flavor : {"wbi", "cbl-on-wbi"}) {
+          for (const char* network : {"ideal", "crossbar", "omega", "mesh"}) {
+            row.push_back(run_q({.nodes = nodes[i], .flavor = flavor, .network = network}));
+          }
+        }
+        return row;
       }));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     labels.push_back("n=" + std::to_string(nodes[i]));

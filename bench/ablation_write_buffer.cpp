@@ -20,8 +20,8 @@ using core::Machine;
 using core::Processor;
 
 double write_burst(std::size_t buffer_entries, bool sequential) {
-  auto cfg = paper_machine(8, sequential ? core::Consistency::kSequential
-                                         : core::Consistency::kBuffered);
+  core::MachineConfig cfg =
+      conf::build_machine({.nodes = 8, .consistency{sequential ? "sc" : "bc"}});
   cfg.write_buffer_entries = buffer_entries;
   Machine m(cfg);
   struct Prog {

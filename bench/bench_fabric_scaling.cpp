@@ -40,22 +40,6 @@ constexpr Variant kVariants[] = {
     {"bounded1/coarse", 1, true},
 };
 
-struct FlavorDef {
-  const char* name;
-  core::MachineConfig (*make)(std::uint32_t n);
-};
-
-core::MachineConfig make_wbi(std::uint32_t n) {
-  return wbi_machine(n, core::LockImpl::kTts);
-}
-core::MachineConfig make_cbl(std::uint32_t n) { return cbl_machine(n); }
-core::MachineConfig make_paper(std::uint32_t n) {
-  return paper_machine(n, core::Consistency::kBuffered);
-}
-
-constexpr FlavorDef kFlavors[] = {
-    {"wbi", make_wbi}, {"cbl", make_cbl}, {"ru", make_paper}};
-
 struct Cell {
   bool done = false;
   Tick completion = 0;
@@ -67,21 +51,20 @@ struct Cell {
   std::uint64_t coarse_invs = 0;
 };
 
-Cell run_cell(const FlavorDef& f, const Variant& v, std::uint32_t nodes,
+Cell run_cell(const char* flavor, const Variant& v, std::uint32_t nodes,
               std::uint32_t tasks, std::uint32_t grain) {
-  auto cfg = f.make(nodes);
-  cfg.net_buffer_depth = v.buffer_depth;
+  conf::MachineSpec spec{.nodes = nodes, .flavor = flavor, .buffer_depth = v.buffer_depth};
   if (v.coarse) {
-    cfg.dir_pointer_limit = 8;
-    cfg.dir_overflow = core::DirOverflow::kCoarse;
+    spec.dir_limit = 8;
+    spec.dir_overflow = "coarse";
     // Region granularity grows with the machine so the mask stays narrow
     // (32 regions at every size), mirroring the paper's storage argument.
-    cfg.dir_region_nodes = nodes <= 32 ? 1 : nodes / 32;
+    spec.dir_region = nodes <= 32 ? 1 : nodes / 32;
   }
   workload::WorkQueueConfig wq;
   wq.total_tasks = tasks;
   wq.grain = grain;
-  core::Machine m(cfg);
+  core::Machine m(conf::build_machine(spec));
   workload::WorkQueueWorkload w(m, wq);
   w.spawn_all(m);
   Cell c;
@@ -108,19 +91,19 @@ int main(int argc, char** argv) {
 
   std::printf("Fabric + directory scaling (work-queue, omega, grain %u%s)\n", grain,
               quick ? ", quick" : "");
-  std::printf("%-6s %-6s %-20s %12s %10s %12s %11s %11s %9s %9s\n", "flavor",
+  std::printf("%-10s %-6s %-20s %12s %10s %12s %11s %11s %9s %9s\n", "flavor",
               "nodes", "variant", "ticks", "wall_ms", "messages", "inj_stall",
               "cred_stall", "ovfl", "c_invs");
 
   bool all_done = true;
-  for (const FlavorDef& f : kFlavors) {
+  for (const char* flavor : {"wbi", "cbl-on-wbi", "paper"}) {
     for (const std::uint32_t n : nodes) {
       const std::uint32_t tasks = quick ? n : 2 * n;
       for (const Variant& v : kVariants) {
-        const Cell c = run_cell(f, v, n, tasks, grain);
+        const Cell c = run_cell(flavor, v, n, tasks, grain);
         all_done = all_done && c.done;
-        std::printf("%-6s %-6u %-20s %12llu %10.1f %12llu %11llu %11llu %9llu %9llu%s\n",
-                    f.name, n, v.name,
+        std::printf("%-10s %-6u %-20s %12llu %10.1f %12llu %11llu %11llu %9llu %9llu%s\n",
+                    flavor, n, v.name,
                     static_cast<unsigned long long>(c.completion), c.wall_ms,
                     static_cast<unsigned long long>(c.messages),
                     static_cast<unsigned long long>(c.inject_stalls),

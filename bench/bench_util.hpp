@@ -4,7 +4,8 @@
 // the relevant simulations (in parallel across host threads — each
 // simulation is single-threaded and deterministic) and prints the same
 // rows/series the paper reports, plus the measured message counts that
-// back them.
+// back them. Every machine is built by conf::build_machine from the
+// flavor names `bcsim run --machine` takes (paper, wbi, cbl-on-wbi).
 #pragma once
 
 #include <cstdint>
@@ -13,47 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hpp"
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "sim/sweep.hpp"
 #include "workload/sync_model.hpp"
 #include "workload/work_queue_model.hpp"
 
 namespace bcsim::bench {
-
-/// WBI machine with a software lock (the paper's baseline).
-inline core::MachineConfig wbi_machine(std::uint32_t n, core::LockImpl lock) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n;
-  cfg.lock_impl = lock;
-  cfg.barrier_impl = core::BarrierImpl::kCentral;
-  cfg.network = core::NetworkKind::kOmega;
-  return cfg;
-}
-
-/// WBI data coherence + hardware CBL locks/barrier (Figures 4-5 "CBL"
-/// lines: "these tests do not employ buffered consistency").
-inline core::MachineConfig cbl_machine(std::uint32_t n) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
-  cfg.network = core::NetworkKind::kOmega;
-  return cfg;
-}
-
-/// The paper's full machine: read-update coherence + CBL + chosen
-/// consistency model (Figures 6-7).
-inline core::MachineConfig paper_machine(std::uint32_t n, core::Consistency c) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n;
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = c;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
-  cfg.network = core::NetworkKind::kOmega;
-  return cfg;
-}
 
 /// Runs `m` to completion. With the watchdog off, Machine::run returns
 /// quietly when the event queue drains before every program finished, so
@@ -74,10 +41,10 @@ struct RunResult {
 };
 
 /// Runs the work-queue workload (fixed total work) on a machine.
-inline RunResult run_work_queue(const core::MachineConfig& cfg,
+inline RunResult run_work_queue(const conf::MachineSpec& machine,
                                 const workload::WorkQueueConfig& wq,
                                 Tick budget = 4'000'000'000ULL) {
-  core::Machine m(cfg);
+  core::Machine m(conf::build_machine(machine));
   workload::WorkQueueWorkload w(m, wq);
   w.spawn_all(m);
   RunResult r;
@@ -88,10 +55,10 @@ inline RunResult run_work_queue(const core::MachineConfig& cfg,
 }
 
 /// Runs the sync-model workload (fixed work per processor).
-inline RunResult run_sync_model(const core::MachineConfig& cfg,
+inline RunResult run_sync_model(const conf::MachineSpec& machine,
                                 const workload::SyncModelConfig& sm,
                                 Tick budget = 4'000'000'000ULL) {
-  core::Machine m(cfg);
+  core::Machine m(conf::build_machine(machine));
   workload::SyncModelWorkload w(m, sm);
   w.spawn_all(m);
   RunResult r;

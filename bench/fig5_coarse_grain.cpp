@@ -16,18 +16,18 @@ using namespace bcsim::bench;
 
 constexpr std::uint32_t kGrain = 1000;  // coarse granularity
 
-double q_line(core::MachineConfig cfg) {
+double q_line(const conf::MachineSpec& machine) {
   workload::WorkQueueConfig wq;
   wq.total_tasks = 128;
   wq.grain = kGrain;
-  return static_cast<double>(run_work_queue(cfg, wq).completion);
+  return static_cast<double>(run_work_queue(machine, wq).completion);
 }
 
-double sync_line(core::MachineConfig cfg) {
+double sync_line(const conf::MachineSpec& machine) {
   workload::SyncModelConfig sm;
   sm.tasks_per_proc = 4;
   sm.grain = kGrain;
-  return static_cast<double>(run_sync_model(cfg, sm).completion);
+  return static_cast<double>(run_sync_model(machine, sm).completion);
 }
 
 }  // namespace
@@ -42,11 +42,11 @@ int main() {
       nodes.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
         const std::uint32_t n = nodes[i];
         return std::vector<double>{
-            sync_line(wbi_machine(n, core::LockImpl::kTts)),
-            sync_line(cbl_machine(n)),
-            q_line(wbi_machine(n, core::LockImpl::kTts)),
-            q_line(wbi_machine(n, core::LockImpl::kTtsBackoff)),
-            q_line(cbl_machine(n)),
+            sync_line({.nodes = n, .flavor = "wbi"}),
+            sync_line({.nodes = n, .flavor = "cbl-on-wbi"}),
+            q_line({.nodes = n, .flavor = "wbi"}),
+            q_line({.nodes = n, .flavor = "wbi", .lock = "tts-backoff"}),
+            q_line({.nodes = n, .flavor = "cbl-on-wbi"}),
         };
       }));
   std::vector<std::string> labels;

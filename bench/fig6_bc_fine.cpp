@@ -19,11 +19,12 @@ using namespace bcsim::bench;
 
 constexpr std::uint32_t kGrain = 10;  // fine granularity
 
-double run_model(std::uint32_t n, core::Consistency c) {
+double run_model(std::uint32_t n, const char* consistency) {
   workload::WorkQueueConfig wq;
   wq.total_tasks = 384;
   wq.grain = kGrain;
-  return static_cast<double>(run_work_queue(paper_machine(n, c), wq).completion);
+  return static_cast<double>(
+      run_work_queue({.nodes = n, .consistency{consistency}}, wq).completion);
 }
 
 }  // namespace
@@ -37,8 +38,8 @@ int main() {
   const auto rows = sim::parallel_map<std::vector<double>>(
       nodes.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
         const std::uint32_t n = nodes[i];
-        const double sc = run_model(n, core::Consistency::kSequential);
-        const double bc = run_model(n, core::Consistency::kBuffered);
+        const double sc = run_model(n, "sc");
+        const double bc = run_model(n, "bc");
         return std::vector<double>{sc, bc, 100.0 * bc / sc};
       }));
   std::vector<std::string> labels;

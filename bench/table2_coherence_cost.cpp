@@ -83,15 +83,8 @@ int main() {
 
   // ---- simulated counterpart ----
   std::printf("\nSimulated steady-state traffic (iterations 3..10, per iteration, per processor):\n");
-  core::MachineConfig ru;
-  ru.n_nodes = kN;
-  ru.data_protocol = core::DataProtocol::kReadUpdate;
-  ru.consistency = core::Consistency::kBuffered;
-  ru.lock_impl = core::LockImpl::kCbl;
-  ru.barrier_impl = core::BarrierImpl::kCbl;
-  ru.network = core::NetworkKind::kOmega;
-
-  auto wbi = wbi_machine(kN, core::LockImpl::kTts);
+  const core::MachineConfig ru = conf::build_machine({.nodes = kN});
+  const core::MachineConfig wbi = conf::build_machine({.nodes = kN, .flavor = "wbi"});
 
   const auto results = sim::parallel_map<SolverRun>(
       3, std::function<SolverRun(std::size_t)>([&](std::size_t i) {

@@ -113,8 +113,8 @@ int main() {
               {"WBI msgs", "WBI time", "CBL msgs", "CBL time"}, labels, cells);
 
   // ---- simulated counterpart ----
-  const auto wbi = wbi_machine(kN, core::LockImpl::kTts);
-  const auto cbl = cbl_machine(kN);
+  const auto wbi = conf::build_machine({.nodes = kN, .flavor = "wbi"});
+  const auto cbl = conf::build_machine({.nodes = kN, .flavor = "cbl-on-wbi"});
   const auto res = sim::parallel_map<Measured>(
       6, std::function<Measured(std::size_t)>([&](std::size_t i) {
         switch (i) {
@@ -136,8 +136,8 @@ int main() {
   std::printf("\nParallel-lock message scaling (simulated):\n");
   std::printf("%-8s%16s%16s%16s\n", "n", "WBI msgs", "CBL msgs", "WBI/CBL");
   for (std::uint32_t n : {4u, 8u, 16u, 32u, 64u}) {
-    const auto w = parallel_lock(wbi_machine(n, core::LockImpl::kTts), kTcs);
-    const auto c = parallel_lock(cbl_machine(n), kTcs);
+    const auto w = parallel_lock(conf::build_machine({.nodes = n, .flavor = "wbi"}), kTcs);
+    const auto c = parallel_lock(conf::build_machine({.nodes = n, .flavor = "cbl-on-wbi"}), kTcs);
     std::printf("%-8u%16.0f%16.0f%16.1f\n", n, w.messages, c.messages,
                 w.messages / c.messages);
   }

@@ -114,12 +114,15 @@ const ScenarioKey kKeys[] = {
 
 /// How a user writes the knob of config key `key`: "key / --flag".
 std::string spelled(std::string_view key) {
-  const auto* row = std::find_if(std::begin(kKeys), std::end(kKeys),
-                                 [&](const ScenarioKey& k) { return k.key == key; });
-  return std::string(key) + " / " + std::string(row->flag);
+  return std::string(key) + " / " + std::string(scenario_key(key).flag);
 }
 
 }  // namespace
+
+const ScenarioKey& scenario_key(std::string_view key) {
+  return *std::find_if(std::begin(kKeys), std::end(kKeys),
+                       [&](const ScenarioKey& k) { return k.key == key; });
+}
 
 core::MachineConfig build_machine(const MachineSpec& o) {
   core::MachineConfig cfg;
@@ -199,11 +202,6 @@ std::string key_text(Scenario s, const ScenarioKey& k) {
                     k.field(s));
 }
 
-namespace {
-
-/// Sets a row's field from its text: a flag value, or a config value as
-/// the text its flag would take. Throws UsageError naming `what` for a
-/// malformed, out-of-range or unknown value.
 void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const std::string& what) {
   const auto number = [&](std::uint64_t type_max) {
     return parse_u64(what, text, k.min, std::min(k.max, type_max));
@@ -224,7 +222,15 @@ void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const s
              k.field(s));
 }
 
-}  // namespace
+std::string config_text(const Table& t, std::string_view key, const ScenarioKey& k) {
+  Scenario s;
+  return std::visit(Overloaded{
+                        [&](std::string*) { return t.get_string(key, ""); },
+                        [&](bool*) { return std::string(kBools[t.get_bool(key, false) ? 1 : 0]); },
+                        [&](auto*) { return std::to_string(t.get_int(key, 0)); },
+                    },
+                    k.field(s));
+}
 
 Scenario resolve_scenario(const Table& t) {
   Scenario s;
@@ -232,13 +238,7 @@ Scenario resolve_scenario(const Table& t) {
   // two spellings share one range check; its error names file:line.
   const auto read = [&](Scenario& into, const ScenarioKey& k) {
     if (!t.has(k.key)) return;
-    const std::string text = std::visit(
-        Overloaded{
-            [&](std::string*) { return t.get_string(k.key, ""); },
-            [&](bool*) { return std::string(kBools[t.get_bool(k.key, false) ? 1 : 0]); },
-            [&](auto*) { return std::to_string(t.get_int(k.key, 0)); },
-        },
-        k.field(into));
+    const std::string text = config_text(t, k.key, k);
     try {
       set_key(into, k, text, std::string(k.key));
     } catch (const UsageError& e) {

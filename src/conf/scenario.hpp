@@ -104,8 +104,20 @@ struct ScenarioKey {
 /// Every row: the machine keys, `workload.kind`, then each kind's keys.
 [[nodiscard]] std::span<const ScenarioKey> scenario_keys() noexcept;
 
+/// The first row of config key `key`; a [machine] key has exactly one.
+[[nodiscard]] const ScenarioKey& scenario_key(std::string_view key);
+
 /// A row's field as text, the value its flag or key takes.
 [[nodiscard]] std::string key_text(Scenario s, const ScenarioKey& k);
+
+/// Sets a row's field from its text, the value its flag takes. Throws
+/// UsageError naming `what` for a malformed, out-of-range or unknown value.
+void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const std::string& what);
+
+/// Config key `key`'s value as the text row `k`'s flag would take. Throws
+/// ConfError for a value of the wrong type (a quoted number, say).
+[[nodiscard]] std::string config_text(const Table& t, std::string_view key,
+                                      const ScenarioKey& k);
 
 /// Resolves the [machine] and [workload] sections of a parsed config into
 /// a Scenario, consuming every key it understands. Schema violations

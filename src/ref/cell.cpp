@@ -13,43 +13,9 @@
 namespace bcsim::ref {
 
 core::MachineConfig cell_config(const Cell& c) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = c.nodes;
-  cfg.schedule_seed = c.schedule_seed;
+  core::MachineConfig cfg = conf::build_machine(c.machine);
   cfg.invariants = sim::InvariantLevel::kQuiesce;
-  switch (c.flavor) {
-    case Flavor::kWbi:
-      cfg.data_protocol = core::DataProtocol::kWbi;
-      cfg.consistency = core::Consistency::kSequential;
-      cfg.lock_impl = core::LockImpl::kTts;
-      cfg.barrier_impl = core::BarrierImpl::kCentral;
-      break;
-    case Flavor::kRu:
-      cfg.data_protocol = core::DataProtocol::kReadUpdate;
-      cfg.consistency = core::Consistency::kBuffered;
-      cfg.lock_impl = core::LockImpl::kCbl;
-      cfg.barrier_impl = core::BarrierImpl::kCbl;
-      break;
-    case Flavor::kCbl:
-      cfg.data_protocol = core::DataProtocol::kWbi;
-      cfg.consistency = core::Consistency::kSequential;
-      cfg.lock_impl = core::LockImpl::kCbl;
-      cfg.barrier_impl = core::BarrierImpl::kCbl;
-      break;
-  }
-  cfg.network = c.network;
-  cfg.net_buffer_depth = c.buffer_depth;
-  cfg.dir_pointer_limit = c.dir_limit;
-  cfg.dir_overflow = c.dir_overflow;
-  cfg.dir_region_nodes = c.dir_region;
-  if (!c.plan.empty()) {
-    sim::FaultPlan plan = sim::resolve_fault_plan(c.plan);
-    plan.seed = c.fault_seed;
-    cfg.fault_plan = plan;
-  }
-  cfg.watchdog_interval = c.watchdog;
-  cfg.watchdog_stalls = c.stalls;
-  cfg.trace_dump = c.trace_dump;
+  if (!c.machine.fault_plan.empty()) cfg.fault_plan.seed = c.fault_seed;
   return cfg;
 }
 
@@ -88,7 +54,7 @@ CellOutcome judge(const RefResult& ref, const ir::RunResult& run,
 
 ir::Program cell_program(const Cell& c) {
   DrfGenConfig gen;
-  gen.n_nodes = c.nodes;
+  gen.n_nodes = c.machine.nodes;
   gen.phases = c.phases;
   return generate_drf_program(c.program_seed, gen);
 }
@@ -117,25 +83,25 @@ constexpr unsigned kDrf = bit(Harness::kDiff) | bit(Harness::kChaos);
 constexpr unsigned kChaos = bit(Harness::kChaos);
 constexpr unsigned kWatched = kChaos | bit(Harness::kCheck);
 
-// diff and model arm the watchdog themselves for network faults; chaos
-// takes its knobs and check its interval. model and check run fixed
-// batteries, which have no phases.
+// chaos takes the watchdog's knobs and check its interval; on any cell a
+// network fault plan arms build_machine's default. model and check run
+// fixed batteries, which have no phases.
 const CellKey kKeys[] = {
-    {"flavor", &Cell::flavor, 0, true},
-    {"network", &Cell::network, 0, true},
-    {"nodes", &Cell::nodes, kAll, true, 1},
+    {"flavor", "machine.flavor", 0, true},
+    {"network", "machine.network", 0, true},
+    {"nodes", "machine.nodes", kAll, true},
     {"program", &Cell::program_seed, 0, true},
     {"phases", &Cell::phases, kDrf, true, 1},
-    {"schedule", &Cell::schedule_seed, 0, true},
-    {"plan", &Cell::plan},
+    {"schedule", "machine.schedule_seed", 0, true},
+    {"plan", "machine.fault_plan"},
     {"fault-seed", &Cell::fault_seed},
-    {"buffer-depth", &Cell::buffer_depth, kAll},
-    {"dir-limit", &Cell::dir_limit, kAll},
-    {"dir-overflow", &Cell::dir_overflow, kAll},
-    {"dir-region", &Cell::dir_region, kAll, false, 1},
-    {"watchdog", &Cell::watchdog, kWatched},
-    {"stalls", &Cell::stalls, kChaos, false, 1},
-    {"trace-dump", &Cell::trace_dump, kChaos},
+    {"buffer-depth", "machine.net_buffer_depth", kAll},
+    {"dir-limit", "machine.dir_limit", kAll},
+    {"dir-overflow", "machine.dir_overflow", kAll},
+    {"dir-region", "machine.dir_region", kAll},
+    {"watchdog", "machine.watchdog", kWatched},
+    {"stalls", "machine.watchdog_stalls", kChaos},
+    {"trace-dump", "machine.trace_dump", kChaos},
     {"budget", &Cell::budget, kAll},
 };
 
@@ -144,49 +110,37 @@ const CellKey kKeys[] = {
 std::span<const CellKey> cell_keys() noexcept { return kKeys; }
 
 std::string key_text(const Cell& c, const CellKey& k) {
-  struct {
-    const Cell& c;
-    std::string operator()(std::uint64_t Cell::*f) const { return std::to_string(c.*f); }
-    std::string operator()(std::uint32_t Cell::*f) const { return std::to_string(c.*f); }
-    std::string operator()(std::string Cell::*f) const { return c.*f; }
-    std::string operator()(Flavor Cell::*f) const { return to_string(c.*f); }
-    std::string operator()(core::NetworkKind Cell::*f) const {
-      return std::string(core::to_string(c.*f));
-    }
-    std::string operator()(core::DirOverflow Cell::*f) const {
-      return std::string(core::to_string(c.*f));
-    }
-  } visitor{c};
-  return std::visit(visitor, k.field);
+  return std::visit(conf::Overloaded{
+                        [&](std::string_view row) {
+                          return conf::key_text({c.machine, {}}, conf::scenario_key(row));
+                        },
+                        [&]<typename T>(T Cell::*f) { return std::to_string(c.*f); },
+                    },
+                    k.field);
 }
 
 void set_key(Cell& c, const CellKey& k, const std::string& text) {
-  struct {
-    Cell& c;
-    const std::string& text;
-    const CellKey& k;
-    void operator()(std::uint64_t Cell::*f) const { c.*f = conf::parse_u64(k.name, text, k.min); }
-    void operator()(std::uint32_t Cell::*f) const {
-      c.*f = static_cast<std::uint32_t>(
-          conf::parse_u64(k.name, text, k.min, std::numeric_limits<std::uint32_t>::max()));
-    }
-    void operator()(std::string Cell::*f) const {
-      try {
-        (void)sim::resolve_fault_plan(text);
-      } catch (const std::invalid_argument& e) {
-        throw conf::UsageError(e.what());
-      }
-      c.*f = text;
-    }
-    void operator()(Flavor Cell::*f) const { c.*f = conf::parse_enum<kFlavors>(k.name, text); }
-    void operator()(core::NetworkKind Cell::*f) const {
-      c.*f = conf::parse_enum<conf::kNetworks>(k.name, text);
-    }
-    void operator()(core::DirOverflow Cell::*f) const {
-      c.*f = conf::parse_enum<conf::kDirOverflows>(k.name, text);
-    }
-  } visitor{c, text, k};
-  std::visit(visitor, k.field);
+  std::visit(conf::Overloaded{
+                 [&](std::string_view row) {
+                   conf::Scenario s{c.machine, {}};
+                   conf::set_key(s, conf::scenario_key(row), text, k.name);
+                   // The row takes any text; a corpus line's plan must
+                   // resolve when the line is read, not when its cell runs.
+                   if (row == "machine.fault_plan") {
+                     try {
+                       (void)sim::resolve_fault_plan(text);
+                     } catch (const std::invalid_argument& e) {
+                       throw conf::UsageError(e.what());
+                     }
+                   }
+                   c.machine = s.machine;
+                 },
+                 [&]<typename T>(T Cell::*f) {
+                   c.*f = static_cast<T>(
+                       conf::parse_u64(k.name, text, k.min, std::numeric_limits<T>::max()));
+                 },
+             },
+             k.field);
 }
 
 std::optional<CorpusEntry> parse_corpus_line(const std::string& line) {

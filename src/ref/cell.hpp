@@ -4,8 +4,9 @@
 //
 // `bcsim diff`, `model`, `chaos` and `check` sweep the same grid — fault
 // plans x programs x networks x flavors x schedule seeds — and build every
-// machine through cell_config(). A DRF cell (diff, chaos) or a check cell
-// is judged against the golden SC reference:
+// machine through cell_config(), which builds it with conf::build_machine
+// as `bcsim run` does. A DRF cell (diff, chaos) or a check cell is judged
+// against the golden SC reference:
 //
 //   * transparent — the run completed and is indistinguishable from the
 //     reference; retries/NACKs masked every injected fault. DRF
@@ -23,61 +24,37 @@
 // fixed battery, so its program seed and phases are unused.
 //
 // Each field has one name and one range (cell_keys()): a corpus line, a
-// harness flag, a config key and a replay line all spell it the same way.
+// harness flag, a config key and a replay line all spell it the same way,
+// and a machine knob takes the range or names of its [machine] row
+// (conf::scenario_keys()).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
+#include "conf/scenario.hpp"
 #include "core/config.hpp"
 #include "ref/diff.hpp"
 
 namespace bcsim::ref {
 
-/// The three machine flavors the harnesses sweep.
-enum class Flavor : std::uint8_t {
-  kWbi,  ///< write-back invalidate + SC + TTS locks + central barrier
-  kRu,   ///< the paper machine: read-update + BC + CBL lock/barrier
-  kCbl,  ///< CBL synchronization on the WBI data protocol
-};
-
-[[nodiscard]] constexpr const char* to_string(Flavor f) noexcept {
-  switch (f) {
-    case Flavor::kWbi: return "wbi";
-    case Flavor::kRu: return "ru";
-    case Flavor::kCbl: return "cbl";
-  }
-  return "?";
-}
-
-/// Every flavor; a flavor's name is its to_string (conf::parse_enum).
-inline constexpr Flavor kFlavors[] = {Flavor::kWbi, Flavor::kRu, Flavor::kCbl};
-
-/// Every field that builds the cell's run: its machine configuration, the
-/// DRF program it runs and the tick budget it runs under.
+/// Every field that builds the cell's run: its machine, built by
+/// conf::build_machine like a `run`'s, the DRF program it runs and the
+/// tick budget it runs under.
 struct Cell {
-  Flavor flavor = Flavor::kRu;
-  core::NetworkKind network = core::NetworkKind::kOmega;
-  std::uint32_t nodes = 8;
+  /// Flavor, network, nodes, schedule seed, fault plan, and the fabric,
+  /// directory and watchdog knobs. A network fault plan with watchdog 0
+  /// runs under build_machine's default watchdog.
+  conf::MachineSpec machine;
   std::uint64_t program_seed = 0;
   std::uint32_t phases = 3;
-  std::uint64_t schedule_seed = 0;
-  /// Fault plan: a registry name or inline spec (sim::resolve_fault_plan);
-  /// "" = none. `fault_seed` replaces the plan's lottery seed.
-  std::string plan;
-  std::uint64_t fault_seed = 0;
-  std::uint32_t buffer_depth = 0;  ///< 0 = infinite per-port buffers
-  std::uint32_t dir_limit = 0;     ///< 0 = full-map directory
-  core::DirOverflow dir_overflow = core::DirOverflow::kBroadcast;
-  std::uint32_t dir_region = 4;
-  Tick watchdog = 0;               ///< liveness watchdog interval; 0 = off
-  std::uint32_t stalls = 3;
-  std::uint64_t trace_dump = 64;   ///< trace-tail size in watchdog reports
-  Tick budget = 100'000'000;       ///< a run still going at this tick is hung
+  std::uint64_t fault_seed = 0;  ///< replaces the fault plan's lottery seed
+  Tick budget = 100'000'000;     ///< a run still going at this tick is hung
 };
 
 /// The harnesses that sweep cells (tools/bcsim_harness.hpp).
@@ -95,12 +72,12 @@ enum class Harness : std::uint8_t { kDiff, kModel, kChaos, kCheck };
 /// key's range.
 struct CellKey {
   const char* name;
-  std::variant<std::uint64_t Cell::*, std::uint32_t Cell::*, std::string Cell::*,
-               Flavor Cell::*, core::NetworkKind Cell::*, core::DirOverflow Cell::*>
-      field;
+  /// A machine knob: the config key of its conf::scenario_keys() row, whose
+  /// range or name set it takes. Otherwise a field of the cell's own.
+  std::variant<std::string_view, std::uint64_t Cell::*, std::uint32_t Cell::*> field;
   unsigned harnesses = 0;  ///< 0: a swept axis, which only a corpus line names
   bool always = false;     ///< required on a corpus line
-  std::uint32_t min = 0;   ///< numeric keys; the maximum is the field type's
+  std::uint32_t min = 0;   ///< the cell's own numeric fields; the maximum is the type's
 };
 
 /// Every cell key, in corpus-line order.
@@ -113,11 +90,10 @@ void set_key(Cell& c, const CellKey& k, const std::string& text);
 /// A key's field as text, the value a corpus line or replay flag carries.
 [[nodiscard]] std::string key_text(const Cell& c, const CellKey& k);
 
-/// The cell's machine: the flavor's protocol, consistency, lock and
-/// barrier on the cell's network, fabric and directory, with its fault
-/// plan and watchdog, and quiescent-level invariants (the judge is the
-/// whole-execution check; the invariant sweep is a cheap backstop).
-/// Throws std::invalid_argument for an unresolvable plan.
+/// The cell's machine, conf::build_machine's, with the cell's fault seed
+/// and quiescent-level invariants (the judge is the whole-execution check;
+/// the invariant sweep is a cheap backstop). Throws conf::UsageError where
+/// build_machine does (a coarse directory without a pointer limit).
 [[nodiscard]] core::MachineConfig cell_config(const Cell& c);
 
 enum class Verdict : std::uint8_t { kTransparent, kDiagnosed, kWrong, kHung };
@@ -138,7 +114,8 @@ struct CellOutcome {
 
 /// Runs the cell's DRF program on the cell's machine within the cell's
 /// budget and judges it against the program's SC reference run.
-/// Simulation failures never throw (they classify the cell).
+/// Simulation failures never throw (they classify the cell); a machine
+/// cell_config rejects does.
 [[nodiscard]] CellOutcome run_cell(const Cell& c);
 
 /// One corpus line: a cell and the verdict it must reproduce.

@@ -57,20 +57,18 @@ std::vector<FlavorCase> bounded_flavors(core::NetworkKind net) {
 
 TEST(BoundedFabric, DiffGridMatchesScReferenceAtDepthOne) {
   for (std::uint64_t ps = 0; ps < 2; ++ps) {
-    for (const auto flavor : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
-      for (const auto net : {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
-        ref::Cell cell;
-        cell.flavor = flavor;
-        cell.network = net;
-        cell.nodes = 8;
-        cell.phases = 2;
-        cell.program_seed = ps;
-        cell.schedule_seed = ps;
-        cell.buffer_depth = kDepth;
+    for (const char* flavor : {"wbi", "paper", "cbl-on-wbi"}) {
+      for (const char* net : {"omega", "mesh"}) {
+        const ref::Cell cell{.machine = {.nodes = 8,
+                                         .flavor = flavor,
+                                         .network = net,
+                                         .buffer_depth = kDepth,
+                                         .schedule_seed = ps},
+                             .program_seed = ps,
+                             .phases = 2};
         const ref::CellOutcome out = ref::run_cell(cell);
         EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
-            << ref::to_string(flavor) << "/" << core::to_string(net)
-            << " ps=ss=" << ps << ": " << out.detail;
+            << flavor << "/" << net << " ps=ss=" << ps << ": " << out.detail;
       }
     }
   }
@@ -198,15 +196,13 @@ TEST(BoundedFabric, FuzzProgramsQuiesceAtDepthOne) {
 // ---------------------------------------------------------------------------
 
 TEST(BoundedFabric, ChaosCellOnBoundedMeshIsTransparentOrDiagnosed) {
-  ref::Cell cell;
-  cell.plan = "drop";
-  cell.flavor = ref::Flavor::kRu;
-  cell.network = core::NetworkKind::kMesh;
-  cell.nodes = 8;
-  cell.phases = 2;
-  cell.buffer_depth = kDepth;
-  cell.watchdog = 4096;
-  cell.budget = 50'000'000;
+  const ref::Cell cell{.machine = {.nodes = 8,
+                                   .network = "mesh",
+                                   .buffer_depth = kDepth,
+                                   .fault_plan = "drop",
+                                   .watchdog = 4096},
+                       .phases = 2,
+                       .budget = 50'000'000};
   const ref::CellOutcome r = ref::run_cell(cell);
   EXPECT_TRUE(r.verdict == ref::Verdict::kTransparent ||
               r.verdict == ref::Verdict::kDiagnosed)

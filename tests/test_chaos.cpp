@@ -329,15 +329,10 @@ TEST(Watchdog, OffByDefaultBudgetStaysARuntimeError) {
 /// A chaos cell: `plan` armed on a small RU machine, with `bcsim chaos`'s
 /// watchdog and budget.
 ref::Cell chaos_cell(const char* plan, std::uint64_t fault_seed) {
-  ref::Cell cell;
-  cell.plan = plan;
-  cell.fault_seed = fault_seed;
-  cell.flavor = ref::Flavor::kRu;
-  cell.nodes = 4;
-  cell.phases = 2;
-  cell.watchdog = 4096;
-  cell.budget = 50'000'000;
-  return cell;
+  return {.machine = {.nodes = 4, .fault_plan = plan, .watchdog = 4096},
+          .phases = 2,
+          .fault_seed = fault_seed,
+          .budget = 50'000'000};
 }
 
 TEST(Chaos, DropCellIsTransparent) {
@@ -359,14 +354,14 @@ TEST(Chaos, EagerFlushLeakIsCaughtAsWrong) {
   // Diff.CatchesTheEagerFlushFault: the mesh's distance-dependent paths
   // are what let the un-flushed write lose the race.
   ref::Cell cell = chaos_cell("eager-flush", 0);
-  cell.network = core::NetworkKind::kMesh;
-  cell.nodes = 16;
+  cell.machine.network = "mesh";
+  cell.machine.nodes = 16;
   cell.phases = 3;
   bool caught = false;
   for (std::uint64_t seed = 0; seed < 4 && !caught; ++seed) {
     for (std::uint64_t ss = 0; ss < 2 && !caught; ++ss) {
       cell.program_seed = seed;
-      cell.schedule_seed = ss;
+      cell.machine.schedule_seed = ss;
       const auto out = ref::run_cell(cell);
       ASSERT_NE(out.verdict, ref::Verdict::kHung) << out.detail;
       caught = out.verdict == ref::Verdict::kWrong;

@@ -253,15 +253,14 @@ TEST(CoarseDir, DiffGridMatchesScReferenceUnderCoarseOverflow) {
   // still match the sequentially-consistent reference.
   for (std::uint64_t ps = 0; ps < 2; ++ps) {
     for (std::uint64_t ss = 0; ss < 2; ++ss) {
-      ref::Cell cell;
-      cell.flavor = ref::Flavor::kWbi;
-      cell.nodes = 8;
-      cell.phases = 2;
-      cell.program_seed = ps;
-      cell.schedule_seed = ss;
-      cell.dir_limit = 1;
-      cell.dir_overflow = core::DirOverflow::kCoarse;
-      cell.dir_region = 2;
+      const ref::Cell cell{.machine = {.nodes = 8,
+                                       .flavor = "wbi",
+                                       .dir_limit = 1,
+                                       .dir_overflow = "coarse",
+                                       .dir_region = 2,
+                                       .schedule_seed = ss},
+                           .program_seed = ps,
+                           .phases = 2};
       const ref::CellOutcome out = ref::run_cell(cell);
       EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
           << "ps=" << ps << " ss=" << ss << ": " << out.detail;

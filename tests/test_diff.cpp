@@ -266,20 +266,14 @@ TEST(CheckBattery, ReferenceResultsAreScheduleIndependent) {
 // ---------------------------------------------------------------------------
 
 /// A fault-free cell of small_gen()'s shape.
-ref::Cell small_cell(ref::Flavor f, std::uint64_t program_seed) {
-  ref::Cell c;
-  c.flavor = f;
-  c.nodes = 4;
-  c.phases = 2;
-  c.program_seed = program_seed;
-  return c;
+ref::Cell small_cell(const char* flavor, std::uint64_t program_seed) {
+  return {.machine = {.nodes = 4, .flavor = flavor}, .program_seed = program_seed, .phases = 2};
 }
 
 TEST(Diff, AllFlavorsMatchTheReference) {
-  for (const ref::Flavor f :
-       {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
+  for (const char* f : {"wbi", "paper", "cbl-on-wbi"}) {
     const ref::CellOutcome out = ref::run_cell(small_cell(f, 1));
-    EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << ref::to_string(f) << ": " << out.detail;
+    EXPECT_EQ(out.verdict, ref::Verdict::kTransparent) << f << ": " << out.detail;
   }
 }
 
@@ -288,15 +282,15 @@ TEST(Diff, AllFlavorsMatchTheReference) {
 TEST(Diff, SharedOpsMatchTheReferenceOnEveryFlavor) {
   const Program prog = all_shared_ops();
   const ref::RefResult sc = ref::RefMachine(prog, 1).run();
-  for (const ref::Flavor f : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
+  for (const char* f : {"wbi", "paper", "cbl-on-wbi"}) {
     for (std::uint64_t schedule = 0; schedule < 4; ++schedule) {
       ref::Cell c = small_cell(f, 0);
-      c.schedule_seed = schedule;
+      c.machine.schedule_seed = schedule;
       const auto cfg = ref::cell_config(c);
       const ref::CellOutcome out =
           ref::judge(sc, ir::run_program(prog, cfg), cfg.block_words);
       EXPECT_EQ(out.verdict, ref::Verdict::kTransparent)
-          << ref::to_string(f) << " schedule " << schedule << ": " << out.detail;
+          << f << " schedule " << schedule << ": " << out.detail;
     }
   }
 }
@@ -304,7 +298,7 @@ TEST(Diff, SharedOpsMatchTheReferenceOnEveryFlavor) {
 TEST(Diff, CatchesATamperedObservation) {
   const Program prog = ref::generate_drf_program(2, small_gen());
   const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-  const auto cfg = ref::cell_config(small_cell(ref::Flavor::kWbi, 2));
+  const auto cfg = ref::cell_config(small_cell("wbi", 2));
   ir::RunResult mach = ir::run_program(prog, cfg);
   ASSERT_TRUE(mach.completed) << mach.error;
 
@@ -327,7 +321,7 @@ TEST(Diff, CatchesATamperedObservation) {
 TEST(Diff, CatchesATamperedFinalVariable) {
   const Program prog = ref::generate_drf_program(2, small_gen());
   const ref::RefResult ref_run = ref::RefMachine(prog, 1).run();
-  const auto cfg = ref::cell_config(small_cell(ref::Flavor::kCbl, 2));
+  const auto cfg = ref::cell_config(small_cell("cbl-on-wbi", 2));
   ir::RunResult mach = ir::run_program(prog, cfg);
   ASSERT_TRUE(mach.completed) << mach.error;
   mach.final_locs.back() += 1;
@@ -338,13 +332,8 @@ TEST(Diff, CatchesATamperedFinalVariable) {
 
 /// The cells the eager-flush proof probes: RU on the 16-node mesh.
 ref::Cell mesh_cell(std::uint64_t program_seed, std::uint64_t schedule_seed) {
-  ref::Cell c;
-  c.flavor = ref::Flavor::kRu;
-  c.network = core::NetworkKind::kMesh;
-  c.nodes = 16;
-  c.program_seed = program_seed;
-  c.schedule_seed = schedule_seed;
-  return c;
+  return {.machine = {.nodes = 16, .network = "mesh", .schedule_seed = schedule_seed},
+          .program_seed = program_seed};
 }
 
 // The acceptance demonstration, pinned as a unit test: removing the
@@ -357,7 +346,7 @@ TEST(Diff, CatchesTheEagerFlushFault) {
   for (std::uint64_t seed = 0; seed < 4 && !caught; ++seed) {
     for (std::uint64_t ss = 0; ss < 2 && !caught; ++ss) {
       ref::Cell c = mesh_cell(seed, ss);
-      c.plan = "eager-flush";
+      c.machine.fault_plan = "eager-flush";
       const ref::CellOutcome out = ref::run_cell(c);
       if (out.verdict == ref::Verdict::kTransparent) continue;
       caught = true;
@@ -384,26 +373,25 @@ TEST(Diff, MeshGridIsCleanWithoutTheFault) {
 // ---------------------------------------------------------------------------
 
 TEST(CellCorpus, LineFormatRoundTrips) {
-  ref::CorpusEntry e;
-  e.cell.flavor = ref::Flavor::kCbl;
-  e.cell.network = core::NetworkKind::kMesh;
-  e.cell.nodes = 12;
-  e.cell.program_seed = 34;
-  e.cell.phases = 2;
-  e.cell.schedule_seed = 5;
-  e.cell.plan = "drop:p=0.1;seed=0";
-  e.cell.fault_seed = 12;
-  e.cell.buffer_depth = 2;
-  e.cell.dir_limit = 3;
-  e.cell.dir_overflow = core::DirOverflow::kCoarse;
-  e.cell.dir_region = 2;
-  e.cell.watchdog = 4096;
-  e.cell.stalls = 5;
-  e.cell.trace_dump = 16;
-  e.cell.budget = 50'000'000;
-  e.expected = ref::Verdict::kDiagnosed;
+  const ref::CorpusEntry e{.cell = {.machine = {.nodes = 12,
+                                                .flavor = "cbl-on-wbi",
+                                                .network = "mesh",
+                                                .buffer_depth = 2,
+                                                .dir_limit = 3,
+                                                .dir_overflow = "coarse",
+                                                .dir_region = 2,
+                                                .schedule_seed = 5,
+                                                .fault_plan = "drop:p=0.1;seed=0",
+                                                .watchdog = 4096,
+                                                .watchdog_stalls = 5,
+                                                .trace_dump = 16},
+                                    .program_seed = 34,
+                                    .phases = 2,
+                                    .fault_seed = 12,
+                                    .budget = 50'000'000},
+                           .expected = ref::Verdict::kDiagnosed};
   const std::string line = ref::format_corpus_line(e);
-  for (const char* key : {"flavor=cbl", "network=mesh", "nodes=12", "program=34", "phases=2",
+  for (const char* key : {"flavor=cbl-on-wbi", "network=mesh", "nodes=12", "program=34", "phases=2",
                           "schedule=5", "plan=drop:p=0.1;seed=0", "fault-seed=12",
                           "buffer-depth=2", "dir-limit=3", "dir-overflow=coarse",
                           "dir-region=2", "watchdog=4096", "stalls=5", "trace-dump=16",
@@ -420,7 +408,7 @@ TEST(CellCorpus, LineFormatRoundTrips) {
 
   // Defaults stay off the line; comments and blank lines are not entries.
   EXPECT_EQ(ref::format_corpus_line({}),
-            "transparent flavor=ru network=omega nodes=8 program=0 phases=3 schedule=0");
+            "transparent flavor=paper network=omega nodes=16 program=0 phases=3 schedule=0");
   EXPECT_FALSE(ref::parse_corpus_line("# comment").has_value());
   EXPECT_FALSE(ref::parse_corpus_line("   ").has_value());
 }
@@ -437,7 +425,8 @@ TEST(CellCorpus, ParserRejectsMalformedLines) {
     return false;
   };
   // Each malformed case below breaks exactly one field of this line.
-  const std::string ok = "transparent flavor=cbl network=mesh nodes=16 program=3 phases=3 schedule=0";
+  const std::string ok =
+      "transparent flavor=cbl-on-wbi network=mesh nodes=16 program=3 phases=3 schedule=0";
   const auto with = [&](const std::string& from, const std::string& to) {
     std::string line = ok;
     line.replace(line.find(from), from.size(), to);
@@ -445,7 +434,7 @@ TEST(CellCorpus, ParserRejectsMalformedLines) {
   };
   EXPECT_FALSE(rejects(ok));
   EXPECT_FALSE(rejects("transparent schedule=2 program=1 phases=3 nodes=8 network=omega "
-                       "flavor=ru plan=eager-flush"));
+                       "flavor=paper plan=eager-flush"));
   EXPECT_FALSE(rejects(with("transparent", "diagnosed") + " plan=drop-noretry watchdog=4096"));
   EXPECT_TRUE(rejects(with("transparent ", ""))) << "missing verdict";
   EXPECT_TRUE(rejects(with("transparent", "fine"))) << "unknown verdict";
@@ -460,7 +449,9 @@ TEST(CellCorpus, ParserRejectsMalformedLines) {
     EXPECT_TRUE(rejects(line)) << "missing " << key << ": " << line;
   }
   EXPECT_TRUE(rejects("diagnosed plan=drop-noretry watchdog=4096")) << "no scenario at all";
-  EXPECT_TRUE(rejects(with("flavor=cbl", "flavor=sc"))) << "unknown flavor";
+  EXPECT_TRUE(rejects(with("flavor=cbl-on-wbi", "flavor=sc"))) << "unknown flavor";
+  EXPECT_TRUE(rejects(with("flavor=cbl-on-wbi", "flavor=ru"))) << "ru is no flavor name";
+  EXPECT_TRUE(rejects(with("flavor=cbl-on-wbi", "flavor=cbl"))) << "cbl is no flavor name";
   EXPECT_TRUE(rejects(with("network=mesh", "network=toroid"))) << "unknown network";
   EXPECT_TRUE(rejects(with("program=3", "program=x"))) << "non-numeric seed";
   EXPECT_TRUE(rejects(with("schedule=0", "schedule=-1"))) << "negative seed";

@@ -214,14 +214,13 @@ TEST(ModelScReference, EverySequentiallyConsistentOutcomeIsAllowed) {
 constexpr std::uint32_t kNodes = 16;
 
 /// One machine run of `t` the way `bcsim model` runs it.
-ir::RunResult run_battery_test(const Program& t, ref::Flavor f, core::NetworkKind net,
-                         std::uint64_t seed, const char* plan = "") {
-  ref::Cell c;
-  c.flavor = f;
-  c.network = net;
-  c.nodes = kNodes;
-  c.schedule_seed = seed;
-  c.plan = plan;
+ir::RunResult run_battery_test(const Program& t, const char* flavor, const char* net,
+                               std::uint64_t seed, const char* plan = "") {
+  const ref::Cell c{.machine = {.nodes = kNodes,
+                                .flavor = flavor,
+                                .network = net,
+                                .schedule_seed = seed,
+                                .fault_plan = plan}};
   return ir::run_program(model::with_warmup(t, seed), ref::cell_config(c));
 }
 
@@ -234,20 +233,15 @@ TEST(ModelSoundness, BatteryObservedSubsetOfAllowed) {
   // the in-process version with a first-divergence diagnosis on failure.
   for (const Program& t : model::litmus_battery()) {
     const auto allowed = model::enumerate_allowed(t);
-    for (const ref::Flavor f : {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl}) {
-      for (const core::NetworkKind net :
-           {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
+    for (const char* f : {"wbi", "paper", "cbl-on-wbi"}) {
+      for (const char* net : {"omega", "mesh"}) {
         for (std::uint64_t seed = 0; seed < 3; ++seed) {
           const auto r = run_battery_test(t, f, net, seed);
-          ASSERT_TRUE(r.completed)
-              << t.name << " " << ref::to_string(f) << " seed " << seed
-              << ": " << r.error;
+          ASSERT_TRUE(r.completed) << t.name << " " << f << " seed " << seed << ": " << r.error;
           const Outcome got = outcome(r);
           const int d = model::first_divergence(allowed, got);
           EXPECT_TRUE(model::outcome_allowed(allowed, got))
-              << t.name << " " << ref::to_string(f)
-              << (net == core::NetworkKind::kMesh ? " mesh" : " omega")
-              << " seed " << seed << ": observed "
+              << t.name << " " << f << " " << net << " seed " << seed << ": observed "
               << model::render_outcome(t, got)
               << ", first divergence at "
               << (d >= 0 && d < static_cast<int>(got.loads.size())
@@ -271,15 +265,14 @@ TEST(ModelSoundness, RuReachesTheWeakOutcomes) {
   bool mp_stale = false;
   bool sb_both_stale = false;
   for (std::uint64_t seed = 0; seed < 64 && !(mp_stale && sb_both_stale); ++seed) {
-    for (const core::NetworkKind net :
-         {core::NetworkKind::kOmega, core::NetworkKind::kMesh}) {
+    for (const char* net : {"omega", "mesh"}) {
       if (!mp_stale) {
-        const auto r = run_battery_test(mp, ref::Flavor::kRu, net, seed);
+        const auto r = run_battery_test(mp, "paper", net, seed);
         ASSERT_TRUE(r.completed) << r.error;
         if (outcome(r).loads == std::vector<Word>{0}) mp_stale = true;
       }
       if (!sb_both_stale) {
-        const auto r = run_battery_test(sb, ref::Flavor::kRu, net, seed);
+        const auto r = run_battery_test(sb, "paper", net, seed);
         ASSERT_TRUE(r.completed) << r.error;
         if (outcome(r).loads == std::vector<Word>{0, 0}) sb_both_stale = true;
       }
@@ -297,8 +290,7 @@ TEST(ModelSoundness, EagerFlushFaultIsDetected) {
   const auto allowed = model::enumerate_allowed(t);
   bool caught = false;
   for (std::uint64_t seed = 0; seed < 8 && !caught; ++seed) {
-    const auto r = run_battery_test(t, ref::Flavor::kRu, core::NetworkKind::kMesh, seed,
-                              "eager-flush");
+    const auto r = run_battery_test(t, "paper", "mesh", seed, "eager-flush");
     if (!r.completed) continue;  // a stuck run is also a detection, but
                                  // the outcome check is the point here
     const Outcome got = outcome(r);

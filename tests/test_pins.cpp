@@ -49,24 +49,17 @@ std::string pin(const std::string& what, const ir::RunResult& r) {
 }
 
 std::string flavor_network(const ref::Cell& c) {
-  return std::string("flavor=") + ref::to_string(c.flavor) +
-         " network=" + std::string(core::to_string(c.network));
+  return "flavor=" + c.machine.flavor + " network=" + c.machine.network;
 }
 
 std::vector<std::string> ir_grid() {
   std::vector<std::string> out;
-  const ref::Flavor flavors[] = {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl};
-  const core::NetworkKind networks[] = {core::NetworkKind::kOmega, core::NetworkKind::kMesh};
   const auto sweep = [&](std::uint32_t nodes, const auto& run_one) {
-    for (const ref::Flavor f : flavors) {
-      for (const core::NetworkKind n : networks) {
+    for (const char* f : {"wbi", "paper", "cbl-on-wbi"}) {
+      for (const char* n : {"omega", "mesh"}) {
         for (std::uint64_t s = 0; s < 2; ++s) {
-          ref::Cell c;
-          c.flavor = f;
-          c.network = n;
-          c.nodes = nodes;
-          c.schedule_seed = s;
-          run_one(c);
+          run_one(ref::Cell{.machine = {.nodes = nodes, .flavor = f, .network = n,
+                                        .schedule_seed = s}});
         }
       }
     }
@@ -75,27 +68,28 @@ std::vector<std::string> ir_grid() {
     sweep(8, [&](ref::Cell c) {
       c.program_seed = ps;
       out.push_back(pin("drf program=" + std::to_string(ps) + " " + flavor_network(c) +
-                            " schedule=" + std::to_string(c.schedule_seed),
+                            " schedule=" + std::to_string(c.machine.schedule_seed),
                         ir::run_program(ref::cell_program(c), ref::cell_config(c))));
     });
   }
   for (const ir::Program& t : model::litmus_battery()) {
     sweep(16, [&](const ref::Cell& c) {
       out.push_back(pin("litmus " + t.name + " " + flavor_network(c) +
-                            " schedule=" + std::to_string(c.schedule_seed),
-                        ir::run_program(model::with_warmup(t, c.schedule_seed),
+                            " schedule=" + std::to_string(c.machine.schedule_seed),
+                        ir::run_program(model::with_warmup(t, c.machine.schedule_seed),
                                         ref::cell_config(c))));
     });
   }
   for (const ref::CorpusEntry& e : ref::load_corpus(BCSIM_CELL_CORPUS)) {
     const ref::Cell& c = e.cell;
-    out.push_back(pin("cell plan=" + (c.plan.empty() ? std::string("none") : c.plan) +
+    const conf::MachineSpec& m = c.machine;
+    out.push_back(pin("cell plan=" + (m.fault_plan.empty() ? std::string("none") : m.fault_plan) +
                           " fault_seed=" + std::to_string(c.fault_seed) + " " +
                           flavor_network(c) + " program=" + std::to_string(c.program_seed) +
                           " phases=" + std::to_string(c.phases) +
-                          " nodes=" + std::to_string(c.nodes) +
-                          " schedule=" + std::to_string(c.schedule_seed) +
-                          " watchdog=" + std::to_string(c.watchdog),
+                          " nodes=" + std::to_string(m.nodes) +
+                          " schedule=" + std::to_string(m.schedule_seed) +
+                          " watchdog=" + std::to_string(m.watchdog),
                       ir::run_program(ref::cell_program(c), ref::cell_config(c), c.budget)));
   }
   return out;

@@ -45,25 +45,26 @@
 // which reproduces the run bit-identically — same digest, same retired-op
 // counts. See docs/OBSERVABILITY.md, docs/CONFIGS.md.
 //
-//   bcsim diff [--flavors wbi,ru,cbl] [--programs N] [--schedules M]
-//              [--first-program S] [--first-schedule S] [--nodes N]
-//              [--phases P] [--network NET] [--corpus PATH] [--inject-fault F]
-//              [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
-//              [--dir-region R] [--budget T] [--config PATH]
-//   bcsim model [--tests a,b,...] [--flavors wbi,ru,cbl]
+//   bcsim diff [--flavors wbi,paper,cbl-on-wbi] [--networks omega,mesh]
+//              [--seeds N] [--first-seed S] [--programs N]
+//              [--first-program S] [--nodes N] [--phases P] [--corpus PATH]
+//              [--inject-fault F] [--buffer-depth B] [--dir-limit K]
+//              [--dir-overflow O] [--dir-region R] [--budget T]
+//              [--config PATH]
+//   bcsim model [--tests a,b,...] [--flavors wbi,paper,cbl-on-wbi]
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--nodes N] [--inject-fault F] [--buffer-depth B]
 //               [--dir-limit K] [--dir-overflow O] [--dir-region R]
 //               [--print-allowed] [--require-complete] [--budget T]
 //               [--config PATH]
-//   bcsim chaos [--plans p1,p2,...] [--flavors wbi,ru,cbl]
+//   bcsim chaos [--plans p1,p2,...] [--flavors wbi,paper,cbl-on-wbi]
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--programs N] [--first-program S] [--nodes N]
 //               [--phases P] [--watchdog T] [--stalls K] [--trace-dump N]
 //               [--buffer-depth B] [--dir-limit K] [--dir-overflow O]
 //               [--dir-region R] [--corpus PATH] [--budget T]
 //               [--config PATH]
-//   bcsim check [--tests a,b,...] [--flavors wbi,ru,cbl]
+//   bcsim check [--tests a,b,...] [--flavors wbi,paper,cbl-on-wbi]
 //               [--networks omega,mesh] [--seeds N] [--first-seed S]
 //               [--nodes N] [--inject-fault F] [--buffer-depth B]
 //               [--dir-limit K] [--dir-overflow O] [--dir-region R]
@@ -71,7 +72,10 @@
 //
 // The correctness harnesses, one grid driver (bcsim_harness.hpp): each
 // sweeps fault plans x programs x networks x flavors x schedule seeds and
-// judges every cell. `diff` runs randomized data-race-free programs and
+// judges every cell. A cell's machine is built by conf::build_machine, as a
+// `run`'s is, from the flavors `--machine` names (paper, wbi, cbl-on-wbi),
+// so a harness error names the flags the user typed, and a cell whose fault
+// plan touches the network gets the 4096-tick watchdog a `run` gets. `diff` runs randomized data-race-free programs and
 // requires each run to match the golden sequentially-consistent
 // reference; `chaos` does the same with a fault plan armed and the
 // liveness watchdog on, and also accepts a watchdog/invariant diagnosis;
@@ -87,13 +91,14 @@
 // A failing cell prints a report and a replay line naming every knob of
 // its machine, diff/chaos append it to --corpus (tests/cell_corpus.txt's
 // format), and diff/model/check replay it with event tracing. Exit 1 on a
-// failing cell. Defaults: diff 8 programs x 4 schedules, nodes 8,
-// phases 3, omega; model 16 seeds, nodes 16; chaos 8 seeds x 2 programs,
-// nodes 8, phases 3, watchdog 4096, stalls 3, trace dump 64, budget 5e7
-// (1e8 otherwise); check 64 seeds, nodes 16 (below 2 is a usage error);
-// model, chaos and check sweep omega + mesh. The same rows parse these
-// flags and the [diff]/[model]/[chaos]/[check] config keys with one range
-// per key: the sweep knobs below, the per-cell knobs in ref::cell_keys().
+// failing cell. Defaults: all three flavors; diff 8 programs x 4 seeds,
+// nodes 8, phases 3, omega; model 16 seeds, nodes 16; chaos 8 seeds x 2
+// programs, nodes 8, phases 3, watchdog 4096, stalls 3, trace dump 64,
+// budget 5e7 (1e8 otherwise); check 64 seeds, nodes 16 (below 2 is a usage
+// error); model, chaos and check sweep omega + mesh. The same rows parse
+// these flags and the [diff]/[model]/[chaos]/[check] config keys with one
+// range per key: the sweep knobs below, the per-cell knobs in
+// ref::cell_keys(), whose machine knobs take the [machine] rows' ranges.
 // See docs/TESTING.md, "One program IR, one grid, four judges".
 //
 // The tool subcommands read their knobs from [diff]/[model]/[chaos]/[check]
@@ -235,10 +240,12 @@ std::string shell_word(const std::string& v) {
 // `diff` / `model` / `chaos` / `check` flags. A knob every cell shares
 // (nodes, phases, fabric, directory, watchdog, budget) is a
 // ref::cell_keys() row: flag `--<name>`, config key `<harness>.<name>`
-// ('_' for '-'), one range. The sweep knobs below follow the same
-// spelling rule. The same rows parse flags and config keys (so the two
-// always agree on a range) and render replay lines (so a replay line
-// carries every knob of its cell).
+// ('_' for '-'), one range (a machine knob's is its [machine] row's). The
+// sweep knobs below follow the same spelling rule; --flavors and
+// --networks check each name against the flavor and network rows. The
+// same rows parse flags and config keys (so the two always agree on a
+// range) and render replay lines (so a replay line carries every knob of
+// its cell).
 // ---------------------------------------------------------------------------
 
 using tool::Harness;
@@ -257,26 +264,26 @@ struct Knob {
   const char* name;
   unsigned harnesses;
   std::variant<Field<std::uint64_t>, Field<bool>, Field<std::string>,
-               Field<std::vector<std::string>>, Field<std::vector<ref::Flavor>>,
-               Field<std::vector<core::NetworkKind>>>
+               Field<std::vector<std::string>>>
       field;
   std::uint64_t min = 0;  ///< numeric knobs
   bool replayed = true;   ///< false: sweep-wide, never on a one-cell replay line
-  bool single = false;    ///< a list knob that takes one value, the last one given
+  /// A list of a machine knob's values, each checked by the [machine] row
+  /// of this config key (conf::scenario_keys()).
+  const char* row = nullptr;
 };
 
 const Knob kKnobs[] = {
     {"tests", kModel | kCheck, &HarnessOptions::tests},
     {"plans", kChaos, &HarnessOptions::plans},
-    {"flavors", kAll, &HarnessOptions::flavors},
-    {"network", kDiff, &HarnessOptions::networks, 0, true, true},
-    {"networks", kModel | kChaos | kCheck, &HarnessOptions::networks},
-    {"seeds", kModel | kChaos | kCheck, &HarnessOptions::seeds, 1},
-    {"first-seed", kModel | kChaos | kCheck, &HarnessOptions::first_seed},
+    {.name = "flavors", .harnesses = kAll, .field = &HarnessOptions::flavors,
+     .row = "machine.flavor"},
+    {.name = "networks", .harnesses = kAll, .field = &HarnessOptions::networks,
+     .row = "machine.network"},
+    {"seeds", kAll, &HarnessOptions::seeds, 1},
+    {"first-seed", kAll, &HarnessOptions::first_seed},
     {"programs", kDiff | kChaos, &HarnessOptions::programs, 1},
     {"first-program", kDiff | kChaos, &HarnessOptions::first_program},
-    {"schedules", kDiff, &HarnessOptions::seeds, 1},
-    {"first-schedule", kDiff, &HarnessOptions::first_seed},
     {"inject-fault", kDiff | kModel | kCheck, &HarnessOptions::inject_fault},
     {"corpus", kDiff | kChaos, &HarnessOptions::corpus, 0, false},
     {"print-allowed", kModel, &HarnessOptions::print_allowed, 0, false},
@@ -286,28 +293,17 @@ const Knob kKnobs[] = {
 /// Sets one sweep knob from its text (a flag value or a config value). A
 /// list knob appends.
 void apply(HarnessOptions& o, const Knob& k, const std::string& text) {
-  const auto each = [&](auto& list, auto parse) {
-    if (k.single) {
-      list = {parse(text)};
-      return;
-    }
-    conf::split_list(text, [&](const std::string& s) { list.push_back(parse(s)); });
-  };
   std::visit(conf::Overloaded{
                  [&](Field<std::uint64_t> f) { o.*f = conf::parse_u64(k.name, text, k.min); },
                  [&](Field<bool> f) { o.*f = true; },
                  [&](Field<std::string> f) { o.*f = text; },
                  [&](Field<std::vector<std::string>> f) {
-                   each(o.*f, [](const std::string& s) { return s; });
-                 },
-                 [&](Field<std::vector<ref::Flavor>> f) {
-                   each(o.*f, [&](const std::string& s) {
-                     return conf::parse_enum<ref::kFlavors>(k.name, s);
-                   });
-                 },
-                 [&](Field<std::vector<core::NetworkKind>> f) {
-                   each(o.*f, [&](const std::string& s) {
-                     return conf::parse_enum<conf::kNetworks>(k.name, s);
+                   conf::split_list(text, [&](const std::string& s) {
+                     if (k.row != nullptr) {
+                       conf::Scenario scratch;
+                       conf::set_key(scratch, conf::scenario_key(k.row), s, k.name);
+                     }
+                     (o.*f).push_back(s);
                    });
                  },
              },
@@ -316,30 +312,19 @@ void apply(HarnessOptions& o, const Knob& k, const std::string& text) {
 
 /// A sweep knob's value as flag text ("" when a replay line should omit it).
 std::string render(const HarnessOptions& o, const Knob& k) {
-  const auto join = [](const auto& list, auto name) {
-    std::string s;
-    for (const auto& item : list) {
-      if (!s.empty()) s += ',';
-      s += name(item);
-    }
-    return s;
-  };
-  return std::visit(
-      conf::Overloaded{
-          [&](Field<std::uint64_t> f) { return std::to_string(o.*f); },
-          [&](Field<bool>) { return std::string(); },
-          [&](Field<std::string> f) { return o.*f; },
-          [&](Field<std::vector<std::string>> f) {
-            return join(o.*f, [](const std::string& s) { return s; });
-          },
-          [&](Field<std::vector<ref::Flavor>> f) {
-            return join(o.*f, [](ref::Flavor x) { return ref::to_string(x); });
-          },
-          [&](Field<std::vector<core::NetworkKind>> f) {
-            return join(o.*f, [](core::NetworkKind x) { return core::to_string(x); });
-          },
-      },
-      k.field);
+  return std::visit(conf::Overloaded{
+                        [&](Field<std::uint64_t> f) { return std::to_string(o.*f); },
+                        [&](Field<bool>) { return std::string(); },
+                        [&](Field<std::string> f) { return o.*f; },
+                        [&](Field<std::vector<std::string>> f) {
+                          std::string s;
+                          for (const std::string& item : o.*f) {
+                            s += (s.empty() ? "" : ",") + item;
+                          }
+                          return s;
+                        },
+                    },
+                    k.field);
 }
 
 /// A knob's config key: `<harness>.<name>` with '_' for '-'.
@@ -378,9 +363,9 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
   }
   for (const ref::CellKey& k : ref::cell_keys()) {
     each_key(k.name, k.harnesses, [&](const std::string& key) {
-      const bool numeric = std::holds_alternative<std::uint64_t ref::Cell::*>(k.field) ||
-                           std::holds_alternative<std::uint32_t ref::Cell::*>(k.field);
-      ref::set_key(o.cell, k, config_text(t, key, numeric));
+      const auto* row = std::get_if<std::string_view>(&k.field);
+      ref::set_key(o.cell, k, row != nullptr ? conf::config_text(t, key, conf::scenario_key(*row))
+                                             : config_text(t, key, true));
     });
   }
   std::vector<std::string_view> others = {"machine", "workload"};

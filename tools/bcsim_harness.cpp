@@ -22,20 +22,20 @@ HarnessOptions harness_defaults(Harness h) {
     case Harness::kDiff:
       o.programs = 8;
       o.seeds = 4;
+      o.cell.machine.nodes = 8;
       break;
     case Harness::kModel:
       o.seeds = 16;
-      o.cell.nodes = 16;
       break;
     case Harness::kChaos:
       o.programs = 2;
       o.seeds = 8;
-      o.cell.watchdog = 4096;
+      o.cell.machine.nodes = 8;
+      o.cell.machine.watchdog = 4096;
       o.cell.budget = 50'000'000;
       break;
     case Harness::kCheck:
       o.seeds = 64;
-      o.cell.nodes = 16;
       break;
   }
   return o;
@@ -43,12 +43,11 @@ HarnessOptions harness_defaults(Harness h) {
 
 namespace {
 
-template <typename T, typename Name>
-std::string join(const std::vector<T>& items, Name name) {
+std::string join(const std::vector<std::string>& items) {
   std::string s;
-  for (const T& item : items) {
+  for (const std::string& item : items) {
     if (!s.empty()) s += ",";
-    s += name(item);
+    s += item;
   }
   return s;
 }
@@ -59,11 +58,11 @@ HarnessOptions narrow(const HarnessOptions& o, const ref::Cell& c, const std::st
   HarnessOptions one = o;
   one.cell = c;
   if (!test.empty()) one.tests = {test};
-  if (o.harness == Harness::kChaos) one.plans = {c.plan};
-  one.flavors = {c.flavor};
-  one.networks = {c.network};
+  if (o.harness == Harness::kChaos) one.plans = {c.machine.fault_plan};
+  one.flavors = {c.machine.flavor};
+  one.networks = {c.machine.network};
   one.seeds = 1;
-  one.first_seed = c.schedule_seed;
+  one.first_seed = c.machine.schedule_seed;
   one.programs = 1;
   one.first_program = c.program_seed;
   return one;
@@ -106,8 +105,8 @@ void print_violation(const ir::Program& t, const std::vector<model::Outcome>& al
                      const ir::RunResult& run, const ref::Cell& c) {
   std::printf("model: SOUNDNESS VIOLATION\n");
   std::printf("  litmus=%s flavor=%s network=%s schedule_seed=%llu\n", t.name.c_str(),
-              ref::to_string(c.flavor), core::to_string(c.network).data(),
-              static_cast<unsigned long long>(c.schedule_seed));
+              c.machine.flavor.c_str(), c.machine.network.c_str(),
+              static_cast<unsigned long long>(c.machine.schedule_seed));
   if (!run.error.empty()) {
     std::printf("  machine error: %s\n", run.error.c_str());
     return;
@@ -164,23 +163,24 @@ int run_harness(const HarnessOptions& o) {
       return usage(e.what());
     }
   }
-  std::vector<ref::Flavor> flavors = o.flavors;
-  if (flavors.empty()) flavors = {ref::Flavor::kWbi, ref::Flavor::kRu, ref::Flavor::kCbl};
+  std::vector<std::string> flavors = o.flavors;
+  if (flavors.empty()) flavors = {"wbi", "paper", "cbl-on-wbi"};
   // Uniform-cost omega vs the mesh's distance-dependent paths stress
   // different reorder windows (docs/TESTING.md).
-  std::vector<core::NetworkKind> networks = o.networks;
-  if (networks.empty()) networks = {core::NetworkKind::kOmega};
-  if (o.networks.empty() && h != Harness::kDiff) networks.push_back(core::NetworkKind::kMesh);
+  std::vector<std::string> networks = o.networks;
+  if (networks.empty()) networks = {"omega"};
+  if (o.networks.empty() && h != Harness::kDiff) networks.push_back("mesh");
 
   // The program axis: the selected litmus tests or check programs, or a
   // range of DRF seeds. rw-lock and message-passing put their writer and
   // readers on different processors, and a processor runs one program.
-  if (h == Harness::kCheck && o.cell.nodes < 2) {
-    return usage("check needs --nodes >= 2, --nodes is " + std::to_string(o.cell.nodes));
+  const std::uint32_t nodes = o.cell.machine.nodes;
+  if (h == Harness::kCheck && nodes < 2) {
+    return usage("check needs --nodes >= 2, --nodes is " + std::to_string(nodes));
   }
   const std::vector<ir::Program> battery =
       model ? model::litmus_battery()
-            : h == Harness::kCheck ? ref::check_battery(o.cell.nodes) : std::vector<ir::Program>{};
+            : h == Harness::kCheck ? ref::check_battery(nodes) : std::vector<ir::Program>{};
   std::vector<const ir::Program*> tests;
   for (const ir::Program& t : battery) {
     if (o.tests.empty()) tests.push_back(&t);
@@ -200,67 +200,53 @@ int run_harness(const HarnessOptions& o) {
     return 0;
   }
   for (const ir::Program* t : tests) {
-    if (t->threads.size() > o.cell.nodes) {
+    if (t->threads.size() > nodes) {
       return usage("litmus '" + t->name + "' needs " + std::to_string(t->threads.size()) +
-                   " nodes, --nodes is " + std::to_string(o.cell.nodes));
+                   " nodes, --nodes is " + std::to_string(nodes));
     }
   }
   const std::uint64_t n_programs = battery_axis ? tests.size() : o.programs;
 
-  const auto cell_at = [&](std::size_t pi, std::uint64_t ps, core::NetworkKind network,
-                           ref::Flavor flavor, std::uint64_t s) {
+  const auto cell_at = [&](std::size_t pi, std::uint64_t ps, const std::string& network,
+                           const std::string& flavor, std::uint64_t s) {
     ref::Cell c = o.cell;
-    c.flavor = flavor;
-    c.network = network;
+    c.machine.flavor = flavor;
+    c.machine.network = network;
     c.program_seed = ps;
-    c.schedule_seed = s;
-    c.plan = plans[pi];
+    c.machine.schedule_seed = s;
+    c.machine.fault_plan = plans[pi];
     // chaos: the fault seed doubles as the schedule seed, so each lottery
     // pattern also runs under a distinct interleaving.
     c.fault_seed = h == Harness::kChaos ? s : resolved[pi].seed;
-    // Network faults without a watchdog could hang a cell silently.
-    if (h != Harness::kChaos && c.watchdog == 0 && resolved[pi].has_net_rules()) {
-      c.watchdog = 4096;
-    }
     return c;
   };
-  // Knobs every cell shares may still clash (a coarse directory needs a
-  // pointer budget): a usage error before the sweep starts, too.
-  try {
-    ref::cell_config(cell_at(0, o.first_program, networks[0], flavors[0], o.first_seed))
-        .validate();
-  } catch (const std::invalid_argument& e) {
-    return usage(e.what());
-  }
 
-  const std::string flavor_list = join(flavors, [](ref::Flavor f) { return ref::to_string(f); });
-  const std::string network_list =
-      join(networks, [](core::NetworkKind n) { return std::string(core::to_string(n)); });
+  const std::string flavor_list = join(flavors);
+  const std::string network_list = join(networks);
   const std::string fault =
       o.inject_fault.empty() ? std::string() : ", injected fault: " + o.inject_fault;
   const auto llu = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
   switch (h) {
     case Harness::kDiff:
       std::printf("diff: %llu programs x %llu schedules x {%s}, nodes=%u, phases=%u%s\n",
-                  llu(o.programs), llu(o.seeds), flavor_list.c_str(), o.cell.nodes, o.cell.phases,
+                  llu(o.programs), llu(o.seeds), flavor_list.c_str(), nodes, o.cell.phases,
                   fault.c_str());
       break;
     case Harness::kModel:
       std::printf("model: %zu litmus tests x {%s} x {%s} x %llu seeds, nodes=%u%s\n",
-                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds),
-                  o.cell.nodes, fault.c_str());
+                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds), nodes,
+                  fault.c_str());
       break;
     case Harness::kChaos:
       std::printf("chaos: {%s} x %zu flavors x %zu networks x %llu seeds x %llu programs, "
                   "nodes=%u, phases=%u, watchdog=%llu\n",
-                  join(plans, [](const std::string& p) { return p; }).c_str(), flavors.size(),
-                  networks.size(), llu(o.seeds), llu(o.programs), o.cell.nodes, o.cell.phases,
-                  llu(o.cell.watchdog));
+                  join(plans).c_str(), flavors.size(), networks.size(), llu(o.seeds),
+                  llu(o.programs), nodes, o.cell.phases, llu(o.cell.machine.watchdog));
       break;
     case Harness::kCheck:
       std::printf("check: %zu programs x {%s} x {%s} x %llu seeds, nodes=%u, invariants=full%s\n",
-                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds),
-                  o.cell.nodes, fault.c_str());
+                  tests.size(), flavor_list.c_str(), network_list.c_str(), llu(o.seeds), nodes,
+                  fault.c_str());
       break;
   }
 
@@ -296,15 +282,18 @@ int run_harness(const HarnessOptions& o) {
           return 1;
         }
       }
-      for (const core::NetworkKind network : networks) {
-        for (const ref::Flavor flavor : flavors) {
+      for (const std::string& network : networks) {
+        for (const std::string& flavor : flavors) {
           for (std::uint64_t s = o.first_seed; s < o.first_seed + o.seeds; ++s) {
-            const ref::Cell cell = cell_at(pi, ps, network, flavor, s);
+            ref::Cell cell = cell_at(pi, ps, network, flavor, s);
+            const core::MachineConfig cfg = machine_config(h, cell);
+            // The cell's line and replay show the watchdog its machine
+            // runs under (build_machine arms one for network faults).
+            cell.machine.watchdog = cfg.watchdog_interval;
             ++cells;
             const auto replay = [&] {
               return command_line(narrow(o, cell, battery_axis ? prog.name : std::string()));
             };
-            const core::MachineConfig cfg = machine_config(h, cell);
 
             if (model) {
               const ir::Program warm = model::with_warmup(prog, s);
@@ -345,8 +334,7 @@ int run_harness(const HarnessOptions& o) {
               // battery program.
               std::printf("check: %s cell: program=%s flavor=%s network=%s schedule=%llu\n",
                           ref::to_string(out.verdict), prog.name.c_str(),
-                          ref::to_string(cell.flavor), core::to_string(cell.network).data(),
-                          llu(s));
+                          cell.machine.flavor.c_str(), cell.machine.network.c_str(), llu(s));
             } else {
               std::printf("%s: %s cell\n", name, ref::to_string(out.verdict));
               std::printf("  cell: %s\n", ref::format_corpus_line({cell, out.verdict}).c_str());
@@ -360,9 +348,9 @@ int run_harness(const HarnessOptions& o) {
             // diff pins the fault-free scenario, which must be transparent
             // (check has no corpus).
             ref::Cell scenario = cell;
-            scenario.plan.clear();
+            scenario.machine.fault_plan.clear();
             scenario.fault_seed = 0;
-            scenario.watchdog = 0;
+            scenario.machine.watchdog = 0;
             record(o, {scenario, ref::Verdict::kTransparent});
             replay_traced(h, prog, cell);
             return 1;

@@ -4,8 +4,8 @@
 //
 // Every harness sweeps the same grid, fault plans x programs x networks x
 // flavors x schedule seeds, builds each machine through ref::cell_config
-// and runs each program through ir::run_program. They differ in the
-// program axis and the judge:
+// (conf::build_machine, as `bcsim run` does) and runs each program through
+// ir::run_program. They differ in the program axis and the judge:
 //
 //   * diff  — seeded DRF programs (ref/drf_program.hpp) judged against the
 //     golden SC reference; only a transparent cell passes. The first other
@@ -53,8 +53,9 @@ struct HarnessOptions {
   /// armed on every cell; "" = none. Proves the judges catch a broken
   /// flush gate.
   std::string inject_fault;
-  std::vector<ref::Flavor> flavors;         ///< empty = all three
-  std::vector<core::NetworkKind> networks;  ///< empty = omega (diff), omega + mesh
+  /// Flavor names; empty = wbi, paper, cbl-on-wbi.
+  std::vector<std::string> flavors;
+  std::vector<std::string> networks;  ///< empty = omega (diff), omega + mesh
   std::uint64_t seeds = 0;        ///< schedule seeds per point (chaos: also fault seeds)
   std::uint64_t first_seed = 0;
   std::uint64_t programs = 0;     ///< DRF program seeds (diff, chaos)

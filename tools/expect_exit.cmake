@@ -1,6 +1,6 @@
 # Runs ${CLI} with ${ARGS} (space-separated) and fails unless the process
-# exits with status ${EXPECT} and, when ${MATCH} is set, its stdout matches
-# that regular expression. Used to pin the CLI's usage-error contract:
+# exits with status ${EXPECT} and, when ${MATCH} is set, its stdout or its
+# stderr matches that regular expression. Used to pin the CLI's usage-error contract:
 # malformed flag values must exit 2, not crash (1) or succeed (0).
 separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${CLI} ${arg_list} RESULT_VARIABLE rc
@@ -8,6 +8,6 @@ execute_process(COMMAND ${CLI} ${arg_list} RESULT_VARIABLE rc
 if(NOT rc EQUAL ${EXPECT})
   message(FATAL_ERROR "expected exit ${EXPECT}, got '${rc}'\nstderr: ${err}")
 endif()
-if(MATCH AND NOT out MATCHES "${MATCH}")
-  message(FATAL_ERROR "stdout does not match '${MATCH}':\n${out}")
+if(MATCH AND NOT out MATCHES "${MATCH}" AND NOT err MATCHES "${MATCH}")
+  message(FATAL_ERROR "output does not match '${MATCH}':\n${out}\nstderr: ${err}")
 endif()
