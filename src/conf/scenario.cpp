@@ -112,19 +112,24 @@ const ScenarioKey kKeys[] = {
     {"workload.file", "", "trace", field<&W::trace_file>},
 };
 
-/// How a user writes the knob of config key `key`: "key / --flag".
-std::string spelled(std::string_view key) {
+/// How a `run` user writes the knob of config key `key`: "key / --flag".
+std::string run_spelling(std::string_view key) {
   return std::string(key) + " / " + std::string(scenario_key(key).flag);
 }
 
 }  // namespace
 
 const ScenarioKey& scenario_key(std::string_view key) {
-  return *std::find_if(std::begin(kKeys), std::end(kKeys),
-                       [&](const ScenarioKey& k) { return k.key == key; });
+  const auto* row = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                 [&](const ScenarioKey& k) { return k.key == key; });
+  if (row == std::end(kKeys)) throw std::logic_error("no scenario key '" + std::string(key) + "'");
+  return *row;
 }
 
-core::MachineConfig build_machine(const MachineSpec& o) {
+core::MachineConfig build_machine(const MachineSpec& o, const Spelling& spelling) {
+  const auto spelled = [&](std::string_view key) {
+    return spelling ? spelling(key) : run_spelling(key);
+  };
   core::MachineConfig cfg;
   cfg.n_nodes = o.nodes;
   cfg.block_words = o.block_words;
@@ -222,23 +227,19 @@ void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const s
              k.field(s));
 }
 
-std::string config_text(const Table& t, std::string_view key, const ScenarioKey& k) {
-  Scenario s;
-  return std::visit(Overloaded{
-                        [&](std::string*) { return t.get_string(key, ""); },
-                        [&](bool*) { return std::string(kBools[t.get_bool(key, false) ? 1 : 0]); },
-                        [&](auto*) { return std::to_string(t.get_int(key, 0)); },
-                    },
-                    k.field(s));
-}
-
 Scenario resolve_scenario(const Table& t) {
   Scenario s;
   // A config value enters its row as the text its flag would take, so the
   // two spellings share one range check; its error names file:line.
   const auto read = [&](Scenario& into, const ScenarioKey& k) {
     if (!t.has(k.key)) return;
-    const std::string text = config_text(t, k.key, k);
+    const std::string text = std::visit(
+        Overloaded{
+            [&](std::string*) { return t.get_string(k.key, ""); },
+            [&](bool*) { return std::string(kBools[t.get_bool(k.key, false) ? 1 : 0]); },
+            [&](auto*) { return std::to_string(t.get_int(k.key, 0)); },
+        },
+        k.field(into));
     try {
       set_key(into, k, text, std::string(k.key));
     } catch (const UsageError& e) {

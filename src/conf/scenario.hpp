@@ -8,6 +8,7 @@
 // this). docs/CONFIGS.md lists the rows.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -54,12 +55,18 @@ struct MachineSpec {
   std::size_t trace_capacity = std::size_t{1} << 16;
 };
 
+/// How a usage error names the knob of a [machine] config key, for a
+/// caller whose users spell the knobs their own way.
+using Spelling = std::function<std::string(std::string_view key)>;
+
 /// Resolves a MachineSpec into a validated MachineConfig: the flavor sets
 /// the data protocol and the default consistency, lock and barrier; a
 /// given consistency, lock or barrier replaces its default. Unknown names
 /// and a configuration cfg.validate() rejects (BC on a WBI flavor, a
-/// software lock on the paper machine) throw UsageError.
-[[nodiscard]] core::MachineConfig build_machine(const MachineSpec& spec);
+/// software lock on the paper machine) throw UsageError, which names each
+/// knob by `spelled` ("machine.lock / --lock" when none is given).
+[[nodiscard]] core::MachineConfig build_machine(const MachineSpec& spec,
+                                                const Spelling& spelled = {});
 
 /// Workload description: one of the six built-in models (each carrying
 /// its full knob struct) or a trace replay.
@@ -105,6 +112,7 @@ struct ScenarioKey {
 [[nodiscard]] std::span<const ScenarioKey> scenario_keys() noexcept;
 
 /// The first row of config key `key`; a [machine] key has exactly one.
+/// Throws std::logic_error when no row names `key`.
 [[nodiscard]] const ScenarioKey& scenario_key(std::string_view key);
 
 /// A row's field as text, the value its flag or key takes.
@@ -113,11 +121,6 @@ struct ScenarioKey {
 /// Sets a row's field from its text, the value its flag takes. Throws
 /// UsageError naming `what` for a malformed, out-of-range or unknown value.
 void set_key(Scenario& s, const ScenarioKey& k, const std::string& text, const std::string& what);
-
-/// Config key `key`'s value as the text row `k`'s flag would take. Throws
-/// ConfError for a value of the wrong type (a quoted number, say).
-[[nodiscard]] std::string config_text(const Table& t, std::string_view key,
-                                      const ScenarioKey& k);
 
 /// Resolves the [machine] and [workload] sections of a parsed config into
 /// a Scenario, consuming every key it understands. Schema violations

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -521,9 +522,10 @@ TEST(ConfScenario, MachineConflictsNameTheKeysAndFlags) {
   // A combination the machine cannot run names every knob it involves,
   // both as a config key and as a flag.
   const auto expect_usage = [](const MachineSpec& o,
-                               std::initializer_list<std::string_view> fragments) {
+                               std::initializer_list<std::string_view> fragments,
+                               const Spelling& spelled = {}) {
     try {
-      (void)build_machine(o);
+      (void)build_machine(o, spelled);
       FAIL() << "expected UsageError";
     } catch (const UsageError& e) {
       const std::string msg = e.what();
@@ -539,6 +541,15 @@ TEST(ConfScenario, MachineConflictsNameTheKeysAndFlags) {
                {"machine.lock", "--lock", "machine.flavor", "--machine", "'tts'", "'cbl'"});
   expect_usage({.dir_overflow = "coarse"},
                {"machine.dir_overflow", "--dir-overflow", "machine.dir_limit", "--dir-limit"});
+  // A caller whose users spell the knobs their own way names them so.
+  expect_usage({.dir_overflow = "coarse"},
+               {"<machine.dir_overflow> 'coarse' needs <machine.dir_limit>"},
+               [](std::string_view key) { return "<" + std::string(key) + ">"; });
+}
+
+TEST(ConfScenario, AKeyNoRowNamesIsALogicError) {
+  EXPECT_EQ(scenario_key("machine.net_buffer_depth").flag, "--buffer-depth");
+  EXPECT_THROW((void)scenario_key("machine.buffer_depth"), std::logic_error);
 }
 
 TEST(ConfScenario, ZeroNodesOutOfRange) {

@@ -73,21 +73,23 @@
 // The correctness harnesses, one grid driver (bcsim_harness.hpp): each
 // sweeps fault plans x programs x networks x flavors x schedule seeds and
 // judges every cell. A cell's machine is built by conf::build_machine, as a
-// `run`'s is, from the flavors `--machine` names (paper, wbi, cbl-on-wbi),
-// so a harness error names the flags the user typed, and a cell whose fault
-// plan touches the network gets the 4096-tick watchdog a `run` gets. `diff` runs randomized data-race-free programs and
-// requires each run to match the golden sequentially-consistent
-// reference; `chaos` does the same with a fault plan armed and the
-// liveness watchdog on, and also accepts a watchdog/invariant diagnosis;
-// `model` runs the litmus battery and requires every observed outcome to
-// be in the axiomatically allowed set, reporting per-outcome hit counts
-// (--print-allowed dumps the golden tables and exits); `check` runs its
-// battery (lock-counter, rw-lock, message-passing, barrier, fuzz;
-// ref/check_battery.hpp) with full invariant checking, requires each run
-// to match the SC reference, and runs each cell twice: the two runs must
-// agree on completion tick, stats digest and data hash. --inject-fault F
-// arms a fault plan on every diff/model/check cell, e.g. eager-flush,
-// which breaks the write-buffer flush gate to prove the judges catch it.
+// `run`'s is, from the flavors `--machine` names (paper, wbi, cbl-on-wbi):
+// a clash of shared knobs is a usage error before the sweep, naming the
+// harness's flags and keys, and a cell whose fault plan touches the network
+// gets the 4096-tick watchdog a `run` gets. `diff` runs randomized
+// data-race-free programs and requires each run to match the golden
+// sequentially-consistent reference; `chaos` does the same with a fault
+// plan armed and the liveness watchdog on, and also accepts a
+// watchdog/invariant diagnosis; `model` runs the litmus battery and
+// requires every observed outcome to be in the axiomatically allowed set,
+// reporting per-outcome hit counts (--print-allowed dumps the golden
+// tables and exits); `check` runs its battery (lock-counter, rw-lock,
+// message-passing, barrier, fuzz; ref/check_battery.hpp) with full
+// invariant checking, requires each run to match the SC reference, and
+// runs each cell twice: the two runs must agree on completion tick, stats
+// digest and data hash. --inject-fault F arms a fault plan on every
+// diff/model/check cell, e.g. eager-flush, which breaks the write-buffer
+// flush gate to prove the judges catch it.
 // A failing cell prints a report and a replay line naming every knob of
 // its machine, diff/chaos append it to --corpus (tests/cell_corpus.txt's
 // format), and diff/model/check replay it with event tracing. Exit 1 on a
@@ -363,9 +365,12 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
   }
   for (const ref::CellKey& k : ref::cell_keys()) {
     each_key(k.name, k.harnesses, [&](const std::string& key) {
+      // A machine knob's value is text when its [machine] row holds a name.
       const auto* row = std::get_if<std::string_view>(&k.field);
-      ref::set_key(o.cell, k, row != nullptr ? conf::config_text(t, key, conf::scenario_key(*row))
-                                             : config_text(t, key, true));
+      conf::Scenario scratch;
+      const bool text = row != nullptr && std::holds_alternative<std::string*>(
+                                              conf::scenario_key(*row).field(scratch));
+      ref::set_key(o.cell, k, config_text(t, key, !text));
     });
   }
   std::vector<std::string_view> others = {"machine", "workload"};
@@ -407,6 +412,16 @@ HarnessOptions parse_harness_args(Harness h, int argc, char** argv) {
 }
 
 }  // namespace
+
+std::string tool::spelled(Harness h, std::string_view key) {
+  for (const ref::CellKey& k : ref::cell_keys()) {
+    const auto* row = std::get_if<std::string_view>(&k.field);
+    if (row != nullptr && *row == key && (k.harnesses & ref::bit(h)) != 0) {
+      return config_key(h, k.name) + " / --" + k.name;
+    }
+  }
+  return std::string(key);
+}
 
 std::string tool::command_line(const HarnessOptions& o) {
   std::string s = std::string("bcsim ") + ref::to_string(o.harness);

@@ -1,11 +1,13 @@
 #include "bcsim_harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <stdexcept>
 
+#include "conf/strict_parse.hpp"
 #include "ir/run.hpp"
 #include "model/battery.hpp"
 #include "model/bc_model.hpp"
@@ -220,6 +222,23 @@ int run_harness(const HarnessOptions& o) {
     c.fault_seed = h == Harness::kChaos ? s : resolved[pi].seed;
     return c;
   };
+  // Knobs every cell shares may clash (a coarse directory needs a pointer
+  // budget): a usage error naming this harness's keys, before the sweep
+  // starts. Each plan's first machine also shows the watchdog the plan's
+  // cells run under: build_machine arms its default for a network plan.
+  std::vector<std::string> watchdogs;
+  try {
+    for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+      const ref::Cell first = cell_at(pi, o.first_program, networks[0], flavors[0], o.first_seed);
+      const core::MachineConfig cfg = conf::build_machine(
+          first.machine, [&](std::string_view key) { return spelled(h, key); });
+      watchdogs.push_back(std::to_string(cfg.watchdog_interval));
+    }
+  } catch (const conf::UsageError& e) {
+    return usage(e.what());
+  }
+  const bool one_watchdog = std::all_of(watchdogs.begin(), watchdogs.end(),
+                                        [&](const std::string& w) { return w == watchdogs[0]; });
 
   const std::string flavor_list = join(flavors);
   const std::string network_list = join(networks);
@@ -238,10 +257,12 @@ int run_harness(const HarnessOptions& o) {
                   fault.c_str());
       break;
     case Harness::kChaos:
+      // One watchdog per plan, in plan order, when the plans differ.
       std::printf("chaos: {%s} x %zu flavors x %zu networks x %llu seeds x %llu programs, "
-                  "nodes=%u, phases=%u, watchdog=%llu\n",
+                  "nodes=%u, phases=%u, watchdog=%s\n",
                   join(plans).c_str(), flavors.size(), networks.size(), llu(o.seeds),
-                  llu(o.programs), nodes, o.cell.phases, llu(o.cell.machine.watchdog));
+                  llu(o.programs), nodes, o.cell.phases,
+                  (one_watchdog ? watchdogs[0] : "{" + join(watchdogs) + "}").c_str());
       break;
     case Harness::kCheck:
       std::printf("check: %zu programs x {%s} x {%s} x %llu seeds, nodes=%u, invariants=full%s\n",

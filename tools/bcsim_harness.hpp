@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ref/cell.hpp"
@@ -71,6 +72,12 @@ struct HarnessOptions {
 /// The `bcsim <harness> ...` command line that reproduces `o`. Defined
 /// next to the flag table in bcsim_cli.cpp.
 [[nodiscard]] std::string command_line(const HarnessOptions& o);
+
+/// How `h`'s usage errors name the knob of [machine] config key `key`: the
+/// harness key and flag of the cell key `h` reads through that row
+/// ("check.dir_limit / --dir-limit"), else `key` itself. Defined next to
+/// the flag table in bcsim_cli.cpp.
+[[nodiscard]] std::string spelled(Harness h, std::string_view key);
 
 /// Runs the sweep. Exit code: 0 when every cell passed its judge, 1 on a
 /// failing cell (or an unmet --require-complete), 2 on bad options.
