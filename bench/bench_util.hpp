@@ -8,8 +8,10 @@
 // flavor names `bcsim run --machine` takes (paper, wbi, cbl-on-wbi).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,5 +88,89 @@ inline void print_table(const std::string& title, const std::string& row_header,
 
 /// Standard processor-count sweep for the figure benches.
 inline std::vector<std::uint32_t> node_sweep() { return {2, 4, 8, 16, 32, 64}; }
+
+/// Runs `series(n)` for every n of node_sweep() (in parallel) and prints
+/// the rows as the figure's table, labelled by n.
+inline std::vector<std::vector<double>> sweep_figure(
+    const std::string& title, const std::vector<std::string>& columns,
+    const std::function<std::vector<double>(std::uint32_t)>& series) {
+  const auto nodes = node_sweep();
+  const auto rows = sim::parallel_map<std::vector<double>>(
+      nodes.size(), std::function<std::vector<double>(std::size_t)>(
+                        [&](std::size_t i) { return series(nodes[i]); }));
+  std::vector<std::string> labels;
+  for (std::uint32_t n : nodes) labels.push_back("n=" + std::to_string(n));
+  print_table(title, "processors", columns, labels, rows);
+  return rows;
+}
+
+/// Figures 4 and 5: completion time of the paper's five cache-scheme
+/// series at `grain` data references per task. The work queue runs
+/// `queue_tasks` tasks in all, the sync model `tasks_per_proc` per
+/// processor:
+///   WBI        sync-model workload, WBI machine, TTS spin lock
+///   CBL        sync-model workload, CBL hardware locks/barrier
+///   Q-WBI      work-queue workload, WBI machine, TTS spin lock
+///   Q-backoff  work-queue workload, WBI machine, TTS + exponential backoff
+///   Q-CBL      work-queue workload, CBL hardware locks/barrier
+/// Prints the figure's header and table and returns its rows.
+inline std::vector<std::vector<double>> cache_scheme_figure(int figure, const char* granularity,
+                                                            std::uint32_t grain,
+                                                            std::uint32_t queue_tasks,
+                                                            std::uint32_t tasks_per_proc) {
+  std::printf("Figure %d: performance of cache schemes, %s-granularity parallelism\n", figure,
+              granularity);
+  std::printf("(completion time in machine cycles; grain = %u references/task)\n", grain);
+  const auto q_line = [&](const conf::MachineSpec& machine) {
+    workload::WorkQueueConfig wq;
+    wq.total_tasks = queue_tasks;
+    wq.grain = grain;
+    return static_cast<double>(run_work_queue(machine, wq).completion);
+  };
+  const auto sync_line = [&](const conf::MachineSpec& machine) {
+    workload::SyncModelConfig sm;
+    sm.tasks_per_proc = tasks_per_proc;
+    sm.grain = grain;
+    return static_cast<double>(run_sync_model(machine, sm).completion);
+  };
+  return sweep_figure("Figure " + std::to_string(figure) + " series",
+                      {"WBI", "CBL", "Q-WBI", "Q-backoff", "Q-CBL"}, [&](std::uint32_t n) {
+                        return std::vector<double>{
+                            sync_line({.nodes = n, .flavor = "wbi"}),
+                            sync_line({.nodes = n, .flavor = "cbl-on-wbi"}),
+                            q_line({.nodes = n, .flavor = "wbi"}),
+                            q_line({.nodes = n, .flavor = "wbi", .lock = "tts-backoff"}),
+                            q_line({.nodes = n, .flavor = "cbl-on-wbi"}),
+                        };
+                      });
+}
+
+/// Figures 6 and 7: SC-CBL against BC-CBL completion time of `tasks`
+/// work-queue tasks at `grain` data references per task, on the paper's
+/// machine. Prints the figure's header and table (BC/SC in percent) and
+/// returns the largest BC/SC.
+inline double consistency_figure(int figure, const char* granularity, std::uint32_t grain,
+                                 std::uint32_t tasks) {
+  std::printf("Figure %d: buffered vs sequential consistency, %s-granularity work-queue\n",
+              figure, granularity);
+  std::printf("(completion time in machine cycles; grain = %u references/task)\n", grain);
+  const auto completion = [&](std::uint32_t n, const char* consistency) {
+    workload::WorkQueueConfig wq;
+    wq.total_tasks = tasks;
+    wq.grain = grain;
+    return static_cast<double>(
+        run_work_queue({.nodes = n, .consistency{consistency}}, wq).completion);
+  };
+  const auto rows = sweep_figure(
+      "Figure " + std::to_string(figure) + " series (BC/SC column in percent)",
+      {"SC-CBL", "BC-CBL", "BC/SC"}, [&](std::uint32_t n) {
+        const double sc = completion(n, "sc");
+        const double bc = completion(n, "bc");
+        return std::vector<double>{sc, bc, 100.0 * bc / sc};
+      });
+  double worst = 0;
+  for (const auto& r : rows) worst = std::max(worst, r[2]);
+  return worst;
+}
 
 }  // namespace bcsim::bench

@@ -1,59 +1,24 @@
 // Figure 6 reproduction: buffered consistency (BC-CBL) vs sequential
 // consistency (SC-CBL) on the work-queue workload with FINE-granularity
 // parallelism (10 data references per task), on the paper's machine
-// (read-update coherence + CBL locks).
+// (read-update coherence + CBL locks); bench_util.hpp's consistency_figure.
 //
 // Expected shape (paper): BC improves completion time for most cases, but
 // the improvement is modest — global writes happen only with probability
 // sh x write_ratio ~ 0.45% of references in the tested workload.
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 
 #include "bench_util.hpp"
 
-namespace {
-
-using namespace bcsim;
-using namespace bcsim::bench;
-
-constexpr std::uint32_t kGrain = 10;  // fine granularity
-
-double run_model(std::uint32_t n, const char* consistency) {
-  workload::WorkQueueConfig wq;
-  wq.total_tasks = 384;
-  wq.grain = kGrain;
-  return static_cast<double>(
-      run_work_queue({.nodes = n, .consistency{consistency}}, wq).completion);
-}
-
-}  // namespace
-
 int main() {
-  std::printf("Figure 6: buffered vs sequential consistency, fine-granularity work-queue\n");
-  std::printf("(completion time in machine cycles; grain = %u references/task)\n", kGrain);
-
-  const auto nodes = node_sweep();
-  const std::vector<std::string> cols = {"SC-CBL", "BC-CBL", "BC/SC"};
-  const auto rows = sim::parallel_map<std::vector<double>>(
-      nodes.size(), std::function<std::vector<double>(std::size_t)>([&](std::size_t i) {
-        const std::uint32_t n = nodes[i];
-        const double sc = run_model(n, "sc");
-        const double bc = run_model(n, "bc");
-        return std::vector<double>{sc, bc, 100.0 * bc / sc};
-      }));
-  std::vector<std::string> labels;
-  std::vector<std::vector<double>> cells;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    labels.push_back("n=" + std::to_string(nodes[i]));
-    cells.push_back(rows[i]);
+  const double worst =
+      bcsim::bench::consistency_figure(6, "fine", /*grain=*/10, /*tasks=*/384);
+  if (worst <= 100.0) {
+    std::printf("\nBC is never slower than SC here (max BC/SC = %.1f%%); the gain is\n"
+                "modest, as the paper reports, because buffered global writes are a\n"
+                "small fraction of all references.\n", worst);
+  } else {
+    std::printf("\nBC is slower than SC at some n here (max BC/SC = %.1f%%).\n", worst);
   }
-  print_table("Figure 6 series (BC/SC column in percent)", "processors", cols, labels, cells);
-
-  double worst_ratio = 0;
-  for (const auto& r : cells) worst_ratio = std::max(worst_ratio, r[2]);
-  std::printf("\nBC is never slower than SC here (max BC/SC = %.1f%%); the gain is\n"
-              "modest, as the paper reports, because buffered global writes are a\n"
-              "small fraction of all references.\n", worst_ratio);
   return 0;
 }

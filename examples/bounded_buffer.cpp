@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "core/sync/mutex.hpp"
 #include "core/sync/semaphore.hpp"
@@ -57,12 +58,7 @@ int main(int argc, char** argv) {
   const std::uint32_t per_prod = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 8;
   const std::uint32_t total = producers * per_prod;
 
-  core::MachineConfig cfg;
-  cfg.n_nodes = producers + consumers;
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = core::Consistency::kBuffered;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
+  const auto cfg = conf::build_machine({.nodes = producers + consumers, .flavor = "paper"});
   core::Machine m(cfg);
 
   auto alloc = m.make_allocator();

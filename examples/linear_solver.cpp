@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "workload/linear_solver.hpp"
 
@@ -25,8 +26,8 @@ struct Outcome {
   bool exact;
 };
 
-Outcome run(const core::MachineConfig& cfg, bool separate_x, std::uint32_t iterations) {
-  core::Machine m(cfg);
+Outcome run(const conf::MachineSpec& machine, bool separate_x, std::uint32_t iterations) {
+  core::Machine m(conf::build_machine(machine));
   workload::LinearSolverConfig sc;
   sc.iterations = iterations;
   sc.separate_x_blocks = separate_x;
@@ -43,30 +44,20 @@ int main(int argc, char** argv) {
   const std::uint32_t n = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 16;
   const std::uint32_t iters = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 12;
 
-  core::MachineConfig ru;
-  ru.n_nodes = n;
-  ru.data_protocol = core::DataProtocol::kReadUpdate;
-  ru.consistency = core::Consistency::kBuffered;
-  ru.lock_impl = core::LockImpl::kCbl;
-  ru.barrier_impl = core::BarrierImpl::kCbl;
-
-  core::MachineConfig wbi;
-  wbi.n_nodes = n;
-
   std::printf("Jacobi solver, %u unknowns/processors, %u iterations\n\n", n, iters);
   std::printf("%-24s%14s%12s%12s%12s %s\n", "scheme", "cycles", "messages", "flits",
               "residual", "bit-exact");
   struct Case {
     const char* name;
-    const core::MachineConfig& cfg;
+    const char* flavor;
     bool separate;
   } cases[] = {
-      {"read-update (paper)", ru, false},
-      {"WBI inv-I (colocated)", wbi, false},
-      {"WBI inv-II (separate)", wbi, true},
+      {"read-update (paper)", "paper", false},
+      {"WBI inv-I (colocated)", "wbi", false},
+      {"WBI inv-II (separate)", "wbi", true},
   };
   for (const auto& c : cases) {
-    const auto o = run(c.cfg, c.separate, iters);
+    const auto o = run({.nodes = n, .flavor = c.flavor}, c.separate, iters);
     std::printf("%-24s%14llu%12llu%12llu%12.2e %s\n", c.name,
                 static_cast<unsigned long long>(o.completion),
                 static_cast<unsigned long long>(o.messages),

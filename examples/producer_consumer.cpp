@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <deque>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 
 using namespace bcsim;
@@ -65,13 +66,7 @@ struct Consumer {
 }  // namespace
 
 int main() {
-  core::MachineConfig cfg;
-  cfg.n_nodes = kConsumers + 1;
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = core::Consistency::kBuffered;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
-  core::Machine m(cfg);
+  core::Machine m(conf::build_machine({.nodes = kConsumers + 1, .flavor = "paper"}));
 
   auto alloc = m.make_allocator();
   const Addr block = alloc.alloc_blocks(1);

@@ -10,6 +10,7 @@
 // discipline), and one processor reads everyone's result via READ-UPDATE.
 #include <cstdio>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "core/sync/barrier.hpp"
 #include "core/sync/mutex.hpp"
@@ -56,12 +57,7 @@ struct Program {
 int main() {
   // The paper's machine: read-update coherence, CBL locks, buffered
   // consistency, Omega network. Table 4 defaults for everything else.
-  core::MachineConfig cfg;
-  cfg.n_nodes = 4;
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = core::Consistency::kBuffered;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
+  const auto cfg = conf::build_machine({.nodes = 4, .flavor = "paper"});
   core::Machine m(cfg);
 
   auto alloc = m.make_allocator();

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "workload/trace.hpp"
 #include "workload/work_queue_model.hpp"
@@ -23,13 +24,7 @@ using namespace bcsim;
 namespace {
 
 core::MachineConfig machine_config(std::uint32_t n) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n;
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = core::Consistency::kBuffered;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
-  return cfg;
+  return conf::build_machine({.nodes = n, .flavor = "paper"});
 }
 
 int capture(const char* path, std::uint32_t n, std::uint32_t tasks, std::uint32_t grain) {

@@ -8,7 +8,9 @@
 // queue lock hands the queue head from cache to cache.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
+#include "conf/scenario.hpp"
 #include "core/machine.hpp"
 #include "workload/work_queue_model.hpp"
 
@@ -23,11 +25,12 @@ struct Outcome {
 };
 
 Outcome run(core::LockImpl lock, std::uint32_t n, std::uint32_t tasks, std::uint32_t grain) {
-  core::MachineConfig cfg;
-  cfg.n_nodes = n;
-  cfg.lock_impl = lock;
-  if (lock == core::LockImpl::kCbl) cfg.barrier_impl = core::BarrierImpl::kCbl;
-  core::Machine m(cfg);
+  // The CBL lock runs with its flavor's CBL barrier; the software locks
+  // run on the WBI machine.
+  const bool cbl = lock == core::LockImpl::kCbl;
+  core::Machine m(conf::build_machine({.nodes = n,
+                                       .flavor = cbl ? "cbl-on-wbi" : "wbi",
+                                       .lock = std::string(core::to_string(lock))}));
   workload::WorkQueueConfig wq;
   wq.total_tasks = tasks;
   wq.grain = grain;

@@ -169,7 +169,7 @@ class ExprParser {
           fail("integer overflow in '+'");
         }
         v = make_int(r, ctx_.loc);
-      } else if (peek() == '-' && !starts_arrow()) {
+      } else if (peek() == '-') {
         ++pos_;
         std::int64_t r = 0;
         if (__builtin_sub_overflow(want_int(v, "-"), want_int(parse_term(), "-"), &r)) {
@@ -181,9 +181,6 @@ class ExprParser {
       }
     }
   }
-
-  // no '->' token exists in the grammar; helper kept trivial for clarity
-  [[nodiscard]] static bool starts_arrow() { return false; }
 
   Value parse_term() {
     Value v = parse_unary();
@@ -469,12 +466,6 @@ const SourceLoc& Table::loc(std::string_view key) const {
                     "internal: loc() of absent key '" + std::string(key) + "'");
   }
   return it->second.loc;
-}
-
-void Table::consume(std::string_view key) const {
-  if (const auto it = entries_.find(std::string(key)); it != entries_.end()) {
-    consumed_.insert(it->first);
-  }
 }
 
 void Table::expect_all_consumed(

@@ -99,9 +99,6 @@ class Table {
   /// must exist.
   [[nodiscard]] const SourceLoc& loc(std::string_view key) const;
 
-  /// Marks a key consumed without reading it (e.g. a legacy alias).
-  void consume(std::string_view key) const;
-
   /// Throws ConfError for the first (lexicographically smallest)
   /// never-consumed key, naming it and its file:line. Keys whose section
   /// prefix is in `ignored_sections` (e.g. another tool's preset block)

@@ -13,7 +13,6 @@ namespace bcsim::core {
 using cache::CacheLine;
 using cache::LockState;
 using cache::MsiState;
-using net::Message;
 using net::MsgType;
 using net::Unit;
 
@@ -76,8 +75,8 @@ void CacheController::on_message(const net::Message& m) {
     case MsgType::kRuUnlink: {
       // Mirror maintenance after a neighbor left the subscription list.
       if (CacheLine* line = cache_.find(m.block); line && line->update_bit) {
-        if (line->prev == m.who) line->prev = m.value == 0 ? kNoNode : static_cast<NodeId>(m.value - 1);
-        if (line->next == m.who) line->next = m.value == 0 ? kNoNode : static_cast<NodeId>(m.value - 1);
+        if (line->prev == m.who) line->prev = net::unlink_neighbor(m);
+        if (line->next == m.who) line->next = net::unlink_neighbor(m);
       }
       break;
     }
@@ -114,10 +113,11 @@ void CacheController::begin(PrimitiveOp op, Addr a) {
   op_.issued_at = sim_.now();
 }
 
-void CacheController::begin_miss(net::MsgType kind) {
+net::Message CacheController::begin_miss(net::MsgType kind) {
   mshr_ = Mshr{};
   mshr_.kind = kind;
   op_.wait = Wait::kMiss;
+  return make(kind, op_.block);
 }
 
 void CacheController::complete(Word value, Tick latency) {
@@ -141,10 +141,15 @@ void CacheController::finish(Word value) {
 void CacheController::send(net::Message&& m) { net_.send(std::move(m)); }
 
 net::Message CacheController::make(net::MsgType t, BlockId b) const {
+  return make_to(t, b, amap_.home_of(b), Unit::kMemory);
+}
+
+net::Message CacheController::make_to(net::MsgType t, BlockId b, NodeId dst,
+                                      net::Unit unit) const {
   net::Message m;
   m.src = node_;
-  m.dst = amap_.home_of(b);
-  m.unit = Unit::kMemory;
+  m.dst = dst;
+  m.unit = unit;
   m.type = t;
   m.block = b;
   return m;
@@ -240,15 +245,10 @@ void CacheController::op_read(Addr a) {
   }
   stats_.counter(hot_.misses, "cache.misses").add();
   if (config_.data_protocol == DataProtocol::kWbi) {
-    begin_miss(MsgType::kGetS);
-    send(make(MsgType::kGetS, b));
+    send(begin_miss(MsgType::kGetS));
   } else {
     // Uniprocessor-style fill: fetch the block with no coherence state.
-    begin_miss(MsgType::kReadGlobal);
-    auto m = make(MsgType::kReadGlobal, b);
-    m.addr = a;
-    m.aux = 1;  // whole block
-    send(std::move(m));
+    send_read_global(/*whole_block=*/true);
   }
 }
 
@@ -280,11 +280,7 @@ void CacheController::op_write(Addr a, Word v) {
       return;
     }
     stats_.counter(hot_.misses, "cache.misses").add();
-    begin_miss(MsgType::kReadGlobal);
-    auto m = make(MsgType::kReadGlobal, b);
-    m.addr = a;
-    m.aux = 1;  // whole block (write-allocate fill)
-    send(std::move(m));
+    send_read_global(/*whole_block=*/true);  // write-allocate fill
     return;
   }
   // WBI coherent write.
@@ -301,18 +297,20 @@ void CacheController::op_write(Addr a, Word v) {
   } else {
     stats_.counter(hot_.misses, "cache.misses").add();
   }
-  begin_miss(MsgType::kGetX);
-  send(make(MsgType::kGetX, b));
+  send(begin_miss(MsgType::kGetX));
 }
 
 void CacheController::op_read_global(Addr a) {
   begin(PrimitiveOp::kReadGlobal, a);
-  begin_miss(MsgType::kReadGlobal);
-  auto m = make(MsgType::kReadGlobal, op_.block);
-  m.addr = a;
-  m.aux = 0;  // single word, bypass cache (paper Table 1)
-  send(std::move(m));
+  send_read_global(/*whole_block=*/false);  // one word, bypassing the cache (Table 1)
   stats_.counter(hot_.read_global, "cache.read_global").add();
+}
+
+void CacheController::send_read_global(bool whole_block) {
+  auto m = begin_miss(MsgType::kReadGlobal);
+  m.addr = op_.addr;
+  net::set_whole_block(m, whole_block);
+  send(std::move(m));
 }
 
 void CacheController::op_write_global(Addr a, Word v) {
@@ -387,16 +385,14 @@ void CacheController::on_write_ack(const net::Message& m) {
 
 void CacheController::op_rmw(Addr a, net::RmwOp op, Word operand, Word operand2) {
   begin(rmw_primitive(op), a);
-  const BlockId b = op_.block;
-  begin_miss(MsgType::kRmw);
-  auto m = make(MsgType::kRmw, b);
+  auto m = begin_miss(MsgType::kRmw);
   m.addr = a;
   m.value = operand;
   m.value2 = operand2;
-  m.aux = static_cast<std::uint8_t>(op);
+  net::set_rmw_op(m, op);
   send(std::move(m));
   stats_.counter(hot_.rmw, "cache.rmw").add();
-  sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kRmw, node_, b, operand);
+  sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kRmw, node_, op_.block, operand);
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +462,7 @@ void CacheController::finish_wbi_txn() {
   }
   // A recall that arrived mid-transaction is serviced now, after the
   // pending store has been performed.
-  if (mshr_.recall_pending) perform_recall(cache_.find(b), mshr_.recall_aux);
+  if (mshr_.recall_pending) perform_recall(cache_.find(b), mshr_.recall_invalidates);
 }
 
 void CacheController::on_inv(const net::Message& m) {
@@ -480,13 +476,7 @@ void CacheController::on_inv(const net::Message& m) {
   }
   // Always acknowledge: the directory's full map may lag a silent
   // replacement, and the requester is counting acks either way.
-  net::Message ack;
-  ack.src = node_;
-  ack.dst = m.who;
-  ack.unit = (m.aux == 1) ? Unit::kMemory : Unit::kCache;
-  ack.type = MsgType::kInvAck;
-  ack.block = m.block;
-  send(std::move(ack));
+  send(make_to(MsgType::kInvAck, m.block, m.who, net::ack_unit(m)));
   fire_line_change(m.block);
 }
 
@@ -499,7 +489,7 @@ void CacheController::on_recall(const net::Message& m) {
     // outstanding RMW on a block we own would otherwise deadlock against
     // its own recall (the RMW completes at memory only after the recall).
     mshr_.recall_pending = true;
-    mshr_.recall_aux = m.aux;
+    mshr_.recall_invalidates = net::recall_invalidates(m);
     return;
   }
   if (line == nullptr || line->msi != MsiState::kModified) {
@@ -508,18 +498,18 @@ void CacheController::on_recall(const net::Message& m) {
     stats_.counter(hot_.recall_crossed, "cache.recall_crossed").add();
     return;
   }
-  perform_recall(line, m.aux);
+  perform_recall(line, net::recall_invalidates(m));
 }
 
-void CacheController::perform_recall(cache::CacheLine* line, std::uint8_t aux) {
+void CacheController::perform_recall(cache::CacheLine* line, bool invalidate) {
   assert(line != nullptr && line->msi == MsiState::kModified);
   auto ack = make(MsgType::kRecallAck, line->block);
   ack.data = line->data;
   ack.dirty_mask =
       line->dirty_mask != 0 ? line->dirty_mask : net::full_block_mask(config_.block_words);
-  ack.aux = aux;
+  net::set_recall_invalidates(ack, invalidate);
   send(std::move(ack));
-  if (aux == 0) {
+  if (!invalidate) {
     // Downgrade to shared; memory now has the data.
     line->msi = MsiState::kShared;
     line->dirty_mask = 0;

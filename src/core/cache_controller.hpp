@@ -79,9 +79,9 @@ struct OutstandingOp {
     case net::RmwOp::kTestAndSet: return PrimitiveOp::kTestAndSet;
     case net::RmwOp::kFetchAdd: return PrimitiveOp::kFetchAdd;
     case net::RmwOp::kSwap: return PrimitiveOp::kSwap;
-    case net::RmwOp::kCompareSwap: return PrimitiveOp::kCompareSwap;
+    case net::RmwOp::kCompareSwap: break;
   }
-  return PrimitiveOp::kRmw;
+  return PrimitiveOp::kCompareSwap;
 }
 
 /// What co_await on a Processor primitive suspends on: the record itself.
@@ -180,15 +180,16 @@ class CacheController {
     bool data_ok = false;
     net::BlockData data;
     bool recall_pending = false; ///< recall deferred until completion
-    std::uint8_t recall_aux = 0;
+    bool recall_invalidates = false;
   };
 
   // -- the outstanding-operation record --
   /// Claims the record for `op` on address `a`; throws std::logic_error
   /// naming the node and both operations if it is already busy.
   void begin(PrimitiveOp op, Addr a);
-  /// Starts the record's demand miss: a fresh MSHR for request `kind`.
-  void begin_miss(net::MsgType kind);
+  /// Starts the record's demand miss: a fresh MSHR for request `kind`, and
+  /// the request to send.
+  [[nodiscard]] net::Message begin_miss(net::MsgType kind);
   /// Completes the record `latency` cycles from now.
   void complete(Word value, Tick latency);
   /// Completes the record now and records its issue-to-completion latency
@@ -200,7 +201,11 @@ class CacheController {
 
   // -- common helpers --
   void send(net::Message&& m);
+  /// A message about block `b` to its home memory.
   [[nodiscard]] net::Message make(net::MsgType t, BlockId b) const;
+  /// A message about block `b` to node `dst`'s `unit`.
+  [[nodiscard]] net::Message make_to(net::MsgType t, BlockId b, NodeId dst,
+                                     net::Unit unit = net::Unit::kCache) const;
   cache::CacheLine& install_line(BlockId b, const net::BlockData& data);
   void evict(cache::CacheLine& victim);
   void fire_line_change(BlockId b);
@@ -211,12 +216,16 @@ class CacheController {
   /// an SC write, a write waiting for a slot, or a flush it completes.
   void on_write_ack(const net::Message& m);
 
+  /// Starts the record's READ-GLOBAL miss: the word at its address or, for
+  /// a local miss's fill, its whole block.
+  void send_read_global(bool whole_block);
+
   // -- WBI handlers (cache_controller.cpp) --
   void finish_wbi_txn();
   void on_data(const net::Message& m);
   void on_inv(const net::Message& m);
   void on_recall(const net::Message& m);
-  void perform_recall(cache::CacheLine* line, std::uint8_t aux);
+  void perform_recall(cache::CacheLine* line, bool invalidate);
 
   // -- read-update handlers (cache_controller_ru.cpp) --
   void on_ru_data(const net::Message& m);
@@ -234,6 +243,12 @@ class CacheController {
   void on_handoff_cmd(const net::Message& m);
   void became_holder(cache::CacheLine& line, bool chain_modified);
   void cascade_share(cache::CacheLine& line);
+  /// Passes the lock and its data to `successor` and lets the line go;
+  /// `tell_home` sends the home the handoff-done notify (a handoff the
+  /// home itself commanded needs none).
+  void hand_off(cache::CacheLine& line, NodeId successor, bool tell_home);
+  /// Shares the read lock and its data with `to`.
+  void grant_share(const cache::CacheLine& line, NodeId to);
   void release_lock_line(BlockId b);
   void issue_lock();
   void start_lock_request();

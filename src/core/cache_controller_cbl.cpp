@@ -22,17 +22,7 @@ namespace bcsim::core {
 using cache::CacheLine;
 using cache::LockState;
 using net::LockMode;
-using net::Message;
 using net::MsgType;
-using net::Unit;
-
-namespace {
-constexpr std::uint8_t kAuxOrchestrate = 0;
-constexpr std::uint8_t kAuxHandoffDone = 1;
-constexpr std::uint8_t kAuxWriteback = 0;
-constexpr std::uint8_t kAuxDrop = 1;
-constexpr std::uint8_t kFwdShareBit = 2;
-}  // namespace
 
 void CacheController::op_lock(Addr a, net::LockMode mode) {
   begin(mode == LockMode::kRead ? PrimitiveOp::kReadLock : PrimitiveOp::kWriteLock, a);
@@ -77,7 +67,7 @@ void CacheController::start_lock_request() {
   op_.wait = Wait::kLockGrant;
   op_.issued_at = sim_.now();
   auto m = make(MsgType::kLockReq, b);
-  m.aux = static_cast<std::uint8_t>(op_.mode);
+  net::set_lock_mode(m, op_.mode);
   send(std::move(m));
 }
 
@@ -99,20 +89,7 @@ void CacheController::op_unlock(Addr a) {
   if (line->lock == LockState::kHeldWrite) {
     if (line->next != kNoNode) {
       // Fast path: direct handoff to the known successor.
-      Message h;
-      h.src = node_;
-      h.dst = line->next;
-      h.unit = Unit::kCache;
-      h.type = MsgType::kLockHandoff;
-      h.block = b;
-      h.data = line->data;
-      h.aux = line->memory_stale ? 1 : 0;
-      send(std::move(h));
-      auto n = make(MsgType::kUnlockNotify, b);
-      n.aux = kAuxHandoffDone;
-      n.who = line->next;
-      send(std::move(n));
-      release_lock_line(b);
+      hand_off(*line, line->next, /*tell_home=*/true);
     } else {
       // Successor unknown: ask the directory whether we are still the tail.
       line->lock = LockState::kQuerying;
@@ -123,7 +100,7 @@ void CacheController::op_unlock(Addr a) {
     // readers still hold the lock.
     line->lock = LockState::kReleasing;
     auto n = make(MsgType::kUnlockNotify, b);
-    n.aux = kAuxOrchestrate;
+    net::set_handoff_done(n, false);
     send(std::move(n));
   }
 }
@@ -140,83 +117,34 @@ void CacheController::on_lock_grant(const net::Message& m) {
 void CacheController::on_lock_fwd(const net::Message& m) {
   CacheLine* line = lock_cache_.find(m.block);
   assert(line != nullptr && "LockFwd for a block with no lock line");
-  const auto mode = static_cast<LockMode>(m.aux & 1u);
-  const bool share = (m.aux & kFwdShareBit) != 0;
+  const bool share = net::shares_lock(m);
   line->next = m.who;
-  line->next_mode = mode;
+  line->next_mode = net::lock_mode(m);
 
   switch (line->lock) {
     case LockState::kHeldRead:
     case LockState::kHeldWrite:
+    case LockState::kReleasing:
+      // A holder, or a reader releasing with the data still in hand: the
+      // directory counted a sharing newcomer as a co-holder at forward time.
       if (share) {
-        Message g;
-        g.src = node_;
-        g.dst = m.who;
-        g.unit = Unit::kCache;
-        g.type = MsgType::kLockShareGrant;
-        g.block = m.block;
-        g.data = line->data;
-        g.aux = line->memory_stale ? 1 : 0;
-        send(std::move(g));
-      } else {
-        Message w;
-        w.src = node_;
-        w.dst = m.who;
-        w.unit = Unit::kCache;
-        w.type = MsgType::kLockWait;
-        w.block = m.block;
-        send(std::move(w));
-      }
-      break;
-    case LockState::kWaitRead:
-    case LockState::kWaitWrite:
-    case LockState::kReleasing: {
-      if (share && line->lock == LockState::kReleasing) {
-        // We still have the data; the directory counted the newcomer as a
-        // co-holder at forward time.
-        Message g;
-        g.src = node_;
-        g.dst = m.who;
-        g.unit = Unit::kCache;
-        g.type = MsgType::kLockShareGrant;
-        g.block = m.block;
-        g.data = line->data;
-        g.aux = line->memory_stale ? 1 : 0;
-        send(std::move(g));
+        grant_share(*line, m.who);
         break;
       }
+      [[fallthrough]];
+    case LockState::kWaitRead:
+    case LockState::kWaitWrite:
       // Tell the newcomer where it queued; the grant (share cascade or
       // handoff) reaches it once we ourselves hold / release.
-      Message w;
-      w.src = node_;
-      w.dst = m.who;
-      w.unit = Unit::kCache;
-      w.type = MsgType::kLockWait;
-      w.block = m.block;
-      send(std::move(w));
+      send(make_to(MsgType::kLockWait, m.block, m.who));
       break;
-    }
     case LockState::kQuerying:  // the announce raced our tail query: drain now
-    case LockState::kDraining: {
+    case LockState::kDraining:
       // We released while this announce was in flight: pass the lock on
       // directly and leave the queue.
       assert(!share && "share-forward cannot target a draining write holder");
-      Message h;
-      h.src = node_;
-      h.dst = m.who;
-      h.unit = Unit::kCache;
-      h.type = MsgType::kLockHandoff;
-      h.block = m.block;
-      h.data = line->data;
-      h.aux = line->memory_stale ? 1 : 0;
-      send(std::move(h));
-      auto n = make(MsgType::kUnlockNotify, m.block);
-      n.aux = kAuxHandoffDone;
-      n.who = m.who;
-      send(std::move(n));
-      release_lock_line(m.block);
+      hand_off(*line, m.who, /*tell_home=*/true);
       break;
-    }
     case LockState::kNone:
       throw std::logic_error("CacheController: LockFwd hit an inactive line");
   }
@@ -227,7 +155,7 @@ void CacheController::on_lock_share_grant(const net::Message& m) {
   assert(line != nullptr && line->lock == LockState::kWaitRead);
   line->data = m.data;
   line->prev = m.src;
-  became_holder(*line, m.aux != 0);
+  became_holder(*line, net::memory_stale(m));
 }
 
 void CacheController::on_lock_wait(const net::Message& m) {
@@ -239,7 +167,7 @@ void CacheController::on_lock_handoff(const net::Message& m) {
   assert(line != nullptr &&
          (line->lock == LockState::kWaitRead || line->lock == LockState::kWaitWrite));
   line->data = m.data;
-  became_holder(*line, m.aux != 0);
+  became_holder(*line, net::memory_stale(m));
 }
 
 void CacheController::became_holder(cache::CacheLine& line, bool chain_modified) {
@@ -263,32 +191,44 @@ void CacheController::cascade_share(cache::CacheLine& line) {
   // requested a read lock passes the shared grant along.
   if (line.lock != LockState::kHeldRead) return;
   if (line.next == kNoNode || line.next_mode != LockMode::kRead) return;
-  Message g;
-  g.src = node_;
-  g.dst = line.next;
-  g.unit = Unit::kCache;
-  g.type = MsgType::kLockShareGrant;
-  g.block = line.block;
-  g.data = line.data;
-  g.aux = line.memory_stale ? 1 : 0;
-  send(std::move(g));
+  grant_share(line, line.next);
   stats_.counter(hot_.share_cascade, "cache.share_cascade").add();
+}
+
+void CacheController::grant_share(const cache::CacheLine& line, NodeId to) {
+  auto g = make_to(MsgType::kLockShareGrant, line.block, to);
+  g.data = line.data;
+  net::set_memory_stale(g, line.memory_stale);
+  send(std::move(g));
+}
+
+void CacheController::hand_off(cache::CacheLine& line, NodeId successor, bool tell_home) {
+  const BlockId b = line.block;
+  auto h = make_to(MsgType::kLockHandoff, b, successor);
+  h.data = line.data;
+  net::set_memory_stale(h, line.memory_stale);
+  send(std::move(h));
+  if (tell_home) {
+    auto n = make(MsgType::kUnlockNotify, b);
+    net::set_handoff_done(n, true);
+    send(std::move(n));
+  }
+  release_lock_line(b);
 }
 
 void CacheController::on_unlock_empty(const net::Message& m) {
   CacheLine* line = lock_cache_.find(m.block);
   assert(line != nullptr &&
          (line->lock == LockState::kReleasing || line->lock == LockState::kQuerying));
-  if (m.aux == kAuxWriteback) {
+  // A dropped line leaves the data to the readers that still hold it.
+  if (!net::unlock_drops(m)) {
     auto wb = make(MsgType::kLockWriteback, m.block);
     if (line->memory_stale) {
       wb.data = line->data;
       wb.dirty_mask = net::full_block_mask(config_.block_words);
     }
-    wb.aux = line->memory_stale ? 1 : 0;
+    net::set_memory_stale(wb, line->memory_stale);
     send(std::move(wb));
-  } else {
-    static_cast<void>(kAuxDrop);  // aux==kAuxDrop: other readers still hold
   }
   release_lock_line(m.block);
 }
@@ -304,16 +244,7 @@ void CacheController::on_unlock_wait_succ(const net::Message& m) {
 void CacheController::on_handoff_cmd(const net::Message& m) {
   CacheLine* line = lock_cache_.find(m.block);
   assert(line != nullptr && line->lock == LockState::kReleasing);
-  Message h;
-  h.src = node_;
-  h.dst = m.who;
-  h.unit = Unit::kCache;
-  h.type = MsgType::kLockHandoff;
-  h.block = m.block;
-  h.data = line->data;
-  h.aux = line->memory_stale ? 1 : 0;
-  send(std::move(h));
-  release_lock_line(m.block);
+  hand_off(*line, m.who, /*tell_home=*/false);
 }
 
 void CacheController::release_lock_line(BlockId b) {

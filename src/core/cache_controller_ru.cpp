@@ -9,7 +9,6 @@ namespace bcsim::core {
 using cache::CacheLine;
 using net::Message;
 using net::MsgType;
-using net::Unit;
 
 void CacheController::op_read_update(Addr a) {
   begin(PrimitiveOp::kReadUpdate, a);
@@ -23,8 +22,7 @@ void CacheController::op_read_update(Addr a) {
     return;
   }
   stats_.counter(hot_.read_update, "cache.read_update").add();
-  begin_miss(MsgType::kReadUpdate);
-  auto m = make(MsgType::kReadUpdate, b);
+  auto m = begin_miss(MsgType::kReadUpdate);
   m.addr = a;
   send(std::move(m));
 }
@@ -77,15 +75,10 @@ void CacheController::on_ru_update(const net::Message& m) {
   // Forward down the remaining chain regardless of local state (this node
   // may have unsubscribed while the update was in flight; the data still
   // has to reach the rest of the list).
-  if (m.chain.empty() && m.txn != 0 && m.who != kNoNode) {
-    // Last hop of a WRITE-GLOBAL propagation: the write is now globally
-    // performed; acknowledge the writer so its buffer entry retires.
-    Message ack;
-    ack.src = node_;
-    ack.dst = m.who;
-    ack.unit = Unit::kCache;
-    ack.type = MsgType::kWriteGlobalAck;
-    ack.block = m.block;
+  if (m.chain.empty()) {
+    // Last hop of the WRITE-GLOBAL's propagation: the write is now globally
+    // performed; acknowledge the writer `who` so its buffer entry retires.
+    auto ack = make_to(MsgType::kWriteGlobalAck, m.block, m.who);
     ack.txn = m.txn;
     net_.send_at(sim_.now() + config_.t_directory, std::move(ack));
     return;
@@ -121,7 +114,7 @@ void CacheController::op_barrier(Addr a, std::uint32_t participants) {
 }
 
 void CacheController::on_bar_ack(const net::Message& m) {
-  if (m.aux == 1) {
+  if (net::last_arrival(m)) {
     // We were the last arriver: the barrier opened as we hit it.
     sim_.trace().sync_op(sim_.now(), sim::SyncTraceOp::kBarrierRelease, node_, m.block, m.value);
     assert(op_.wait == Wait::kBarrier && op_.block == m.block);

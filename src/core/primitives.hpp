@@ -20,7 +20,6 @@ enum class PrimitiveOp : std::uint8_t {
   kReadLock,     ///< READ-LOCK: shared lock on a cache line
   kWriteLock,    ///< WRITE-LOCK: exclusive lock on a cache line
   kUnlock,       ///< UNLOCK: release the lock
-  kRmw,          ///< atomic read-modify-write at memory (generic; see kSwap etc.)
   kTestAndSet,   ///< atomic test-and-set (RMW specialization)
   kFetchAdd,     ///< atomic fetch-and-add (RMW specialization)
   kBarrier,      ///< hardware barrier arrival (extension)
@@ -44,7 +43,6 @@ enum class PrimitiveOp : std::uint8_t {
     case PrimitiveOp::kReadLock: return "READ-LOCK";
     case PrimitiveOp::kWriteLock: return "WRITE-LOCK";
     case PrimitiveOp::kUnlock: return "UNLOCK";
-    case PrimitiveOp::kRmw: return "RMW";
     case PrimitiveOp::kTestAndSet: return "TEST&SET";
     case PrimitiveOp::kFetchAdd: return "FETCH&ADD";
     case PrimitiveOp::kBarrier: return "BARRIER";

@@ -93,54 +93,55 @@ class Chain {
 /// paper's distributed-memory configuration.
 enum class Unit : std::uint8_t { kCache, kMemory };
 
-/// Every message the machine can carry. Grouped by protocol.
+/// Every message the machine can carry, grouped by protocol. A type's name,
+/// traffic class and size class are its row of kMsgTypes; what its `aux`
+/// (and RuUnlink's `value`) carry is one of the field encodings after
+/// Message.
 enum class MsgType : std::uint8_t {
   // --- WBI (write-back invalidate, directory MSI baseline) ---
   kGetS,         ///< read miss: request shared copy (cache -> dir)
   kGetX,         ///< write miss/upgrade: request exclusive copy (cache -> dir)
   kDataS,        ///< data reply, shared (dir -> cache)
   kDataX,        ///< data reply, exclusive; value = #inv acks to expect (dir -> cache)
-  kInv,          ///< invalidate copy (dir -> cache)
-  kInvAck,       ///< invalidation done (cache -> requester cache)
-  kRecall,       ///< fetch modified line back (dir -> owner cache)
-  kRecallAck,    ///< modified data returned (owner cache -> dir)
+  kInv,          ///< invalidate copy; ack to `who`'s ack_unit() (dir -> cache)
+  kInvAck,       ///< invalidation done (cache -> requester cache or dir)
+  kRecall,       ///< fetch modified line back; recall_invalidates() (dir -> owner cache)
+  kRecallAck,    ///< modified data returned; recall_invalidates() (owner cache -> dir)
   kPutM,         ///< write back dirty line on replacement (cache -> dir)
   kPutS,         ///< notify replacement of shared line (cache -> dir)
   kPutAck,       ///< replacement acknowledged (dir -> cache)
-  kRmw,          ///< atomic read-modify-write at memory (cache -> dir)
+  kRmw,          ///< atomic read-modify-write at memory; rmw_op() (cache -> dir)
   kRmwAck,       ///< RMW result; value = old word (dir -> cache)
 
   // --- reader-initiated coherence (read-update) ---
-  kReadGlobal,     ///< uncached read of a word from memory (cache -> dir)
-  kReadGlobalAck,  ///< word value reply (dir -> cache)
+  kReadGlobal,     ///< uncached read of a word, or a block fill; whole_block() (cache -> dir)
+  kReadGlobalAck,  ///< word value or block reply (dir -> cache)
   kWriteGlobal,    ///< global write of a word (cache -> dir); txn matches ack
-  kWriteGlobalAck, ///< write applied at memory (dir -> cache)
+  kWriteGlobalAck, ///< write applied at memory (dir or last chain hop -> cache)
   kReadUpdate,     ///< fetch block + subscribe to future updates (cache -> dir)
   kReadUpdateData, ///< block reply; who = old list head to link as next (dir -> cache)
   kRuLinkPrev,     ///< tell old head its new prev (dir -> cache)
-  kRuUpdate,       ///< updated block propagating down the subscriber chain
+  kRuUpdate,       ///< updated block down the subscriber chain; last hop acks `who`'s `txn`
   kResetUpdate,    ///< unsubscribe (cache -> dir)
-  kRuUnlink,       ///< dir command: splice your neighbor pointers (dir -> cache)
-  kRuUnlinkAck,    ///< unlink bookkeeping done (cache -> dir)
+  kRuUnlink,       ///< splice out neighbor `who`; unlink_neighbor() (dir -> cache)
 
   // --- CBL (cache-based locking) ---
-  kLockReq,        ///< read- or write-lock request; aux = mode (cache -> dir)
+  kLockReq,        ///< read- or write-lock request; lock_mode() (cache -> dir)
   kLockGrant,      ///< lock granted with data (dir -> cache, uncontended path)
-  kLockFwd,        ///< dir -> current tail: node `who` is your new successor
-  kLockShareGrant, ///< tail -> requester: share the read lock (with data)
-  kLockWait,       ///< tail -> requester: enqueued behind me, wait
-  kLockHandoff,    ///< releasing holder -> successor: lock + data are yours
-  kUnlockNotify,   ///< holder released; dir bookkeeping (cache -> dir)
+  kLockFwd,        ///< node `who` is your successor; lock_mode(), shares_lock() (dir -> tail)
+  kLockShareGrant, ///< share the read lock, with data; memory_stale() (tail -> requester)
+  kLockWait,       ///< enqueued behind me, wait (tail -> requester)
+  kLockHandoff,    ///< lock + data are yours; memory_stale() (releasing holder -> successor)
+  kUnlockNotify,   ///< holder released; handoff_done() (cache -> dir)
   kUnlockQuery,    ///< released with no known successor: am I the tail? (cache -> dir)
-  kUnlockEmpty,    ///< dir reply: queue empty, write line back (dir -> cache)
-  kUnlockWaitSucc, ///< dir reply: successor announce in flight, hold on (dir -> cache)
-  kHandoffCmd,     ///< dir -> last reader holder: hand off to node `who`
-  kLockWriteback,  ///< line data returned to memory after final unlock (cache -> dir)
-  kLockNeighbor,   ///< dir command: update prev/next mirror after reader unlink
+  kUnlockEmpty,    ///< queue empty or readers remain; unlock_drops() (dir -> cache)
+  kUnlockWaitSucc, ///< successor announce in flight, hold on (dir -> cache)
+  kHandoffCmd,     ///< last reader holder: hand off to node `who` (dir -> cache)
+  kLockWriteback,  ///< line returned after final unlock; memory_stale() (cache -> dir)
 
   // --- barrier support (memory-side counter, used by the CBL barrier) ---
-  kBarArrive,      ///< fetch-increment of barrier counter (cache -> dir)
-  kBarArriveAck,   ///< value = arrival index (dir -> cache)
+  kBarArrive,      ///< fetch-increment of barrier counter; value = participants (cache -> dir)
+  kBarArriveAck,   ///< value = arrival index; last_arrival() (dir -> cache)
   kBarRelease,     ///< barrier released, propagated down subscriber chain
 };
 
@@ -148,62 +149,87 @@ enum class MsgType : std::uint8_t {
 /// (the network's counter handles, trace name maps) index by MsgType.
 inline constexpr std::size_t kMsgTypeCount = static_cast<std::size_t>(MsgType::kBarRelease) + 1;
 
-[[nodiscard]] constexpr std::string_view to_string(MsgType t) noexcept {
-  switch (t) {
-    case MsgType::kGetS: return "GetS";
-    case MsgType::kGetX: return "GetX";
-    case MsgType::kDataS: return "DataS";
-    case MsgType::kDataX: return "DataX";
-    case MsgType::kInv: return "Inv";
-    case MsgType::kInvAck: return "InvAck";
-    case MsgType::kRecall: return "Recall";
-    case MsgType::kRecallAck: return "RecallAck";
-    case MsgType::kPutM: return "PutM";
-    case MsgType::kPutS: return "PutS";
-    case MsgType::kPutAck: return "PutAck";
-    case MsgType::kRmw: return "Rmw";
-    case MsgType::kRmwAck: return "RmwAck";
-    case MsgType::kReadGlobal: return "ReadGlobal";
-    case MsgType::kReadGlobalAck: return "ReadGlobalAck";
-    case MsgType::kWriteGlobal: return "WriteGlobal";
-    case MsgType::kWriteGlobalAck: return "WriteGlobalAck";
-    case MsgType::kReadUpdate: return "ReadUpdate";
-    case MsgType::kReadUpdateData: return "ReadUpdateData";
-    case MsgType::kRuLinkPrev: return "RuLinkPrev";
-    case MsgType::kRuUpdate: return "RuUpdate";
-    case MsgType::kResetUpdate: return "ResetUpdate";
-    case MsgType::kRuUnlink: return "RuUnlink";
-    case MsgType::kRuUnlinkAck: return "RuUnlinkAck";
-    case MsgType::kLockReq: return "LockReq";
-    case MsgType::kLockGrant: return "LockGrant";
-    case MsgType::kLockFwd: return "LockFwd";
-    case MsgType::kLockShareGrant: return "LockShareGrant";
-    case MsgType::kLockWait: return "LockWait";
-    case MsgType::kLockHandoff: return "LockHandoff";
-    case MsgType::kUnlockNotify: return "UnlockNotify";
-    case MsgType::kUnlockQuery: return "UnlockQuery";
-    case MsgType::kUnlockEmpty: return "UnlockEmpty";
-    case MsgType::kUnlockWaitSucc: return "UnlockWaitSucc";
-    case MsgType::kHandoffCmd: return "HandoffCmd";
-    case MsgType::kLockWriteback: return "LockWriteback";
-    case MsgType::kLockNeighbor: return "LockNeighbor";
-    case MsgType::kBarArrive: return "BarArrive";
-    case MsgType::kBarArriveAck: return "BarArriveAck";
-    case MsgType::kBarRelease: return "BarRelease";
-  }
-  return "?";
-}
-
 /// Message size class; determines flit count / service time at each switch
 /// port. Mirrors the paper's cost constants: C_R (control), C_W (one word),
 /// C_B (block transfer), C_I (invalidation == control).
 enum class SizeClass : std::uint8_t { kControl, kWord, kBlock };
 
-/// Lock mode carried in `aux` for lock messages.
+/// A message type's row of the wire format.
+struct MsgTypeInfo {
+  MsgType type;
+  std::string_view name;
+  /// Generated by synchronization (locks, barriers, RMW) rather than
+  /// ordinary data coherence. The paper's opening observation —
+  /// "synchronization accesses cause much greater network contention than
+  /// accesses to normal shared data" — is measured with this split.
+  bool sync;
+  SizeClass size;  ///< without a block payload (any payload makes it kBlock)
+};
+
+inline constexpr MsgTypeInfo kMsgTypes[] = {
+    {MsgType::kGetS, "GetS", false, SizeClass::kControl},
+    {MsgType::kGetX, "GetX", false, SizeClass::kControl},
+    {MsgType::kDataS, "DataS", false, SizeClass::kControl},
+    {MsgType::kDataX, "DataX", false, SizeClass::kControl},
+    {MsgType::kInv, "Inv", false, SizeClass::kControl},
+    {MsgType::kInvAck, "InvAck", false, SizeClass::kControl},
+    {MsgType::kRecall, "Recall", false, SizeClass::kControl},
+    {MsgType::kRecallAck, "RecallAck", false, SizeClass::kControl},
+    {MsgType::kPutM, "PutM", false, SizeClass::kControl},
+    {MsgType::kPutS, "PutS", false, SizeClass::kControl},
+    {MsgType::kPutAck, "PutAck", false, SizeClass::kControl},
+    {MsgType::kRmw, "Rmw", true, SizeClass::kWord},
+    {MsgType::kRmwAck, "RmwAck", true, SizeClass::kWord},
+    {MsgType::kReadGlobal, "ReadGlobal", false, SizeClass::kControl},
+    {MsgType::kReadGlobalAck, "ReadGlobalAck", false, SizeClass::kWord},
+    {MsgType::kWriteGlobal, "WriteGlobal", false, SizeClass::kWord},
+    {MsgType::kWriteGlobalAck, "WriteGlobalAck", false, SizeClass::kControl},
+    {MsgType::kReadUpdate, "ReadUpdate", false, SizeClass::kControl},
+    {MsgType::kReadUpdateData, "ReadUpdateData", false, SizeClass::kControl},
+    {MsgType::kRuLinkPrev, "RuLinkPrev", false, SizeClass::kControl},
+    {MsgType::kRuUpdate, "RuUpdate", false, SizeClass::kControl},
+    {MsgType::kResetUpdate, "ResetUpdate", false, SizeClass::kControl},
+    {MsgType::kRuUnlink, "RuUnlink", false, SizeClass::kControl},
+    {MsgType::kLockReq, "LockReq", true, SizeClass::kControl},
+    {MsgType::kLockGrant, "LockGrant", true, SizeClass::kControl},
+    {MsgType::kLockFwd, "LockFwd", true, SizeClass::kControl},
+    {MsgType::kLockShareGrant, "LockShareGrant", true, SizeClass::kControl},
+    {MsgType::kLockWait, "LockWait", true, SizeClass::kControl},
+    {MsgType::kLockHandoff, "LockHandoff", true, SizeClass::kControl},
+    {MsgType::kUnlockNotify, "UnlockNotify", true, SizeClass::kControl},
+    {MsgType::kUnlockQuery, "UnlockQuery", true, SizeClass::kControl},
+    {MsgType::kUnlockEmpty, "UnlockEmpty", true, SizeClass::kControl},
+    {MsgType::kUnlockWaitSucc, "UnlockWaitSucc", true, SizeClass::kControl},
+    {MsgType::kHandoffCmd, "HandoffCmd", true, SizeClass::kControl},
+    {MsgType::kLockWriteback, "LockWriteback", true, SizeClass::kControl},
+    {MsgType::kBarArrive, "BarArrive", true, SizeClass::kControl},
+    {MsgType::kBarArriveAck, "BarArriveAck", true, SizeClass::kWord},
+    {MsgType::kBarRelease, "BarRelease", true, SizeClass::kControl},
+};
+static_assert(std::size(kMsgTypes) == kMsgTypeCount, "one kMsgTypes row per MsgType");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kMsgTypeCount; ++i) {
+        if (static_cast<std::size_t>(kMsgTypes[i].type) != i) return false;
+      }
+      return true;
+    }(),
+    "kMsgTypes rows follow MsgType order");
+
+[[nodiscard]] constexpr std::string_view to_string(MsgType t) noexcept {
+  const auto i = static_cast<std::size_t>(t);
+  return i < kMsgTypeCount ? kMsgTypes[i].name : "?";
+}
+
+[[nodiscard]] constexpr bool is_sync_message(MsgType t) noexcept {
+  return kMsgTypes[static_cast<std::size_t>(t)].sync;
+}
+
+/// Lock mode of lock messages (lock_mode()).
 enum class LockMode : std::uint8_t { kRead = 0, kWrite = 1 };
 
-/// Atomic op carried in `aux` for kRmw. For kCompareSwap, `value` is the
-/// expected word and `value2` the desired one; the old word is returned.
+/// Atomic op of kRmw (rmw_op()). For kCompareSwap, `value` is the expected
+/// word and `value2` the desired one; the old word is returned.
 enum class RmwOp : std::uint8_t { kTestAndSet = 0, kFetchAdd = 1, kSwap = 2, kCompareSwap = 3 };
 
 struct Message {
@@ -216,7 +242,7 @@ struct Message {
   Word value = 0;              ///< word payload / counts / RMW operand
   Word value2 = 0;             ///< second RMW operand (kCompareSwap desired)
   NodeId who = kNoNode;        ///< subject node (successor, requester, ...)
-  std::uint8_t aux = 0;        ///< LockMode / RmwOp / flags
+  std::uint8_t aux = 0;        ///< a field encoding below; never read or written by number
   std::uint32_t dirty_mask = 0;///< per-word dirty bits for partial writebacks
   std::uint64_t txn = 0;       ///< transaction id for ack matching
   BlockData data;              ///< block payload where applicable
@@ -227,49 +253,79 @@ struct Message {
   Chain chain;
 };
 
-/// True for messages generated by synchronization (locks, barriers, RMW)
-/// as opposed to ordinary data coherence. The paper's opening observation
-/// — "synchronization accesses cause much greater network contention than
-/// accesses to normal shared data" — is measured with this split.
-[[nodiscard]] constexpr bool is_sync_message(MsgType t) noexcept {
-  switch (t) {
-    case MsgType::kRmw:
-    case MsgType::kRmwAck:
-    case MsgType::kLockReq:
-    case MsgType::kLockGrant:
-    case MsgType::kLockFwd:
-    case MsgType::kLockShareGrant:
-    case MsgType::kLockWait:
-    case MsgType::kLockHandoff:
-    case MsgType::kUnlockNotify:
-    case MsgType::kUnlockQuery:
-    case MsgType::kUnlockEmpty:
-    case MsgType::kUnlockWaitSucc:
-    case MsgType::kHandoffCmd:
-    case MsgType::kLockWriteback:
-    case MsgType::kLockNeighbor:
-    case MsgType::kBarArrive:
-    case MsgType::kBarArriveAck:
-    case MsgType::kBarRelease:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Size class of a message, from its type and payload.
 [[nodiscard]] constexpr SizeClass size_class(const Message& m) noexcept {
-  if (m.data.count > 0) return SizeClass::kBlock;
-  switch (m.type) {
-    case MsgType::kWriteGlobal:
-    case MsgType::kReadGlobalAck:
-    case MsgType::kRmw:
-    case MsgType::kRmwAck:
-    case MsgType::kBarArriveAck:
-      return SizeClass::kWord;
-    default:
-      return SizeClass::kControl;
-  }
+  return m.data.count > 0 ? SizeClass::kBlock : kMsgTypes[static_cast<std::size_t>(m.type)].size;
+}
+
+// ---- Field encodings -------------------------------------------------------
+// Each encoding is defined once, here: the sender writes it and the
+// receiver reads it through the same name.
+
+/// kReadGlobal: the reply carries the whole block (the read-update
+/// machine's local-miss fill) rather than the addressed word.
+constexpr void set_whole_block(Message& m, bool whole) noexcept { m.aux = whole; }
+[[nodiscard]] constexpr bool whole_block(const Message& m) noexcept { return m.aux != 0; }
+
+/// kInv: where its kInvAck goes — node `who`'s cache (a GetX requester
+/// counting acks) or its memory unit (the home completing an RMW).
+constexpr void set_ack_route(Message& m, NodeId to, Unit unit) noexcept {
+  m.who = to;
+  m.aux = static_cast<std::uint8_t>(unit);
+}
+[[nodiscard]] constexpr Unit ack_unit(const Message& m) noexcept {
+  return static_cast<Unit>(m.aux);
+}
+
+/// kRecall and its kRecallAck: the owner invalidates its modified line (an
+/// exclusive request or RMW waits) rather than downgrading it to shared.
+constexpr void set_recall_invalidates(Message& m, bool invalidate) noexcept { m.aux = invalidate; }
+[[nodiscard]] constexpr bool recall_invalidates(const Message& m) noexcept {
+  return m.aux != 0;
+}
+
+/// kRmw: the atomic operation.
+constexpr void set_rmw_op(Message& m, RmwOp op) noexcept { m.aux = static_cast<std::uint8_t>(op); }
+[[nodiscard]] constexpr RmwOp rmw_op(const Message& m) noexcept {
+  return static_cast<RmwOp>(m.aux);
+}
+
+/// kLockReq: the requested mode. kLockFwd: the newcomer's mode, and whether
+/// it shares the read lock with the holders (the home counted it as one).
+constexpr void set_lock_mode(Message& m, LockMode mode, bool share = false) noexcept {
+  m.aux = static_cast<std::uint8_t>(static_cast<unsigned>(mode) | (share ? 2u : 0u));
+}
+[[nodiscard]] constexpr LockMode lock_mode(const Message& m) noexcept {
+  return static_cast<LockMode>(m.aux & 1u);
+}
+[[nodiscard]] constexpr bool shares_lock(const Message& m) noexcept { return (m.aux & 2u) != 0; }
+
+/// kLockHandoff, kLockShareGrant, kLockWriteback: the lock line's data is
+/// newer than memory's copy (a writer modified it under the lock).
+constexpr void set_memory_stale(Message& m, bool stale) noexcept { m.aux = stale; }
+[[nodiscard]] constexpr bool memory_stale(const Message& m) noexcept { return m.aux != 0; }
+
+/// kUnlockNotify: the releaser already handed the lock and its data to its
+/// successor (bookkeeping only), rather than asking the home to decide.
+constexpr void set_handoff_done(Message& m, bool done) noexcept { m.aux = done; }
+[[nodiscard]] constexpr bool handoff_done(const Message& m) noexcept { return m.aux != 0; }
+
+/// kUnlockEmpty: other readers still hold the lock, so the releaser drops
+/// its line rather than writing it back.
+constexpr void set_unlock_drops(Message& m, bool drop) noexcept { m.aux = drop; }
+[[nodiscard]] constexpr bool unlock_drops(const Message& m) noexcept { return m.aux != 0; }
+
+/// kBarArriveAck: this was the last arrival, so the ack also releases it.
+constexpr void set_last_arrival(Message& m, bool last) noexcept { m.aux = last; }
+[[nodiscard]] constexpr bool last_arrival(const Message& m) noexcept { return m.aux != 0; }
+
+/// kRuUnlink: the neighbor that replaces the leaving subscriber `who` in
+/// the receiver's prev/next mirror, carried in `value` as node + 1 (0: none).
+constexpr void set_unlink_neighbor(Message& m, NodeId n) noexcept {
+  m.value = n == kNoNode ? 0 : static_cast<Word>(n) + 1;
+}
+[[nodiscard]] constexpr NodeId unlink_neighbor(const Message& m) noexcept {
+  return m.value == 0 ? kNoNode : static_cast<NodeId>(m.value - 1);
 }
 
 }  // namespace bcsim::net

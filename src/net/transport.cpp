@@ -58,22 +58,22 @@ Transport::Transport(Network& net, sim::StatsRegistry& stats, const sim::FaultPl
       cr.type_ok.fill(true);
     } else if (r.type == "sync" || r.type == "data") {
       const bool want_sync = (r.type == "sync");
-      for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
-        cr.type_ok[t] = is_sync_message(static_cast<MsgType>(t)) == want_sync;
+      for (const MsgTypeInfo& row : kMsgTypes) {
+        cr.type_ok[static_cast<std::size_t>(row.type)] = row.sync == want_sync;
       }
     } else {
       bool found = false;
-      for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
-        if (to_string(static_cast<MsgType>(t)) == r.type) {
-          cr.type_ok[t] = true;
+      for (const MsgTypeInfo& row : kMsgTypes) {
+        if (row.name == r.type) {
+          cr.type_ok[static_cast<std::size_t>(row.type)] = true;
           found = true;
         }
       }
       if (!found) {
         std::string all;
-        for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+        for (const MsgTypeInfo& row : kMsgTypes) {
           if (!all.empty()) all += ", ";
-          all += to_string(static_cast<MsgType>(t));
+          all += row.name;
         }
         throw std::invalid_argument("fault plan: unknown message type '" + r.type +
                                     "' (sync, data, or one of: " + all + ")");

@@ -15,16 +15,9 @@
 namespace bcsim::proto {
 
 using net::LockMode;
-using net::Message;
 using net::MsgType;
-using net::Unit;
 
 namespace {
-constexpr std::uint8_t kAuxHandoffDone = 1;
-constexpr std::uint8_t kAuxWriteback = 0;
-constexpr std::uint8_t kAuxDrop = 1;
-constexpr std::uint8_t kFwdShareBit = 2;
-
 bool chain_contains(const mem::DirectoryEntry& e, NodeId node) {
   return std::any_of(e.lock_chain.begin(), e.lock_chain.end(),
                      [node](const mem::LockChainNode& n) { return n.node == node; });
@@ -37,7 +30,7 @@ void DirectoryController::on_lock_req(const net::Message& m) {
   if (!e.ru_list.empty()) {
     throw std::logic_error("DirectoryController: lock request on a read-update block");
   }
-  const auto mode = static_cast<LockMode>(m.aux & 1u);
+  const LockMode mode = net::lock_mode(m);
   stats_.counter(hot_.lock_req, "dir.lock_req").add();
 
   if (e.lock_chain.empty()) {
@@ -49,7 +42,6 @@ void DirectoryController::on_lock_req(const net::Message& m) {
     e.lock_data_stale = true;
     auto out = reply_to(m, MsgType::kLockGrant);
     out.data = memory_.read_block(m.block);
-    out.aux = static_cast<std::uint8_t>(mode);
     reply_after(config_.t_directory + config_.t_memory, std::move(out));
     return;
   }
@@ -62,14 +54,9 @@ void DirectoryController::on_lock_req(const net::Message& m) {
                      e.lock_chain.front().mode == LockMode::kRead;
   e.lock_chain.push_back({m.src, mode});
   if (share) e.lock_holders += 1;
-  Message fwd;
-  fwd.src = node_;
-  fwd.dst = old_tail;
-  fwd.unit = Unit::kCache;
-  fwd.type = MsgType::kLockFwd;
-  fwd.block = m.block;
+  auto fwd = to_cache(MsgType::kLockFwd, old_tail, m.block);
   fwd.who = m.src;
-  fwd.aux = static_cast<std::uint8_t>(mode) | (share ? kFwdShareBit : 0);
+  net::set_lock_mode(fwd, mode, share);
   reply_after(config_.t_directory, std::move(fwd));
   if (share) {
     stats_.counter(hot_.lock_fwd_share, "dir.lock_fwd_share").add();
@@ -126,7 +113,7 @@ void DirectoryController::on_unlock_notify(const net::Message& m) {
   assert(was_holder);
   static_cast<void>(was_holder);
 
-  if (m.aux == kAuxHandoffDone) {
+  if (net::handoff_done(m)) {
     // The releasing cache already handed the lock (and data) to m.who;
     // this is bookkeeping. Promote the next holder group to match the
     // grant/cascade messages in flight, then replay any unlock query the
@@ -141,9 +128,7 @@ void DirectoryController::on_unlock_notify(const net::Message& m) {
   // disposition and instructs the releasing cache.
   if (e.lock_holders > 0) {
     // Other readers still hold the lock: the releaser just drops out.
-    auto out = reply_to(m, MsgType::kUnlockEmpty);
-    out.aux = kAuxDrop;
-    reply_after(config_.t_directory, std::move(out));
+    reply_unlock_empty(e, m, /*drop=*/true);
     return;
   }
   if (!e.lock_chain.empty()) {
@@ -157,10 +142,7 @@ void DirectoryController::on_unlock_notify(const net::Message& m) {
     return;
   }
   // Queue empty: the line returns to memory.
-  e.lock_writeback_pending = true;
-  auto out = reply_to(m, MsgType::kUnlockEmpty);
-  out.aux = kAuxWriteback;
-  reply_after(config_.t_directory, std::move(out));
+  reply_unlock_empty(e, m, /*drop=*/false);
 }
 
 void DirectoryController::on_unlock_query(const net::Message& m) {
@@ -170,17 +152,14 @@ void DirectoryController::on_unlock_query(const net::Message& m) {
     // Truly the tail: unlink and call the data home.
     e.lock_chain.clear();
     e.lock_holders = 0;
-    e.lock_writeback_pending = true;
-    auto out = reply_to(m, MsgType::kUnlockEmpty);
-    out.aux = kAuxWriteback;
-    reply_after(config_.t_directory, std::move(out));
+    reply_unlock_empty(e, m, /*drop=*/false);
     return;
   }
   // The releaser is in the chain but not at the front: its predecessors'
-  // handoff bookkeeping (kAuxHandoffDone) is still in flight. That race is
-  // real on networks with distance-dependent paths (a short critical
-  // section next to the home beats a far-away HandoffDone), so park the
-  // query until the bookkeeping drains and replay it then.
+  // handoff bookkeeping (a handoff-done kUnlockNotify) is still in flight.
+  // That race is real on networks with distance-dependent paths (a short
+  // critical section next to the home beats a far-away HandoffDone), so
+  // park the query until the bookkeeping drains and replay it then.
   if (!e.lock_chain.empty() && e.lock_chain.front().node != m.src &&
       chain_contains(e, m.src)) {
     e.blocked.push_back(m);
@@ -205,7 +184,14 @@ void DirectoryController::on_unlock_query(const net::Message& m) {
   }
   // A successor announce (kLockFwd) is in flight to the releaser; it must
   // drain: link the successor when the announce arrives, then hand off.
-  auto out = reply_to(m, MsgType::kUnlockWaitSucc);
+  reply_after(config_.t_directory, reply_to(m, MsgType::kUnlockWaitSucc));
+}
+
+void DirectoryController::reply_unlock_empty(mem::DirectoryEntry& e, const net::Message& m,
+                                             bool drop) {
+  if (!drop) e.lock_writeback_pending = true;
+  auto out = reply_to(m, MsgType::kUnlockEmpty);
+  net::set_unlock_drops(out, drop);
   reply_after(config_.t_directory, std::move(out));
 }
 
@@ -213,13 +199,12 @@ void DirectoryController::on_lock_writeback(const net::Message& m) {
   auto& e = entry(m.block);
   stats_.counter(hot_.lock_writeback, "dir.lock_writeback").add();
   assert(e.lock_writeback_pending);
-  if (m.aux != 0) {
-    memory_.write_block_masked(m.block, m.data, m.dirty_mask);
-  }
+  const bool stale = net::memory_stale(m);
+  if (stale) memory_.write_block_masked(m.block, m.data, m.dirty_mask);
   e.lock_writeback_pending = false;
   e.lock_data_stale = false;
   e.usage_lock = false;
-  memory_.occupy(sim_.now(), config_.t_directory + (m.aux != 0 ? config_.t_memory : 0));
+  memory_.occupy(sim_.now(), config_.t_directory + (stale ? config_.t_memory : 0));
   drain_blocked(m.block);
 }
 

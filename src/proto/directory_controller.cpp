@@ -6,7 +6,6 @@
 
 namespace bcsim::proto {
 
-using net::Message;
 using net::MsgType;
 using net::Unit;
 
@@ -124,13 +123,18 @@ void DirectoryController::reply_after(Tick service, net::Message&& out) {
   net_.send_at(done, std::move(out));
 }
 
-net::Message DirectoryController::reply_to(const net::Message& m, net::MsgType type) const {
+net::Message DirectoryController::to_cache(net::MsgType type, NodeId dst, BlockId b) const {
   net::Message out;
   out.src = node_;
-  out.dst = m.src;
+  out.dst = dst;
   out.unit = Unit::kCache;
   out.type = type;
-  out.block = m.block;
+  out.block = b;
+  return out;
+}
+
+net::Message DirectoryController::reply_to(const net::Message& m, net::MsgType type) const {
+  auto out = to_cache(type, m.src, m.block);
   out.addr = m.addr;
   out.txn = m.txn;
   return out;
@@ -146,14 +150,9 @@ void DirectoryController::on_gets(const net::Message& m) {
   stats_.counter(hot_.gets, "dir.gets").add();
   switch (e.state) {
     case mem::DirState::kUncached:
-    case mem::DirState::kShared: {
-      e.state = mem::DirState::kShared;
-      add_sharer(e, m.src);
-      auto out = reply_to(m, MsgType::kDataS);
-      out.data = memory_.read_block(m.block);
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+    case mem::DirState::kShared:
+      grant_shared(e, m);
       break;
-    }
     case mem::DirState::kModified:
       start_recall(e, m, /*for_exclusive=*/false);
       break;
@@ -168,30 +167,9 @@ void DirectoryController::on_getx(const net::Message& m) {
   stats_.counter(hot_.getx, "dir.getx").add();
   switch (e.state) {
     case mem::DirState::kUncached:
-    case mem::DirState::kShared: {
-      std::uint32_t acks = 0;
-      for (NodeId s : invalidation_targets(e, m.src)) {
-        net::Message inv;
-        inv.src = node_;
-        inv.dst = s;
-        inv.unit = Unit::kCache;
-        inv.type = MsgType::kInv;
-        inv.block = m.block;
-        inv.who = m.src;  // ack goes to the requester's cache
-        inv.aux = 0;      // 0: ack to cache, 1: ack to directory
-        reply_after(0, std::move(inv));
-        ++acks;
-        stats_.counter(hot_.invs, "dir.invs").add();
-      }
-      clear_sharers(e);
-      e.state = mem::DirState::kModified;
-      e.owner = m.src;
-      auto out = reply_to(m, MsgType::kDataX);
-      out.data = memory_.read_block(m.block);
-      out.value = acks;  // requester collects this many kInvAck
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+    case mem::DirState::kShared:
+      grant_exclusive(e, m, invalidate(e, m, Unit::kCache));
       break;
-    }
     case mem::DirState::kModified:
       start_recall(e, m, /*for_exclusive=*/true);
       break;
@@ -205,44 +183,20 @@ void DirectoryController::on_rmw(const net::Message& m) {
   if (defer_if_busy(e, m)) return;
   stats_.counter(hot_.rmw, "dir.rmw").add();
   switch (e.state) {
-    case mem::DirState::kUncached: {
-      auto out = reply_to(m, MsgType::kRmwAck);
-      out.value = apply_rmw(m.block, amap_.word_of(m.addr), static_cast<net::RmwOp>(m.aux),
-                            m.value, m.value2);
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+    case mem::DirState::kUncached:
+      reply_rmw(m);
       break;
-    }
-    case mem::DirState::kShared: {
+    case mem::DirState::kShared:
       // Invalidate every cached copy (the RMW result lives at memory);
       // acks return to the directory, which completes the RMW after the
       // last one. The entry is busy meanwhile.
       e.pending = m;
       e.state = mem::DirState::kBusyRmw;
-      // RMW invalidates every cached copy, the requester's included
-      // (the result lives at memory).
-      const auto targets = invalidation_targets(e, kNoNode);
-      e.acks_outstanding = static_cast<std::uint32_t>(targets.size());
       memory_.occupy(sim_.now(), config_.t_directory);  // directory lookup
-      for (NodeId s : targets) {
-        net::Message inv;
-        inv.src = node_;
-        inv.dst = s;
-        inv.unit = Unit::kCache;
-        inv.type = MsgType::kInv;
-        inv.block = m.block;
-        inv.who = node_;
-        inv.aux = 1;  // ack to directory
-        reply_after(0, std::move(inv));
-        stats_.counter(hot_.invs, "dir.invs").add();
-      }
-      clear_sharers(e);
-      if (targets.empty()) {
-        // No cached copies after all: complete immediately.
-        finish_pending(e);
-        break;
-      }
+      e.acks_outstanding = invalidate(e, m, Unit::kMemory);
+      // No cached copies after all: complete immediately.
+      if (e.acks_outstanding == 0) finish_pending(e);
       break;
-    }
     case mem::DirState::kModified:
       start_recall(e, m, /*for_exclusive=*/true);
       break;
@@ -253,47 +207,35 @@ void DirectoryController::on_rmw(const net::Message& m) {
 
 void DirectoryController::on_putm(const net::Message& m) {
   auto& e = entry(m.block);
-  if (e.state == mem::DirState::kBusyRecall && e.owner == m.src) {
-    // The write-back crossed with our recall: treat it as the recall ack,
-    // and still acknowledge the replacement so the cache can reuse the
-    // frame.
-    memory_.write_block_masked(m.block, m.data, m.dirty_mask);
-    reply_after(config_.t_directory + config_.t_memory, reply_to(m, MsgType::kPutAck));
-    e.owner = kNoNode;
-    finish_pending(e);
-    return;
+  // A write-back that crossed our recall is the recall ack; the cache still
+  // gets its PutAck, so it can reuse the frame.
+  const bool crossed_recall = e.state == mem::DirState::kBusyRecall && e.owner == m.src;
+  const bool from_owner = e.state == mem::DirState::kModified && e.owner == m.src;
+  // Read-update machine: plain (uniprocessor-style) writes dirty lines
+  // with no directory ownership; replacement writes the dirty words
+  // back. The per-word mask makes concurrent writebacks from different
+  // nodes merge instead of clobbering (paper section 3, issue 6).
+  const bool unowned = e.state == mem::DirState::kUncached && e.owner == kNoNode;
+  if (!crossed_recall && !from_owner && !unowned) {
+    throw std::logic_error("DirectoryController: PutM from non-owner");
   }
-  if (e.state == mem::DirState::kModified && e.owner == m.src) {
-    memory_.write_block_masked(m.block, m.data, m.dirty_mask);
-    e.state = mem::DirState::kUncached;
-    e.owner = kNoNode;
-    reply_after(config_.t_directory + config_.t_memory, reply_to(m, MsgType::kPutAck));
-    return;
-  }
-  if (e.state == mem::DirState::kUncached && e.owner == kNoNode) {
-    // Read-update machine: plain (uniprocessor-style) writes dirty lines
-    // with no directory ownership; replacement writes the dirty words
-    // back. The per-word mask makes concurrent writebacks from different
-    // nodes merge instead of clobbering (paper section 3, issue 6).
-    memory_.write_block_masked(m.block, m.data, m.dirty_mask);
-    reply_after(config_.t_directory + config_.t_memory, reply_to(m, MsgType::kPutAck));
-    return;
-  }
-  throw std::logic_error("DirectoryController: PutM from non-owner");
+  memory_.write_block_masked(m.block, m.data, m.dirty_mask);
+  reply_after(config_.t_directory + config_.t_memory, reply_to(m, MsgType::kPutAck));
+  if (from_owner) e.state = mem::DirState::kUncached;
+  e.owner = kNoNode;
+  if (crossed_recall) finish_pending(e);
 }
 
 void DirectoryController::on_puts(const net::Message& m) {
   auto& e = entry(m.block);
-  if (e.coarse) {
-    // A region bit cannot be cleared on replacement — another node of the
-    // region may still hold a copy. The entry stays conservatively shared
-    // until the next invalidation round resets it.
-    reply_after(config_.t_directory, reply_to(m, MsgType::kPutAck));
-    return;
-  }
-  e.erase_sharer(m.src);
-  if (e.sharers.empty() && e.state == mem::DirState::kShared) {
-    e.state = mem::DirState::kUncached;
+  // A region bit cannot be cleared on replacement — another node of the
+  // region may still hold a copy. A coarse entry stays conservatively
+  // shared until the next invalidation round resets it.
+  if (!e.coarse) {
+    e.erase_sharer(m.src);
+    if (e.sharers.empty() && e.state == mem::DirState::kShared) {
+      e.state = mem::DirState::kUncached;
+    }
   }
   reply_after(config_.t_directory, reply_to(m, MsgType::kPutAck));
 }
@@ -303,9 +245,9 @@ void DirectoryController::on_recall_ack(const net::Message& m) {
   assert(e.state == mem::DirState::kBusyRecall);
   assert(e.owner == m.src);
   memory_.write_block_masked(m.block, m.data, m.dirty_mask);
-  // aux==0 means the owner downgraded to shared and kept its copy;
-  // finish_pending() re-registers it as a sharer for GetS causes.
-  if (m.aux != 0) e.owner = kNoNode;
+  // An owner that downgraded to shared kept its copy; finish_pending()
+  // re-registers it as a sharer for GetS causes.
+  if (net::recall_invalidates(m)) e.owner = kNoNode;
   finish_pending(e);
 }
 
@@ -321,52 +263,64 @@ void DirectoryController::start_recall(mem::DirectoryEntry& e, const net::Messag
   stats_.counter(hot_.recalls, "dir.recalls").add();
   e.pending = cause;
   e.state = mem::DirState::kBusyRecall;
-  net::Message rec;
-  rec.src = node_;
-  rec.dst = e.owner;
-  rec.unit = Unit::kCache;
-  rec.type = MsgType::kRecall;
-  rec.block = cause.block;
-  rec.aux = for_exclusive ? 1 : 0;  // 1: invalidate, 0: downgrade to shared
+  auto rec = to_cache(MsgType::kRecall, e.owner, cause.block);
+  net::set_recall_invalidates(rec, for_exclusive);
   reply_after(config_.t_directory, std::move(rec));
+}
+
+std::uint32_t DirectoryController::invalidate(mem::DirectoryEntry& e, const net::Message& m,
+                                              net::Unit acks_to) {
+  const bool to_requester = acks_to == Unit::kCache;
+  const auto targets = invalidation_targets(e, to_requester ? m.src : kNoNode);
+  for (NodeId s : targets) {
+    auto inv = to_cache(MsgType::kInv, s, m.block);
+    net::set_ack_route(inv, to_requester ? m.src : node_, acks_to);
+    reply_after(0, std::move(inv));
+    stats_.counter(hot_.invs, "dir.invs").add();
+  }
+  clear_sharers(e);
+  return static_cast<std::uint32_t>(targets.size());
+}
+
+void DirectoryController::grant_shared(mem::DirectoryEntry& e, const net::Message& m) {
+  e.state = mem::DirState::kShared;
+  add_sharer(e, m.src);
+  auto out = reply_to(m, MsgType::kDataS);
+  out.data = memory_.read_block(m.block);
+  reply_after(config_.t_directory + config_.t_memory, std::move(out));
+}
+
+void DirectoryController::grant_exclusive(mem::DirectoryEntry& e, const net::Message& m,
+                                          std::uint32_t acks) {
+  e.state = mem::DirState::kModified;
+  e.owner = m.src;
+  auto out = reply_to(m, MsgType::kDataX);
+  out.data = memory_.read_block(m.block);
+  out.value = acks;  // requester collects this many kInvAck
+  reply_after(config_.t_directory + config_.t_memory, std::move(out));
 }
 
 void DirectoryController::finish_pending(mem::DirectoryEntry& e) {
   const net::Message m = e.pending;
   e.pending = net::Message{};
   switch (m.type) {
-    case MsgType::kGetS: {
+    case MsgType::kGetS:
       // The recalled owner (if it didn't write back and vanish) downgraded
       // to shared and keeps its copy.
-      e.state = mem::DirState::kShared;
       clear_sharers(e);
       if (e.owner != kNoNode && e.owner != m.src) add_sharer(e, e.owner);
       e.owner = kNoNode;
-      add_sharer(e, m.src);
-      auto out = reply_to(m, MsgType::kDataS);
-      out.data = memory_.read_block(m.block);
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+      grant_shared(e, m);
       break;
-    }
-    case MsgType::kGetX: {
-      e.state = mem::DirState::kModified;
-      e.owner = m.src;
+    case MsgType::kGetX:
       clear_sharers(e);
-      auto out = reply_to(m, MsgType::kDataX);
-      out.data = memory_.read_block(m.block);
-      out.value = 0;
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+      grant_exclusive(e, m, 0);
       break;
-    }
-    case MsgType::kRmw: {
+    case MsgType::kRmw:
       e.state = mem::DirState::kUncached;
       e.owner = kNoNode;
-      auto out = reply_to(m, MsgType::kRmwAck);
-      out.value = apply_rmw(m.block, amap_.word_of(m.addr), static_cast<net::RmwOp>(m.aux),
-                            m.value, m.value2);
-      reply_after(config_.t_directory + config_.t_memory, std::move(out));
+      reply_rmw(m);
       break;
-    }
     default:
       throw std::logic_error("DirectoryController: bad pending transaction");
   }
@@ -430,24 +384,27 @@ void DirectoryController::clear_sharers(mem::DirectoryEntry& e) {
   e.region_mask.clear();
 }
 
-Word DirectoryController::apply_rmw(BlockId b, std::uint32_t word, net::RmwOp op,
-                                    Word operand, Word operand2) {
+void DirectoryController::reply_rmw(const net::Message& m) {
+  const BlockId b = m.block;
+  const std::uint32_t word = amap_.word_of(m.addr);
   const Word old = memory_.read_word(b, word);
-  switch (op) {
+  switch (net::rmw_op(m)) {
     case net::RmwOp::kTestAndSet:
       memory_.write_word(b, word, 1);
       break;
     case net::RmwOp::kFetchAdd:
-      memory_.write_word(b, word, old + operand);
+      memory_.write_word(b, word, old + m.value);
       break;
     case net::RmwOp::kSwap:
-      memory_.write_word(b, word, operand);
+      memory_.write_word(b, word, m.value);
       break;
     case net::RmwOp::kCompareSwap:
-      if (old == operand) memory_.write_word(b, word, operand2);
+      if (old == m.value) memory_.write_word(b, word, m.value2);
       break;
   }
-  return old;
+  auto out = reply_to(m, MsgType::kRmwAck);
+  out.value = old;
+  reply_after(config_.t_directory + config_.t_memory, std::move(out));
 }
 
 }  // namespace bcsim::proto

@@ -85,6 +85,8 @@ class DirectoryController {
 
   /// Charges module time (t_D [+ t_m]) and sends `out` when it elapses.
   void reply_after(Tick service, net::Message&& out);
+  /// A message about block `b` to node `dst`'s cache.
+  [[nodiscard]] net::Message to_cache(net::MsgType type, NodeId dst, BlockId b) const;
   /// Convenience: builds a reply skeleton to `m.src`'s cache unit.
   [[nodiscard]] net::Message reply_to(const net::Message& m, net::MsgType type) const;
 
@@ -97,6 +99,17 @@ class DirectoryController {
   void on_recall_ack(const net::Message& m);
   void on_inv_ack(const net::Message& m);
   void start_recall(mem::DirectoryEntry& e, const net::Message& cause, bool for_exclusive);
+  /// Sends the invalidation round for `m` and forgets the sharers; returns
+  /// the number of acks. Acks to the cache go to the requester, which keeps
+  /// its own copy (GetX); acks to memory come home, and every copy goes, the
+  /// requester's included (an RMW's result lives at memory).
+  std::uint32_t invalidate(mem::DirectoryEntry& e, const net::Message& m, net::Unit acks_to);
+  /// Grants `m.src` a shared copy (kDataS).
+  void grant_shared(mem::DirectoryEntry& e, const net::Message& m);
+  /// Grants `m.src` the exclusive copy (kDataX) once it collects `acks`.
+  void grant_exclusive(mem::DirectoryEntry& e, const net::Message& m, std::uint32_t acks);
+  /// Performs the RMW `m` at memory and replies with the old word.
+  void reply_rmw(const net::Message& m);
   /// Nodes to invalidate for an exclusive request: the exact sharer set
   /// under a full-map directory; all other nodes under Dir_k-B once the
   /// pointer limit is exceeded; every node of every flagged region for a
@@ -115,15 +128,12 @@ class DirectoryController {
     return n / config_.dir_region_nodes;
   }
   void finish_pending(mem::DirectoryEntry& e);
-  [[nodiscard]] Word apply_rmw(BlockId b, std::uint32_t word, net::RmwOp op, Word operand,
-                               Word operand2);
 
   // --- reader-initiated coherence (directory_ru.cpp) ---
   void on_read_global(const net::Message& m);
   void on_write_global(const net::Message& m);
   void on_read_update(const net::Message& m);
   void on_reset_update(const net::Message& m);
-  void propagate_update(mem::DirectoryEntry& e, BlockId b, Tick when);
 
   // --- CBL locks + barrier (directory_cbl.cpp) ---
   void on_lock_req(const net::Message& m);
@@ -131,6 +141,9 @@ class DirectoryController {
   void on_unlock_query(const net::Message& m);
   void on_lock_writeback(const net::Message& m);
   void on_bar_arrive(const net::Message& m);
+  /// Answers an unlock with kUnlockEmpty: the releaser drops its line, or
+  /// writes it back (and the entry waits for the write-back).
+  void reply_unlock_empty(mem::DirectoryEntry& e, const net::Message& m, bool drop);
   /// Removes `node` from the lock chain; promotes the next holder group
   /// when the holder prefix empties. Returns true if `node` was a holder.
   bool chain_remove(mem::DirectoryEntry& e, NodeId node);

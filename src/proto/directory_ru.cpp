@@ -9,16 +9,14 @@
 
 namespace bcsim::proto {
 
-using net::Message;
 using net::MsgType;
-using net::Unit;
 
 void DirectoryController::on_read_global(const net::Message& m) {
   auto& e = entry(m.block);
   if (defer_if_busy(e, m)) return;
   stats_.counter(hot_.read_global, "dir.read_global").add();
   auto out = reply_to(m, MsgType::kReadGlobalAck);
-  if (m.aux == 1) {
+  if (net::whole_block(m)) {
     out.data = memory_.read_block(m.block);  // block fill (local-miss path)
   } else {
     out.value = memory_.read_word(m.block, amap_.word_of(m.addr));
@@ -43,38 +41,16 @@ void DirectoryController::on_write_global(const net::Message& m) {
   // in-flight snapshot, and the version-ordered chain is what restores it.
   if (!e.ru_list.empty()) {
     stats_.counter(hot_.ru_propagations, "dir.ru_propagations").add();
-    Message upd;
-    upd.src = node_;
-    upd.unit = Unit::kCache;
-    upd.type = MsgType::kRuUpdate;
-    upd.block = m.block;
+    auto upd = to_cache(MsgType::kRuUpdate, e.ru_list.front(), m.block);
     upd.data = memory_.read_block(m.block);
-    upd.dst = e.ru_list.front();
     upd.chain = net::Chain(e.ru_list.begin() + 1, e.ru_list.end());
     upd.txn = m.txn;
     upd.who = m.src;  // the last hop acks the writer
     upd.value = e.ru_version;
     net_.send_at(done, std::move(upd));
   } else {
-    auto ack = reply_to(m, MsgType::kWriteGlobalAck);
-    net_.send_at(done, std::move(ack));
+    net_.send_at(done, reply_to(m, MsgType::kWriteGlobalAck));
   }
-}
-
-void DirectoryController::propagate_update(mem::DirectoryEntry& e, BlockId b, Tick when) {
-  // Ack-free propagation path (used when no specific write is retiring).
-  if (e.ru_list.empty()) return;
-  stats_.counter(hot_.ru_propagations, "dir.ru_propagations").add();
-  Message upd;
-  upd.src = node_;
-  upd.unit = Unit::kCache;
-  upd.type = MsgType::kRuUpdate;
-  upd.block = b;
-  upd.data = memory_.read_block(b);
-  upd.dst = e.ru_list.front();
-  upd.chain = net::Chain(e.ru_list.begin() + 1, e.ru_list.end());
-  upd.value = e.ru_version;
-  net_.send_at(when, std::move(upd));
 }
 
 void DirectoryController::on_read_update(const net::Message& m) {
@@ -93,26 +69,17 @@ void DirectoryController::on_read_update(const net::Message& m) {
   auto out = reply_to(m, MsgType::kReadUpdateData);
   out.data = memory_.read_block(m.block);
   out.value = e.ru_version;
-  if (already) {
-    // Duplicate subscription (e.g. resubscribe after a local reset raced
-    // an in-flight update): keep position, just refresh the data.
-    out.who = kNoNode;
-    reply_after(config_.t_directory + config_.t_memory, std::move(out));
-    return;
-  }
+  // A duplicate subscription (e.g. resubscribe after a local reset raced
+  // an in-flight update) keeps its position and just refreshes the data.
+  out.who = already ? kNoNode : old_head;
+  reply_after(config_.t_directory + config_.t_memory, std::move(out));
+  if (already) return;
   // Push-front insert: the new subscriber becomes the list head (that is
   // the single-pointer-update hardware insert); the old head learns its
   // new prev.
   e.ru_list.insert(e.ru_list.begin(), m.src);
-  out.who = old_head;
-  reply_after(config_.t_directory + config_.t_memory, std::move(out));
   if (old_head != kNoNode) {
-    Message link;
-    link.src = node_;
-    link.dst = old_head;
-    link.unit = Unit::kCache;
-    link.type = MsgType::kRuLinkPrev;
-    link.block = m.block;
+    auto link = to_cache(MsgType::kRuLinkPrev, old_head, m.block);
     link.who = m.src;
     reply_after(0, std::move(link));
   }
@@ -128,19 +95,13 @@ void DirectoryController::on_reset_update(const net::Message& m) {
   const NodeId next = idx + 1 < e.ru_list.size() ? e.ru_list[idx + 1] : kNoNode;
   e.ru_list.erase(it);
   // Neighbor splice messages: mirror maintenance in the caches (the paper's
-  // doubly-linked-list delete). `value` encodes the replacement pointer
-  // (0 = nil, else node+1).
+  // doubly-linked-list delete).
   const Tick done = memory_.occupy(sim_.now(), config_.t_directory);
   auto splice = [&](NodeId dst, NodeId new_neighbor) {
     if (dst == kNoNode) return;
-    Message s;
-    s.src = node_;
-    s.dst = dst;
-    s.unit = Unit::kCache;
-    s.type = MsgType::kRuUnlink;
-    s.block = m.block;
+    auto s = to_cache(MsgType::kRuUnlink, dst, m.block);
     s.who = m.src;
-    s.value = new_neighbor == kNoNode ? 0 : static_cast<Word>(new_neighbor) + 1;
+    net::set_unlink_neighbor(s, new_neighbor);
     net_.send_at(done, std::move(s));
   };
   splice(prev, next);
@@ -159,24 +120,19 @@ void DirectoryController::on_bar_arrive(const net::Message& m) {
   const std::uint32_t target = static_cast<std::uint32_t>(m.value);
   auto ack = reply_to(m, MsgType::kBarArriveAck);
   ack.value = e.barrier_count - 1;  // arrival index
-  if (e.barrier_count < target) {
-    ack.aux = 0;
+  const bool last = e.barrier_count >= target;
+  net::set_last_arrival(ack, last);
+  if (!last) {
     e.barrier_waiters.push_back(m.src);
     reply_after(config_.t_directory + config_.t_memory, std::move(ack));
     return;
   }
   // Last arriver: open the barrier. Its ack doubles as its release; the
   // waiters get a chained kBarRelease (paper Table 3: "barrier notify").
-  ack.aux = 1;
   const Tick done = memory_.occupy(sim_.now(), config_.t_directory + config_.t_memory);
   net_.send_at(done, std::move(ack));
   if (!e.barrier_waiters.empty()) {
-    Message rel;
-    rel.src = node_;
-    rel.unit = Unit::kCache;
-    rel.type = MsgType::kBarRelease;
-    rel.block = m.block;
-    rel.dst = e.barrier_waiters.front();
+    auto rel = to_cache(MsgType::kBarRelease, e.barrier_waiters.front(), m.block);
     rel.chain = net::Chain(e.barrier_waiters.begin() + 1, e.barrier_waiters.end());
     net_.send_at(done, std::move(rel));
   }

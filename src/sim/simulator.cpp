@@ -2,33 +2,23 @@
 
 namespace bcsim::sim {
 
-RunResult Simulator::run(Tick max_cycles) {
-  stop_requested_ = false;
-  const Tick deadline = (max_cycles == kNever) ? kNever : saturating_add(now_, max_cycles);
-  while (!queue_.empty()) {
-    if (stop_requested_) return RunResult::kStopped;
-    const Tick t = queue_.next_tick();
-    if (t > deadline) return RunResult::kBudget;
+void Simulator::drain(Tick until) {
+  while (!queue_.empty() && queue_.next_tick() <= until) {
     auto [at, fn] = queue_.pop();
     now_ = at;
     ++events_processed_;
     fn();
   }
-  return stop_requested_ ? RunResult::kStopped : RunResult::kIdle;
 }
 
-RunResult Simulator::run_until(Tick until) {
-  stop_requested_ = false;
-  while (!queue_.empty() && queue_.next_tick() <= until) {
-    if (stop_requested_) return RunResult::kStopped;
-    auto [at, fn] = queue_.pop();
-    now_ = at;
-    ++events_processed_;
-    fn();
-  }
-  if (stop_requested_) return RunResult::kStopped;
+RunResult Simulator::run(Tick max_cycles) {
+  drain((max_cycles == kNever) ? kNever : saturating_add(now_, max_cycles));
+  return queue_.empty() ? RunResult::kIdle : RunResult::kBudget;
+}
+
+void Simulator::run_until(Tick until) {
+  drain(until);
   if (now_ < until) now_ = until;
-  return RunResult::kIdle;
 }
 
 }  // namespace bcsim::sim

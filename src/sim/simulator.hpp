@@ -2,7 +2,7 @@
 //
 // One Simulator per experiment. Components keep a reference and use
 // schedule()/schedule_at() to enqueue future work. run() drains events until
-// the queue empties, a stop condition is hit, or a cycle budget expires.
+// the queue empties or a cycle budget expires.
 // Every simulation runs on this one single-threaded loop; only whole
 // experiments run in parallel (sim/sweep.hpp).
 #pragma once
@@ -19,7 +19,6 @@ namespace bcsim::sim {
 /// Why the event loop returned.
 enum class RunResult {
   kIdle,      ///< Event queue drained (the natural end of a simulation).
-  kStopped,   ///< stop() was called from inside an event.
   kBudget,    ///< The cycle budget was exhausted (likely livelock or too-small budget).
 };
 
@@ -58,16 +57,13 @@ class Simulator {
 
   // --- running ----------------------------------------------------------
 
-  /// Requests the event loop to return after the current event.
-  void stop() noexcept { stop_requested_ = true; }
-
-  /// Runs until the queue drains, stop() is called, or `max_cycles` have
-  /// elapsed since the start of this run() call (a safety net against
-  /// protocol livelock — hitting it is reported, never silent).
+  /// Runs until the queue drains or `max_cycles` have elapsed since the
+  /// start of this run() call (a safety net against protocol livelock —
+  /// hitting it is reported, never silent).
   RunResult run(Tick max_cycles = kNever);
 
   /// Runs until simulated time reaches `until` (events at `until` included).
-  RunResult run_until(Tick until);
+  void run_until(Tick until);
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
@@ -87,11 +83,12 @@ class Simulator {
   static Tick saturating_add(Tick a, Tick b) noexcept {
     return (b > kNever - a) ? kNever : a + b;
   }
+  /// Runs every event due at or before `until`, in order.
+  void drain(Tick until);
 
   EventQueue queue_;
   TraceRecorder trace_;
   Tick now_ = 0;
-  bool stop_requested_ = false;
   std::uint64_t events_processed_ = 0;
 };
 

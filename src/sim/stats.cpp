@@ -138,11 +138,6 @@ std::uint64_t StatsRegistry::digest() const noexcept {
   return h.h;
 }
 
-void StatsRegistry::reset_all() noexcept {
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
 void StatsRegistry::absorb(StatsRegistry& other) {
   for (auto& [name, c] : other.counters_) {
     counter(name).add(c->value());

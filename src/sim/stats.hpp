@@ -122,8 +122,6 @@ class StatsRegistry {
   /// tests gate on it (docs/TESTING.md, "Pins").
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
-  void reset_all() noexcept;
-
   /// Folds every statistic of `other` into this registry by name (creating
   /// missing entries) and resets `other`, leaving its handles valid. Lets
   /// a caller accumulate the statistics of several runs in one registry.

@@ -14,9 +14,9 @@ namespace {
 
 using core::PrimitiveOp;
 
-/// An op's spelling in the text format: its mnemonic ("" for the generic
-/// kRmw tag, which is never recorded) and how many of the address, value
-/// and second-operand columns its records carry, in that order.
+/// An op's spelling in the text format: its mnemonic and how many of the
+/// address, value and second-operand columns its records carry, in that
+/// order.
 struct Spelling {
   std::string_view mnemonic;
   int fields;
@@ -34,7 +34,6 @@ constexpr Spelling spelling(PrimitiveOp op) noexcept {
     case PrimitiveOp::kReadLock: return {"rl", 1};
     case PrimitiveOp::kWriteLock: return {"wl", 1};
     case PrimitiveOp::kUnlock: return {"ul", 1};
-    case PrimitiveOp::kRmw: return {"", 0};
     case PrimitiveOp::kTestAndSet: return {"ts", 1};
     case PrimitiveOp::kFetchAdd: return {"fa", 2};
     case PrimitiveOp::kBarrier: return {"ba", 2};
@@ -60,7 +59,7 @@ PrimitiveOp parse_trace_op(std::string_view s) {
   for (auto k = static_cast<int>(PrimitiveOp::kRead); k <= static_cast<int>(PrimitiveOp::kPrivate);
        ++k) {
     const auto op = static_cast<PrimitiveOp>(k);
-    if (!s.empty() && s == trace_mnemonic(op)) return op;
+    if (s == trace_mnemonic(op)) return op;
   }
   throw std::invalid_argument("trace: unknown op '" + std::string(s) + "'");
 }
@@ -151,9 +150,7 @@ TraceRecorder::TraceRecorder(Machine& machine)
   for (NodeId i = 0; i < machine.n_nodes(); ++i) {
     machine.processor(i).set_hook(
         [this, i](core::PrimitiveOp op, Addr a, Word v, Word v2) {
-          // The generic kRmw tag has no mnemonic: the Processor notes the
-          // specialization it issues instead.
-          if (op != PrimitiveOp::kRmw) per_node_[i].push_back({i, op, a, v, v2});
+          per_node_[i].push_back({i, op, a, v, v2});
         });
   }
 }
@@ -217,7 +214,6 @@ sim::Task TraceWorkload::run(Processor& p, const std::vector<TraceRecord>& strea
       case PrimitiveOp::kWaitWord: co_await p.wait_word_change(r.addr, r.value); break;
       case PrimitiveOp::kWaitLine: co_await p.wait_line_change(r.addr); break;
       case PrimitiveOp::kPrivate: co_await p.private_delay(r.addr); break;
-      case PrimitiveOp::kRmw: break;  // never recorded, and no mnemonic parses to it
     }
   }
   checksums_[p.id()] = sum;

@@ -44,7 +44,7 @@
 namespace bcsim::workload {
 
 /// One primitive as the processor issued it (core::PrimitiveOp is the
-/// trace's vocabulary; the generic kRmw tag is never recorded).
+/// trace's vocabulary).
 struct TraceRecord {
   NodeId proc = 0;
   core::PrimitiveOp op = core::PrimitiveOp::kRead;
@@ -53,7 +53,7 @@ struct TraceRecord {
   Word value2 = 0;  ///< compare-swap only: the desired value
 };
 
-/// An op's mnemonic in the text format ("" for kRmw, which has none).
+/// An op's mnemonic in the text format.
 [[nodiscard]] std::string_view trace_mnemonic(core::PrimitiveOp op) noexcept;
 /// Parses an op mnemonic; throws std::invalid_argument on unknown input.
 [[nodiscard]] core::PrimitiveOp parse_trace_op(std::string_view s);

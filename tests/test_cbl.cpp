@@ -410,5 +410,35 @@ TEST(Cbl, ReadLockDataIsFreshAfterWriterChain) {
   EXPECT_EQ(m.peek_memory(lock + 3), 321u) << "final unlock must write back";
 }
 
+TEST(Cbl, ShareForwardMeetsAReleasingReader) {
+  // Node 1 read-locks block 0 (home node 0), holds it 10 cycles and
+  // unlocks; node 2 read-locks c cycles in. At these c the home counts
+  // node 2 as a co-holder and forwards it to node 1 while node 1's line is
+  // still releasing, so node 1 shares the lock from that line. The home
+  // then has node 1 drop its line and node 2 write the data back.
+  for (Tick c = 14; c <= 23; ++c) {
+    auto cfg = paper_config(3);
+    cfg.invariants = sim::InvariantLevel::kFull;
+    Machine m(cfg);
+    const Addr lock = 0;
+    auto holder = [&](Processor& p) -> sim::Task {
+      co_await p.read_lock(lock);
+      co_await p.compute(10);
+      co_await p.unlock(lock);
+    };
+    auto sharer = [&](Processor& p) -> sim::Task {
+      co_await p.compute(c);
+      co_await p.read_lock(lock);
+      co_await p.unlock(lock);
+    };
+    m.spawn(holder(m.processor(1)));
+    m.spawn(sharer(m.processor(2)));
+    run_all(m);
+    EXPECT_EQ(m.stats().counter_value("net.msg.LockShareGrant"), 1u) << "c=" << c;
+    EXPECT_EQ(m.stats().counter_value("net.msg.UnlockEmpty"), 2u) << "c=" << c;
+    EXPECT_NO_THROW(m.check_invariants("share-forward")) << "c=" << c;
+  }
+}
+
 }  // namespace
 }  // namespace bcsim

@@ -57,20 +57,6 @@ TEST(Simulator, AdvancesClockToEventTimes) {
   EXPECT_EQ(seen, (std::vector<Tick>{2, 5, 12}));
 }
 
-TEST(Simulator, StopEndsLoop) {
-  Simulator s;
-  int fired = 0;
-  s.schedule(1, [&] {
-    ++fired;
-    s.stop();
-  });
-  s.schedule(2, [&] { ++fired; });
-  EXPECT_EQ(s.run(), RunResult::kStopped);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.run(), RunResult::kIdle);  // resumes where it left off
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, BudgetStopsRunawaySimulation) {
   Simulator s;
   std::function<void()> loop = [&] { s.schedule(10, loop); };

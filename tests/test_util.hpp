@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conf/scenario.hpp"
 #include "core/config.hpp"
 #include "core/machine.hpp"
 
@@ -23,13 +24,14 @@ inline core::MachineConfig small_config(std::uint32_t n_nodes = 4) {
 }
 
 /// Configuration of the paper's machine (read-update + CBL + buffered
-/// consistency) at small scale.
+/// consistency) at small scale: the `paper` flavor on the ideal network,
+/// with small_config()'s caches.
 inline core::MachineConfig paper_config(std::uint32_t n_nodes = 4) {
-  auto cfg = small_config(n_nodes);
-  cfg.data_protocol = core::DataProtocol::kReadUpdate;
-  cfg.consistency = core::Consistency::kBuffered;
-  cfg.lock_impl = core::LockImpl::kCbl;
-  cfg.barrier_impl = core::BarrierImpl::kCbl;
+  auto cfg = conf::build_machine({.nodes = n_nodes, .flavor = "paper", .network = "ideal"});
+  const auto small = small_config(n_nodes);
+  cfg.cache_blocks = small.cache_blocks;
+  cfg.cache_assoc = small.cache_assoc;
+  cfg.lock_cache_entries = small.lock_cache_entries;
   return cfg;
 }
 

@@ -216,6 +216,34 @@ TEST(Wbi, EvictionWritesBackDirtyWords) {
   EXPECT_EQ(seen, 100u);
 }
 
+TEST(Wbi, RecallCrossesTheOwnersWriteBack) {
+  // Node 1 writes block 3 (home node 0), then four more blocks of its
+  // cache set, which evicts block 3 with a PutM. Node 2's read, 46 cycles
+  // in, makes the home recall the block while that PutM is in flight: the
+  // home takes the PutM as the recall ack, and node 1 finds nothing to
+  // recall.
+  const auto cfg = small_config(3);
+  Machine m(cfg);
+  const BlockId sets = cfg.cache_blocks / cfg.cache_assoc;
+  const Addr a = 3 * cfg.block_words;
+  auto owner = [&](Processor& p) -> sim::Task {
+    co_await p.write(a, 42);
+    for (BlockId b = 3 + sets; b <= 3 + 4 * sets; b += sets) {
+      co_await p.write(b * cfg.block_words, 1);
+    }
+  };
+  Word seen = 0;
+  auto reader = [&](Processor& p) -> sim::Task {
+    co_await p.compute(46);
+    seen = co_await p.read(a);
+  };
+  m.spawn(owner(m.processor(1)));
+  m.spawn(reader(m.processor(2)));
+  run_all(m);
+  EXPECT_EQ(seen, 42u);
+  EXPECT_EQ(m.stats().counter_value("cache.recall_crossed"), 1u);
+}
+
 TEST(Wbi, SpinWaitWakesOnInvalidation) {
   Machine m(small_config(2));
   const Addr flag = 120;
